@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy import stats
+from scipy.special import ndtr
 
 from .graphs import LayeredGraph
 from .marginals import DataSet, Marginal, Support
@@ -132,37 +131,30 @@ def random_nominal_spec(
     raise ValueError(f"unknown nominal kind {kind!r}")
 
 
-def _normal_cell_masses(mu: float, sigma: float, d: int) -> np.ndarray:
-    coef = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-    inv2 = 1.0 / (2.0 * sigma * sigma)
-
-    def pdf(x: float) -> float:
-        return coef * math.exp(-((x - mu) ** 2) * inv2)
-
-    cells = np.empty(d)
-    for i in range(1, d + 1):
-        cells[i - 1], _ = integrate.quad(pdf, i - 0.5, i + 0.5, epsabs=1e-12)
-    return cells
-
-
 def nominal_marginals(spec: NominalSpec, graph: LayeredGraph) -> list[Marginal]:
-    """One marginal per arc of ``graph`` on the shared support {1, ..., d}."""
+    """One marginal per arc of ``graph`` on the shared support {1, ..., d}.
+
+    All arcs are evaluated on one (arcs x d) grid: binomial pmfs from exact
+    binomial coefficients, normal cells as differences of the normal cdf at
+    the half-integer edges; each row is then renormalized.
+    """
     if spec.num_actions != graph.num_arcs:
         raise ValueError(
             f"spec covers {spec.num_actions} actions but the graph has {graph.num_arcs} arcs"
         )
     support = Support.integers(spec.d)
-    out = []
     if spec.kind in ("shifted-binomial", "multinomial"):
+        n = spec.d - 1
         ks = np.arange(spec.d)
-        for p_a in spec.p:
-            probs = stats.binom.pmf(ks, spec.d - 1, p_a)
-            out.append(Marginal(support, probs / probs.sum()))
+        comb = np.array([float(math.comb(n, k)) for k in ks])
+        p = spec.p[:, None]
+        cells = comb * p**ks * (1.0 - p) ** (n - ks)
     else:
-        for mu_a, sigma_a in zip(spec.mu, spec.sigma):
-            cells = _normal_cell_masses(float(mu_a), float(sigma_a), spec.d)
-            out.append(Marginal(support, cells / cells.sum()))
-    return out
+        edges = np.arange(0.5, spec.d + 1.0)
+        cdf = ndtr((edges - spec.mu[:, None]) / spec.sigma[:, None])
+        cells = np.diff(cdf, axis=1)
+    probs = cells / cells.sum(axis=1, keepdims=True)
+    return [Marginal(support, row) for row in probs]
 
 
 def sample_sizes(

@@ -14,9 +14,10 @@ worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import csv
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,9 +273,7 @@ def run_replicate(
 
 
 def _replicate_task(args) -> ReplicateResult:
-    cfg, grid_index, replicate, shared_spec = args
-    g = build_layered(cfg.h, cfg.w)
-    return run_replicate(cfg, g, grid_index, replicate, shared_spec)
+    return run_replicate(*args)
 
 
 def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray, mad_center: str = "mean"):
@@ -289,33 +288,31 @@ def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray, mad_center: str =
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
     g = build_layered(cfg.h, cfg.w)
-    results = []
-    for grid_index, sweep_value in enumerate(cfg.grid):
-        shared_spec = None
-        if not cfg.redraw_nominal:
-            _, _, sigma = _resolved(cfg, sweep_value)
-            shared_spec = random_nominal_spec(
-                cfg.nominal, g.num_arcs, cfg.d,
-                substream(cfg.seed, _stream_index(cfg, grid_index, None)), sigma=sigma,
-            )
-        tasks = [(cfg, grid_index, i, shared_spec) for i in range(cfg.n0)]
-        try:
-            if workers > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                    replicates = list(pool.map(_replicate_task, tasks))
-            else:
-                replicates = [run_replicate(cfg, g, grid_index, i, shared_spec) for i in range(cfg.n0)]
-        except Exception as exc:
-            raise RuntimeError(
-                f"replicate failed at sweep value {sweep_value!r} "
-                f"(seed {cfg.seed}, grid index {grid_index}): {exc}"
-            ) from exc
-        aggregates = {}
-        for k, rule in enumerate(cfg.rules):
-            rhos = np.array([rep.outcomes[k].rho for rep in replicates])
-            dis = np.array([rep.outcomes[k].disappointed for rep in replicates])
-            aggregates[rule] = aggregate_rows(rhos, dis, cfg.mad_center)
-        results.append(GridPointResult(float(sweep_value), tuple(replicates), aggregates))
+    # One pool serves the whole sweep; leaving the block shuts it down.
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = []
+        for grid_index, sweep_value in enumerate(cfg.grid):
+            shared_spec = None
+            if not cfg.redraw_nominal:
+                _, _, sigma = _resolved(cfg, sweep_value)
+                shared_spec = random_nominal_spec(
+                    cfg.nominal, g.num_arcs, cfg.d,
+                    substream(cfg.seed, _stream_index(cfg, grid_index, None)), sigma=sigma,
+                )
+            tasks = [(cfg, g, grid_index, i, shared_spec) for i in range(cfg.n0)]
+            try:
+                replicates = list((map if pool is None else pool.map)(_replicate_task, tasks))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"replicate failed at sweep value {sweep_value!r} "
+                    f"(seed {cfg.seed}, grid index {grid_index}): {exc}"
+                ) from exc
+            aggregates = {}
+            for k, rule in enumerate(cfg.rules):
+                rhos = np.array([rep.outcomes[k].rho for rep in replicates])
+                dis = np.array([rep.outcomes[k].disappointed for rep in replicates])
+                aggregates[rule] = aggregate_rows(rhos, dis, cfg.mad_center)
+            results.append(GridPointResult(float(sweep_value), tuple(replicates), aggregates))
     return results
 
 

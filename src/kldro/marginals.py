@@ -20,7 +20,14 @@ __all__ = [
     "empirical_from_samples",
     "kl_divergence",
     "mean",
+    "pmf_means",
 ]
+
+
+def pmf_means(points: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Mean along the last axis as one pairwise sum per row, so a row's mean
+    is bit-identical whether taken alone or as part of a matrix."""
+    return np.add.reduce(points * probs, axis=-1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -84,7 +91,7 @@ class Marginal:
         object.__setattr__(self, "probs", p)
 
     def mean(self) -> float:
-        return float(np.dot(self.support.points, self.probs))
+        return float(pmf_means(self.support.points, self.probs))
 
 
 def mean(m: Marginal) -> float:
@@ -95,22 +102,10 @@ def mean(m: Marginal) -> float:
 def empirical_from_samples(samples, support: Support) -> Marginal:
     """Frequency pmf of ``samples`` on ``support``.
 
-    Raises if any sample is not a support point.  The last observed support
-    point absorbs the float rounding so the pmf sums to exactly 1.0.
+    Raises if any sample is not a support point.  The smallest observed
+    entry absorbs the float rounding so the pmf sums to exactly 1.0.
     """
-    obs = np.asarray(samples, dtype=float)
-    if obs.ndim != 1 or obs.size == 0:
-        raise ValueError("samples must be a nonempty 1-d array")
-    idx = np.searchsorted(support.points, obs)
-    bad = (idx >= support.size) | (support.points[np.minimum(idx, support.size - 1)] != obs)
-    if np.any(bad):
-        offending = float(obs[np.argmax(bad)])
-        raise ValueError(f"sample {offending!r} is not a support point")
-    counts = np.bincount(idx, minlength=support.size).astype(float)
-    probs = counts / obs.size
-    observed = np.flatnonzero(counts)
-    _absorb_rounding(probs, 1.0, int(observed[np.argmin(probs[observed])]))
-    return Marginal(support, probs)
+    return DataSet((support,), (samples,)).empirical(0)
 
 
 def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
@@ -170,42 +165,74 @@ def kl_divergence(p: Marginal, q: Marginal) -> float:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Per-action observation vectors of possibly different lengths."""
+    """Per-action observation vectors of possibly different lengths.
+
+    Validation builds the empirical pmfs once: ``pmf`` and ``points`` are
+    (actions x width) matrices, width the largest support size; narrower
+    supports are padded with their top point at zero mass.
+    """
 
     supports: tuple
     samples: tuple = field(repr=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    pmf: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.supports) != len(self.samples):
             raise ValueError("one sample vector per support is required")
         if len(self.supports) == 0:
             raise ValueError("data set must cover at least one action")
-        frozen = []
-        for a, (sup, obs) in enumerate(zip(self.supports, self.samples)):
-            arr = _readonly(obs)
+        supports = tuple(self.supports)
+        samples = tuple(_readonly(obs) for obs in self.samples)
+        for a, arr in enumerate(samples):
             if arr.ndim != 1 or arr.size < 1:
                 raise ValueError(f"action {a}: at least one observation required")
-            if not np.all(np.isin(arr, sup.points)):
-                off = arr[~np.isin(arr, sup.points)][0]
-                raise ValueError(f"action {a}: observation {float(off)!r} outside support")
-            frozen.append(arr)
-        object.__setattr__(self, "samples", tuple(frozen))
-        object.__setattr__(self, "supports", tuple(self.supports))
+        m = len(samples)
+        sizes = np.array([arr.size for arr in samples])
+        width = max(sup.size for sup in supports)
+        points = np.empty((m, width))
+        counts = np.zeros(m * width)
+        by_support: dict = {}
+        for a, sup in enumerate(supports):
+            by_support.setdefault(id(sup), (sup, []))[1].append(a)
+        for sup, actions in by_support.values():
+            points[actions, : sup.size] = sup.points
+            points[actions, sup.size :] = sup.max
+            obs = np.concatenate([samples[a] for a in actions])
+            owner = np.repeat(actions, sizes[actions])
+            idx = np.searchsorted(sup.points, obs)
+            bad = (idx >= sup.size) | (sup.points[np.minimum(idx, sup.size - 1)] != obs)
+            if bad.any():
+                k = int(np.argmax(bad))
+                off = float(obs[k])
+                raise ValueError(f"action {owner[k]}: observation {off!r} outside support")
+            counts += np.bincount(owner * width + idx, minlength=m * width)
+        counts = counts.reshape(m, width)
+        pmf = counts / sizes[:, None]
+        for a, total in enumerate(map(math.fsum, pmf.tolist())):
+            if total != 1.0:  # the smallest observed entry absorbs the rounding
+                seen = np.flatnonzero(counts[a])
+                _absorb_rounding(pmf[a], 1.0, int(seen[np.argmin(pmf[a, seen])]))
+        for name, value in (("sizes", sizes), ("pmf", pmf), ("points", points)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "supports", supports)
 
     @property
     def num_actions(self) -> int:
         return len(self.samples)
 
     @property
-    def sizes(self) -> np.ndarray:
-        return np.array([s.size for s in self.samples], dtype=int)
-
-    @property
     def t_min(self) -> int:
         return int(self.sizes.min())
 
-    def empirical(self, action: int) -> Marginal:
-        return empirical_from_samples(self.samples[action], self.supports[action])
+    @property
+    def means(self) -> np.ndarray:
+        """Empirical mean of every action (equal to ``empirical(a).mean()``)."""
+        return pmf_means(self.points, self.pmf)
 
-    def empiricals(self) -> list:
-        return [self.empirical(a) for a in range(self.num_actions)]
+    def empirical(self, action: int) -> Marginal:
+        sup = self.supports[action]
+        return Marginal(sup, self.pmf[action, : sup.size])

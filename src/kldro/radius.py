@@ -194,7 +194,6 @@ class AmbiguitySpec:
     radii: np.ndarray
     labels: tuple
     alpha: float | None = None
-    alpha_per_action: np.ndarray | None = None
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -210,10 +209,6 @@ class AmbiguitySpec:
                 raise ValueError(f"unknown calibration label {lab!r}")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.alpha_per_action is not None:
-            aa = np.asarray(self.alpha_per_action, dtype=float)
-            aa.setflags(write=False)
-            object.__setattr__(self, "alpha_per_action", aa)
 
     @property
     def num_actions(self) -> int:

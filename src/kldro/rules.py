@@ -19,10 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Decision, LayeredGraph, enumerate_paths, path_cost, shortest_path
-from .marginals import DataSet
-from .marginals import _absorb_rounding
+from .marginals import DataSet, _absorb_rounding
 from .radius import AmbiguitySpec, RadiusInputs, radius_best, rate_from_alpha
-from .worstcase import minimize_dual, solve_dual
+# The rules solve all arcs or paths in one solve_dual_batch call; the one-row
+# solvers stay importable from here because bench/trace_layers.py wraps them.
+from .worstcase import minimize_dual, solve_dual, solve_dual_batch  # noqa: F401
 
 __all__ = [
     "Prescription",
@@ -51,62 +52,53 @@ class Prescription:
 def split_alpha(alpha: float, sizes) -> np.ndarray:
     """Confidence budget split in inverse ratio with the sample counts.
 
-    alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed with rational
-    weights, and the last share absorbs the rounding so the float budget
-    sums to exactly ``alpha``.
+    alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed once per distinct
+    count with rational weights, and the smallest share absorbs the rounding
+    so the float budget sums to exactly ``alpha``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     sizes = np.asarray(sizes, dtype=int)
     if sizes.ndim != 1 or sizes.size < 1 or np.any(sizes < 1):
         raise ValueError("sizes must be positive integers")
-    weights = [Fraction(1, int(t)) for t in sizes]
-    total = sum(weights)
+    distinct, inverse, mult = np.unique(sizes, return_inverse=True, return_counts=True)
+    weights = [Fraction(1, int(t)) for t in distinct]
+    total = sum(int(k) * w for k, w in zip(mult, weights))
     alpha_frac = Fraction(alpha)
-    out = np.array([float(alpha_frac * w / total) for w in weights])
+    out = np.array([float(alpha_frac * w / total) for w in weights])[inverse.reshape(-1)]
     _absorb_rounding(out, alpha, int(np.argmin(out)))
     return out
 
 
 def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
     """Per-action radii: split the budget, then take the best of the three
-    finite-sample bounds for each action."""
+    finite-sample bounds once per distinct (T_a, d_a, alpha_a)."""
     sizes = data.sizes
     t_min = data.t_min
     alphas = split_alpha(alpha, sizes)
     rate = rate_from_alpha(alpha, t_min)
-    radii = np.empty(data.num_actions)
-    labels = []
-    for a in range(data.num_actions):
-        inputs = RadiusInputs(
-            T_a=int(sizes[a]),
-            d_a=data.supports[a].size,
-            num_actions=data.num_actions,
-            T_min=t_min,
-            alpha_a=float(alphas[a]),
-            rate=rate,
-        )
-        radii[a], label = radius_best(inputs)
-        labels.append(label)
-    return AmbiguitySpec(radii, tuple(labels), alpha=alpha, alpha_per_action=alphas)
+    dims = [sup.size for sup in data.supports]
+    keys, inverse = np.unique(np.column_stack([sizes, dims, alphas]), axis=0, return_inverse=True)
+    found = [
+        radius_best(RadiusInputs(int(t_a), int(d_a), data.num_actions, t_min, float(alpha_a), rate))
+        for t_a, d_a, alpha_a in keys
+    ]
+    inverse = inverse.reshape(-1)
+    radii = np.array([radius for radius, _ in found])[inverse]
+    return AmbiguitySpec(radii, tuple(found[k][1] for k in inverse), alpha=alpha)
 
 
-def _worst_case_costs(data: DataSet, spec: AmbiguitySpec) -> np.ndarray:
+def _worst_case_costs(data: DataSet, spec: AmbiguitySpec, arcs=slice(None)) -> np.ndarray:
     if spec.num_actions != data.num_actions:
         raise ValueError("ambiguity spec must cover every action")
-    return np.array(
-        [solve_dual(data.empirical(a), float(spec.radii[a])).value for a in range(data.num_actions)]
-    )
+    points = data.points[arcs]
+    return solve_dual_batch(points, data.pmf[arcs], spec.radii[arcs], points[:, -1]).value
 
 
 def dro_predict(x: Decision, data: DataSet, spec: AmbiguitySpec) -> float:
     """Predicted loss of ``x``: sum of per-action worst-case costs on the path."""
-    if spec.num_actions != data.num_actions:
-        raise ValueError("ambiguity spec must cover every action")
-    total = 0.0
-    for a in np.flatnonzero(x.incidence):
-        total += solve_dual(data.empirical(int(a)), float(spec.radii[a])).value
-    return total
+    # Python's sum adds in arc order, as path_cost and shortest_path do.
+    return float(sum(_worst_case_costs(data, spec, np.flatnonzero(x.incidence))))
 
 
 def dro_prescribe(data: DataSet, spec: AmbiguitySpec, g: LayeredGraph) -> Prescription:
@@ -131,17 +123,15 @@ def hoeffding_prescribe(
     empirical-mean-plus-constant rule is the special case of a shared
     scalar).
     """
-    for sup in data.supports:
-        if sup.size != d or not np.array_equal(sup.points, np.arange(1, d + 1, dtype=float)):
-            raise ValueError("hoeffding rule expects every support to be {1, ..., d}")
+    if data.points.shape[1] != d or not (data.points == np.arange(1.0, d + 1.0)).all():
+        raise ValueError("hoeffding rule expects every support to be {1, ..., d}")
     sizes = data.sizes
     if epsilon is None:
         alphas = split_alpha(alpha, sizes)
         eps = (d - 1) * np.sqrt(np.log(1.0 / alphas) / (2.0 * sizes))
     else:
         eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (data.num_actions,))
-    means = np.array([data.empirical(a).mean() for a in range(data.num_actions)])
-    costs = np.minimum(means + eps, float(d))
+    costs = np.minimum(data.means + eps, float(d))
     decision, value = shortest_path(g, costs)
     return Prescription(decision, value, costs)
 
@@ -196,14 +186,6 @@ def _joint_ball_radius(t_min: int, d: int, num_actions: int, alpha: float) -> tu
     return radius_best(inputs)
 
 
-def _path_dual_value(joint: JointEmpirical, x: Decision, r: float, beta_lower: float) -> float:
-    costs = joint.atoms @ x.incidence.astype(float)
-    values, inverse = np.unique(costs, return_inverse=True)
-    weights = np.bincount(inverse, weights=joint.probs)
-    _, value, _ = minimize_dual(values, weights, r, beta_lower=beta_lower)
-    return value
-
-
 def dro1_prescribe(
     data: DataSet,
     alpha: float,
@@ -212,8 +194,9 @@ def dro1_prescribe(
     cap: int = 100_000,
     radius_override: float | None = None,
 ) -> Prescription:
-    """Joint-ball rule on the truncated data: enumerate paths, solve the
-    scalar dual per path with beta bounded below by d * (path length).
+    """Joint-ball rule on the truncated data: enumerate paths, then solve the
+    scalar dual of every path in one batch with beta bounded below by
+    d * (path length).
 
     At radius zero the dual value degenerates to the joint sample-average
     path cost, computed through the per-arc decomposition so it matches the
@@ -226,21 +209,22 @@ def dro1_prescribe(
         r = float(radius_override)
     else:
         r, _ = _joint_ball_radius(truncated.t_min, d, data.num_actions, alpha)
-    means = None
+    paths = enumerate_paths(g, cap=cap)
     if r == 0.0:
-        means = np.array([truncated.empirical(a).mean() for a in range(truncated.num_actions)])
-    best: tuple[float, tuple, Decision] | None = None
-    for x in enumerate_paths(g, cap=cap):
-        if means is not None:
-            value = path_cost(x, means)
-        else:
-            beta_lower = float(d) * float(np.sum(x.incidence))
-            value = _path_dual_value(joint, x, r, beta_lower)
-        key = (value, tuple(reversed(x.nodes)))
-        if best is None or key < (best[0], best[1]):
-            best = (value, key[1], x)
-    value, _, decision = best
-    return Prescription(decision, value, None)
+        means = truncated.means
+        values = [path_cost(x, means) for x in paths]
+    else:
+        incidence = np.array([x.incidence for x in paths], dtype=float)
+        # One row per path: its cost at every joint atom (integer-valued, so
+        # exact), sorted by cost.
+        costs = incidence @ joint.atoms.T
+        order = np.argsort(costs, axis=1, kind="stable")
+        rows = np.take_along_axis(costs, order, axis=1)
+        lower = float(d) * incidence.sum(axis=1)
+        radii = np.full(len(paths), r)
+        values = solve_dual_batch(rows, joint.probs[order], radii, lower).value.tolist()
+    best = min(range(len(paths)), key=lambda i: (values[i], tuple(reversed(paths[i].nodes))))
+    return Prescription(paths[best], values[best], None)
 
 
 def dro2_prescribe(

@@ -162,16 +162,18 @@ class TestRunSweep:
         # d=1 makes every nominal mean equal, so binomial1 sizes cannot
         # normalize and the sweep must abort with the offending grid value
         cfg = small_config(sample_sizes="binomial1", d=1, n0=1, rules=("dro",))
-        with pytest.raises(RuntimeError, match="sweep value"):
-            run_sweep(cfg)
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError, match="sweep value 0 "):
+                run_sweep(cfg, workers=workers)
 
     def test_parallel_matches_sequential(self, tmp_path):
-        cfg = small_config(n0=4, grid=(0,))
+        cfg = small_config(n0=4, grid=(0, 3))
         seq = run_sweep(cfg, workers=1)
         par = run_sweep(cfg, workers=2)
         a = emit_results(seq, str(tmp_path / "seq"), cfg.sweep, cfg.rules)
         b = emit_results(par, str(tmp_path / "par"), cfg.sweep, cfg.rules)
         assert open(a[0]).read() == open(b[0]).read()
+        assert open(a[1]).read() == open(b[1]).read()
 
 
 class TestAggregatesAndEmit:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kldro import worstcase
 from kldro.marginals import Marginal, Support, kl_divergence
 from kldro.worstcase import dual_objective, minimize_dual, primal_oracle, solve_dual
 
@@ -94,6 +95,30 @@ class TestSolveDual:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             solve_dual(M5050, -0.1)
+
+    def test_costs_near_1e9_scale_exactly_and_converge(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            m = random_marginal(rng, int(rng.integers(2, 9)))
+            r = float(rng.uniform(0.01, 3.0))
+            base = solve_dual(m, r)
+            for shift in (0.0, 123.0):
+                big = solve_dual(Marginal(Support(1e9 * m.support.points + shift), m.probs), r)
+                assert big.value == pytest.approx(1e9 * base.value + shift, rel=1e-12)
+                assert big.iterations < 50
+
+    @pytest.mark.parametrize("r", [300.0, 800.0, 1e3])
+    def test_primal_stays_in_ball_at_large_radius(self, r):
+        # at the larger radii the second pmf's bottom mass underflows unless floored
+        for m in (marginal([1, 2, 3, 4, 5], [0.2] * 5), marginal([1, 2, 3], [1e-25, 0.5, 0.5])):
+            sol = solve_dual(m, r)
+            assert kl_divergence(m, sol.primal) <= r * (1 + 1e-9)
+            assert sol.primal.mean() == pytest.approx(sol.value, rel=1e-15)
+
+    def test_non_convergence_raises_with_row_context(self, monkeypatch):
+        monkeypatch.setattr(worstcase, "_MAX_ITERATIONS", 1)
+        with pytest.raises(RuntimeError, match=r"row 0, r=0\.1, top=2\.0"):
+            solve_dual(M5050, 0.1)
 
 
 class TestMinimizeDual:
