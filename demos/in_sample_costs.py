@@ -37,7 +37,7 @@ data = draw_dataset(marginals, sizes, rng)
 full = dro_prescribe(data, calibrate_ambiguity(data, ALPHA), graph)
 trunc = dro2_prescribe(data, ALPHA, graph)
 
-means = np.array([m.mean() for m in marginals])
+means = marginals.means
 order = np.argsort(means)
 
 

@@ -40,7 +40,7 @@ print(f"network: {graph.num_nodes} nodes, {graph.num_arcs} arcs, "
       f"{graph.w ** graph.h} paths")
 print(f"samples per arc: min {data.t_min}, max {int(data.sizes.max())}\n")
 
-means = np.array([m.mean() for m in marginals])
+means = marginals.means
 oracle_path, oracle_value = shortest_path(graph, means)
 print(f"clairvoyant optimum: path {oracle_path.nodes}, expected cost {oracle_value:.4f}\n")
 

@@ -23,6 +23,7 @@ from .datagen import (
 from .experiments import (
     ExperimentConfig,
     GridPointResult,
+    ReplicateError,
     ReplicateResult,
     RuleOutcome,
     emit_results,
@@ -40,7 +41,15 @@ from .graphs import (
     shortest_path,
     to_edgelist,
 )
-from .marginals import DataSet, Marginal, Support, empirical_from_samples, kl_divergence, mean
+from .marginals import (
+    DataSet,
+    Marginal,
+    PmfMatrix,
+    Support,
+    empirical_from_samples,
+    kl_divergence,
+    mean,
+)
 from .radius import (
     AmbiguitySpec,
     RadiusInputs,

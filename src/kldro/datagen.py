@@ -6,9 +6,17 @@ renormalized discretization of a normal density.  Sample counts per action
 are drawn uniformly or with a binomial tilt that observes cheap (or
 expensive) actions more often.
 
+The nominal marginals of all actions form one (actions x d) pmf matrix
+(:class:`~kldro.marginals.PmfMatrix`) with its row means computed once;
+sample sizes and data draws read that matrix, not per-action objects.
+
 Randomness comes from numpy's counter-based Philox generator; the
 substream for replicate ``i`` of an experiment uses key ``seed XOR i``, so
-any replicate can be regenerated in isolation, byte for byte.
+any replicate can be regenerated in isolation, byte for byte.  Per-action
+observations come from one ``rng.random`` call over all actions, mapped
+through each row's inverse cdf exactly as ``Generator.choice`` maps its
+uniforms; the draws, and the stream position afterwards, equal those of one
+``rng.choice(d, size=T_a, p=row)`` call per action in action order.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .graphs import LayeredGraph
-from .marginals import DataSet, Marginal, Support
+from .marginals import DataSet, PmfMatrix, Support
 
 __all__ = [
     "NominalSpec",
@@ -131,8 +139,8 @@ def random_nominal_spec(
     raise ValueError(f"unknown nominal kind {kind!r}")
 
 
-def nominal_marginals(spec: NominalSpec, graph: LayeredGraph) -> list[Marginal]:
-    """One marginal per arc of ``graph`` on the shared support {1, ..., d}.
+def nominal_marginals(spec: NominalSpec, graph: LayeredGraph) -> PmfMatrix:
+    """One pmf per arc of ``graph`` on the shared support {1, ..., d}.
 
     All arcs are evaluated on one (arcs x d) grid: binomial pmfs from exact
     binomial coefficients, normal cells as differences of the normal cdf at
@@ -142,7 +150,6 @@ def nominal_marginals(spec: NominalSpec, graph: LayeredGraph) -> list[Marginal]:
         raise ValueError(
             f"spec covers {spec.num_actions} actions but the graph has {graph.num_arcs} arcs"
         )
-    support = Support.integers(spec.d)
     if spec.kind in ("shifted-binomial", "multinomial"):
         n = spec.d - 1
         ks = np.arange(spec.d)
@@ -153,18 +160,14 @@ def nominal_marginals(spec: NominalSpec, graph: LayeredGraph) -> list[Marginal]:
         edges = np.arange(0.5, spec.d + 1.0)
         cdf = ndtr((edges - spec.mu[:, None]) / spec.sigma[:, None])
         cells = np.diff(cdf, axis=1)
-    probs = cells / cells.sum(axis=1, keepdims=True)
-    return [Marginal(support, row) for row in probs]
+    return PmfMatrix(Support.integers(spec.d), cells / cells.sum(axis=1, keepdims=True))
 
 
-def sample_sizes(
-    spec: SampleSizeSpec, nominal: list[Marginal], rng: np.random.Generator
-) -> np.ndarray:
+def sample_sizes(spec: SampleSizeSpec, nominal: PmfMatrix, rng: np.random.Generator) -> np.ndarray:
     """Realized per-action observation counts, always within [t_min, t_max]."""
-    m = len(nominal)
     if spec.kind == "uniform":
-        return rng.integers(spec.t_min, spec.t_max + 1, size=m)
-    means = np.array([q.mean() for q in nominal])
+        return rng.integers(spec.t_min, spec.t_max + 1, size=len(nominal))
+    means = nominal.means
     lo, hi = float(means.min()), float(means.max())
     if hi - lo == 0.0:
         raise ValueError(f"{spec.kind} sizes need unequal nominal means to normalize")
@@ -175,12 +178,20 @@ def sample_sizes(
 
 
 def draw_dataset(
-    nominal: list[Marginal],
+    nominal: PmfMatrix,
     sizes,
     rng: np.random.Generator,
     joint: bool = False,
 ) -> DataSet:
     """Observation vectors: i.i.d. per action, or prefixes of joint draws.
+
+    Independent draws take sum(T_a) uniforms from one ``rng.random`` call
+    and send action ``a``'s block of T_a through the inverse cdf of row
+    ``a``: ``cdf = cumsum(row)``, ``cdf /= cdf[-1]``, then
+    ``searchsorted(u, side="right")``.  That is what
+    ``rng.choice(d, size=T_a, p=row)`` does, so the samples, and the stream
+    position afterwards, equal one ``choice`` call per action in action
+    order, draw for draw.
 
     With ``joint=True`` the marginals must be the binomial components of a
     multinomial vector; max(T_a) full cost vectors are drawn jointly and
@@ -192,18 +203,23 @@ def draw_dataset(
         raise ValueError("one sample count per action is required")
     if np.any(sizes < 1):
         raise ValueError("every action needs at least one observation")
-    supports = tuple(q.support for q in nominal)
+    supports = (nominal.support,) * len(nominal)
+    d = nominal.support.size
     if not joint:
-        samples = tuple(
-            q.support.points[rng.choice(q.support.size, size=int(t), p=q.probs)]
-            for q, t in zip(nominal, sizes)
+        ends = np.cumsum(sizes).tolist()
+        blocks = list(zip([0, *ends[:-1]], ends))
+        u = rng.random(ends[-1])
+        cdf = np.cumsum(nominal.probs, axis=1)
+        cdf /= cdf[:, -1:]
+        idx = np.concatenate(
+            [row.searchsorted(u[lo:hi], side="right") for row, (lo, hi) in zip(cdf, blocks)]
         )
-        return DataSet(supports, samples)
-    d = supports[0].size
+        costs = nominal.support.points[idx]
+        return DataSet(supports, tuple(costs[lo:hi] for lo, hi in blocks))
     if d == 1:
         samples = tuple(np.ones(int(t)) for t in sizes)
         return DataSet(supports, samples)
-    p = np.array([(q.mean() - 1.0) / (d - 1.0) for q in nominal])
+    p = (nominal.means - 1.0) / (d - 1.0)
     if np.any(p < -1e-9) or abs(float(p.sum()) - 1.0) > 1e-6:
         raise ValueError("joint sampling requires multinomial component marginals")
     p = np.clip(p, 0.0, 1.0)

@@ -14,7 +14,6 @@ worker count.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +33,7 @@ from .datagen import (
     substream,
 )
 from .graphs import Decision, LayeredGraph, build_layered, path_cost, shortest_path
+from .marginals import PmfMatrix
 from .radius import AmbiguitySpec
 from .rules import (
     calibrate_ambiguity,
@@ -48,6 +48,7 @@ __all__ = [
     "RuleOutcome",
     "ReplicateResult",
     "GridPointResult",
+    "ReplicateError",
     "nominal_loss",
     "relative_loss",
     "run_replicate",
@@ -190,17 +191,15 @@ class GridPointResult:
     aggregates: dict = field(compare=False)
 
 
-def nominal_loss(x: Decision, nominal) -> float:
+def nominal_loss(x: Decision, nominal: PmfMatrix) -> float:
     """True expected cost of ``x``: sum of nominal means on the path."""
-    means = np.array([m.mean() for m in nominal])
-    return path_cost(x, means)
+    return path_cost(x, nominal.means)
 
 
-def relative_loss(x: Decision, nominal, g: LayeredGraph) -> float:
+def relative_loss(x: Decision, nominal: PmfMatrix, g: LayeredGraph) -> float:
     """Nominal loss of ``x`` over the best achievable nominal loss; >= 1."""
-    means = np.array([m.mean() for m in nominal])
-    _, best = shortest_path(g, means)
-    return path_cost(x, means) / best
+    _, best = shortest_path(g, nominal.means)
+    return path_cost(x, nominal.means) / best
 
 
 def _resolved(cfg: ExperimentConfig, sweep_value) -> tuple[int, int, float | None]:
@@ -238,7 +237,7 @@ def run_replicate(
     sizes = sample_sizes(SampleSizeSpec(cfg.sample_sizes, t_min, delta), marginals, rng)
     data = draw_dataset(marginals, sizes, rng, joint=(cfg.nominal == "multinomial"))
 
-    means = np.array([m.mean() for m in marginals])
+    means = marginals.means
     _, best_nominal = shortest_path(g, means)
 
     outcomes = []
@@ -272,8 +271,21 @@ def run_replicate(
     return ReplicateResult(replicate, tuple(int(t) for t in sizes), tuple(outcomes))
 
 
+class ReplicateError(RuntimeError):
+    """A replicate raised; the message names its sweep value, grid index,
+    replicate, seed and substream."""
+
+
 def _replicate_task(args) -> ReplicateResult:
-    return run_replicate(*args)
+    cfg, _, grid_index, replicate, _ = args
+    try:
+        return run_replicate(*args)
+    except Exception as exc:
+        raise ReplicateError(
+            f"replicate failed at sweep value {cfg.grid[grid_index]!r} "
+            f"(grid index {grid_index}, replicate {replicate}, seed {cfg.seed}, "
+            f"substream {_stream_index(cfg, grid_index, replicate)}): {exc}"
+        ) from exc
 
 
 def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray, mad_center: str = "mean"):
@@ -288,31 +300,40 @@ def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray, mad_center: str =
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
     g = build_layered(cfg.h, cfg.w)
-    # One pool serves the whole sweep; leaving the block shuts it down.
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = []
-        for grid_index, sweep_value in enumerate(cfg.grid):
-            shared_spec = None
-            if not cfg.redraw_nominal:
-                _, _, sigma = _resolved(cfg, sweep_value)
-                shared_spec = random_nominal_spec(
-                    cfg.nominal, g.num_arcs, cfg.d,
-                    substream(cfg.seed, _stream_index(cfg, grid_index, None)), sigma=sigma,
-                )
-            tasks = [(cfg, g, grid_index, i, shared_spec) for i in range(cfg.n0)]
-            try:
-                replicates = list((map if pool is None else pool.map)(_replicate_task, tasks))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"replicate failed at sweep value {sweep_value!r} "
-                    f"(seed {cfg.seed}, grid index {grid_index}): {exc}"
-                ) from exc
-            aggregates = {}
-            for k, rule in enumerate(cfg.rules):
-                rhos = np.array([rep.outcomes[k].rho for rep in replicates])
-                dis = np.array([rep.outcomes[k].disappointed for rep in replicates])
-                aggregates[rule] = aggregate_rows(rhos, dis, cfg.mad_center)
-            results.append(GridPointResult(float(sweep_value), tuple(replicates), aggregates))
+    tasks = []
+    for grid_index, sweep_value in enumerate(cfg.grid):
+        shared_spec = None
+        if not cfg.redraw_nominal:
+            _, _, sigma = _resolved(cfg, sweep_value)
+            shared_spec = random_nominal_spec(
+                cfg.nominal, g.num_arcs, cfg.d,
+                substream(cfg.seed, _stream_index(cfg, grid_index, None)), sigma=sigma,
+            )
+        tasks += [(cfg, g, grid_index, i, shared_spec) for i in range(cfg.n0)]
+    if workers > 1:
+        # One ordered map over the whole sweep, so no grid value waits for
+        # the previous one.  Leaving the block shuts the pool down.
+        try:
+            with ProcessPoolExecutor(workers) as pool:
+                replicates = list(pool.map(_replicate_task, tasks))
+        except ReplicateError:
+            raise
+        except Exception as exc:  # a killed worker, a task that does not pickle
+            raise RuntimeError(
+                f"worker pool failed in the {cfg.sweep} sweep over {cfg.grid!r} "
+                f"(seed {cfg.seed}, {workers} workers): {exc!r}"
+            ) from exc
+    else:
+        replicates = list(map(_replicate_task, tasks))
+    results = []
+    for grid_index, sweep_value in enumerate(cfg.grid):
+        batch = replicates[grid_index * cfg.n0 : (grid_index + 1) * cfg.n0]
+        aggregates = {}
+        for k, rule in enumerate(cfg.rules):
+            rhos = np.array([rep.outcomes[k].rho for rep in batch])
+            dis = np.array([rep.outcomes[k].disappointed for rep in batch])
+            aggregates[rule] = aggregate_rows(rhos, dis, cfg.mad_center)
+        results.append(GridPointResult(float(sweep_value), tuple(batch), aggregates))
     return results
 
 

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "Support",
     "Marginal",
+    "PmfMatrix",
     "DataSet",
     "empirical_from_samples",
     "kl_divergence",
@@ -81,17 +82,52 @@ class Marginal:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _readonly(self.probs)
-        if p.shape != self.support.points.shape:
-            raise ValueError("probs length must match support size")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(np.sum(p)) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {float(np.sum(p))!r}, not 1")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _checked_pmfs(self.probs, self.support, 1))
 
     def mean(self) -> float:
         return float(pmf_means(self.support.points, self.probs))
+
+
+def _checked_pmfs(probs, support: Support, ndim: int) -> np.ndarray:
+    """``probs`` as a read-only array of ``ndim`` dimensions whose rows are
+    pmfs on ``support``: entries in [0, 1], each row summing to 1 within 1e-12."""
+    p = _readonly(probs)
+    if p.ndim != ndim or p.shape[-1:] != support.points.shape:
+        raise ValueError("probs length must match support size")
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    sums = np.sum(p, axis=-1, keepdims=True)
+    off = np.abs(sums - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"probabilities sum to {float(sums[off][0])!r}, not 1")
+    return p
+
+
+@dataclass(frozen=True)
+class PmfMatrix:
+    """One pmf per action on a shared :class:`Support`, as an
+    (actions x d) matrix validated once, with every row's mean.
+
+    Indexing builds the per-action :class:`Marginal` on demand;
+    ``means[a]`` equals ``self[a].mean()`` bit for bit.
+    """
+
+    support: Support
+    probs: np.ndarray
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p = _checked_pmfs(self.probs, self.support, 2)
+        means = pmf_means(self.support.points, p)
+        means.setflags(write=False)
+        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "means", means)
+
+    def __len__(self) -> int:
+        return self.probs.shape[0]
+
+    def __getitem__(self, action: int) -> Marginal:
+        return Marginal(self.support, self.probs[action])
 
 
 def mean(m: Marginal) -> float:

@@ -9,6 +9,7 @@ smallest applicable estimate wins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,12 +131,14 @@ def radius_agrawal(inputs: RadiusInputs) -> float:
         return math.inf
 
 
+@functools.cache
 def _log_mardia_sum(d_a: int, T_a: int) -> float:
     """ln of sum_{j=0}^{d-2} K_{j-1} (e sqrt(T)/(2 pi))^j, in log space.
 
     Terms rise and then decay super-geometrically; accumulation stops once a
     term falls below 1e-300 relative significance, so even astronomically
-    large supports cost only a bounded number of terms.
+    large supports cost only a bounded number of terms.  A pure function of
+    two ints, cached: a sweep meets only a few distinct (d_a, T_a).
     """
     log_x = 1.0 + 0.5 * math.log(T_a) - math.log(2.0 * math.pi)
     log_total = 0.0  # j = 0 term is K_{-1} = 1

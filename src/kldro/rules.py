@@ -13,8 +13,8 @@ predicted losses and the minimizing decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,8 +53,9 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
     """Confidence budget split in inverse ratio with the sample counts.
 
     alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed once per distinct
-    count with rational weights, and the smallest share absorbs the rounding
-    so the float budget sums to exactly ``alpha``.
+    count in exact integers (weights lcm // T_a) with one correctly rounded
+    division, and the smallest share absorbs the rounding so the float
+    budget sums to exactly ``alpha``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -62,10 +63,13 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
     if sizes.ndim != 1 or sizes.size < 1 or np.any(sizes < 1):
         raise ValueError("sizes must be positive integers")
     distinct, inverse, mult = np.unique(sizes, return_inverse=True, return_counts=True)
-    weights = [Fraction(1, int(t)) for t in distinct]
-    total = sum(int(k) * w for k, w in zip(mult, weights))
-    alpha_frac = Fraction(alpha)
-    out = np.array([float(alpha_frac * w / total) for w in weights])[inverse.reshape(-1)]
+    distinct = distinct.tolist()
+    lcm = math.lcm(*distinct)
+    weights = [lcm // t for t in distinct]
+    num, den = float(alpha).as_integer_ratio()
+    den *= sum(k * w for k, w in zip(mult.tolist(), weights))
+    # int / int true division rounds correctly, as float(Fraction) does.
+    out = np.array([num * w / den for w in weights])[inverse.reshape(-1)]
     _absorb_rounding(out, alpha, int(np.argmin(out)))
     return out
 

@@ -134,7 +134,7 @@ def test_criterion_3_finite_sample_guarantee():
         sizes = sample_sizes(SampleSizeSpec("uniform", 5, 10), marg, rng)
         data = draw_dataset(marg, sizes, rng)
         pres = dro_prescribe(data, calibrate_ambiguity(data, alpha), g)
-        means = np.array([m.mean() for m in marg])
+        means = marg.means
         if path_cost(fixed_path, means) > path_cost(fixed_path, pres.arc_costs):
             disappoint_fixed += 1
         if path_cost(pres.decision, means) > pres.predicted_loss:

@@ -1,0 +1,42 @@
+"""Seeded output stays byte-identical: pinned results.csv hashes for tiny
+sweeps of figure configs (2 grid values x 2 replicates each).  Together they
+cover the binomial, multinomial (joint draw) and discretized-normal nominals,
+uniform and mean-tilted sample sizes, and all four rules."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from kldro.experiments import ExperimentConfig, emit_results, run_sweep
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# config -> (reduced grid, sha256 of results.csv)
+PINNED = {
+    "fig2a.json": ((5, 35),
+        "22dd9c46f935eb85c09c54c4fa858a7c2f34488c9e03416b21c272b692de1c44"),
+    "fig2b.json": ((5, 35),
+        "8dae00bddf1f14066dd6b38e274d14fd48e97206d004d43df1c3392d9cec1625"),
+    "fig4.json": ((1, 49),
+        "b26cd9aa93addb78605351ac93f44e043d28fe71d3f7b1ca433133f5bcbadb70"),
+    "fig6a.json": ((5, 35),
+        "957b6a26d35b1bfba1c5afe62ca9f8569f1930d8eec7d6f90b13b7277be2d676"),
+    "fig7.json": ((0, 40),
+        "95b507290b7d4212be82bbbfa76e98702a014356cf6b412e8b9dbc3e9069d45f"),
+}
+
+
+def results_sha256(name: str, grid, out_dir) -> str:
+    raw = json.loads((CONFIGS / name).read_text())
+    raw.update(grid=list(grid), n0=2)
+    cfg = ExperimentConfig.from_dict(raw)
+    results_path, _ = emit_results(run_sweep(cfg), str(out_dir), cfg.sweep, cfg.rules)
+    return hashlib.sha256(Path(results_path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_seeded_results_csv_is_byte_identical(name, tmp_path):
+    grid, expected = PINNED[name]
+    assert results_sha256(name, grid, tmp_path) == expected

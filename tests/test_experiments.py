@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from kldro import experiments
 from kldro.datagen import nominal_marginals, substream
 from kldro.datagen import NominalSpec
 from kldro.experiments import (
@@ -13,9 +15,11 @@ from kldro.experiments import (
     read_aggregates_csv,
     read_results_csv,
     relative_loss,
+    run_replicate,
     run_sweep,
 )
 from kldro.graphs import build_layered, decision_from_nodes, enumerate_paths
+from kldro.marginals import Marginal
 
 
 def small_config(**overrides):
@@ -45,9 +49,9 @@ class TestLosses:
         g = build_layered(3, 2)
         d = 5
         sup_probs = np.full(d, 1.0 / d)
-        from kldro.marginals import Marginal, Support
+        from kldro.marginals import PmfMatrix, Support
 
-        marg = [Marginal(Support.integers(d), sup_probs) for _ in range(g.num_arcs)]
+        marg = PmfMatrix(Support.integers(d), np.tile(sup_probs, (g.num_arcs, 1)))
         for dec in enumerate_paths(g):
             assert nominal_loss(dec, marg) == pytest.approx((g.h + 1) * (d + 1) / 2, rel=1e-12)
 
@@ -163,8 +167,43 @@ class TestRunSweep:
         # normalize and the sweep must abort with the offending grid value
         cfg = small_config(sample_sizes="binomial1", d=1, n0=1, rules=("dro",))
         for workers in (1, 2):
-            with pytest.raises(RuntimeError, match="sweep value 0 "):
+            with pytest.raises(RuntimeError, match=r"^replicate failed at sweep value 0 .*replicate 0, seed 17"):
                 run_sweep(cfg, workers=workers)
+
+    def test_killed_worker_aborts_with_sweep_context(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() == parent:
+                raise AssertionError("the replicate ran in the parent process")
+            os._exit(1)
+
+        # workers are forked after the patch, so they run ``die``
+        monkeypatch.setattr(experiments, "run_replicate", die)
+        with pytest.raises(RuntimeError, match=r"pool failed in the delta sweep .*seed 17"):
+            run_sweep(small_config(n0=1), workers=2)
+
+    @pytest.mark.parametrize("nominal, sizes, sigma", [
+        ("shifted-binomial", "uniform", None),
+        ("multinomial", "binomial1", None),
+        ("discretized-normal", "binomial2", 2.0),
+    ])
+    def test_no_marginal_built_per_replicate(self, monkeypatch, nominal, sizes, sigma):
+        cfg = small_config(nominal=nominal, sample_sizes=sizes, sigma=sigma,
+                           rules=("dro", "hoeffding", "dro1", "dro2"))
+        g = build_layered(cfg.h, cfg.w)
+        built = []
+        post_init = Marginal.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Marginal, "__post_init__", counting)
+        run_replicate(cfg, g, 1, 0)
+        assert built == []
+        binomial_marginals(g, np.full(g.num_arcs, 0.5))[0]  # the counter works
+        assert len(built) == 1
 
     def test_parallel_matches_sequential(self, tmp_path):
         cfg = small_config(n0=4, grid=(0, 3))

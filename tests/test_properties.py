@@ -1,10 +1,16 @@
-"""Property tests for the batched dual kernel and per-count calibration."""
+"""Property tests for the batched dual kernel, per-count calibration and
+the array-first data path."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kldro.marginals import DataSet, Marginal, Support, pmf_means
+from kldro.datagen import draw_dataset, substream
+from kldro.marginals import DataSet, Marginal, PmfMatrix, Support, _absorb_rounding, pmf_means
 from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
 from kldro.rules import calibrate_ambiguity, split_alpha
 from kldro.worstcase import primal_oracle, solve_dual_batch
@@ -94,3 +100,141 @@ def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
         radius, label = radius_best(inputs)
         assert spec.radii[a] == radius
         assert spec.labels[a] == label
+
+
+def split_alpha_with_fractions(alpha, sizes):
+    """The rational-arithmetic split: exact weights 1/T per distinct count,
+    one float() rounding per share, then the same rounding absorption."""
+    distinct, inverse, mult = np.unique(sizes, return_inverse=True, return_counts=True)
+    weights = [Fraction(1, int(t)) for t in distinct]
+    total = sum(int(k) * w for k, w in zip(mult, weights))
+    out = np.array([float(Fraction(alpha) * w / total) for w in weights])[inverse.reshape(-1)]
+    _absorb_rounding(out, alpha, int(np.argmin(out)))
+    return out
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=120),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_split_alpha_equals_rational_reference_and_sums_to_alpha(sizes, alpha):
+    got = split_alpha(alpha, sizes)
+    assert np.array_equal(got, split_alpha_with_fractions(alpha, sizes))
+    assert math.fsum(got) == alpha
+
+
+@st.composite
+def pmf_matrices(draw, d_max=50):
+    """An (actions x d) pmf matrix with zero cells; rows normalized by their
+    float sum, as the nominal marginals are."""
+    d = draw(st.integers(1, d_max))
+    m = draw(st.integers(1, 8))
+    masses = st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.5, 1.0, 3.0])
+    raw = np.array(draw(st.lists(st.lists(masses, min_size=d, max_size=d),
+                                 min_size=m, max_size=m)))
+    for row in raw:
+        if row.sum() == 0.0:
+            row[draw(st.integers(0, d - 1))] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+# Factors that move a row sum off 1 but keep it inside the 1e-12 tolerance.
+row_scales = st.sampled_from([1.0, 1 - 9e-13, 1 - 4e-13, 1 + 4e-13, 1 + 9e-13])
+
+
+def scaled_rows(probs, scales):
+    """Each row times its factor, entries capped at 1."""
+    return np.minimum(probs * np.asarray(scales)[:, None], 1.0)
+
+
+class FedGenerator(np.random.Generator):
+    """A generator whose ``random`` serves the given uniforms in order;
+    ``choice`` draws its uniforms through that method too."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.Philox(0))
+        self.uniforms, self.used = np.asarray(uniforms, dtype=float), 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = self.uniforms[self.used : self.used + size]
+        self.used += size
+        return u.copy()
+
+
+@settings(max_examples=80)
+@given(pmf_matrices(), st.data(), st.integers(0, 2**32))
+def test_batched_draw_equals_one_choice_call_per_action(probs, data, key):
+    m, d = probs.shape
+    probs = scaled_rows(probs, data.draw(st.lists(row_scales, min_size=m, max_size=m)))
+    sizes = data.draw(st.lists(st.sampled_from([1, 1, 2, 3, 7, 40]), min_size=m, max_size=m))
+    nominal = PmfMatrix(Support.integers(d), probs)
+    rng, ref = substream(key, 0), substream(key, 0)
+    got = draw_dataset(nominal, sizes, rng)
+    for a, t in enumerate(sizes):
+        expected = nominal.support.points[ref.choice(d, size=t, p=probs[a])]
+        assert np.array_equal(got.samples[a], expected)
+    assert rng.random() == ref.random()
+
+
+@settings(max_examples=80)
+@given(pmf_matrices(), st.data())
+def test_batched_draw_equals_choice_at_cdf_steps(probs, data):
+    """Uniforms on and next to the rows' cdf steps, before and after
+    normalization, on rows whose sums are off 1 within the tolerance: the
+    batched draw picks what ``choice`` picks."""
+    m, d = probs.shape
+    probs = scaled_rows(probs, data.draw(st.lists(row_scales, min_size=m, max_size=m)))
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    cdf = np.cumsum(probs, axis=1)
+    steps = np.concatenate([cdf.ravel(), (cdf / cdf[:, -1:]).ravel(), [0.0, 1.0]])
+    steps = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)])
+    steps = np.unique(steps[(steps >= 0.0) & (steps < 1.0)]).tolist()
+    uniforms = data.draw(st.lists(st.sampled_from(steps), min_size=sum(sizes), max_size=sum(sizes)))
+    nominal = PmfMatrix(Support.integers(d), probs)
+    rng, ref = FedGenerator(uniforms), FedGenerator(uniforms)
+    got = draw_dataset(nominal, sizes, rng)
+    for a, t in enumerate(sizes):
+        expected = nominal.support.points[ref.choice(d, size=t, p=probs[a])]
+        assert np.array_equal(got.samples[a], expected)
+    assert rng.used == ref.used == sum(sizes)
+
+
+@settings(max_examples=60)
+@given(pmf_matrices())
+def test_pmf_matrix_means_equal_marginal_means(probs):
+    nominal = PmfMatrix(Support.integers(probs.shape[1]), probs)
+    assert len(nominal) == probs.shape[0]
+    for a in range(len(nominal)):
+        q = nominal[a]
+        assert nominal.means[a] == q.mean()
+        assert np.array_equal(q.probs, probs[a])
+
+
+def rejection(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    return str(info.value)
+
+
+@settings(max_examples=60)
+@given(pmf_matrices(), st.data(),
+       st.sampled_from(["negative", "above one", "sum off", "extra column", "one row"]))
+def test_pmf_matrix_rejects_what_marginal_rejects(probs, data, defect):
+    m, d = probs.shape
+    a = data.draw(st.integers(0, m - 1))
+    k = data.draw(st.integers(0, d - 1))
+    bad = probs.copy()
+    if defect == "negative":
+        bad[a, k] = -1e-3
+    elif defect == "above one":
+        bad[a, k] = 1.5
+    elif defect == "sum off":
+        bad[a, np.argmin(bad[a])] += 1e-11
+    elif defect == "extra column":
+        bad = np.hstack([bad, np.zeros((m, 1))])
+    sup = Support.integers(d)
+    if defect == "one row":
+        message = rejection(lambda: PmfMatrix(sup, bad[a]))
+        assert message == rejection(lambda: Marginal(sup, bad[a:a + 1]))
+    else:
+        message = rejection(lambda: PmfMatrix(sup, bad))
+        assert message == rejection(lambda: Marginal(sup, bad[a]))

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from kldro.radius import (
     AmbiguitySpec,
+    _log_mardia_sum,
     RadiusInputs,
     mardia_constant,
     radius_agrawal,
@@ -126,6 +127,14 @@ def test_mardia_huge_support_truncates():
     # sum converges, so this must return quickly with a finite value
     r = radius_mardia(inputs(10, 10**24, alpha_a=0.05))
     assert 0 < r < 10
+
+
+def test_cached_mardia_sum_equals_uncached_bit_for_bit():
+    # includes the joint balls of the 3x3 (24 arcs) and 7x4 (104 arcs) graphs
+    for d in (2, 3, 4, 10, 50, 1000, 50**24, 50**104):
+        for T in (2, 3, 5, 10, 35, 1000):
+            assert _log_mardia_sum(d, T) == _log_mardia_sum.__wrapped__(d, T)
+            assert _log_mardia_sum(d, T) == _log_mardia_sum.__wrapped__(d, T)  # cache hit
 
 
 def test_best_degenerate_support_uses_baseline_only():
