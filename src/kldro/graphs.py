@@ -8,12 +8,14 @@ solved exactly by a forward pass in layer order; no MIP solver is needed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LayeredGraph", "Decision", "build_layered", "shortest_path", "enumerate_paths", "to_edgelist", "path_cost"]
+__all__ = ["LayeredGraph", "Decision", "build_layered", "shortest_path", "enumerate_paths",
+           "path_incidence", "to_edgelist", "path_cost"]
 
 ENUMERATION_CAP = 100_000
 
@@ -100,11 +102,16 @@ def shortest_path(g: LayeredGraph, costs) -> tuple[Decision, float]:
 
     Arcs are already topologically sorted; updating only on strict
     improvement makes ties resolve to the lowest tail index, so repeated
-    runs are bit-for-bit identical.
+    runs are bit-for-bit identical.  Costs must be finite: a NaN never
+    improves a label, so it would leave nodes without a predecessor.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (g.num_arcs,):
         raise ValueError(f"expected {g.num_arcs} costs, got {costs.shape}")
+    finite = np.isfinite(costs)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"arc {k} {g.arcs[k]} has non-finite cost {float(costs[k])!r}")
     dist = np.full(g.num_nodes, np.inf)
     dist[g.source] = 0.0
     pred = np.full(g.num_nodes, -1, dtype=int)
@@ -114,20 +121,14 @@ def shortest_path(g: LayeredGraph, costs) -> tuple[Decision, float]:
             dist[head] = cand
             pred[head] = k
     nodes = [g.sink]
-    while nodes[-1] != g.source:
-        arc = pred[nodes[-1]]
-        nodes.append(g.arcs[arc][0])
+    for _ in range(g.path_length):  # every source-sink path has h + 1 arcs
+        nodes.append(g.arcs[pred[nodes[-1]]][0])
     nodes.reverse()
     return decision_from_nodes(g, nodes), float(dist[g.sink])
 
 
-def enumerate_paths(g: LayeredGraph, cap: int = ENUMERATION_CAP) -> list[Decision]:
-    """All w**h source-sink paths in lexicographic layer order."""
-    total = g.w**g.h
-    if total > cap:
-        raise ValueError(
-            f"{total} paths exceed the enumeration cap {cap}; use a smaller instance"
-        )
+@functools.lru_cache(maxsize=4)
+def _paths_and_incidence(g: LayeredGraph) -> tuple[tuple, np.ndarray]:
     paths = []
     for combo in itertools.product(range(g.w), repeat=g.h):
         nodes = [g.source]
@@ -135,7 +136,34 @@ def enumerate_paths(g: LayeredGraph, cap: int = ENUMERATION_CAP) -> list[Decisio
             nodes.append(g.node(layer, j))
         nodes.append(g.sink)
         paths.append(decision_from_nodes(g, nodes))
-    return paths
+    incidence = np.array([x.incidence for x in paths], dtype=float)
+    incidence.setflags(write=False)
+    return tuple(paths), incidence
+
+
+def _check_cap(g: LayeredGraph, cap: int) -> None:
+    total = g.w**g.h
+    if total > cap:
+        raise ValueError(
+            f"{total} paths exceed the enumeration cap {cap}; use a smaller instance"
+        )
+
+
+def enumerate_paths(g: LayeredGraph, cap: int = ENUMERATION_CAP) -> tuple[Decision, ...]:
+    """All w**h source-sink paths in lexicographic layer order.
+
+    Built once per graph (a small LRU cache keyed by the graph); the cap is
+    checked on every call.
+    """
+    _check_cap(g, cap)
+    return _paths_and_incidence(g)[0]
+
+
+def path_incidence(g: LayeredGraph, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """Read-only (paths x arcs) 0/1 float matrix, one row per path of
+    :func:`enumerate_paths` in its order; built once per graph with it."""
+    _check_cap(g, cap)
+    return _paths_and_incidence(g)[1]
 
 
 def path_cost(decision: Decision, costs) -> float:

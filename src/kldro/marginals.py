@@ -199,20 +199,48 @@ def kl_divergence(p: Marginal, q: Marginal) -> float:
     return float(np.sum(pa[active] * np.log(pa[active] / qa[active])))
 
 
+def _fsum_is_one(pmf: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``math.fsum(pmf[a]) == 1.0`` for every row a of entries c / sizes[a].
+
+    For T_a <= 1024 every entry is a multiple of 2**-62 (c / T_a >= 2**-10
+    has an ulp >= 2**-62), so the int64 sum of ``pmf * 2**62`` is the row's
+    exact sum, and fsum rounds it to 1.0 exactly when it lies in
+    [2**62 - 2**8, 2**62 + 2**9]: both half-way points round to even, that
+    is to 1.0.  Rows with T_a > 1024 are summed by fsum.
+    """
+    total = (pmf * 2.0**62).astype(np.int64).sum(axis=1)
+    one = (total >= 2**62 - 2**8) & (total <= 2**62 + 2**9)
+    for a in np.flatnonzero(sizes > 1024):
+        one[a] = math.fsum(pmf[a]) == 1.0
+    return one
+
+
 @dataclass(frozen=True)
 class DataSet:
     """Per-action observation vectors of possibly different lengths.
 
     Validation builds the empirical pmfs once: ``pmf`` and ``points`` are
     (actions x width) matrices, width the largest support size; narrower
-    supports are padded with their top point at zero mass.
+    supports are padded with their top point at zero mass.  ``dims`` holds
+    every action's support size.  When every action shares one
+    :class:`Support` object, as ``draw_dataset`` arranges, all observations
+    are checked and counted in one search, with no grouping by support.
+
+    Each row whose ``math.fsum`` is not exactly 1.0 is fixed up, the
+    smallest observed entry absorbing the rounding; ``_fsum_is_one`` finds
+    those rows with one exact integer sum per row instead of an fsum.
+
+    ``cache`` holds what the rules derive from a data set (its truncation,
+    its confidence splits), so each is computed once per data set.
     """
 
     supports: tuple
     samples: tuple = field(repr=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    dims: np.ndarray = field(init=False, repr=False, compare=False)
     pmf: np.ndarray = field(init=False, repr=False, compare=False)
     points: np.ndarray = field(init=False, repr=False, compare=False)
+    cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if len(self.supports) != len(self.samples):
@@ -220,22 +248,28 @@ class DataSet:
         if len(self.supports) == 0:
             raise ValueError("data set must cover at least one action")
         supports = tuple(self.supports)
-        samples = tuple(_readonly(obs) for obs in self.samples)
-        for a, arr in enumerate(samples):
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"action {a}: at least one observation required")
+        samples = tuple(map(_readonly, self.samples))
+        sizes = np.array([arr.size if arr.ndim == 1 else 0 for arr in samples])
+        if not sizes.all():
+            raise ValueError(f"action {int(np.argmin(sizes))}: at least one observation required")
         m = len(samples)
-        sizes = np.array([arr.size for arr in samples])
-        width = max(sup.size for sup in supports)
+        if len(set(map(id, supports))) == 1:
+            groups = [(supports[0], np.arange(m), samples)]
+        else:
+            by_support: dict = {}
+            for a, sup in enumerate(supports):
+                by_support.setdefault(id(sup), (sup, []))[1].append(a)
+            groups = [(sup, np.array(actions), [samples[a] for a in actions])
+                      for sup, actions in by_support.values()]
+        width = max(sup.size for sup, _, _ in groups)
+        dims = np.empty(m, dtype=int)
         points = np.empty((m, width))
         counts = np.zeros(m * width)
-        by_support: dict = {}
-        for a, sup in enumerate(supports):
-            by_support.setdefault(id(sup), (sup, []))[1].append(a)
-        for sup, actions in by_support.values():
+        for sup, actions, group_samples in groups:
+            dims[actions] = sup.size
             points[actions, : sup.size] = sup.points
             points[actions, sup.size :] = sup.max
-            obs = np.concatenate([samples[a] for a in actions])
+            obs = np.concatenate(group_samples)
             owner = np.repeat(actions, sizes[actions])
             idx = np.searchsorted(sup.points, obs)
             bad = (idx >= sup.size) | (sup.points[np.minimum(idx, sup.size - 1)] != obs)
@@ -246,11 +280,10 @@ class DataSet:
             counts += np.bincount(owner * width + idx, minlength=m * width)
         counts = counts.reshape(m, width)
         pmf = counts / sizes[:, None]
-        for a, total in enumerate(map(math.fsum, pmf.tolist())):
-            if total != 1.0:  # the smallest observed entry absorbs the rounding
-                seen = np.flatnonzero(counts[a])
-                _absorb_rounding(pmf[a], 1.0, int(seen[np.argmin(pmf[a, seen])]))
-        for name, value in (("sizes", sizes), ("pmf", pmf), ("points", points)):
+        for a in np.flatnonzero(~_fsum_is_one(pmf, sizes)):
+            seen = np.flatnonzero(counts[a])
+            _absorb_rounding(pmf[a], 1.0, int(seen[np.argmin(pmf[a, seen])]))
+        for name, value in (("sizes", sizes), ("dims", dims), ("pmf", pmf), ("points", points)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "samples", samples)

@@ -180,13 +180,46 @@ def radius_mardia(inputs: RadiusInputs) -> float:
     return (log_c - math.log(inputs.alpha_a)) / inputs.T_a
 
 
+def _agrawal_exceeds(r: float, inputs: RadiusInputs) -> bool:
+    """True when at most one evaluation proves ``radius_agrawal(inputs) > r``.
+
+    The bisection runs on the offset o = r T - (d-1) and returns a radius
+    above (d-1)/T.  Test o' = (r (1 + 1e-9) + 1e-12) T - (d-1).  If o' <= 0,
+    r is below (d-1)/T.  Else the left side of the tail equation decreases
+    in o, so a value above ln(alpha) at o' puts the root beyond o'.  The
+    bisection returns the midpoint of a final bracket no wider than 1e-12 T
+    (or 1e-13 o once o > 10 T), which the 1e-12 T term covers; without it a
+    tie at T = 1e4 can resolve the other way.  The 1e-9 margin is scaled by
+    r T, not by o, which loses ~0.5 to cancellation when d_a ~ 50**9, and
+    stays far above the float noise in the left side.  So the bisected
+    radius is then strictly above r, and skipping it changes neither the
+    minimum nor its label.
+    """
+    d, T = inputs.d_a, inputs.T_a
+    try:
+        offset = (r * (1.0 + 1e-9) + 1e-12) * T - (d - 1)
+        return offset <= 0.0 or _agrawal_log_lhs(offset, d, T) > math.log(inputs.alpha_a)
+    except OverflowError:
+        return False
+
+
 def radius_best(inputs: RadiusInputs) -> tuple[float, str]:
-    """Minimum of the applicable estimates, with the winner's label."""
+    """Minimum of the applicable estimates, with the winner's label; ties go
+    to the earlier of baseline, agrawal, mardia.
+
+    Mardia's radius is computed first.  When one evaluation of the mgf
+    bound's left side proves the Agrawal root larger (see
+    ``_agrawal_exceeds``), the ~43-step bisection is skipped: that bound
+    cannot win, so the value and label are those of the full search.
+    """
     candidates = [(radius_baseline(inputs), "baseline")]
-    if inputs.d_a >= 2:
+    if inputs.d_a >= 2 and inputs.T_a >= 2:
+        r_m = radius_mardia(inputs)
+        if not _agrawal_exceeds(r_m, inputs):
+            candidates.append((radius_agrawal(inputs), "agrawal"))
+        candidates.append((r_m, "mardia"))
+    elif inputs.d_a >= 2:
         candidates.append((radius_agrawal(inputs), "agrawal"))
-        if inputs.T_a >= 2:
-            candidates.append((radius_mardia(inputs), "mardia"))
     return min(candidates, key=lambda c: c[0])
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Decision, LayeredGraph, enumerate_paths, path_cost, shortest_path
+from .graphs import (Decision, LayeredGraph, enumerate_paths, path_cost, path_incidence,
+                     shortest_path)
 from .marginals import DataSet, _absorb_rounding
 from .radius import AmbiguitySpec, RadiusInputs, radius_best, rate_from_alpha
 # The rules solve all arcs or paths in one solve_dual_batch call; the one-row
@@ -55,7 +56,8 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
     alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed once per distinct
     count in exact integers (weights lcm // T_a) with one correctly rounded
     division, and the smallest share absorbs the rounding so the float
-    budget sums to exactly ``alpha``.
+    budget sums to exactly ``alpha``.  The rules call it once per (data
+    set, alpha): calibration and the Hoeffding rule share that one result.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -74,20 +76,40 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
     return out
 
 
+def _split_once(data: DataSet, alpha: float) -> np.ndarray:
+    """``split_alpha(alpha, data.sizes)``, computed once per (data set,
+    alpha) and shared read-only by calibration and the Hoeffding rule."""
+    key = ("split_alpha", alpha)
+    if key not in data.cache:
+        alphas = split_alpha(alpha, data.sizes)
+        alphas.setflags(write=False)
+        data.cache[key] = alphas
+    return data.cache[key]
+
+
 def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
     """Per-action radii: split the budget, then take the best of the three
-    finite-sample bounds once per distinct (T_a, d_a, alpha_a)."""
+    finite-sample bounds once per distinct (T_a, d_a, alpha_a).
+
+    alpha_a depends on T_a alone except at the one arc whose share absorbed
+    the split's rounding, so the distinct triples are the distinct
+    (T_a, d_a) pairs, each split in two where an arc's alpha differs from
+    that of the first arc of its pair.
+    """
     sizes = data.sizes
     t_min = data.t_min
-    alphas = split_alpha(alpha, sizes)
+    alphas = _split_once(data, alpha)
     rate = rate_from_alpha(alpha, t_min)
-    dims = [sup.size for sup in data.supports]
-    keys, inverse = np.unique(np.column_stack([sizes, dims, alphas]), axis=0, return_inverse=True)
+    _, first, pair = np.unique(
+        sizes * (data.points.shape[1] + 1) + data.dims, return_index=True, return_inverse=True
+    )
+    _, index, inverse = np.unique(2 * pair + (alphas != alphas[first][pair]),
+                                  return_index=True, return_inverse=True)
     found = [
-        radius_best(RadiusInputs(int(t_a), int(d_a), data.num_actions, t_min, float(alpha_a), rate))
-        for t_a, d_a, alpha_a in keys
+        radius_best(RadiusInputs(int(sizes[a]), int(data.dims[a]), data.num_actions, t_min,
+                                 float(alphas[a]), rate))
+        for a in index.tolist()
     ]
-    inverse = inverse.reshape(-1)
     radii = np.array([radius for radius, _ in found])[inverse]
     return AmbiguitySpec(radii, tuple(found[k][1] for k in inverse), alpha=alpha)
 
@@ -131,7 +153,7 @@ def hoeffding_prescribe(
         raise ValueError("hoeffding rule expects every support to be {1, ..., d}")
     sizes = data.sizes
     if epsilon is None:
-        alphas = split_alpha(alpha, sizes)
+        alphas = _split_once(data, alpha)
         eps = (d - 1) * np.sqrt(np.log(1.0 / alphas) / (2.0 * sizes))
     else:
         eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (data.num_actions,))
@@ -141,9 +163,15 @@ def hoeffding_prescribe(
 
 
 def truncate_dataset(data: DataSet) -> DataSet:
-    """Keep the first T_min observations of every action."""
-    t_min = data.t_min
-    return DataSet(data.supports, tuple(obs[:t_min] for obs in data.samples))
+    """Keep the first T_min observations of every action.
+
+    Built once per data set and kept in its cache, so dro1 and dro2 share
+    one truncation.
+    """
+    if "truncated" not in data.cache:
+        t_min = data.t_min
+        data.cache["truncated"] = DataSet(data.supports, tuple(obs[:t_min] for obs in data.samples))
+    return data.cache["truncated"]
 
 
 @dataclass(frozen=True)
@@ -218,7 +246,7 @@ def dro1_prescribe(
         means = truncated.means
         values = [path_cost(x, means) for x in paths]
     else:
-        incidence = np.array([x.incidence for x in paths], dtype=float)
+        incidence = path_incidence(g, cap=cap)
         # One row per path: its cost at every joint atom (integer-valued, so
         # exact), sorted by cost.
         costs = incidence @ joint.atoms.T

@@ -1,10 +1,12 @@
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kldro import experiments
+from kldro import experiments, graphs, rules
 from kldro.datagen import nominal_marginals, substream
 from kldro.datagen import NominalSpec
 from kldro.experiments import (
@@ -19,7 +21,7 @@ from kldro.experiments import (
     run_sweep,
 )
 from kldro.graphs import build_layered, decision_from_nodes, enumerate_paths
-from kldro.marginals import Marginal
+from kldro.marginals import DataSet, Marginal
 
 
 def small_config(**overrides):
@@ -204,6 +206,33 @@ class TestRunSweep:
         assert built == []
         binomial_marginals(g, np.full(g.num_arcs, 0.5))[0]  # the counter works
         assert len(built) == 1
+
+    def test_fig7_replicate_builds_data_and_one_truncation(self, monkeypatch):
+        raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig7.json").read_text())
+        cfg = ExperimentConfig.from_dict({**raw, "grid": [14], "n0": 3})
+        built = []
+        post_init = DataSet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        splits = []
+        split_alpha = rules.split_alpha
+
+        def counting_split(alpha, sizes):
+            splits.append(len(sizes))
+            return split_alpha(alpha, sizes)
+
+        monkeypatch.setattr(DataSet, "__post_init__", counting)
+        monkeypatch.setattr(rules, "split_alpha", counting_split)
+        graphs._paths_and_incidence.cache_clear()
+        for replicate in range(cfg.n0):
+            run_replicate(cfg, build_layered(cfg.h, cfg.w), 0, replicate)
+            assert len(built) == 2 * (replicate + 1)  # the data and its truncation
+            # once for the data (dro and hoeffding), once for the truncation (dro2)
+            assert len(splits) == 2 * (replicate + 1)
+        assert graphs._paths_and_incidence.cache_info().misses == 1
 
     def test_parallel_matches_sequential(self, tmp_path):
         cfg = small_config(n0=4, grid=(0, 3))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from kldro import graphs
 from kldro.graphs import (
     build_layered,
     decision_from_nodes,
     enumerate_paths,
     path_cost,
+    path_incidence,
     shortest_path,
     to_edgelist,
 )
@@ -63,6 +65,20 @@ def test_shift_invariance_of_argmin():
     assert base == shifted
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shortest_path_rejects_non_finite_costs(bad):
+    g = build_layered(2, 2)
+    # all arcs: without the check the back-walk from the sink never ends
+    with pytest.raises(ValueError, match=r"^arc 0 \(0, 1\) has non-finite cost"):
+        shortest_path(g, np.full(g.num_arcs, bad))
+    # the sink's in-arcs only: without the check pred == -1 picks g.arcs[-1]
+    costs = np.ones(g.num_arcs)
+    costs[-g.w:] = bad
+    k = g.num_arcs - g.w
+    with pytest.raises(ValueError, match=rf"^arc {k} \(3, 5\) has non-finite cost {bad!r}"):
+        shortest_path(g, costs)
+
+
 def test_enumeration_counts_and_lexicographic_order():
     assert len(enumerate_paths(build_layered(3, 3))) == 27
     assert len(enumerate_paths(build_layered(2, 4))) == 16
@@ -78,6 +94,21 @@ def test_enumeration_counts_and_lexicographic_order():
 def test_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
         enumerate_paths(build_layered(10, 4), cap=1000)
+
+
+def test_paths_and_incidence_built_once_per_graph():
+    graphs._paths_and_incidence.cache_clear()
+    g = build_layered(3, 3)
+    paths = enumerate_paths(g)
+    assert enumerate_paths(build_layered(3, 3)) is paths  # an equal graph hits too
+    incidence = path_incidence(g)
+    assert graphs._paths_and_incidence.cache_info().misses == 1
+    assert incidence.shape == (27, g.num_arcs) and not incidence.flags.writeable
+    assert np.array_equal(incidence, [x.incidence for x in paths])
+    with pytest.raises(ValueError, match="cap"):
+        path_incidence(g, cap=26)
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_paths(g, cap=26)
 
 
 def test_flow_conservation_on_enumerated_paths():

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kldro.marginals import DataSet, Marginal, Support, empirical_from_samples, kl_divergence, mean
+from kldro.marginals import (
+    DataSet,
+    Marginal,
+    Support,
+    _fsum_is_one,
+    empirical_from_samples,
+    kl_divergence,
+    mean,
+)
 
 
 def test_support_validation():
@@ -53,6 +61,20 @@ def test_empirical_sums_exactly_to_one():
         m = empirical_from_samples(samples, sup)
         assert math.fsum(m.probs) == 1.0
         assert m.mean() == pytest.approx(float(np.mean(samples)), abs=1e-12)
+
+
+@pytest.mark.parametrize("row, size, sums_to_one", [
+    ([0.5, 0.5 - 2**-54], 2, True),  # exact sum 1 - 2**-54: half-way, rounds to even 1.0
+    ([0.5, 0.5 - 2**-53], 2, False),  # 1 - 2**-53 is a float of its own
+    ([0.5, 0.5 + 2**-53], 2, True),  # 1 + 2**-53: half-way, rounds to even 1.0
+    ([0.5, 0.5 + 2**-52], 2, False),
+    # Past T_a = 1024 entries need not be multiples of 2**-62: truncating
+    # 2**-53 + 2**-70 would put this row on the boundary, but fsum rounds up.
+    ([0.5, 0.5, 2**-53 + 2**-70], 2000, False),
+])
+def test_exact_row_sum_test_at_the_rounding_boundaries(row, size, sums_to_one):
+    assert (math.fsum(row) == 1.0) is sums_to_one
+    assert _fsum_is_one(np.array([row]), np.array([size])).tolist() == [sums_to_one]
 
 
 def test_kl_identity_is_zero():

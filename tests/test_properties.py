@@ -3,6 +3,7 @@ the array-first data path."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kldro.datagen import draw_dataset, substream
-from kldro.marginals import DataSet, Marginal, PmfMatrix, Support, _absorb_rounding, pmf_means
+from kldro.marginals import (
+    DataSet,
+    Marginal,
+    PmfMatrix,
+    Support,
+    _absorb_rounding,
+    _fsum_is_one,
+    pmf_means,
+)
 from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
+from kldro import rules
 from kldro.rules import calibrate_ambiguity, split_alpha
 from kldro.worstcase import primal_oracle, solve_dual_batch
 
@@ -98,6 +108,29 @@ def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
     for a, t in enumerate(sizes):
         inputs = RadiusInputs(t, d, len(sizes), t_min, float(alphas[a]), rate)
         radius, label = radius_best(inputs)
+        assert spec.radii[a] == radius
+        assert spec.labels[a] == label
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.integers(1, 60), st.sampled_from([0, 1, 2])), min_size=1, max_size=60),
+       st.lists(st.integers(1, 50), min_size=3, max_size=3), st.floats(1e-4, 0.99))
+def test_calibration_keys_separate_support_sizes(arcs, dims, alpha):
+    """Arcs with the same count but supports of different sizes get their
+    own radius, and ``radius_best`` runs once per distinct (T_a, d_a,
+    alpha_a): the arc whose share absorbed the rounding counts apart."""
+    sups = [Support.integers(d) for d in dims]
+    data = DataSet(tuple(sups[k] for _, k in arcs), tuple(np.ones(t) for t, _ in arcs))
+    with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
+        spec = calibrate_ambiguity(data, alpha)
+    sizes = [t for t, _ in arcs]
+    alphas = split_alpha(alpha, sizes)
+    assert calls.call_count == len({(t, dims[k], x) for (t, k), x in zip(arcs, alphas.tolist())})
+    t_min = min(sizes)
+    rate = rate_from_alpha(alpha, t_min)
+    assert data.dims.tolist() == [dims[k] for _, k in arcs]
+    for a, (t, k) in enumerate(arcs):
+        radius, label = radius_best(RadiusInputs(t, dims[k], len(arcs), t_min, float(alphas[a]), rate))
         assert spec.radii[a] == radius
         assert spec.labels[a] == label
 
@@ -238,3 +271,31 @@ def test_pmf_matrix_rejects_what_marginal_rejects(probs, data, defect):
     else:
         message = rejection(lambda: PmfMatrix(sup, bad))
         assert message == rejection(lambda: Marginal(sup, bad[a]))
+
+
+def count_rows(seed, rows):
+    """Random count rows over supports of 1 to 50 points, T from 1 to 1024
+    (and a few above, where fsum decides), as c / T pmf rows."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 51))
+    sizes = rng.integers(1, 1025, size=rows)
+    sizes[rng.random(rows) < 0.02] = 1025 + rng.integers(0, 5000)
+    counts = np.array([rng.multinomial(t, rng.dirichlet(np.full(d, 0.3))) for t in sizes])
+    return counts / sizes[:, None], sizes
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_row_sum_test_equals_fsum(seed):
+    pmf, sizes = count_rows(seed, 100)
+    assert _fsum_is_one(pmf, sizes).tolist() == [math.fsum(row) == 1.0 for row in pmf.tolist()]
+
+
+def test_exact_row_sum_test_sees_rows_off_one():
+    off = 0
+    for seed in range(40):
+        pmf, sizes = count_rows(seed, 100)
+        expected = [math.fsum(row) == 1.0 for row in pmf.tolist()]
+        assert _fsum_is_one(pmf, sizes).tolist() == expected
+        off += expected.count(False)
+    assert off >= 5

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from kldro.radius import (
@@ -207,3 +209,102 @@ def test_ambiguity_spec_validation():
         RadiusInputs(5, 2, 1, 6, 0.5, 1.0)
     with pytest.raises(ValueError):
         RadiusInputs(5, 2, 1, 5, 1.5, 1.0)
+
+
+def radius_best_in_full(inp):
+    """The minimum of every applicable bound, each computed in full."""
+    candidates = [(radius_baseline(inp), "baseline")]
+    if inp.d_a >= 2:
+        candidates.append((radius_agrawal(inp), "agrawal"))
+        if inp.T_a >= 2:
+            candidates.append((radius_mardia(inp), "mardia"))
+    return min(candidates, key=lambda c: c[0])
+
+
+def test_best_skips_the_agrawal_bisection_when_mardia_provably_wins(monkeypatch):
+    import kldro.radius
+
+    def fail(_):
+        raise AssertionError("the Agrawal bisection ran")
+
+    # fig2a scale: d = 50, T_a in [5, 10], 104 arcs
+    cases = [RadiusInputs(T, 50, 104, 5, 0.05 / 104, rate_from_alpha(0.05, 5)) for T in range(5, 11)]
+    expected = [radius_best_in_full(inp) for inp in cases]
+    monkeypatch.setattr(kldro.radius, "radius_agrawal", fail)
+    assert [radius_best(inp) for inp in cases] == expected
+    assert {label for _, label in expected} == {"mardia"}
+
+
+@pytest.mark.parametrize("d, T", [(2, 2), (2, 3000), (2, 10**4), (3, 2), (3, 10**4)])
+def test_best_equals_full_search_next_to_the_agrawal_mardia_crossing(d, T):
+    # Bisect alpha to where the two bounds cross, then probe alphas within
+    # 4e-9 (relative) on either side: the one-evaluation skip must not
+    # decide differently from the full search there.  At T = 1e4 a margin
+    # without the bisection-tolerance term fails on ~10% of these probes.
+    def agrawal_wins(alpha):
+        inp = inputs(T, d, alpha_a=alpha)
+        return radius_agrawal(inp) <= radius_mardia(inp)
+
+    lo, hi = 1e-12, 1.0 - 1e-9
+    assert not agrawal_wins(lo) and agrawal_wins(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if agrawal_wins(mid) else (mid, hi)
+    probes = [np.nextafter(lo, 0.0), lo, hi, np.nextafter(hi, 1.0)]
+    probes += [lo * (1.0 + k * 1e-11) for k in range(-400, 401)]
+    labels = set()
+    for alpha in probes:
+        inp = inputs(T, d, alpha_a=float(alpha))
+        got = radius_best(inp)
+        assert got == radius_best_in_full(inp)
+        labels.add(got[1])
+    assert labels == {"agrawal", "mardia"}
+
+
+# Supports from 2 to 50**9 points, counts from 1 to 1e4, both weighted
+# towards small values, where every bound can win.
+supports = st.one_of(st.integers(2, 60), st.integers(2, 50**9))
+counts = st.one_of(st.integers(1, 30), st.integers(1, 10**4))
+budgets = st.floats(1e-12, 1.0 - 1e-9)
+
+LABELLED = [  # (T_a, d_a, num_actions, alpha_a) and the bound that wins
+    ((1, 2, 1, 1e-6), "baseline"),
+    ((1, 2, 10, 0.5), "agrawal"),
+    ((2, 2, 1, 0.05), "mardia"),
+]
+
+
+@pytest.mark.parametrize("args, label", LABELLED)
+def test_best_labelled_examples(args, label):
+    T, d, m, alpha = args
+    inp = RadiusInputs(T, d, m, T, alpha, rate_from_alpha(alpha, T))
+    assert radius_best(inp) == radius_best_in_full(inp)
+    assert radius_best(inp)[1] == label
+
+
+@settings(max_examples=150)
+@given(counts, supports, st.integers(1, 1000), st.floats(0.0, 1.0), budgets, budgets)
+def test_best_equals_full_search(T, d, m, t_min_share, alpha_a, alpha):
+    t_min = max(1, round(t_min_share * T))
+    inp = RadiusInputs(T, d, m, t_min, alpha_a, rate_from_alpha(alpha, t_min))
+    assert radius_best(inp) == radius_best_in_full(inp)
+
+
+@settings(max_examples=40)
+@given(supports, st.floats(1e-12, 0.99), st.integers(1, 1000), st.integers(1, 30),
+       st.lists(counts, min_size=2, max_size=4))
+@example(2, 0.05, 1, 1, [1, 2, 10**4])
+@example(50**9, 1e-12, 104, 5, [5, 6, 10**4])
+def test_radii_nonincreasing_in_T(d, alpha_a, m, t_min, extra):
+    """With T_min and the number of actions held fixed; <= rather than <,
+    since a bound that overflows reads inf at every T."""
+    rate = rate_from_alpha(alpha_a, t_min)
+    Ts = sorted(t_min + e - 1 for e in extra)
+    bounds = [radius_baseline, radius_agrawal, lambda inp: radius_best(inp)[0]]
+    if Ts[0] >= 2:
+        bounds.append(radius_mardia)
+    for fn in bounds:
+        values = [fn(RadiusInputs(T, d, m, t_min, alpha_a, rate)) for T in Ts]
+        assert all(b <= a for a, b in zip(values, values[1:])), (fn, Ts, values)
