@@ -46,8 +46,8 @@ print(f"clairvoyant optimum: path {oracle_path.nodes}, expected cost {oracle_val
 
 prescriptions = {
     "robust baseline": dro_prescribe(data, calibrate_ambiguity(data, ALPHA), graph),
-    "hoeffding bound": hoeffding_prescribe(data, ALPHA, D, graph),
-    "joint-ball, truncated": dro1_prescribe(data, ALPHA, D, graph),
+    "hoeffding bound": hoeffding_prescribe(data, ALPHA, graph),
+    "joint-ball, truncated": dro1_prescribe(data, ALPHA, graph),
     "baseline, truncated": dro2_prescribe(data, ALPHA, graph),
 }
 

@@ -12,8 +12,6 @@ Monte-Carlo harness support out-of-sample comparisons.
 from .datagen import (
     NominalSpec,
     SampleSizeSpec,
-    dataset_from_csv,
-    dataset_to_csv,
     draw_dataset,
     nominal_marginals,
     random_nominal_spec,
@@ -48,7 +46,6 @@ from .marginals import (
     Support,
     empirical_from_samples,
     kl_divergence,
-    mean,
 )
 from .radius import (
     AmbiguitySpec,

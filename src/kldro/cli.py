@@ -21,7 +21,8 @@ import numpy as np
 from .experiments import CONFIG_FIELDS, ExperimentConfig, emit_results, run_sweep
 from .graphs import build_layered, to_edgelist
 from .marginals import Marginal, Support
-from .radius import RadiusInputs, radius_agrawal, radius_baseline, radius_best, radius_mardia
+from .radius import (RadiusInputs, radius_agrawal, radius_baseline, radius_best, radius_mardia,
+                     rate_from_alpha)
 from .worstcase import solve_dual
 
 
@@ -136,7 +137,7 @@ def cmd_radius(args) -> int:
         inputs = RadiusInputs(
             T_a=args.T, d_a=args.d, num_actions=args.A,
             T_min=args.T_min, alpha_a=args.alpha_a,
-            rate=-float(np.log(args.alpha_a)) / args.T_min,
+            rate=rate_from_alpha(args.alpha_a, args.T_min),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

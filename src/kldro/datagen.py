@@ -21,7 +21,6 @@ uniforms; the draws, and the stream position afterwards, equal those of one
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -39,8 +38,6 @@ __all__ = [
     "nominal_marginals",
     "sample_sizes",
     "draw_dataset",
-    "dataset_to_csv",
-    "dataset_from_csv",
 ]
 
 NOMINAL_KINDS = ("shifted-binomial", "multinomial", "discretized-normal")
@@ -203,8 +200,8 @@ def draw_dataset(
         raise ValueError("one sample count per action is required")
     if np.any(sizes < 1):
         raise ValueError("every action needs at least one observation")
-    supports = (nominal.support,) * len(nominal)
-    d = nominal.support.size
+    support = nominal.support
+    d = support.size
     if not joint:
         ends = np.cumsum(sizes).tolist()
         blocks = list(zip([0, *ends[:-1]], ends))
@@ -214,11 +211,11 @@ def draw_dataset(
         idx = np.concatenate(
             [row.searchsorted(u[lo:hi], side="right") for row, (lo, hi) in zip(cdf, blocks)]
         )
-        costs = nominal.support.points[idx]
-        return DataSet(supports, tuple(costs[lo:hi] for lo, hi in blocks))
+        costs = support.points[idx]
+        return DataSet(support, tuple(costs[lo:hi] for lo, hi in blocks))
     if d == 1:
         samples = tuple(np.ones(int(t)) for t in sizes)
-        return DataSet(supports, samples)
+        return DataSet(support, samples)
     p = (nominal.means - 1.0) / (d - 1.0)
     if np.any(p < -1e-9) or abs(float(p.sum()) - 1.0) > 1e-6:
         raise ValueError("joint sampling requires multinomial component marginals")
@@ -226,29 +223,4 @@ def draw_dataset(
     counts = rng.multinomial(d - 1, p / p.sum(), size=int(sizes.max()))
     costs = counts.astype(float) + 1.0
     samples = tuple(costs[: int(t), a] for a, t in enumerate(sizes))
-    return DataSet(supports, samples)
-
-
-def dataset_to_csv(data: DataSet) -> str:
-    """Long-format dump: action_index, sample_index, cost."""
-    buf = io.StringIO()
-    buf.write("action_index,sample_index,cost\n")
-    for a, obs in enumerate(data.samples):
-        for j, c in enumerate(obs):
-            buf.write(f"{a},{j},{float(c)!r}\n")
-    return buf.getvalue()
-
-
-def dataset_from_csv(text: str, supports) -> DataSet:
-    lines = text.strip().splitlines()
-    if lines[0] != "action_index,sample_index,cost":
-        raise ValueError("unexpected CSV header")
-    per_action: dict[int, list] = {}
-    for line in lines[1:]:
-        a_s, j_s, c_s = line.split(",")
-        per_action.setdefault(int(a_s), []).append((int(j_s), float(c_s)))
-    samples = []
-    for a in range(len(supports)):
-        rows = sorted(per_action.get(a, []))
-        samples.append(np.array([c for _, c in rows]))
-    return DataSet(tuple(supports), tuple(samples))
+    return DataSet(support, samples)

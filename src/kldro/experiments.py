@@ -15,6 +15,7 @@ worker count.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -109,8 +110,13 @@ class ExperimentConfig:
     enumeration_cap: int = 100_000
 
     def __post_init__(self):
-        if self.n0 < 1:
-            raise ValueError("n0 must be >= 1")
+        for key in ("h", "w", "d", "t_min", "n0"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.delta < 0:
+            raise ValueError("delta must be >= 0")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.nominal not in NOMINAL_KINDS:
@@ -121,6 +127,14 @@ class ExperimentConfig:
             raise ValueError(f"sweep must be one of {SWEEP_VARIABLES}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
+        low = {"t_min": 1, "delta": 0}.get(self.sweep)
+        for value in self.grid:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"sweep value {value!r} is not a number")
+            if low is None and not 0.0 < value < math.inf:
+                raise ValueError(f"sigma sweep value {value!r} must be positive and finite")
+            if low is not None and not (float(value).is_integer() and value >= low):
+                raise ValueError(f"{self.sweep} sweep value {value!r} must be an integer >= {low}")
         if len(self.rules) == 0 or any(r not in RULE_NAMES for r in self.rules):
             raise ValueError(f"rules must be a nonempty subset of {RULE_NAMES}")
         if self.nominal == "discretized-normal" and self.sigma is None and self.sweep != "sigma":
@@ -249,12 +263,10 @@ def run_replicate(
                 amb = calibrate_ambiguity(data, cfg.alpha)
             pres = dro_prescribe(data, amb, g)
         elif rule == "hoeffding":
-            pres = hoeffding_prescribe(data, cfg.alpha, cfg.d, g, epsilon=cfg.epsilon_override)
+            pres = hoeffding_prescribe(data, cfg.alpha, g, epsilon=cfg.epsilon_override)
         elif rule == "dro1":
-            pres = dro1_prescribe(
-                data, cfg.alpha, cfg.d, g,
-                cap=cfg.enumeration_cap, radius_override=cfg.radius_override,
-            )
+            pres = dro1_prescribe(data, cfg.alpha, g, cap=cfg.enumeration_cap,
+                                  radius_override=cfg.radius_override)
         else:
             pres = dro2_prescribe(data, cfg.alpha, g, radius_override=cfg.radius_override)
         achieved = path_cost(pres.decision, means)

@@ -1,9 +1,9 @@
-"""Finite discrete marginal distributions over per-component cost supports.
+"""Finite discrete marginal distributions on a shared cost support.
 
-Every cost component ("action") takes values on a small, strictly positive,
-strictly increasing grid of support points.  The data for an action is a
-vector of observations drawn from that grid; observation counts may differ
-across actions, which is the whole point of the library.
+Every cost component ("action") takes values on one small, strictly
+positive, strictly increasing grid of support points.  The data for an
+action is a vector of observations drawn from that grid; observation counts
+may differ across actions, which is the whole point of the library.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "DataSet",
     "empirical_from_samples",
     "kl_divergence",
-    "mean",
     "pmf_means",
 ]
 
@@ -39,7 +38,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Support:
-    """Ordered, strictly positive cost grid for one action."""
+    """Ordered, strictly positive cost grid shared by the actions."""
 
     points: np.ndarray
 
@@ -130,18 +129,13 @@ class PmfMatrix:
         return Marginal(self.support, self.probs[action])
 
 
-def mean(m: Marginal) -> float:
-    """Expected cost under ``m``."""
-    return m.mean()
-
-
 def empirical_from_samples(samples, support: Support) -> Marginal:
     """Frequency pmf of ``samples`` on ``support``.
 
     Raises if any sample is not a support point.  The smallest observed
     entry absorbs the float rounding so the pmf sums to exactly 1.0.
     """
-    return DataSet((support,), (samples,)).empirical(0)
+    return DataSet(support, (samples,)).empirical(0)
 
 
 def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
@@ -217,77 +211,53 @@ def _fsum_is_one(pmf: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Per-action observation vectors of possibly different lengths.
+    """Per-action observation vectors of possibly different lengths, all on
+    one shared :class:`Support`.
 
-    Validation builds the empirical pmfs once: ``pmf`` and ``points`` are
-    (actions x width) matrices, width the largest support size; narrower
-    supports are padded with their top point at zero mass.  ``dims`` holds
-    every action's support size.  When every action shares one
-    :class:`Support` object, as ``draw_dataset`` arranges, all observations
-    are checked and counted in one search, with no grouping by support.
-
-    Each row whose ``math.fsum`` is not exactly 1.0 is fixed up, the
-    smallest observed entry absorbing the rounding; ``_fsum_is_one`` finds
-    those rows with one exact integer sum per row instead of an fsum.
+    Validation builds the empirical pmfs once, as the (actions x d) matrix
+    ``pmf``: all observations are checked and counted in one search.  Each
+    row whose ``math.fsum`` is not exactly 1.0 is fixed up, the smallest
+    observed entry absorbing the rounding; ``_fsum_is_one`` finds those rows
+    with one exact integer sum per row instead of an fsum.
 
     ``cache`` holds what the rules derive from a data set (its truncation,
     its confidence splits), so each is computed once per data set.
     """
 
-    supports: tuple
+    support: Support
     samples: tuple = field(repr=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    dims: np.ndarray = field(init=False, repr=False, compare=False)
     pmf: np.ndarray = field(init=False, repr=False, compare=False)
-    points: np.ndarray = field(init=False, repr=False, compare=False)
     cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if len(self.supports) != len(self.samples):
-            raise ValueError("one sample vector per support is required")
-        if len(self.supports) == 0:
-            raise ValueError("data set must cover at least one action")
-        supports = tuple(self.supports)
         samples = tuple(map(_readonly, self.samples))
-        sizes = np.array([arr.size if arr.ndim == 1 else 0 for arr in samples])
+        if not samples:
+            raise ValueError("data set must cover at least one action")
+        for a, arr in enumerate(samples):
+            if arr.ndim != 1:
+                raise ValueError(f"action {a}: sample vector must be 1-d, got shape {arr.shape}")
+        sizes = np.array([arr.size for arr in samples])
         if not sizes.all():
             raise ValueError(f"action {int(np.argmin(sizes))}: at least one observation required")
-        m = len(samples)
-        if len(set(map(id, supports))) == 1:
-            groups = [(supports[0], np.arange(m), samples)]
-        else:
-            by_support: dict = {}
-            for a, sup in enumerate(supports):
-                by_support.setdefault(id(sup), (sup, []))[1].append(a)
-            groups = [(sup, np.array(actions), [samples[a] for a in actions])
-                      for sup, actions in by_support.values()]
-        width = max(sup.size for sup, _, _ in groups)
-        dims = np.empty(m, dtype=int)
-        points = np.empty((m, width))
-        counts = np.zeros(m * width)
-        for sup, actions, group_samples in groups:
-            dims[actions] = sup.size
-            points[actions, : sup.size] = sup.points
-            points[actions, sup.size :] = sup.max
-            obs = np.concatenate(group_samples)
-            owner = np.repeat(actions, sizes[actions])
-            idx = np.searchsorted(sup.points, obs)
-            bad = (idx >= sup.size) | (sup.points[np.minimum(idx, sup.size - 1)] != obs)
-            if bad.any():
-                k = int(np.argmax(bad))
-                off = float(obs[k])
-                raise ValueError(f"action {owner[k]}: observation {off!r} outside support")
-            counts += np.bincount(owner * width + idx, minlength=m * width)
-        counts = counts.reshape(m, width)
+        m, points = len(samples), self.support.points
+        d = points.size
+        obs = np.concatenate(samples)
+        owner = np.repeat(np.arange(m), sizes)
+        idx = np.searchsorted(points, obs)
+        bad = (idx >= d) | (points[np.minimum(idx, d - 1)] != obs)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"action {owner[k]}: observation {float(obs[k])!r} outside support")
+        counts = np.bincount(owner * d + idx, minlength=m * d).reshape(m, d)
         pmf = counts / sizes[:, None]
         for a in np.flatnonzero(~_fsum_is_one(pmf, sizes)):
             seen = np.flatnonzero(counts[a])
             _absorb_rounding(pmf[a], 1.0, int(seen[np.argmin(pmf[a, seen])]))
-        for name, value in (("sizes", sizes), ("dims", dims), ("pmf", pmf), ("points", points)):
+        for name, value in (("sizes", sizes), ("pmf", pmf)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "supports", supports)
 
     @property
     def num_actions(self) -> int:
@@ -300,8 +270,7 @@ class DataSet:
     @property
     def means(self) -> np.ndarray:
         """Empirical mean of every action (equal to ``empirical(a).mean()``)."""
-        return pmf_means(self.points, self.pmf)
+        return pmf_means(self.support.points, self.pmf)
 
     def empirical(self, action: int) -> Marginal:
-        sup = self.supports[action]
-        return Marginal(sup, self.pmf[action, : sup.size])
+        return Marginal(self.support, self.pmf[action])

@@ -26,7 +26,7 @@ __all__ = [
     "mardia_constant",
 ]
 
-_LABELS = ("baseline", "agrawal", "mardia", "min-of-three", "manual")
+_LABELS = ("baseline", "agrawal", "mardia", "manual")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def radius_agrawal(inputs: RadiusInputs) -> float:
         # For offsets small against d-1 the left side behaves like
         # -offset^2 / (2(d-1)), so the root sits near sqrt(2 (d-1) |ln a|);
         # seeding the bracket there keeps the doubling count bounded for
-        # astronomically large supports.
+        # astronomically large support sizes.
         hi = max(1.0 * T, math.sqrt(2.0 * float(d - 1) * -log_alpha))
         expansions = 0
         while _agrawal_log_lhs(hi, d, T) > log_alpha:
@@ -137,8 +137,8 @@ def _log_mardia_sum(d_a: int, T_a: int) -> float:
 
     Terms rise and then decay super-geometrically; accumulation stops once a
     term falls below 1e-300 relative significance, so even astronomically
-    large supports cost only a bounded number of terms.  A pure function of
-    two ints, cached: a sweep meets only a few distinct (d_a, T_a).
+    large support sizes cost only a bounded number of terms.  A pure function
+    of two ints, cached: a sweep meets only a few distinct (d_a, T_a).
     """
     log_x = 1.0 + 0.5 * math.log(T_a) - math.log(2.0 * math.pi)
     log_total = 0.0  # j = 0 term is K_{-1} = 1

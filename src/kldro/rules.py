@@ -89,24 +89,23 @@ def _split_once(data: DataSet, alpha: float) -> np.ndarray:
 
 def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
     """Per-action radii: split the budget, then take the best of the three
-    finite-sample bounds once per distinct (T_a, d_a, alpha_a).
+    finite-sample bounds once per distinct (T_a, alpha_a), with d_a the
+    size of the shared support.
 
     alpha_a depends on T_a alone except at the one arc whose share absorbed
-    the split's rounding, so the distinct triples are the distinct
-    (T_a, d_a) pairs, each split in two where an arc's alpha differs from
-    that of the first arc of its pair.
+    the split's rounding, so the distinct pairs are the distinct counts,
+    each split in two where an arc's alpha differs from that of the first
+    arc with its count.
     """
     sizes = data.sizes
     t_min = data.t_min
     alphas = _split_once(data, alpha)
     rate = rate_from_alpha(alpha, t_min)
-    _, first, pair = np.unique(
-        sizes * (data.points.shape[1] + 1) + data.dims, return_index=True, return_inverse=True
-    )
-    _, index, inverse = np.unique(2 * pair + (alphas != alphas[first][pair]),
+    _, first, count = np.unique(sizes, return_index=True, return_inverse=True)
+    _, index, inverse = np.unique(2 * count + (alphas != alphas[first][count]),
                                   return_index=True, return_inverse=True)
     found = [
-        radius_best(RadiusInputs(int(sizes[a]), int(data.dims[a]), data.num_actions, t_min,
+        radius_best(RadiusInputs(int(sizes[a]), data.support.size, data.num_actions, t_min,
                                  float(alphas[a]), rate))
         for a in index.tolist()
     ]
@@ -117,8 +116,9 @@ def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
 def _worst_case_costs(data: DataSet, spec: AmbiguitySpec, arcs=slice(None)) -> np.ndarray:
     if spec.num_actions != data.num_actions:
         raise ValueError("ambiguity spec must cover every action")
-    points = data.points[arcs]
-    return solve_dual_batch(points, data.pmf[arcs], spec.radii[arcs], points[:, -1]).value
+    pmf, sup = data.pmf[arcs], data.support
+    points = np.broadcast_to(sup.points, pmf.shape)
+    return solve_dual_batch(points, pmf, spec.radii[arcs], np.full(len(pmf), sup.max)).value
 
 
 def dro_predict(x: Decision, data: DataSet, spec: AmbiguitySpec) -> float:
@@ -137,20 +137,21 @@ def dro_prescribe(data: DataSet, spec: AmbiguitySpec, g: LayeredGraph) -> Prescr
 def hoeffding_prescribe(
     data: DataSet,
     alpha: float,
-    d: int,
     g: LayeredGraph,
     epsilon: float | np.ndarray | None = None,
 ) -> Prescription:
     """Upper confidence bounds for the means, clipped at the top cost d.
 
-    The per-action slack inverts the Hoeffding tail at the split budget:
+    The support must be {1, ..., d}.  The per-action slack inverts the
+    Hoeffding tail at the split budget:
     eps_a = (d - 1) sqrt(ln(1/alpha_a) / (2 T_a)).  Passing ``epsilon``
     overrides the calibration with a fixed slack (the plain
     empirical-mean-plus-constant rule is the special case of a shared
     scalar).
     """
-    if data.points.shape[1] != d or not (data.points == np.arange(1.0, d + 1.0)).all():
-        raise ValueError("hoeffding rule expects every support to be {1, ..., d}")
+    d = data.support.size
+    if not (data.support.points == np.arange(1.0, d + 1.0)).all():
+        raise ValueError("hoeffding rule expects the support {1, ..., d}")
     sizes = data.sizes
     if epsilon is None:
         alphas = _split_once(data, alpha)
@@ -170,7 +171,7 @@ def truncate_dataset(data: DataSet) -> DataSet:
     """
     if "truncated" not in data.cache:
         t_min = data.t_min
-        data.cache["truncated"] = DataSet(data.supports, tuple(obs[:t_min] for obs in data.samples))
+        data.cache["truncated"] = DataSet(data.support, tuple(obs[:t_min] for obs in data.samples))
     return data.cache["truncated"]
 
 
@@ -221,14 +222,13 @@ def _joint_ball_radius(t_min: int, d: int, num_actions: int, alpha: float) -> tu
 def dro1_prescribe(
     data: DataSet,
     alpha: float,
-    d: int,
     g: LayeredGraph,
     cap: int = 100_000,
     radius_override: float | None = None,
 ) -> Prescription:
     """Joint-ball rule on the truncated data: enumerate paths, then solve the
-    scalar dual of every path in one batch with beta bounded below by
-    d * (path length).
+    scalar dual of every path in one batch with beta bounded below by the
+    top support point times the path length.
 
     At radius zero the dual value degenerates to the joint sample-average
     path cost, computed through the per-arc decomposition so it matches the
@@ -240,7 +240,7 @@ def dro1_prescribe(
     if radius_override is not None:
         r = float(radius_override)
     else:
-        r, _ = _joint_ball_radius(truncated.t_min, d, data.num_actions, alpha)
+        r, _ = _joint_ball_radius(truncated.t_min, data.support.size, data.num_actions, alpha)
     paths = enumerate_paths(g, cap=cap)
     if r == 0.0:
         means = truncated.means
@@ -252,7 +252,7 @@ def dro1_prescribe(
         costs = incidence @ joint.atoms.T
         order = np.argsort(costs, axis=1, kind="stable")
         rows = np.take_along_axis(costs, order, axis=1)
-        lower = float(d) * incidence.sum(axis=1)
+        lower = data.support.max * incidence.sum(axis=1)
         radii = np.full(len(paths), r)
         values = solve_dual_batch(rows, joint.probs[order], radii, lower).value.tolist()
     best = min(range(len(paths)), key=lambda i: (values[i], tuple(reversed(paths[i].nodes))))

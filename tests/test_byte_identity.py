@@ -1,7 +1,8 @@
 """Seeded output stays byte-identical: pinned results.csv hashes for tiny
 sweeps of figure configs (2 grid values x 2 replicates each).  Together they
 cover the binomial, multinomial (joint draw) and discretized-normal nominals,
-uniform and mean-tilted sample sizes, and all four rules."""
+uniform and both mean-tilted sample sizes (binomial1, binomial2), and all
+four rules, dro1 and dro2 on binomial2 sizes included."""
 
 import hashlib
 import json
@@ -23,8 +24,12 @@ PINNED = {
         "b26cd9aa93addb78605351ac93f44e043d28fe71d3f7b1ca433133f5bcbadb70"),
     "fig6a.json": ((5, 35),
         "957b6a26d35b1bfba1c5afe62ca9f8569f1930d8eec7d6f90b13b7277be2d676"),
+    "fig6b.json": ((5, 35),
+        "4e4d80868ea7d6807ab32fc4180438cde33c3753a07009f34e9deb5ee91c40f9"),
     "fig7.json": ((0, 40),
         "95b507290b7d4212be82bbbfa76e98702a014356cf6b412e8b9dbc3e9069d45f"),
+    "fig8b.json": ((0, 40),
+        "a85ead89bcfedb7331938db57aed55c5a2a316df7d8f6682d280512e2c619477"),
 }
 
 

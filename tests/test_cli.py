@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from kldro import experiments
 from kldro.cli import main
 
 
@@ -53,6 +56,22 @@ class TestRun:
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2  # header + n0 * |rules| * |grid|
 
+    @pytest.mark.parametrize("overrides", [
+        ["d=0"], ["t_min=0"], ["h=0"], ["grid=-3"], ["sigma=0"],
+        ["sweep=t_min", "grid=0"], ["sweep=t_min", "grid=5.5"],
+    ])
+    def test_bad_sweep_inputs_fail_before_any_replicate(self, tmp_path, capsys, monkeypatch,
+                                                        overrides):
+        def refuse(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiments, "run_replicate", refuse)
+        cfg = write_config(tmp_path / "cfg.json")
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(args + [f"--set={item}" for item in overrides]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid config: ")
+        assert not (tmp_path / "out").exists()
+
     def test_same_seed_reproduces_files_byte_for_byte(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -97,6 +116,11 @@ class TestRadius:
         out = capsys.readouterr().out
         assert "n/a" in out
         assert "(baseline)" in out
+
+    def test_zero_t_min_is_a_validation_error(self, capsys):
+        assert main(["radius", "--T", "25", "--d", "5", "--A", "10",
+                     "--T-min", "0", "--alpha-a", "0.05"]) == 1
+        assert capsys.readouterr().err == "error: T_min must be >= 1\n"
 
     def test_alpha_out_of_range(self):
         assert main(["radius", "--T", "25", "--d", "5", "--A", "10",

@@ -116,6 +116,35 @@ class TestConfig:
         assert cfg.sigma is None
 
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(h=0), "^h must be >= 1"),
+        (dict(w=0), "^w must be >= 1"),
+        (dict(d=0), "^d must be >= 1"),
+        (dict(t_min=0), "^t_min must be >= 1"),
+        (dict(delta=-1), "^delta must be >= 0"),
+        (dict(sigma=0.0), "^sigma must be positive"),
+        (dict(sigma=-2.0), "^sigma must be positive"),
+        (dict(sweep="t_min", grid=(4, 0)), "^t_min sweep value 0 must be an integer >= 1"),
+        (dict(sweep="t_min", grid=(-3,)), "^t_min sweep value -3 must be an integer >= 1"),
+        (dict(sweep="t_min", grid=(5.5,)), "^t_min sweep value 5.5 must be an integer >= 1"),
+        (dict(sweep="delta", grid=(-1,)), "^delta sweep value -1 must be an integer >= 0"),
+        (dict(sweep="delta", grid=(0, 1.5)), "^delta sweep value 1.5 must be an integer >= 0"),
+        (dict(sweep="delta", grid=(math.inf,)), "^delta sweep value inf must be an integer"),
+        (dict(sweep="sigma", grid=(2.0, 0.0)), "^sigma sweep value 0.0 must be positive"),
+        (dict(sweep="sigma", grid=(-1.0,)), "^sigma sweep value -1.0 must be positive"),
+        (dict(sweep="sigma", grid=(math.nan,)), "^sigma sweep value nan must be positive"),
+        (dict(sweep="t_min", grid=("5",)), "^sweep value '5' is not a number"),
+        (dict(sweep="delta", grid=(True,)), "^sweep value True is not a number"),
+    ])
+    def test_rejects_out_of_range_values(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
+
+    def test_integral_float_counts_are_accepted(self):
+        assert small_config(sweep="t_min", grid=(5.0, 7)).grid == (5.0, 7)
+        assert small_config(sweep="sigma", grid=(0.5,), sigma=None).grid == (0.5,)
+
+
 class TestRunSweep:
     def test_replay_is_bit_for_bit(self, tmp_path):
         cfg = small_config()
@@ -123,8 +152,8 @@ class TestRunSweep:
         r2 = run_sweep(cfg)
         p1 = emit_results(r1, str(tmp_path / "a"), cfg.sweep, cfg.rules)
         p2 = emit_results(r2, str(tmp_path / "b"), cfg.sweep, cfg.rules)
-        assert open(p1[0]).read() == open(p2[0]).read()
-        assert open(p1[1]).read() == open(p2[1]).read()
+        assert Path(p1[0]).read_bytes() == Path(p2[0]).read_bytes()
+        assert Path(p1[1]).read_bytes() == Path(p2[1]).read_bytes()
 
     def test_rho_at_least_one_everywhere(self):
         results = run_sweep(small_config(rules=("dro", "hoeffding", "dro1", "dro2")))
@@ -240,8 +269,8 @@ class TestRunSweep:
         par = run_sweep(cfg, workers=2)
         a = emit_results(seq, str(tmp_path / "seq"), cfg.sweep, cfg.rules)
         b = emit_results(par, str(tmp_path / "par"), cfg.sweep, cfg.rules)
-        assert open(a[0]).read() == open(b[0]).read()
-        assert open(a[1]).read() == open(b[1]).read()
+        assert Path(a[0]).read_bytes() == Path(b[0]).read_bytes()
+        assert Path(a[1]).read_bytes() == Path(b[1]).read_bytes()
 
 
 class TestAggregatesAndEmit:
@@ -277,10 +306,10 @@ class TestAggregatesAndEmit:
     def test_column_order_fixed(self, tmp_path):
         cfg = small_config(n0=1, grid=(0,), rules=("dro",))
         res_path, agg_path = emit_results(run_sweep(cfg), str(tmp_path), cfg.sweep, cfg.rules)
-        assert open(res_path).readline().rstrip("\n") == (
+        assert Path(res_path).read_text().splitlines()[0] == (
             "sweep_var,sweep_value,rule,replicate,rho,predicted_loss,nominal_loss,disappointed"
         )
-        assert open(agg_path).readline().rstrip("\n") == (
+        assert Path(agg_path).read_text().splitlines()[0] == (
             "sweep_value,rule,mean_rho,mad_rho,disappointment_freq"
         )
 

@@ -10,7 +10,6 @@ from kldro.marginals import (
     _fsum_is_one,
     empirical_from_samples,
     kl_divergence,
-    mean,
 )
 
 
@@ -135,15 +134,15 @@ def test_kl_convex_in_second_argument():
 
 
 def test_mean_examples():
-    assert mean(Marginal(Support.integers(2), np.array([0.5, 0.5]))) == 1.5
-    assert mean(Marginal(Support.integers(3), np.array([0.0, 0.0, 1.0]))) == 3.0
+    assert Marginal(Support.integers(2), np.array([0.5, 0.5])).mean() == 1.5
+    assert Marginal(Support.integers(3), np.array([0.0, 0.0, 1.0])).mean() == 3.0
     m = Marginal(Support(np.array([1.0, 50.0])), np.array([0.9, 0.1]))
-    assert mean(m) == pytest.approx(5.9, rel=1e-15)
+    assert m.mean() == pytest.approx(5.9, rel=1e-15)
 
 
 def test_dataset_validation_and_views():
     sup = Support.integers(3)
-    data = DataSet((sup, sup), (np.array([1.0, 2.0, 2.0]), np.array([3.0])))
+    data = DataSet(sup, (np.array([1.0, 2.0, 2.0]), np.array([3.0])))
     assert data.num_actions == 2
     assert data.sizes.tolist() == [3, 1]
     assert data.t_min == 1
@@ -153,6 +152,34 @@ def test_dataset_validation_and_views():
     assert emp.probs[2] == 0.0
     assert math.fsum(emp.probs) == 1.0
     with pytest.raises(ValueError, match="outside support"):
-        DataSet((sup,), (np.array([4.0]),))
+        DataSet(sup, (np.array([4.0]),))
     with pytest.raises(ValueError):
-        DataSet((sup,), (np.array([]),))
+        DataSet(sup, (np.array([]),))
+
+
+def test_dataset_rejects_a_sample_matrix():
+    sup = Support.integers(3)
+    with pytest.raises(ValueError, match=r"^action 1: sample vector must be 1-d"):
+        DataSet(sup, (np.array([1.0]), np.array([[1.0, 2.0]])))
+    with pytest.raises(ValueError, match="at least one observation"):
+        DataSet(sup, (np.array([1.0]), np.array([])))
+    with pytest.raises(ValueError, match="at least one action"):
+        DataSet(sup, ())
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.5, 4.0, math.nan, math.inf])
+def test_dataset_off_support_error_names_the_owning_action(bad):
+    sup = Support.integers(3)
+    samples = (np.array([1.0, 2.0]), np.array([3.0]), np.array([2.0, 1.0, bad, 3.0]),
+               np.array([bad]))
+    with pytest.raises(ValueError, match=rf"^action 2: observation {bad!r} outside support$"):
+        DataSet(sup, samples)
+
+
+def test_dataset_counts_every_action_on_the_shared_support():
+    sup = Support(np.array([0.5, 2.0, 9.0]))
+    data = DataSet(sup, ([9.0, 0.5, 9.0, 9.0], [2.0], [0.5, 0.5]))
+    assert data.sizes.tolist() == [4, 1, 2]
+    assert data.pmf.tolist() == [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    assert data.means.tolist() == [6.875, 2.0, 0.5]
+    assert data.empirical(1).support is sup

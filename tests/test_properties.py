@@ -100,7 +100,7 @@ def test_value_matches_primal_oracle(pmf, r):
        st.floats(1e-4, 0.99))
 def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
     sup = Support.integers(d)
-    data = DataSet((sup,) * len(sizes), tuple(np.ones(t) for t in sizes))
+    data = DataSet(sup, tuple(np.ones(t) for t in sizes))
     spec = calibrate_ambiguity(data, alpha)
     alphas = split_alpha(alpha, sizes)
     t_min = min(sizes)
@@ -113,26 +113,24 @@ def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
 
 
 @settings(max_examples=40)
-@given(st.lists(st.tuples(st.integers(1, 60), st.sampled_from([0, 1, 2])), min_size=1, max_size=60),
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=60),
        st.lists(st.integers(1, 50), min_size=3, max_size=3), st.floats(1e-4, 0.99))
-def test_calibration_keys_separate_support_sizes(arcs, dims, alpha):
-    """Arcs with the same count but supports of different sizes get their
-    own radius, and ``radius_best`` runs once per distinct (T_a, d_a,
-    alpha_a): the arc whose share absorbed the rounding counts apart."""
-    sups = [Support.integers(d) for d in dims]
-    data = DataSet(tuple(sups[k] for _, k in arcs), tuple(np.ones(t) for t, _ in arcs))
-    with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
-        spec = calibrate_ambiguity(data, alpha)
-    sizes = [t for t, _ in arcs]
+def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
+    """The same counts on supports of different sizes get each support's own
+    radii, and ``radius_best`` runs once per distinct (T_a, alpha_a): the
+    arc whose share absorbed the rounding counts apart."""
     alphas = split_alpha(alpha, sizes)
-    assert calls.call_count == len({(t, dims[k], x) for (t, k), x in zip(arcs, alphas.tolist())})
     t_min = min(sizes)
     rate = rate_from_alpha(alpha, t_min)
-    assert data.dims.tolist() == [dims[k] for _, k in arcs]
-    for a, (t, k) in enumerate(arcs):
-        radius, label = radius_best(RadiusInputs(t, dims[k], len(arcs), t_min, float(alphas[a]), rate))
-        assert spec.radii[a] == radius
-        assert spec.labels[a] == label
+    for d in dims:
+        data = DataSet(Support.integers(d), tuple(np.ones(t) for t in sizes))
+        with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
+            spec = calibrate_ambiguity(data, alpha)
+        assert calls.call_count == len(set(zip(sizes, alphas.tolist())))
+        for a, t in enumerate(sizes):
+            radius, label = radius_best(RadiusInputs(t, d, len(sizes), t_min, float(alphas[a]), rate))
+            assert spec.radii[a] == radius
+            assert spec.labels[a] == label
 
 
 def split_alpha_with_fractions(alpha, sizes):

@@ -23,8 +23,7 @@ VALUE_R01 = 1.7128786314558240  # worked worst case: {1,2}, q=(1/2,1/2), r=0.1
 
 
 def integer_dataset(samples, d):
-    sup = Support.integers(d)
-    return DataSet(tuple(sup for _ in samples), tuple(np.asarray(s, dtype=float) for s in samples))
+    return DataSet(Support.integers(d), tuple(np.asarray(s, dtype=float) for s in samples))
 
 
 def random_dataset(g, d, seed, t_lo=4, t_hi=12):
@@ -129,14 +128,14 @@ class TestHoeffding:
         # eps = (d-1) sqrt(ln(e)/4) = 0.5 on the d=2 grid
         g = build_layered(1, 1)
         data = integer_dataset([[1, 1], [1, 2]], d=2)
-        pres = hoeffding_prescribe(data, 2 / math.e, 2, g)
+        pres = hoeffding_prescribe(data, 2 / math.e, g)
         assert pres.arc_costs[0] == pytest.approx(1.0 + 0.5, rel=1e-12)
         assert pres.arc_costs[1] == pytest.approx(1.5 + 0.5, rel=1e-12)
 
     def test_clipping_at_top_cost(self):
         g = build_layered(1, 1)
         data = integer_dataset([[2, 2], [2, 2]], d=2)
-        pres = hoeffding_prescribe(data, 0.05, 2, g)
+        pres = hoeffding_prescribe(data, 0.05, g)
         assert np.all(pres.arc_costs == 2.0)
 
     def test_costs_follow_the_tail_inversion_formula(self):
@@ -146,7 +145,7 @@ class TestHoeffding:
         sizes = data.sizes
         alphas = split_alpha(0.4, sizes)
         eps = (5 - 1) * np.sqrt(np.log(1.0 / alphas) / (2.0 * sizes))
-        pres = hoeffding_prescribe(data, 0.4, 5, g)
+        pres = hoeffding_prescribe(data, 0.4, g)
         assert pres.arc_costs == pytest.approx(np.minimum(means + eps, 5.0), rel=1e-12)
         # slack vanishes as the per-action confidence approaches one
         assert (5 - 1) * math.sqrt(math.log(1.0 / (1 - 1e-12)) / 2.0) < 1e-5
@@ -155,16 +154,16 @@ class TestHoeffding:
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 5, seed=38)
         means = np.array([data.empirical(a).mean() for a in range(g.num_arcs)])
-        pres = hoeffding_prescribe(data, 0.05, 5, g, epsilon=0.0)
+        pres = hoeffding_prescribe(data, 0.05, g, epsilon=0.0)
         assert np.array_equal(pres.arc_costs, np.minimum(means, 5.0))
-        pres1 = hoeffding_prescribe(data, 0.05, 5, g, epsilon=1.0)
+        pres1 = hoeffding_prescribe(data, 0.05, g, epsilon=1.0)
         assert np.array_equal(pres1.arc_costs, np.minimum(means + 1.0, 5.0))
 
     def test_rejects_non_integer_grid(self):
         sup = Support(np.array([1.0, 3.0]))
-        data = DataSet((sup, sup), (np.array([1.0]), np.array([3.0])))
+        data = DataSet(sup, (np.array([1.0]), np.array([3.0])))
         with pytest.raises(ValueError):
-            hoeffding_prescribe(data, 0.05, 2, build_layered(1, 1))
+            hoeffding_prescribe(data, 0.05, build_layered(1, 1))
 
 
 class TestTruncate:
@@ -222,7 +221,7 @@ class TestDro1:
     def test_zero_radius_matches_joint_sample_average(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=39, t_lo=6, t_hi=6)
-        pres = dro1_prescribe(data, 0.05, 4, g, radius_override=0.0)
+        pres = dro1_prescribe(data, 0.05, g, radius_override=0.0)
         joint = JointEmpirical.from_dataset(data)
         values = [float(np.dot(joint.probs, joint.atoms @ x.incidence.astype(float)))
                   for x in enumerate_paths(g)]
@@ -231,7 +230,7 @@ class TestDro1:
     def test_single_path_graph(self):
         g = build_layered(2, 1)
         data = integer_dataset([[1, 2], [2, 1], [1, 1]], d=2)
-        pres = dro1_prescribe(data, 0.05, 2, g)
+        pres = dro1_prescribe(data, 0.05, g)
         assert pres.decision == enumerate_paths(g)[0]
         assert pres.predicted_loss >= path_cost(pres.decision, [1.5, 1.5, 1.0]) - 1e-9
 
@@ -240,25 +239,35 @@ class TestDro1:
         data, _ = random_dataset(g, 4, seed=40, t_lo=5, t_hi=9)
         rng = np.random.default_rng(41)
         for r in (0.05, 0.3, 1.0):
-            pres = dro1_prescribe(data, 0.05, 4, g, radius_override=r)
+            pres = dro1_prescribe(data, 0.05, g, radius_override=r)
             oracle_value, oracle_path = dro1_grid_oracle(data, r, 4, g)
             assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
             assert pres.decision == oracle_path
 
+    def test_beta_bound_is_the_top_support_point(self):
+        # Three support points, the top one 7: beta >= 7 per arc on the path.
+        g = build_layered(1, 2)
+        points = np.array([2.0, 3.0, 7.0])
+        rng = np.random.default_rng(45)
+        data = DataSet(Support(points), tuple(points[rng.integers(0, 3, size=6)]
+                                              for _ in range(g.num_arcs)))
+        pres = dro1_prescribe(data, 0.05, g, radius_override=0.3)
+        oracle_value, oracle_path = dro1_grid_oracle(data, 0.3, 7.0, g)
+        assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
+        assert pres.decision == oracle_path
+
     def test_calibrated_radius_runs(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=42)
-        pres = dro1_prescribe(data, 0.05, 4, g)
+        pres = dro1_prescribe(data, 0.05, g)
         assert pres.arc_costs is None
         assert pres.predicted_loss <= 4 * (g.h + 1) + 1e-9
 
     def test_enumeration_cap_propagates(self):
         g = build_layered(10, 4)
-        sup = Support.integers(2)
-        data = DataSet(tuple(sup for _ in range(g.num_arcs)),
-                       tuple(np.array([1.0]) for _ in range(g.num_arcs)))
+        data = DataSet(Support.integers(2), tuple(np.array([1.0]) for _ in range(g.num_arcs)))
         with pytest.raises(ValueError, match="cap"):
-            dro1_prescribe(data, 0.05, 2, g, cap=100)
+            dro1_prescribe(data, 0.05, g, cap=100)
 
     def test_path_objective_convex_in_beta(self):
         g = build_layered(2, 2)
