@@ -8,8 +8,6 @@ expectation, and the resulting relative loss.
 Run:  python demos/rules_on_one_instance.py
 """
 
-import numpy as np
-
 from kldro import (
     SampleSizeSpec,
     build_layered,
@@ -20,8 +18,8 @@ from kldro import (
     dro_prescribe,
     hoeffding_prescribe,
     nominal_marginals,
+    path_cost,
     random_nominal_spec,
-    relative_loss,
     sample_sizes,
     shortest_path,
     substream,
@@ -53,8 +51,8 @@ prescriptions = {
 
 print(f"{'rule':<22} {'predicted':>10} {'true cost':>10} {'rel. loss':>10}  path")
 for name, pres in prescriptions.items():
-    true_cost = float(np.dot(means, pres.decision.incidence))
-    rho = relative_loss(pres.decision, marginals, graph)
+    true_cost = path_cost(pres.decision, means)
+    rho = true_cost / oracle_value
     print(f"{name:<22} {pres.predicted_loss:>10.4f} {true_cost:>10.4f} {rho:>10.4f}  {pres.decision.nodes}")
 
 print("\nPredicted losses sit above the realized expected costs by design:")

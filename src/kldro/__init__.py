@@ -25,8 +25,6 @@ from .experiments import (
     ReplicateResult,
     RuleOutcome,
     emit_results,
-    nominal_loss,
-    relative_loss,
     run_replicate,
     run_sweep,
 )
@@ -44,7 +42,6 @@ from .marginals import (
     Marginal,
     PmfMatrix,
     Support,
-    empirical_from_samples,
     kl_divergence,
 )
 from .radius import (
@@ -69,6 +66,6 @@ from .rules import (
     split_alpha,
     truncate_dataset,
 )
-from .worstcase import DualSolution, dual_objective, minimize_dual, primal_oracle, solve_dual
+from .worstcase import DualSolution, minimize_dual, solve_dual
 
 __version__ = "0.1.0"

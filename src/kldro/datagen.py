@@ -8,7 +8,8 @@ expensive) actions more often.
 
 The nominal marginals of all actions form one (actions x d) pmf matrix
 (:class:`~kldro.marginals.PmfMatrix`) with its row means computed once;
-sample sizes and data draws read that matrix, not per-action objects.
+sample sizes and data draws read that matrix, not per-action objects.  A
+draw hands its support indices straight to the :class:`~kldro.marginals.DataSet`.
 
 Randomness comes from numpy's counter-based Philox generator; the
 substream for replicate ``i`` of an experiment uses key ``seed XOR i``, so
@@ -180,22 +181,24 @@ def draw_dataset(
     rng: np.random.Generator,
     joint: bool = False,
 ) -> DataSet:
-    """Observation vectors: i.i.d. per action, or prefixes of joint draws.
+    """Observations as support indices: i.i.d. per action, or prefixes of
+    joint draws.
 
     Independent draws take sum(T_a) uniforms from one ``rng.random`` call
     and send action ``a``'s block of T_a through the inverse cdf of row
     ``a``: ``cdf = cumsum(row)``, ``cdf /= cdf[-1]``, then
     ``searchsorted(u, side="right")``.  That is what
-    ``rng.choice(d, size=T_a, p=row)`` does, so the samples, and the stream
+    ``rng.choice(d, size=T_a, p=row)`` does, so the indices, and the stream
     position afterwards, equal one ``choice`` call per action in action
     order, draw for draw.
 
     With ``joint=True`` the marginals must be the binomial components of a
-    multinomial vector; max(T_a) full cost vectors are drawn jointly and
-    action ``a`` keeps the first T_a coordinates, preserving the joint
-    dependence on the observed prefix.
+    multinomial vector; max(T_a) full count vectors are drawn jointly and
+    action ``a`` keeps the first T_a of its counts (a count c is the cost
+    c + 1, that is support index c), preserving the joint dependence on the
+    observed prefix.
     """
-    sizes = np.asarray(sizes, dtype=int)
+    sizes = np.array(sizes, dtype=int)
     if sizes.size != len(nominal):
         raise ValueError("one sample count per action is required")
     if np.any(sizes < 1):
@@ -204,23 +207,18 @@ def draw_dataset(
     d = support.size
     if not joint:
         ends = np.cumsum(sizes).tolist()
-        blocks = list(zip([0, *ends[:-1]], ends))
         u = rng.random(ends[-1])
         cdf = np.cumsum(nominal.probs, axis=1)
         cdf /= cdf[:, -1:]
-        idx = np.concatenate(
-            [row.searchsorted(u[lo:hi], side="right") for row, (lo, hi) in zip(cdf, blocks)]
-        )
-        costs = support.points[idx]
-        return DataSet(support, tuple(costs[lo:hi] for lo, hi in blocks))
+        index = np.concatenate([row.searchsorted(u[lo:hi], side="right")
+                                for row, lo, hi in zip(cdf, [0, *ends[:-1]], ends)])
+        return DataSet(support, index, sizes)
     if d == 1:
-        samples = tuple(np.ones(int(t)) for t in sizes)
-        return DataSet(support, samples)
+        return DataSet(support, np.zeros(int(sizes.sum()), dtype=int), sizes)
     p = (nominal.means - 1.0) / (d - 1.0)
     if np.any(p < -1e-9) or abs(float(p.sum()) - 1.0) > 1e-6:
         raise ValueError("joint sampling requires multinomial component marginals")
     p = np.clip(p, 0.0, 1.0)
-    counts = rng.multinomial(d - 1, p / p.sum(), size=int(sizes.max()))
-    costs = counts.astype(float) + 1.0
-    samples = tuple(costs[: int(t), a] for a, t in enumerate(sizes))
-    return DataSet(support, samples)
+    t_max = int(sizes.max())
+    counts = rng.multinomial(d - 1, p / p.sum(), size=t_max)
+    return DataSet(support, counts.T[np.arange(t_max) < sizes[:, None]], sizes)

@@ -33,8 +33,7 @@ from .datagen import (
     sample_sizes,
     substream,
 )
-from .graphs import Decision, LayeredGraph, build_layered, path_cost, shortest_path
-from .marginals import PmfMatrix
+from .graphs import LayeredGraph, build_layered, path_cost, shortest_path
 from .radius import AmbiguitySpec
 from .rules import (
     calibrate_ambiguity,
@@ -50,13 +49,10 @@ __all__ = [
     "ReplicateResult",
     "GridPointResult",
     "ReplicateError",
-    "nominal_loss",
-    "relative_loss",
     "run_replicate",
     "run_sweep",
     "emit_results",
     "read_results_csv",
-    "read_aggregates_csv",
     "aggregate_rows",
 ]
 
@@ -110,9 +106,13 @@ class ExperimentConfig:
     enumeration_cap: int = 100_000
 
     def __post_init__(self):
-        for key in ("h", "w", "d", "t_min", "n0"):
+        for key in ("h", "w", "d", "t_min", "n0", "enumeration_cap"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.radius_override is not None and not self.radius_override >= 0.0:
+            raise ValueError("radius_override must be >= 0")
+        if self.epsilon_override is not None and not 0.0 <= self.epsilon_override < math.inf:
+            raise ValueError("epsilon_override must be finite and >= 0")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
@@ -203,17 +203,6 @@ class GridPointResult:
     sweep_value: float
     replicates: tuple
     aggregates: dict = field(compare=False)
-
-
-def nominal_loss(x: Decision, nominal: PmfMatrix) -> float:
-    """True expected cost of ``x``: sum of nominal means on the path."""
-    return path_cost(x, nominal.means)
-
-
-def relative_loss(x: Decision, nominal: PmfMatrix, g: LayeredGraph) -> float:
-    """Nominal loss of ``x`` over the best achievable nominal loss; >= 1."""
-    _, best = shortest_path(g, nominal.means)
-    return path_cost(x, nominal.means) / best
 
 
 def _resolved(cfg: ExperimentConfig, sweep_value) -> tuple[int, int, float | None]:
@@ -384,15 +373,4 @@ def read_results_csv(path: str) -> list[dict]:
         row["predicted_loss"] = float(row["predicted_loss"])
         row["nominal_loss"] = float(row["nominal_loss"])
         row["disappointed"] = bool(int(row["disappointed"]))
-    return rows
-
-
-def read_aggregates_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        row["sweep_value"] = float(row["sweep_value"])
-        row["mean_rho"] = float(row["mean_rho"])
-        row["mad_rho"] = float(row["mad_rho"])
-        row["disappointment_freq"] = float(row["disappointment_freq"])
     return rows

@@ -1,9 +1,10 @@
 """Finite discrete marginal distributions on a shared cost support.
 
 Every cost component ("action") takes values on one small, strictly
-positive, strictly increasing grid of support points.  The data for an
-action is a vector of observations drawn from that grid; observation counts
-may differ across actions, which is the whole point of the library.
+positive, strictly increasing grid of support points.  A data set stores
+each observation as its index on that grid, all actions in one flat array;
+observation counts may differ across actions, which is the whole point of
+the library.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "Marginal",
     "PmfMatrix",
     "DataSet",
-    "empirical_from_samples",
     "kl_divergence",
     "pmf_means",
 ]
@@ -89,11 +89,12 @@ class Marginal:
 
 def _checked_pmfs(probs, support: Support, ndim: int) -> np.ndarray:
     """``probs`` as a read-only array of ``ndim`` dimensions whose rows are
-    pmfs on ``support``: entries in [0, 1], each row summing to 1 within 1e-12."""
+    pmfs on ``support``: entries in [0, 1] (so not NaN), each row summing to 1
+    within 1e-12."""
     p = _readonly(probs)
     if p.ndim != ndim or p.shape[-1:] != support.points.shape:
         raise ValueError("probs length must match support size")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
     sums = np.sum(p, axis=-1, keepdims=True)
     off = np.abs(sums - 1.0) > 1e-12
@@ -127,15 +128,6 @@ class PmfMatrix:
 
     def __getitem__(self, action: int) -> Marginal:
         return Marginal(self.support, self.probs[action])
-
-
-def empirical_from_samples(samples, support: Support) -> Marginal:
-    """Frequency pmf of ``samples`` on ``support``.
-
-    Raises if any sample is not a support point.  The smallest observed
-    entry absorbs the float rounding so the pmf sums to exactly 1.0.
-    """
-    return DataSet(support, (samples,)).empirical(0)
 
 
 def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
@@ -211,57 +203,56 @@ def _fsum_is_one(pmf: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Per-action observation vectors of possibly different lengths, all on
-    one shared :class:`Support`.
+    """Observations of every action on one shared :class:`Support`, stored
+    as support indices: ``index`` holds action 0's ``sizes[0]`` indices,
+    then action 1's, and so on.  Counts may differ across actions.
 
-    Validation builds the empirical pmfs once, as the (actions x d) matrix
-    ``pmf``: all observations are checked and counted in one search.  Each
-    row whose ``math.fsum`` is not exactly 1.0 is fixed up, the smallest
-    observed entry absorbing the rounding; ``_fsum_is_one`` finds those rows
-    with one exact integer sum per row instead of an fsum.
+    Validation checks every index against the support and builds the
+    empirical pmfs once, as the (actions x d) matrix ``pmf``, with one
+    bincount.  Each row whose ``math.fsum`` is not exactly 1.0 is fixed up,
+    the smallest observed entry absorbing the rounding; ``_fsum_is_one``
+    finds those rows with one exact integer sum per row instead of an fsum.
+    ``index`` and ``sizes`` become read-only.
 
     ``cache`` holds what the rules derive from a data set (its truncation,
     its confidence splits), so each is computed once per data set.
     """
 
     support: Support
-    samples: tuple = field(repr=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    index: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
     pmf: np.ndarray = field(init=False, repr=False, compare=False)
     cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        samples = tuple(map(_readonly, self.samples))
-        if not samples:
+        index, sizes = np.asarray(self.index), np.asarray(self.sizes)
+        for name, arr in (("index", index), ("sizes", sizes)):
+            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must be a 1-d integer array")
+        index, sizes = index.astype(np.intp, copy=False), sizes.astype(np.intp, copy=False)
+        if not sizes.size:
             raise ValueError("data set must cover at least one action")
-        for a, arr in enumerate(samples):
-            if arr.ndim != 1:
-                raise ValueError(f"action {a}: sample vector must be 1-d, got shape {arr.shape}")
-        sizes = np.array([arr.size for arr in samples])
-        if not sizes.all():
+        if sizes.min() < 1:
             raise ValueError(f"action {int(np.argmin(sizes))}: at least one observation required")
-        m, points = len(samples), self.support.points
-        d = points.size
-        obs = np.concatenate(samples)
+        if int(sizes.sum()) != index.size:
+            raise ValueError(f"sizes sum to {int(sizes.sum())} but index holds {index.size}")
+        m, d = sizes.size, self.support.size
         owner = np.repeat(np.arange(m), sizes)
-        idx = np.searchsorted(points, obs)
-        bad = (idx >= d) | (points[np.minimum(idx, d - 1)] != obs)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"action {owner[k]}: observation {float(obs[k])!r} outside support")
-        counts = np.bincount(owner * d + idx, minlength=m * d).reshape(m, d)
+        if index.min() < 0 or index.max() >= d:
+            k = int(np.argmax((index < 0) | (index >= d)))
+            raise ValueError(f"action {owner[k]}: support index {int(index[k])} outside [0, {d})")
+        counts = np.bincount(owner * d + index, minlength=m * d).reshape(m, d)
         pmf = counts / sizes[:, None]
         for a in np.flatnonzero(~_fsum_is_one(pmf, sizes)):
             seen = np.flatnonzero(counts[a])
             _absorb_rounding(pmf[a], 1.0, int(seen[np.argmin(pmf[a, seen])]))
-        for name, value in (("sizes", sizes), ("pmf", pmf)):
+        for name, value in (("index", index), ("sizes", sizes), ("pmf", pmf)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "samples", samples)
 
     @property
     def num_actions(self) -> int:
-        return len(self.samples)
+        return self.sizes.size
 
     @property
     def t_min(self) -> int:
@@ -274,3 +265,10 @@ class DataSet:
 
     def empirical(self, action: int) -> Marginal:
         return Marginal(self.support, self.pmf[action])
+
+    def prefix(self, t: int) -> np.ndarray:
+        """The (actions x t) block of every action's first t indices."""
+        if not 0 < t <= self.t_min:
+            raise ValueError(f"prefix length {t} must lie in [1, t_min={self.t_min}]")
+        starts = np.cumsum(self.sizes) - self.sizes
+        return self.index[starts[:, None] + np.arange(t)]

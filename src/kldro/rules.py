@@ -171,7 +171,8 @@ def truncate_dataset(data: DataSet) -> DataSet:
     """
     if "truncated" not in data.cache:
         t_min = data.t_min
-        data.cache["truncated"] = DataSet(data.support, tuple(obs[:t_min] for obs in data.samples))
+        data.cache["truncated"] = DataSet(data.support, data.prefix(t_min).ravel(),
+                                          np.full(data.num_actions, t_min))
     return data.cache["truncated"]
 
 
@@ -197,12 +198,18 @@ class JointEmpirical:
 
     @classmethod
     def from_dataset(cls, data: DataSet) -> "JointEmpirical":
+        """One atom per distinct column of the first T_min observations, in
+        lexicographic order of the cost vectors: the columns are lexsorted,
+        then each run of equal columns is one atom."""
         t_min = data.t_min
-        rows = np.stack([obs[:t_min] for obs in data.samples], axis=1)
-        atoms, counts = np.unique(rows, axis=0, return_counts=True)
-        probs = counts.astype(float) / t_min
+        block = data.prefix(t_min)
+        block = block[:, np.lexsort(block[::-1])]
+        first = np.ones(t_min, dtype=bool)
+        first[1:] = (block[:, 1:] != block[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(first)
+        probs = np.diff(starts, append=t_min) / t_min
         _absorb_rounding(probs, 1.0, int(np.argmin(probs)))
-        return cls(atoms, probs)
+        return cls(data.support.points[block[:, starts].T], probs)
 
 
 def _joint_ball_radius(t_min: int, d: int, num_actions: int, alpha: float) -> tuple[float, str]:

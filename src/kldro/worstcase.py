@@ -14,8 +14,7 @@ safeguarded Newton step on ln K(u) - ln r, bisecting whenever Newton leaves
 the bracket or stalls, finds the root even far closer to the boundary than
 one ulp of beta.  The boundary minimum at ``beta = top`` and the zero radius
 are masks.  :func:`solve_dual` and :func:`minimize_dual` are one-row calls
-of the kernel; the maximizing pmf follows from stationarity.  A simplex
-grid-search oracle verifies strong duality in tests.
+of the kernel; the maximizing pmf follows from stationarity.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ import numpy as np
 
 from .marginals import Marginal, pmf_means
 
-__all__ = ["DualBatch", "DualSolution", "dual_objective", "solve_dual_batch", "minimize_dual",
-           "solve_dual", "primal_oracle"]
+__all__ = ["DualBatch", "DualSolution", "solve_dual_batch", "minimize_dual", "solve_dual"]
 
 # Offsets beta - top below e^-700 of the largest gap are beneath float
 # resolution for any cost scale, so the root search starts there.
@@ -55,20 +53,6 @@ class DualSolution:
     value: float
     iterations: int
     primal: Marginal
-
-
-def dual_objective(beta: float, empirical: Marginal, r_a: float) -> float:
-    """beta - e^{-r} prod_i (beta - z_i)^{q_i}; factors with q_i = 0 drop out."""
-    if r_a < 0.0:
-        raise ValueError("radius must be nonnegative")
-    z_top = empirical.support.max
-    if beta < z_top:
-        raise ValueError(f"beta={beta!r} below top support point {z_top!r}")
-    seen = empirical.probs > 0.0
-    diffs = beta - empirical.support.points[seen]
-    if np.any(diffs <= 0.0):
-        return beta  # the product vanishes on the boundary
-    return beta - math.exp(-r_a + float(np.sum(empirical.probs[seen] * np.log(diffs))))
 
 
 _rowsum = np.add.reduce  # called with axis=1: one pairwise sum per contiguous row
@@ -113,7 +97,7 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     n = z.shape[0]
     if z.ndim != 2 or q.shape != z.shape or r.shape != (n,) or top.shape != (n,):
         raise ValueError("values/weights must be (rows, k) with one radius and bound per row")
-    if (r < 0.0).any():
+    if not (r >= 0.0).all():
         raise ValueError("radius must be nonnegative")
     if (top < z.max(axis=1) - 1e-12).any():
         raise ValueError("beta_lower must not be below the largest value")
@@ -248,65 +232,3 @@ def solve_dual(empirical: Marginal, r_a: float) -> DualSolution:
         int(sol.iterations[0]),
         _worst_case_pmf(empirical, r_a, float(sol.log_offset[0])),
     )
-
-
-def _kl_to_rows(qhat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """KL(qhat || row) for each row, with the usual 0/inf conventions."""
-    mask = qhat > 0.0
-    with np.errstate(divide="ignore"):
-        logs = np.log(rows[:, mask])
-    terms = qhat[mask] * (np.log(qhat[mask]) - logs)
-    out = np.sum(terms, axis=1)
-    out[np.any(rows[:, mask] == 0.0, axis=1)] = np.inf
-    return out
-
-
-def primal_oracle(empirical: Marginal, r_a: float, grid: float = 1e-3) -> float:
-    """Feasible-point grid search for the worst-case mean (d <= 4).
-
-    Searches the simplex on a mesh that is repeatedly recentered on the best
-    feasible point and refined until the spacing drops to ``grid``.  Every
-    candidate is checked against the KL constraint directly, so the result
-    never exceeds the true maximum and approaches it to within O(grid).
-    """
-    d = empirical.support.size
-    if d > 4:
-        raise ValueError("oracle cost grows as grid^(d-1); use d <= 4")
-    if r_a < 0.0:
-        raise ValueError("radius must be nonnegative")
-    z = empirical.support.points
-    qhat = empirical.probs
-    if r_a == 0.0 or d == 1:
-        return empirical.mean()
-
-    npts = 17
-    lo = np.zeros(d - 1)
-    hi = np.ones(d - 1)
-    best_q = qhat.copy()
-    best_val = empirical.mean()
-    while True:
-        axes = [np.linspace(lo[k], hi[k], npts) for k in range(d - 1)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        free = np.stack([m.ravel() for m in mesh], axis=1)
-        tail = 1.0 - np.sum(free, axis=1)
-        keep = tail >= -1e-12
-        free, tail = free[keep], np.maximum(tail[keep], 0.0)
-        rows = np.concatenate([free, tail[:, None]], axis=1)
-        feasible = _kl_to_rows(qhat, rows) <= r_a
-        moved = False
-        if np.any(feasible):
-            vals = rows[feasible] @ z
-            k = int(np.argmax(vals))
-            if vals[k] > best_val:
-                moved = True
-                best_val = float(vals[k])
-                best_q = rows[feasible][k]
-        spacing = (hi - lo) / (npts - 1)
-        if np.all(spacing <= grid):
-            return best_val
-        # Shrink only once the best point stops moving: along a thin curved
-        # feasible sliver a shrinking window would stall short of the optimum.
-        half = (8.0 if moved else 4.0) * np.maximum(spacing, grid / 4.0)
-        center = best_q[: d - 1]
-        lo = np.clip(center - half, 0.0, 1.0)
-        hi = np.clip(center + half, 0.0, 1.0)

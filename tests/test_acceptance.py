@@ -35,7 +35,8 @@ from kldro.radius import (
     rate_from_alpha,
 )
 from kldro.rules import calibrate_ambiguity, dro_predict, dro_prescribe
-from kldro.worstcase import primal_oracle, solve_dual
+from kldro.worstcase import solve_dual
+from oracles import primal_oracle
 
 
 def report(line: str) -> None:

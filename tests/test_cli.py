@@ -59,6 +59,7 @@ class TestRun:
     @pytest.mark.parametrize("overrides", [
         ["d=0"], ["t_min=0"], ["h=0"], ["grid=-3"], ["sigma=0"],
         ["sweep=t_min", "grid=0"], ["sweep=t_min", "grid=5.5"],
+        ["radius_override=-1"], ["enumeration_cap=0"], ["epsilon_override=nan"],
     ])
     def test_bad_sweep_inputs_fail_before_any_replicate(self, tmp_path, capsys, monkeypatch,
                                                         overrides):
@@ -94,9 +95,11 @@ class TestWorstcase:
 
     def test_invalid_pmf(self):
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.6", "--r", "0.1"]) == 1
+        assert main(["worstcase", "--z", "1,2", "--q", "nan,nan", "--r", "0.1"]) == 1
 
     def test_negative_radius(self):
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.5", "--r", "-1"]) == 1
+        assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.5", "--r", "nan"]) == 1
 
 
 class TestRadius:

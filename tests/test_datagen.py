@@ -17,7 +17,7 @@ G33 = build_layered(3, 3)  # 24 arcs
 
 
 def sample_bytes(data) -> bytes:
-    return b"".join(obs.tobytes() for obs in data.samples)
+    return data.index.tobytes()
 
 
 def binomial_spec(p, d=6):
@@ -127,22 +127,22 @@ class TestDrawDataset:
     def test_point_mass_marginal(self):
         marg = nominal_marginals(binomial_spec(np.zeros(G33.num_arcs), d=4), G33)
         data = draw_dataset(marg, np.full(G33.num_arcs, 3), substream(8, 0))
-        for obs in data.samples:
-            assert np.all(obs == 1.0)
+        assert np.array_equal(data.index, np.zeros(3 * G33.num_arcs))
 
     def test_costs_stay_on_support(self):
         marg = nominal_marginals(binomial_spec(np.linspace(0.2, 0.8, G33.num_arcs), d=7), G33)
         data = draw_dataset(marg, np.full(G33.num_arcs, 40), substream(9, 0))
-        for obs in data.samples:
-            assert np.all(np.isin(obs, np.arange(1.0, 8.0)))
+        assert np.array_equal(data.support.points, np.arange(1.0, 8.0))
+        assert data.index.min() >= 0 and data.index.max() < 7
 
     def test_empirical_means_converge(self):
         marg = nominal_marginals(binomial_spec(np.linspace(0.2, 0.8, G33.num_arcs), d=7), G33)
         data = draw_dataset(marg, np.full(G33.num_arcs, 10_000), substream(10, 0))
+        costs = data.support.points[data.prefix(10_000)]
         for a in (0, 11, 23):
             q = marg[a]
             sd = np.sqrt(np.dot(q.support.points**2, q.probs) - q.mean() ** 2)
-            assert abs(float(np.mean(data.samples[a])) - q.mean()) <= 3 * sd / 100.0
+            assert abs(float(np.mean(costs[a])) - q.mean()) <= 3 * sd / 100.0
 
     def test_joint_draws_satisfy_support_sum_constraint(self):
         rng = substream(11, 0)
@@ -150,8 +150,8 @@ class TestDrawDataset:
         marg = nominal_marginals(spec, G33)
         sizes = np.full(G33.num_arcs, 6)
         data = draw_dataset(marg, sizes, substream(11, 1), joint=True)
-        rows = np.stack([obs[:6] for obs in data.samples], axis=1)
-        assert np.all(rows.sum(axis=1) == 9 - 1 + G33.num_arcs)
+        costs = data.support.points[data.prefix(6)]
+        assert np.all(costs.sum(axis=0) == 9 - 1 + G33.num_arcs)
 
     def test_joint_prefix_lengths(self):
         rng = substream(12, 0)
@@ -160,6 +160,12 @@ class TestDrawDataset:
         sizes = np.arange(1, G33.num_arcs + 1)
         data = draw_dataset(marg, sizes, substream(12, 1), joint=True)
         assert data.sizes.tolist() == sizes.tolist()
+        # Action a's indices are its counts in the first T_a joint draws.
+        owner = np.repeat(np.arange(G33.num_arcs), sizes)
+        draw = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        p = np.clip((marg.means - 1.0) / 4.0, 0.0, 1.0)
+        counts = substream(12, 1).multinomial(4, p / p.sum(), size=int(sizes.max()))
+        assert np.array_equal(data.index, counts[draw, owner])
 
     def test_seed_determinism_byte_for_byte(self):
         marg = nominal_marginals(binomial_spec(np.linspace(0.1, 0.9, G33.num_arcs)), G33)

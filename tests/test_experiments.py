@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -7,20 +8,17 @@ import numpy as np
 import pytest
 
 from kldro import experiments, graphs, rules
-from kldro.datagen import nominal_marginals, substream
-from kldro.datagen import NominalSpec
+from kldro.datagen import NominalSpec, nominal_marginals, random_nominal_spec, substream
 from kldro.experiments import (
     ExperimentConfig,
     aggregate_rows,
     emit_results,
-    nominal_loss,
-    read_aggregates_csv,
     read_results_csv,
-    relative_loss,
     run_replicate,
     run_sweep,
 )
-from kldro.graphs import build_layered, decision_from_nodes, enumerate_paths
+from kldro.graphs import (build_layered, decision_from_nodes, enumerate_paths, path_cost,
+                          shortest_path)
 from kldro.marginals import DataSet, Marginal
 
 
@@ -45,7 +43,7 @@ class TestLosses:
         g = build_layered(1, 2)
         marg = binomial_marginals(g, [0.0, 1.0, 0.0, 1.0], d=4)
         dec = decision_from_nodes(g, (0, 1, 3))
-        assert nominal_loss(dec, marg) == pytest.approx(2.0, rel=1e-12)
+        assert path_cost(dec, marg.means) == pytest.approx(2.0, rel=1e-12)
 
     def test_uniform_marginals_value_depends_only_on_length(self):
         g = build_layered(3, 2)
@@ -55,7 +53,7 @@ class TestLosses:
 
         marg = PmfMatrix(Support.integers(d), np.tile(sup_probs, (g.num_arcs, 1)))
         for dec in enumerate_paths(g):
-            assert nominal_loss(dec, marg) == pytest.approx((g.h + 1) * (d + 1) / 2, rel=1e-12)
+            assert path_cost(dec, marg.means) == pytest.approx((g.h + 1) * (d + 1) / 2, rel=1e-12)
 
     def test_nominal_loss_matches_monte_carlo(self):
         g = build_layered(1, 2)
@@ -68,24 +66,35 @@ class TestLosses:
             for a in (1, 3)
         )
         sd = float(np.std(draws))
-        assert nominal_loss(dec, marg) == pytest.approx(
+        assert path_cost(dec, marg.means) == pytest.approx(
             float(np.mean(draws)), abs=3 * sd / math.sqrt(n)
         )
 
     def test_relative_loss_of_optimum_is_one(self):
         g = build_layered(2, 2)
         marg = binomial_marginals(g, np.linspace(0.1, 0.9, g.num_arcs))
-        values = [(relative_loss(x, marg, g), x) for x in enumerate_paths(g)]
-        best = min(values, key=lambda t: t[0])
-        assert best[0] == pytest.approx(1.0, rel=1e-12)
-        assert all(v >= 1.0 - 1e-12 for v, _ in values)
+        decision, best = shortest_path(g, marg.means)
+        assert path_cost(decision, marg.means) / best == 1.0
+        assert all(path_cost(x, marg.means) / best >= 1.0 - 1e-12 for x in enumerate_paths(g))
 
     def test_two_branch_ratio(self):
-        g = build_layered(1, 1)
-        # single path, so rho = 1 by construction; ratio checked via direct values
-        marg = binomial_marginals(g, [0.5, 0.5], d=3)
-        dec = decision_from_nodes(g, (0, 1, 2))
-        assert relative_loss(dec, marg, g) == 1.0
+        # single path, so every rule's rho is 1 by construction
+        cfg = small_config(h=1, w=1, rules=("dro", "hoeffding", "dro1", "dro2"))
+        result = run_replicate(cfg, build_layered(1, 1), 0, 0)
+        assert [out.rho for out in result.outcomes] == [1.0] * 4
+
+    @pytest.mark.parametrize("nominal", ["shifted-binomial", "multinomial"])
+    def test_replicate_rho_is_nominal_cost_over_the_nominal_optimum(self, nominal):
+        cfg = small_config(nominal=nominal, rules=("dro", "hoeffding", "dro1", "dro2"))
+        g = build_layered(cfg.h, cfg.w)
+        result = run_replicate(cfg, g, 1, 2)
+        rng = substream(cfg.seed, experiments._stream_index(cfg, 1, 2))
+        means = nominal_marginals(random_nominal_spec(nominal, g.num_arcs, cfg.d, rng), g).means
+        _, best = shortest_path(g, means)
+        for out in result.outcomes:
+            assert out.nominal == path_cost(decision_from_nodes(g, out.nodes), means)
+            assert out.rho == out.nominal / best
+            assert out.rho >= 1.0
 
 
 class TestConfig:
@@ -135,10 +144,21 @@ class TestConfig:
         (dict(sweep="sigma", grid=(math.nan,)), "^sigma sweep value nan must be positive"),
         (dict(sweep="t_min", grid=("5",)), "^sweep value '5' is not a number"),
         (dict(sweep="delta", grid=(True,)), "^sweep value True is not a number"),
+        (dict(radius_override=-1.0), "^radius_override must be >= 0"),
+        (dict(radius_override=math.nan), "^radius_override must be >= 0"),
+        (dict(epsilon_override=-0.5), "^epsilon_override must be finite and >= 0"),
+        (dict(epsilon_override=math.nan), "^epsilon_override must be finite and >= 0"),
+        (dict(epsilon_override=math.inf), "^epsilon_override must be finite and >= 0"),
+        (dict(enumeration_cap=0), "^enumeration_cap must be >= 1"),
     ])
     def test_rejects_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_config(**overrides)
+
+    def test_boundary_overrides_are_accepted(self):
+        cfg = small_config(radius_override=math.inf, epsilon_override=0.0, enumeration_cap=1)
+        assert (cfg.radius_override, cfg.epsilon_override) == (math.inf, 0.0)
+        assert small_config(radius_override=0.0).radius_override == 0.0
 
     def test_integral_float_counts_are_accepted(self):
         assert small_config(sweep="t_min", grid=(5.0, 7)).grid == (5.0, 7)
@@ -175,7 +195,7 @@ class TestRunSweep:
 
         data = draw_dataset(marg, np.full(g.num_arcs, 30), substream(5, 5))
         pres = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
-        assert relative_loss(pres.decision, marg, g) == 1.0
+        assert path_cost(pres.decision, marg.means) == shortest_path(g, marg.means)[1]
         assert results  # the sweep itself ran
 
     def test_sweep_variable_is_applied(self):
@@ -288,20 +308,21 @@ class TestAggregatesAndEmit:
         results = run_sweep(cfg)
         res_path, agg_path = emit_results(results, str(tmp_path), cfg.sweep, cfg.rules)
         rows = read_results_csv(res_path)
-        aggs = read_aggregates_csv(agg_path)
+        with open(agg_path, newline="") as fh:
+            aggs = list(csv.DictReader(fh))
         assert rows[0]["sweep_var"] == "delta"
         for agg in aggs:
             sel = [
                 r for r in rows
-                if r["rule"] == agg["rule"] and r["sweep_value"] == agg["sweep_value"]
+                if r["rule"] == agg["rule"] and r["sweep_value"] == float(agg["sweep_value"])
             ]
             assert len(sel) == cfg.n0
             rhos = np.array([r["rho"] for r in sel])
             dis = np.array([r["disappointed"] for r in sel])
             mean_rho, mad, freq = aggregate_rows(rhos, dis, cfg.mad_center)
-            assert agg["mean_rho"] == mean_rho
-            assert agg["mad_rho"] == mad
-            assert agg["disappointment_freq"] == freq
+            assert float(agg["mean_rho"]) == mean_rho
+            assert float(agg["mad_rho"]) == mad
+            assert float(agg["disappointment_freq"]) == freq
 
     def test_column_order_fixed(self, tmp_path):
         cfg = small_config(n0=1, grid=(0,), rules=("dro",))

@@ -8,9 +8,9 @@ from kldro.marginals import (
     Marginal,
     Support,
     _fsum_is_one,
-    empirical_from_samples,
     kl_divergence,
 )
+from oracles import dataset_from_costs
 
 
 def test_support_validation():
@@ -32,34 +32,46 @@ def test_marginal_validation():
         Marginal(sup, np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
         Marginal(sup, np.array([1.0]))
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        Marginal(sup, np.array([math.nan, math.nan]))
+
+
+def one_action(index, d):
+    return DataSet(Support.integers(d), np.array(index), np.array([len(index)]))
 
 
 def test_empirical_counting():
-    sup = Support.integers(2)
-    m = empirical_from_samples([1, 2, 2, 2], sup)
-    assert m.probs.tolist() == [0.25, 0.75]
+    assert one_action([0, 1, 1, 1], 2).pmf.tolist() == [[0.25, 0.75]]
 
 
 def test_empirical_unobserved_point_gets_zero():
-    m = empirical_from_samples([1, 1], Support.integers(2))
-    assert m.probs.tolist() == [1.0, 0.0]
+    assert one_action([0, 0], 2).empirical(0).probs.tolist() == [1.0, 0.0]
 
 
 def test_empirical_rejects_off_support_sample():
-    with pytest.raises(ValueError, match="3.0"):
-        empirical_from_samples([1, 3], Support.integers(2))
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=rf"^action 0: support index {bad} outside \[0, 2\)$"):
+            one_action([0, bad], 2)
 
 
 def test_empirical_sums_exactly_to_one():
+    """Every row fsums to exactly 1.0, and only the smallest observed entry
+    of a row moves off count / T_a to make it so."""
     rng = np.random.default_rng(0)
     for _ in range(500):
         d = int(rng.integers(1, 9))
-        T = int(rng.integers(1, 400))
-        sup = Support.integers(d)
-        samples = rng.integers(1, d + 1, size=T).astype(float)
-        m = empirical_from_samples(samples, sup)
-        assert math.fsum(m.probs) == 1.0
-        assert m.mean() == pytest.approx(float(np.mean(samples)), abs=1e-12)
+        sizes = rng.integers(1, 400, size=int(rng.integers(1, 4)))
+        index = rng.integers(0, d, size=int(sizes.sum()))
+        data = DataSet(Support.integers(d), index, sizes)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        for a, t in enumerate(sizes.tolist()):
+            counts = np.bincount(index[owner == a], minlength=d)
+            row, raw = data.pmf[a], counts / t
+            assert math.fsum(row) == 1.0
+            seen = np.flatnonzero(counts)
+            assert set(np.flatnonzero(row != raw)) <= {int(seen[np.argmin(raw[seen])])}
+            assert data.empirical(a).mean() == pytest.approx(
+                float(np.mean(index[owner == a] + 1.0)), abs=1e-12)
 
 
 @pytest.mark.parametrize("row, size, sums_to_one", [
@@ -142,7 +154,7 @@ def test_mean_examples():
 
 def test_dataset_validation_and_views():
     sup = Support.integers(3)
-    data = DataSet(sup, (np.array([1.0, 2.0, 2.0]), np.array([3.0])))
+    data = DataSet(sup, np.array([0, 1, 1, 2]), np.array([3, 1]))
     assert data.num_actions == 2
     assert data.sizes.tolist() == [3, 1]
     assert data.t_min == 1
@@ -151,20 +163,27 @@ def test_dataset_validation_and_views():
     assert emp.probs[1] == pytest.approx(2 / 3, abs=1e-15)
     assert emp.probs[2] == 0.0
     assert math.fsum(emp.probs) == 1.0
-    with pytest.raises(ValueError, match="outside support"):
-        DataSet(sup, (np.array([4.0]),))
+    assert not data.index.flags.writeable and not data.sizes.flags.writeable
+    with pytest.raises(ValueError, match="outside"):
+        DataSet(sup, np.array([3]), np.array([1]))
     with pytest.raises(ValueError):
-        DataSet(sup, (np.array([]),))
+        DataSet(sup, np.array([], dtype=int), np.array([0]))
 
 
 def test_dataset_rejects_a_sample_matrix():
     sup = Support.integers(3)
-    with pytest.raises(ValueError, match=r"^action 1: sample vector must be 1-d"):
-        DataSet(sup, (np.array([1.0]), np.array([[1.0, 2.0]])))
-    with pytest.raises(ValueError, match="at least one observation"):
-        DataSet(sup, (np.array([1.0]), np.array([])))
+    with pytest.raises(ValueError, match=r"^index must be a 1-d integer array"):
+        DataSet(sup, np.array([[0, 1]]), np.array([2]))
+    with pytest.raises(ValueError, match=r"^index must be a 1-d integer array"):
+        DataSet(sup, np.array([0.0, 1.0]), np.array([2]))
+    with pytest.raises(ValueError, match=r"^sizes must be a 1-d integer array"):
+        DataSet(sup, np.array([0, 1]), np.array([[1, 1]]))
+    with pytest.raises(ValueError, match="^action 1: at least one observation"):
+        DataSet(sup, np.array([0]), np.array([1, 0]))
     with pytest.raises(ValueError, match="at least one action"):
-        DataSet(sup, ())
+        DataSet(sup, np.array([], dtype=int), np.array([], dtype=int))
+    with pytest.raises(ValueError, match="^sizes sum to 3 but index holds 2"):
+        DataSet(sup, np.array([0, 1]), np.array([1, 2]))
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.5, 4.0, math.nan, math.inf])
@@ -172,14 +191,23 @@ def test_dataset_off_support_error_names_the_owning_action(bad):
     sup = Support.integers(3)
     samples = (np.array([1.0, 2.0]), np.array([3.0]), np.array([2.0, 1.0, bad, 3.0]),
                np.array([bad]))
-    with pytest.raises(ValueError, match=rf"^action 2: observation {bad!r} outside support$"):
-        DataSet(sup, samples)
+    with pytest.raises(ValueError, match=r"^action 2: support index -1 outside \[0, 3\)$"):
+        dataset_from_costs(sup, samples)
 
 
 def test_dataset_counts_every_action_on_the_shared_support():
     sup = Support(np.array([0.5, 2.0, 9.0]))
-    data = DataSet(sup, ([9.0, 0.5, 9.0, 9.0], [2.0], [0.5, 0.5]))
+    data = DataSet(sup, np.array([2, 0, 2, 2, 1, 0, 0]), np.array([4, 1, 2]))
     assert data.sizes.tolist() == [4, 1, 2]
     assert data.pmf.tolist() == [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
     assert data.means.tolist() == [6.875, 2.0, 0.5]
     assert data.empirical(1).support is sup
+
+
+def test_dataset_prefix_is_the_first_observations_of_every_action():
+    data = DataSet(Support.integers(3), np.array([2, 0, 2, 1, 0, 1, 1, 2]), np.array([3, 2, 3]))
+    assert data.prefix(2).tolist() == [[2, 0], [1, 0], [1, 1]]
+    assert data.prefix(1).tolist() == [[2], [1], [1]]
+    for t in (0, 3):
+        with pytest.raises(ValueError, match=rf"prefix length {t} must lie in \[1, t_min=2\]"):
+            data.prefix(t)

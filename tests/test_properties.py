@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kldro.datagen import draw_dataset, substream
@@ -22,8 +22,9 @@ from kldro.marginals import (
 )
 from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
 from kldro import rules
-from kldro.rules import calibrate_ambiguity, split_alpha
-from kldro.worstcase import primal_oracle, solve_dual_batch
+from kldro.rules import JointEmpirical, calibrate_ambiguity, split_alpha
+from kldro.worstcase import solve_dual_batch
+from oracles import joint_atoms_reference, primal_oracle
 
 radii = st.floats(1e-14, 1e3).map(float)
 
@@ -100,7 +101,7 @@ def test_value_matches_primal_oracle(pmf, r):
        st.floats(1e-4, 0.99))
 def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
     sup = Support.integers(d)
-    data = DataSet(sup, tuple(np.ones(t) for t in sizes))
+    data = DataSet(sup, np.zeros(sum(sizes), dtype=int), np.array(sizes))
     spec = calibrate_ambiguity(data, alpha)
     alphas = split_alpha(alpha, sizes)
     t_min = min(sizes)
@@ -123,7 +124,7 @@ def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
     t_min = min(sizes)
     rate = rate_from_alpha(alpha, t_min)
     for d in dims:
-        data = DataSet(Support.integers(d), tuple(np.ones(t) for t in sizes))
+        data = DataSet(Support.integers(d), np.zeros(sum(sizes), dtype=int), np.array(sizes))
         with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
             spec = calibrate_ambiguity(data, alpha)
         assert calls.call_count == len(set(zip(sizes, alphas.tolist())))
@@ -199,10 +200,9 @@ def test_batched_draw_equals_one_choice_call_per_action(probs, data, key):
     sizes = data.draw(st.lists(st.sampled_from([1, 1, 2, 3, 7, 40]), min_size=m, max_size=m))
     nominal = PmfMatrix(Support.integers(d), probs)
     rng, ref = substream(key, 0), substream(key, 0)
-    got = draw_dataset(nominal, sizes, rng)
+    got = np.split(draw_dataset(nominal, sizes, rng).index, np.cumsum(sizes)[:-1])
     for a, t in enumerate(sizes):
-        expected = nominal.support.points[ref.choice(d, size=t, p=probs[a])]
-        assert np.array_equal(got.samples[a], expected)
+        assert np.array_equal(got[a], ref.choice(d, size=t, p=probs[a]))
     assert rng.random() == ref.random()
 
 
@@ -222,10 +222,9 @@ def test_batched_draw_equals_choice_at_cdf_steps(probs, data):
     uniforms = data.draw(st.lists(st.sampled_from(steps), min_size=sum(sizes), max_size=sum(sizes)))
     nominal = PmfMatrix(Support.integers(d), probs)
     rng, ref = FedGenerator(uniforms), FedGenerator(uniforms)
-    got = draw_dataset(nominal, sizes, rng)
+    got = np.split(draw_dataset(nominal, sizes, rng).index, np.cumsum(sizes)[:-1])
     for a, t in enumerate(sizes):
-        expected = nominal.support.points[ref.choice(d, size=t, p=probs[a])]
-        assert np.array_equal(got.samples[a], expected)
+        assert np.array_equal(got[a], ref.choice(d, size=t, p=probs[a]))
     assert rng.used == ref.used == sum(sizes)
 
 
@@ -297,3 +296,34 @@ def test_exact_row_sum_test_sees_rows_off_one():
         assert _fsum_is_one(pmf, sizes).tolist() == expected
         off += expected.count(False)
     assert off >= 5
+
+
+@st.composite
+def index_datasets(draw):
+    """Index data with heavy ties: a support of 1 to 4 points, 1 to 6
+    actions, T_min from 1, and some actions observed past T_min."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    t_min = draw(st.integers(1, 12))
+    sizes = t_min + np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+    sizes[draw(st.integers(0, m - 1))] = t_min
+    # Columns drawn from a small pool repeat often.
+    pool = draw(st.lists(st.lists(st.integers(0, d - 1), min_size=m, max_size=m),
+                         min_size=1, max_size=3))
+    t_max = int(sizes.max())
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=t_max, max_size=t_max))
+    block = np.array([pool[k] for k in picks]).T
+    index = block[np.arange(t_max) < sizes[:, None]]
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=d, max_size=d))
+    return DataSet(Support(0.5 + np.cumsum(steps)), index, sizes)
+
+
+@settings(max_examples=200)
+@given(index_datasets())
+@example(DataSet(Support.integers(1), np.zeros(5, dtype=int), np.array([1, 4])))
+@example(DataSet(Support.integers(3), np.array([2, 0, 1, 2, 2, 0, 0]), np.array([3, 4])))
+def test_joint_atoms_equal_the_unique_reference(data):
+    joint = JointEmpirical.from_dataset(data)
+    atoms, probs = joint_atoms_reference(data)
+    assert joint.atoms.shape == atoms.shape and np.array_equal(joint.atoms, atoms)
+    assert np.array_equal(joint.probs, probs)

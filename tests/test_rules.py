@@ -18,12 +18,13 @@ from kldro.rules import (
     split_alpha,
     truncate_dataset,
 )
+from oracles import dataset_from_costs
 
 VALUE_R01 = 1.7128786314558240  # worked worst case: {1,2}, q=(1/2,1/2), r=0.1
 
 
 def integer_dataset(samples, d):
-    return DataSet(Support.integers(d), tuple(np.asarray(s, dtype=float) for s in samples))
+    return dataset_from_costs(Support.integers(d), samples)
 
 
 def random_dataset(g, d, seed, t_lo=4, t_hi=12):
@@ -161,7 +162,7 @@ class TestHoeffding:
 
     def test_rejects_non_integer_grid(self):
         sup = Support(np.array([1.0, 3.0]))
-        data = DataSet(sup, (np.array([1.0]), np.array([3.0])))
+        data = dataset_from_costs(sup, ([1.0], [3.0]))
         with pytest.raises(ValueError):
             hoeffding_prescribe(data, 0.05, build_layered(1, 1))
 
@@ -170,13 +171,13 @@ class TestTruncate:
     def test_identity_when_equal(self):
         data = integer_dataset([[1, 2], [2, 1]], d=2)
         got = truncate_dataset(data)
-        assert all(np.array_equal(a, b) for a, b in zip(got.samples, data.samples))
+        assert np.array_equal(got.index, data.index)
 
     def test_prefix_and_t_min(self):
         data = integer_dataset([[1, 2, 1], [2, 1, 1, 2, 2]], d=2)
         got = truncate_dataset(data)
         assert got.sizes.tolist() == [3, 3]
-        assert got.samples[1].tolist() == [2.0, 1.0, 1.0]
+        assert got.index.tolist() == [0, 1, 0, 1, 0, 0]
         assert got.t_min == data.t_min
 
 
@@ -249,8 +250,8 @@ class TestDro1:
         g = build_layered(1, 2)
         points = np.array([2.0, 3.0, 7.0])
         rng = np.random.default_rng(45)
-        data = DataSet(Support(points), tuple(points[rng.integers(0, 3, size=6)]
-                                              for _ in range(g.num_arcs)))
+        index = np.concatenate([rng.integers(0, 3, size=6) for _ in range(g.num_arcs)])
+        data = DataSet(Support(points), index, np.full(g.num_arcs, 6))
         pres = dro1_prescribe(data, 0.05, g, radius_override=0.3)
         oracle_value, oracle_path = dro1_grid_oracle(data, 0.3, 7.0, g)
         assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
@@ -265,7 +266,8 @@ class TestDro1:
 
     def test_enumeration_cap_propagates(self):
         g = build_layered(10, 4)
-        data = DataSet(Support.integers(2), tuple(np.array([1.0]) for _ in range(g.num_arcs)))
+        data = DataSet(Support.integers(2), np.zeros(g.num_arcs, dtype=int),
+                       np.ones(g.num_arcs, dtype=int))
         with pytest.raises(ValueError, match="cap"):
             dro1_prescribe(data, 0.05, g, cap=100)
 

@@ -5,7 +5,8 @@ import pytest
 
 from kldro import worstcase
 from kldro.marginals import Marginal, Support, kl_divergence
-from kldro.worstcase import dual_objective, minimize_dual, primal_oracle, solve_dual
+from kldro.worstcase import minimize_dual, solve_dual
+from oracles import dual_objective, primal_oracle
 
 
 def marginal(points, probs):
@@ -95,6 +96,8 @@ class TestSolveDual:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             solve_dual(M5050, -0.1)
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            solve_dual(M5050, math.nan)
 
     def test_costs_near_1e9_scale_exactly_and_converge(self):
         rng = np.random.default_rng(15)
