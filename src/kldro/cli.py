@@ -3,6 +3,9 @@
 Subcommands:
 
 * ``run``       -- execute a sweep described by a JSON config and write CSVs;
+  ``--set KEY=VALUE`` overrides one config key (the seed too), with VALUE
+  read as none/null, an int, a float or a string (comma-separated for the
+  grid and the rules) and type-checked with the rest of the config;
 * ``worstcase`` -- worst-case mean of a single pmf over a KL ball;
 * ``radius``    -- the three radius calibrations for one action;
 * ``graph``     -- dump a layered graph as an edge list.
@@ -30,21 +33,17 @@ class ValidationError(Exception):
     pass
 
 
-def _parse_scalar(key: str, text: str, typ):
-    try:
-        if typ is int:
-            return int(text)
-        if typ is float:
-            return None if text.lower() in ("none", "null") else float(text)
-        if typ is bool:
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
-        return text
-    except ValueError:
-        raise ValidationError(f"override {key}={text!r} does not parse as {typ.__name__}")
+def _parse_value(text: str):
+    """None for none/null, else an int, else a float, else the text itself;
+    ``ExperimentConfig.from_dict`` then checks the type against the key."""
+    if text.lower() in ("none", "null"):
+        return None
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -53,26 +52,10 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not of the form key=value")
         key, text = item.split("=", 1)
-        if key not in CONFIG_FIELDS:
-            raise ValidationError(f"unknown config key {key!r}")
-        typ, _ = CONFIG_FIELDS[key]
-        if typ is list:
-            parts = [p for p in text.split(",") if p != ""]
-            if key == "rules":
-                out[key] = parts
-            else:
-                values = []
-                for p in parts:
-                    try:
-                        values.append(int(p))
-                    except ValueError:
-                        try:
-                            values.append(float(p))
-                        except ValueError:
-                            raise ValidationError(f"override {key}: {p!r} is not numeric")
-                out[key] = values
+        if CONFIG_FIELDS.get(key) is list:
+            out[key] = [_parse_value(part) for part in text.split(",") if part != ""]
         else:
-            out[key] = _parse_scalar(key, text, typ)
+            out[key] = _parse_value(text)
     return out
 
 
@@ -95,8 +78,6 @@ def cmd_run(args) -> int:
         return 1
     try:
         raw = _apply_overrides(raw, args.set or [])
-        if args.seed is not None:
-            raw["seed"] = args.seed
         cfg = ExperimentConfig.from_dict(raw)
     except (ValidationError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
@@ -183,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--threads", type=int, default=1, help="worker processes for replicates")
     p_run.set_defaults(func=cmd_run)
 

@@ -6,6 +6,8 @@ batch of seeded replicates per grid value.  Each replicate draws fresh
 nominal parameters and data, runs the configured rules, and records the
 nominal relative loss rho = achieved / best-possible together with a
 disappointment flag (nominal loss strictly above the predicted loss).
+``ExperimentConfig`` holds what the figure configs set, plus optional fixed
+radius and slack overrides; ``from_dict`` is its one type check.
 
 Replicates are embarrassingly parallel; each owns a Philox substream and
 results are reduced in replicate order, so output is identical whatever the
@@ -18,14 +20,13 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .datagen import (
     NOMINAL_KINDS,
     SIZE_KINDS,
-    NominalSpec,
     SampleSizeSpec,
     draw_dataset,
     nominal_marginals,
@@ -59,27 +60,31 @@ __all__ = [
 RULE_NAMES = ("dro", "hoeffding", "dro1", "dro2")
 SWEEP_VARIABLES = ("t_min", "delta", "sigma")
 
-# name -> (python type, brief meaning); doubles as the CLI override schema
+# The type of every config key, checked by ExperimentConfig.from_dict.
 CONFIG_FIELDS = {
-    "h": (int, "intermediate layers"),
-    "w": (int, "nodes per layer"),
-    "d": (int, "support size of every action"),
-    "alpha": (float, "global confidence level in (0, 1)"),
-    "n0": (int, "replicates per grid value"),
-    "seed": (int, "root seed for the Philox substreams"),
-    "nominal": (str, f"nominal kind, one of {NOMINAL_KINDS}"),
-    "sample_sizes": (str, f"sample-size kind, one of {SIZE_KINDS}"),
-    "t_min": (int, "floor of the per-action sample counts"),
-    "delta": (int, "spread: counts lie in [t_min, t_min + delta]"),
-    "sigma": (float, "std dev for the discretized-normal nominal"),
-    "sweep": (str, f"swept variable, one of {SWEEP_VARIABLES}"),
-    "grid": (list, "values of the swept variable"),
-    "rules": (list, f"rules to run, subset of {RULE_NAMES}"),
-    "redraw_nominal": (bool, "fresh nominal parameters per replicate"),
-    "radius_override": (float, "fixed ball radius for dro/dro1/dro2 (else calibrated)"),
-    "epsilon_override": (float, "fixed slack for hoeffding (else calibrated)"),
-    "mad_center": (str, "center for the MAD statistic: mean or median"),
-    "enumeration_cap": (int, "path-count limit for dro1"),
+    "h": int,  # intermediate layers
+    "w": int,  # nodes per layer
+    "d": int,  # support size of every action
+    "alpha": float,  # global confidence level in (0, 1)
+    "n0": int,  # replicates per grid value
+    "seed": int,  # root seed for the Philox substreams
+    "nominal": str,  # one of NOMINAL_KINDS
+    "sample_sizes": str,  # one of SIZE_KINDS
+    "t_min": int,  # floor of the per-action sample counts
+    "delta": int,  # spread: counts lie in [t_min, t_min + delta]
+    "sigma": float,  # std dev for the discretized-normal nominal
+    "sweep": str,  # one of SWEEP_VARIABLES
+    "grid": list,  # values of the swept variable
+    "rules": list,  # nonempty subset of RULE_NAMES
+    "radius_override": float,  # fixed ball radius for dro/dro1/dro2 (else calibrated)
+    "epsilon_override": float,  # fixed slack for hoeffding (else calibrated)
+}
+# key type -> (accepted JSON values, how an error names them); no bool is accepted
+_ACCEPTED = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    list: ((list, tuple), "a list"),
 }
 
 
@@ -99,14 +104,11 @@ class ExperimentConfig:
     grid: tuple
     rules: tuple
     sigma: float | None = None
-    redraw_nominal: bool = True
     radius_override: float | None = None
     epsilon_override: float | None = None
-    mad_center: str = "mean"
-    enumeration_cap: int = 100_000
 
     def __post_init__(self):
-        for key in ("h", "w", "d", "t_min", "n0", "enumeration_cap"):
+        for key in ("h", "w", "d", "t_min", "n0"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         if self.radius_override is not None and not self.radius_override >= 0.0:
@@ -139,45 +141,30 @@ class ExperimentConfig:
             raise ValueError(f"rules must be a nonempty subset of {RULE_NAMES}")
         if self.nominal == "discretized-normal" and self.sigma is None and self.sweep != "sigma":
             raise ValueError("discretized-normal needs sigma unless sigma is swept")
-        if self.mad_center not in ("mean", "median"):
-            raise ValueError("mad_center must be 'mean' or 'median'")
         object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "rules", tuple(self.rules))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The one type check of a config read from JSON or ``--set``; None
+        is accepted exactly for the keys whose default is None."""
         unknown = set(raw) - set(CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in raw.items():
-            typ, _ = CONFIG_FIELDS[key]
-            if value is None:
-                kwargs[key] = None
-            elif typ is list:
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"config key {key!r} must be a list")
-                kwargs[key] = tuple(value)
-            elif typ is bool:
-                if not isinstance(value, bool):
-                    raise ValueError(f"config key {key!r} must be a boolean")
-                kwargs[key] = value
-            elif typ is float:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"config key {key!r} must be a number")
-                kwargs[key] = float(value)
-            elif typ is int:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"config key {key!r} must be an integer")
-                kwargs[key] = value
-            else:
-                if not isinstance(value, str):
-                    raise ValueError(f"config key {key!r} must be a string")
-                kwargs[key] = value
-        missing = {"h", "w", "d", "alpha", "n0", "seed", "nominal", "sample_sizes",
-                   "t_min", "delta", "sweep", "grid", "rules"} - set(kwargs)
+        declared = fields(cls)
+        missing = {f.name for f in declared if f.default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
+        optional = {f.name for f in declared if f.default is None}
+        kwargs = {}
+        for key, value in raw.items():
+            if value is None and key in optional:
+                continue
+            typ = CONFIG_FIELDS[key]
+            accepted, kind = _ACCEPTED[typ]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"config key {key!r} must be {kind}")
+            kwargs[key] = float(value) if typ is float else value
         return cls(**kwargs)
 
 
@@ -216,26 +203,18 @@ def _resolved(cfg: ExperimentConfig, sweep_value) -> tuple[int, int, float | Non
     return t_min, delta, sigma
 
 
-def _stream_index(cfg: ExperimentConfig, grid_index: int, replicate: int | None) -> int:
-    # One reserved slot per grid value for shared nominal parameters.
-    base = grid_index * (cfg.n0 + 1)
-    return base if replicate is None else base + 1 + replicate
+def _stream_index(cfg: ExperimentConfig, grid_index: int, replicate: int) -> int:
+    # Slot 0 of each grid value is unused; skipping it keeps every
+    # replicate's substream, and so every pinned seeded output, in place.
+    return grid_index * (cfg.n0 + 1) + 1 + replicate
 
 
-def run_replicate(
-    cfg: ExperimentConfig,
-    g: LayeredGraph,
-    grid_index: int,
-    replicate: int,
-    shared_spec: NominalSpec | None = None,
-) -> ReplicateResult:
+def run_replicate(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
+                  replicate: int) -> ReplicateResult:
     sweep_value = cfg.grid[grid_index]
     t_min, delta, sigma = _resolved(cfg, sweep_value)
     rng = substream(cfg.seed, _stream_index(cfg, grid_index, replicate))
-    if shared_spec is not None:
-        spec = shared_spec
-    else:
-        spec = random_nominal_spec(cfg.nominal, g.num_arcs, cfg.d, rng, sigma=sigma)
+    spec = random_nominal_spec(cfg.nominal, g.num_arcs, cfg.d, rng, sigma=sigma)
     marginals = nominal_marginals(spec, g)
     sizes = sample_sizes(SampleSizeSpec(cfg.sample_sizes, t_min, delta), marginals, rng)
     data = draw_dataset(marginals, sizes, rng, joint=(cfg.nominal == "multinomial"))
@@ -254,8 +233,7 @@ def run_replicate(
         elif rule == "hoeffding":
             pres = hoeffding_prescribe(data, cfg.alpha, g, epsilon=cfg.epsilon_override)
         elif rule == "dro1":
-            pres = dro1_prescribe(data, cfg.alpha, g, cap=cfg.enumeration_cap,
-                                  radius_override=cfg.radius_override)
+            pres = dro1_prescribe(data, cfg.alpha, g, radius_override=cfg.radius_override)
         else:
             pres = dro2_prescribe(data, cfg.alpha, g, radius_override=cfg.radius_override)
         achieved = path_cost(pres.decision, means)
@@ -278,7 +256,7 @@ class ReplicateError(RuntimeError):
 
 
 def _replicate_task(args) -> ReplicateResult:
-    cfg, _, grid_index, replicate, _ = args
+    cfg, _, grid_index, replicate = args
     try:
         return run_replicate(*args)
     except Exception as exc:
@@ -289,28 +267,16 @@ def _replicate_task(args) -> ReplicateResult:
         ) from exc
 
 
-def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray, mad_center: str = "mean"):
-    """(mean rho, MAD around the chosen center, disappointment frequency)."""
-    center = float(np.mean(rhos)) if mad_center == "mean" else float(np.median(rhos))
-    return (
-        float(np.mean(rhos)),
-        float(np.median(np.abs(rhos - center))),
-        float(np.mean(disappointed)),
-    )
+def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray):
+    """(mean rho, MAD around the mean, disappointment frequency)."""
+    mean = float(np.mean(rhos))
+    return mean, float(np.median(np.abs(rhos - mean))), float(np.mean(disappointed))
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
     g = build_layered(cfg.h, cfg.w)
-    tasks = []
-    for grid_index, sweep_value in enumerate(cfg.grid):
-        shared_spec = None
-        if not cfg.redraw_nominal:
-            _, _, sigma = _resolved(cfg, sweep_value)
-            shared_spec = random_nominal_spec(
-                cfg.nominal, g.num_arcs, cfg.d,
-                substream(cfg.seed, _stream_index(cfg, grid_index, None)), sigma=sigma,
-            )
-        tasks += [(cfg, g, grid_index, i, shared_spec) for i in range(cfg.n0)]
+    tasks = [(cfg, g, grid_index, i) for grid_index in range(len(cfg.grid))
+             for i in range(cfg.n0)]
     if workers > 1:
         # One ordered map over the whole sweep, so no grid value waits for
         # the previous one.  Leaving the block shuts the pool down.
@@ -333,7 +299,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
         for k, rule in enumerate(cfg.rules):
             rhos = np.array([rep.outcomes[k].rho for rep in batch])
             dis = np.array([rep.outcomes[k].disappointed for rep in batch])
-            aggregates[rule] = aggregate_rows(rhos, dis, cfg.mad_center)
+            aggregates[rule] = aggregate_rows(rhos, dis)
         results.append(GridPointResult(float(sweep_value), tuple(batch), aggregates))
     return results
 

@@ -129,6 +129,11 @@ def shortest_path(g: LayeredGraph, costs) -> tuple[Decision, float]:
 
 @functools.lru_cache(maxsize=4)
 def _paths_and_incidence(g: LayeredGraph) -> tuple[tuple, np.ndarray]:
+    total = g.w**g.h
+    if total > ENUMERATION_CAP:
+        raise ValueError(
+            f"{total} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
+        )
     paths = []
     for combo in itertools.product(range(g.w), repeat=g.h):
         nodes = [g.source]
@@ -141,28 +146,18 @@ def _paths_and_incidence(g: LayeredGraph) -> tuple[tuple, np.ndarray]:
     return tuple(paths), incidence
 
 
-def _check_cap(g: LayeredGraph, cap: int) -> None:
-    total = g.w**g.h
-    if total > cap:
-        raise ValueError(
-            f"{total} paths exceed the enumeration cap {cap}; use a smaller instance"
-        )
-
-
-def enumerate_paths(g: LayeredGraph, cap: int = ENUMERATION_CAP) -> tuple[Decision, ...]:
+def enumerate_paths(g: LayeredGraph) -> tuple[Decision, ...]:
     """All w**h source-sink paths in lexicographic layer order.
 
-    Built once per graph (a small LRU cache keyed by the graph); the cap is
-    checked on every call.
+    Built once per graph (a small LRU cache keyed by the graph); a graph
+    with more than ``ENUMERATION_CAP`` paths raises before any is built.
     """
-    _check_cap(g, cap)
     return _paths_and_incidence(g)[0]
 
 
-def path_incidence(g: LayeredGraph, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def path_incidence(g: LayeredGraph) -> np.ndarray:
     """Read-only (paths x arcs) 0/1 float matrix, one row per path of
     :func:`enumerate_paths` in its order; built once per graph with it."""
-    _check_cap(g, cap)
     return _paths_and_incidence(g)[1]
 
 

@@ -138,7 +138,8 @@ def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
     walks the rounded sum through every representable value, so bisection
     reaches the target exactly.  Callers pass the index of the smallest
     positive entry for exactly that reason; the adjustment stays within a
-    few of its ulps.
+    few of its ulps.  Raises ``RuntimeError`` when no value of the entry
+    hits the target, leaving the entry unchanged.
     """
 
     def total(t: float) -> float:
@@ -171,7 +172,8 @@ def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
     for candidate in (lo, hi):
         if total(candidate) == target:
             return
-    probs[index] = base  # no exact hit reachable; keep the unadjusted value
+    probs[index] = base
+    raise RuntimeError(f"no value at index {index} makes the sum exactly {target!r}")
 
 
 def kl_divergence(p: Marginal, q: Marginal) -> float:

@@ -229,7 +229,6 @@ class AmbiguitySpec:
 
     radii: np.ndarray
     labels: tuple
-    alpha: float | None = None
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)

@@ -110,7 +110,7 @@ def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
         for a in index.tolist()
     ]
     radii = np.array([radius for radius, _ in found])[inverse]
-    return AmbiguitySpec(radii, tuple(found[k][1] for k in inverse), alpha=alpha)
+    return AmbiguitySpec(radii, tuple(found[k][1] for k in inverse))
 
 
 def _worst_case_costs(data: DataSet, spec: AmbiguitySpec, arcs=slice(None)) -> np.ndarray:
@@ -230,7 +230,6 @@ def dro1_prescribe(
     data: DataSet,
     alpha: float,
     g: LayeredGraph,
-    cap: int = 100_000,
     radius_override: float | None = None,
 ) -> Prescription:
     """Joint-ball rule on the truncated data: enumerate paths, then solve the
@@ -248,12 +247,12 @@ def dro1_prescribe(
         r = float(radius_override)
     else:
         r, _ = _joint_ball_radius(truncated.t_min, data.support.size, data.num_actions, alpha)
-    paths = enumerate_paths(g, cap=cap)
+    paths = enumerate_paths(g)
     if r == 0.0:
         means = truncated.means
         values = [path_cost(x, means) for x in paths]
     else:
-        incidence = path_incidence(g, cap=cap)
+        incidence = path_incidence(g)
         # One row per path: its cost at every joint atom (integer-valued, so
         # exact), sorted by cost.
         costs = incidence @ joint.atoms.T

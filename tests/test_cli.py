@@ -37,9 +37,14 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_unknown_override_key_rejected(self, tmp_path):
+    def test_unknown_override_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
-        assert main(["run", "--config", str(cfg), "--set", "bogus=1"]) == 1
+        for item in ("bogus=1", "redraw_nominal=true", "enumeration_cap=0"):
+            assert main(["run", "--config", str(cfg), "--set", item]) == 1
+            assert capsys.readouterr().err.startswith("error: invalid config: unknown config keys")
+        old = write_config(tmp_path / "old.json", mad_center="mean")
+        assert main(["run", "--config", str(old)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid config: unknown config keys")
 
     def test_type_checked_override(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -51,6 +56,7 @@ class TestRun:
         code = main([
             "run", "--config", str(cfg), "--out", str(out),
             "--set", "n0=2", "--set", "grid=0", "--set", "rules=dro",
+            "--set", "radius_override=inf", "--set", "sigma=null",
         ])
         assert code == 0
         lines = (out / "results.csv").read_text().strip().splitlines()
@@ -59,7 +65,7 @@ class TestRun:
     @pytest.mark.parametrize("overrides", [
         ["d=0"], ["t_min=0"], ["h=0"], ["grid=-3"], ["sigma=0"],
         ["sweep=t_min", "grid=0"], ["sweep=t_min", "grid=5.5"],
-        ["radius_override=-1"], ["enumeration_cap=0"], ["epsilon_override=nan"],
+        ["radius_override=-1"], ["redraw_nominal=true"], ["epsilon_override=nan"],
     ])
     def test_bad_sweep_inputs_fail_before_any_replicate(self, tmp_path, capsys, monkeypatch,
                                                         overrides):
@@ -76,8 +82,8 @@ class TestRun:
     def test_same_seed_reproduces_files_byte_for_byte(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg), "--out", str(a), "--seed", "42"]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(b), "--seed", "42"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(a), "--set", "seed=42"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(b), "--set", "seed=42"]) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
         assert (a / "aggregates.csv").read_bytes() == (b / "aggregates.csv").read_bytes()
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from kldro.experiments import (
 from kldro.graphs import (build_layered, decision_from_nodes, enumerate_paths, path_cost,
                           shortest_path)
 from kldro.marginals import DataSet, Marginal
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -88,6 +91,7 @@ class TestLosses:
         cfg = small_config(nominal=nominal, rules=("dro", "hoeffding", "dro1", "dro2"))
         g = build_layered(cfg.h, cfg.w)
         result = run_replicate(cfg, g, 1, 2)
+        assert experiments._stream_index(cfg, 1, 2) == 1 * (cfg.n0 + 1) + 1 + 2
         rng = substream(cfg.seed, experiments._stream_index(cfg, 1, 2))
         means = nominal_marginals(random_nominal_spec(nominal, g.num_arcs, cfg.d, rng), g).means
         _, best = shortest_path(g, means)
@@ -113,10 +117,25 @@ class TestConfig:
             ExperimentConfig.from_dict({k: v for k, v in raw.items() if k != "d"})
         with pytest.raises(ValueError, match="integer"):
             ExperimentConfig.from_dict({**raw, "n0": 2.5})
+        for key, value, kind in [("h", None, "an integer"), ("seed", True, "an integer"),
+                                 ("alpha", "0.05", "a number"), ("nominal", 5, "a string"),
+                                 ("grid", 3, "a list")]:
+            with pytest.raises(ValueError, match=f"^config key '{key}' must be {kind}$"):
+                ExperimentConfig.from_dict({**raw, key: value})
+        for removed in ("redraw_nominal", "mad_center", "enumeration_cap"):
+            with pytest.raises(ValueError, match=f"unknown config keys: \\['{removed}'\\]"):
+                ExperimentConfig.from_dict({**raw, removed: None})
+        assert ExperimentConfig.from_dict({**raw, "sigma": None}).sigma is None
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**raw, "rules": ["nope"]})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**raw, "grid": []})
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("fig*.json")), ids=lambda p: p.stem)
+    def test_figure_configs_survive_a_json_round_trip(self, path):
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        text = json.dumps(dataclasses.asdict(cfg))
+        assert ExperimentConfig.from_dict(json.loads(text)) == cfg
 
     def test_sigma_required_for_normal(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -149,14 +168,13 @@ class TestConfig:
         (dict(epsilon_override=-0.5), "^epsilon_override must be finite and >= 0"),
         (dict(epsilon_override=math.nan), "^epsilon_override must be finite and >= 0"),
         (dict(epsilon_override=math.inf), "^epsilon_override must be finite and >= 0"),
-        (dict(enumeration_cap=0), "^enumeration_cap must be >= 1"),
     ])
     def test_rejects_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_config(**overrides)
 
     def test_boundary_overrides_are_accepted(self):
-        cfg = small_config(radius_override=math.inf, epsilon_override=0.0, enumeration_cap=1)
+        cfg = small_config(radius_override=math.inf, epsilon_override=0.0)
         assert (cfg.radius_override, cfg.epsilon_override) == (math.inf, 0.0)
         assert small_config(radius_override=0.0).radius_override == 0.0
 
@@ -205,14 +223,6 @@ class TestRunSweep:
             for rep in point.replicates:
                 assert all(t == expected for t in rep.sizes)
 
-    def test_shared_nominal_parameters_when_not_redrawn(self):
-        cfg = small_config(redraw_nominal=False, n0=3, rules=("dro",))
-        results = run_sweep(cfg)
-        # identical nominal params + per-replicate data: on the delta>0 grid
-        # point the size draws must still differ across replicates
-        sizes = {rep.sizes for rep in results[1].replicates}
-        assert len(sizes) > 1
-
     def test_failing_replicate_aborts_with_context(self):
         # d=1 makes every nominal mean equal, so binomial1 sizes cannot
         # normalize and the sweep must abort with the offending grid value
@@ -257,7 +267,7 @@ class TestRunSweep:
         assert len(built) == 1
 
     def test_fig7_replicate_builds_data_and_one_truncation(self, monkeypatch):
-        raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig7.json").read_text())
+        raw = json.loads((CONFIGS / "fig7.json").read_text())
         cfg = ExperimentConfig.from_dict({**raw, "grid": [14], "n0": 3})
         built = []
         post_init = DataSet.__post_init__
@@ -296,12 +306,10 @@ class TestRunSweep:
 class TestAggregatesAndEmit:
     def test_mad_definition_around_mean(self):
         rhos = np.array([1.0, 1.2, 1.5, 2.3])
-        mean_rho, mad, freq = aggregate_rows(rhos, np.array([0, 1, 0, 0]), "mean")
+        mean_rho, mad, freq = aggregate_rows(rhos, np.array([0, 1, 0, 0]))
         assert mean_rho == pytest.approx(1.5)
         assert mad == pytest.approx(np.median(np.abs(rhos - 1.5)))
         assert freq == 0.25
-        _, mad_med, _ = aggregate_rows(rhos, np.zeros(4), "median")
-        assert mad_med == pytest.approx(np.median(np.abs(rhos - np.median(rhos))))
 
     def test_csv_round_trip_reproduces_aggregates(self, tmp_path):
         cfg = small_config(rules=("dro", "hoeffding", "dro2"))
@@ -319,7 +327,7 @@ class TestAggregatesAndEmit:
             assert len(sel) == cfg.n0
             rhos = np.array([r["rho"] for r in sel])
             dis = np.array([r["disappointed"] for r in sel])
-            mean_rho, mad, freq = aggregate_rows(rhos, dis, cfg.mad_center)
+            mean_rho, mad, freq = aggregate_rows(rhos, dis)
             assert float(agg["mean_rho"]) == mean_rho
             assert float(agg["mad_rho"]) == mad
             assert float(agg["disappointment_freq"]) == freq

@@ -92,8 +92,8 @@ def test_enumeration_counts_and_lexicographic_order():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError, match="cap"):
-        enumerate_paths(build_layered(10, 4), cap=1000)
+    with pytest.raises(ValueError, match="^1048576 paths exceed the enumeration cap 100000"):
+        enumerate_paths(build_layered(10, 4))
 
 
 def test_paths_and_incidence_built_once_per_graph():
@@ -105,10 +105,11 @@ def test_paths_and_incidence_built_once_per_graph():
     assert graphs._paths_and_incidence.cache_info().misses == 1
     assert incidence.shape == (27, g.num_arcs) and not incidence.flags.writeable
     assert np.array_equal(incidence, [x.incidence for x in paths])
+    too_many = build_layered(9, 4)  # 4**9 paths, above ENUMERATION_CAP
     with pytest.raises(ValueError, match="cap"):
-        path_incidence(g, cap=26)
+        path_incidence(too_many)
     with pytest.raises(ValueError, match="cap"):
-        enumerate_paths(g, cap=26)
+        enumerate_paths(too_many)
 
 
 def test_flow_conservation_on_enumerated_paths():

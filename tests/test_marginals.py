@@ -7,6 +7,7 @@ from kldro.marginals import (
     DataSet,
     Marginal,
     Support,
+    _absorb_rounding,
     _fsum_is_one,
     kl_divergence,
 )
@@ -72,6 +73,14 @@ def test_empirical_sums_exactly_to_one():
             assert set(np.flatnonzero(row != raw)) <= {int(seen[np.argmin(raw[seen])])}
             assert data.empirical(a).mean() == pytest.approx(
                 float(np.mean(index[owner == a] + 1.0)), abs=1e-12)
+
+
+def test_absorb_rounding_raises_when_no_value_hits_the_target():
+    # fsum([1e300, t]) moves in steps of ulp(1e300) ~ 1.5e284, so no t gives 1.0
+    probs = np.array([1e300, 0.0])
+    with pytest.raises(RuntimeError, match=r"^no value at index 1 makes the sum exactly 1\.0$"):
+        _absorb_rounding(probs, 1.0, 1)
+    assert probs.tolist() == [1e300, 0.0]
 
 
 @pytest.mark.parametrize("row, size, sums_to_one", [

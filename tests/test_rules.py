@@ -269,7 +269,7 @@ class TestDro1:
         data = DataSet(Support.integers(2), np.zeros(g.num_arcs, dtype=int),
                        np.ones(g.num_arcs, dtype=int))
         with pytest.raises(ValueError, match="cap"):
-            dro1_prescribe(data, 0.05, g, cap=100)
+            dro1_prescribe(data, 0.05, g)
 
     def test_path_objective_convex_in_beta(self):
         g = build_layered(2, 2)
