@@ -35,7 +35,6 @@ from .datagen import (
     substream,
 )
 from .graphs import LayeredGraph, build_layered, path_cost, shortest_path
-from .radius import AmbiguitySpec
 from .rules import (
     calibrate_ambiguity,
     dro1_prescribe,
@@ -225,11 +224,7 @@ def run_replicate(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
     outcomes = []
     for rule in cfg.rules:
         if rule == "dro":
-            if cfg.radius_override is not None:
-                amb = AmbiguitySpec.manual(np.full(g.num_arcs, cfg.radius_override))
-            else:
-                amb = calibrate_ambiguity(data, cfg.alpha)
-            pres = dro_prescribe(data, amb, g)
+            pres = dro_prescribe(data, calibrate_ambiguity(data, cfg.alpha, cfg.radius_override), g)
         elif rule == "hoeffding":
             pres = hoeffding_prescribe(data, cfg.alpha, g, epsilon=cfg.epsilon_override)
         elif rule == "dro1":
@@ -274,6 +269,8 @@ def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray):
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     g = build_layered(cfg.h, cfg.w)
     tasks = [(cfg, g, grid_index, i) for grid_index in range(len(cfg.grid))
              for i in range(cfg.n0)]

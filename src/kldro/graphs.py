@@ -3,7 +3,8 @@
 The benchmark network has a single source, ``h`` intermediate layers of
 ``w`` nodes each, a single sink, and every consecutive pair of layers fully
 connected.  Costs are linear over arcs, so the deterministic problem is
-solved exactly by a forward pass in layer order; no MIP solver is needed.
+solved exactly by dynamic programming over the layers; no MIP solver is
+needed.  Only this module knows the arc numbering and the tie rule.
 """
 
 from __future__ import annotations
@@ -41,16 +42,6 @@ class LayeredGraph:
         """Arcs on any source-sink path."""
         return self.h + 1
 
-    def node(self, layer: int, j: int) -> int:
-        return 1 + (layer - 1) * self.w + j
-
-    def arc_index(self, tail: int, head: int) -> int:
-        lookup = getattr(self, "_lookup_cache", None)
-        if lookup is None:
-            lookup = {arc: k for k, arc in enumerate(self.arcs)}
-            object.__setattr__(self, "_lookup_cache", lookup)
-        return lookup[(tail, head)]
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -76,34 +67,44 @@ def build_layered(h: int, w: int) -> LayeredGraph:
     """Deterministic arc ordering: layer-major, then tail index, then head index."""
     if h < 1 or w < 1:
         raise ValueError("h and w must be >= 1")
-    source = 0
     sink = 1 + h * w
-    arcs = []
-    for j in range(w):
-        arcs.append((source, 1 + j))
-    for layer in range(1, h):
-        for jt in range(w):
-            for jh in range(w):
-                arcs.append((1 + (layer - 1) * w + jt, 1 + layer * w + jh))
-    for j in range(w):
-        arcs.append((1 + (h - 1) * w + j, sink))
-    return LayeredGraph(h, w, tuple(arcs), source, sink)
+    layers = [[0], *(range(1 + l * w, 1 + (l + 1) * w) for l in range(h)), [sink]]
+    arcs = [arc for tails, heads in zip(layers, layers[1:])
+            for arc in itertools.product(tails, heads)]
+    return LayeredGraph(h, w, tuple(arcs), 0, sink)
+
+
+def _path(g: LayeredGraph, choices) -> Decision:
+    """The path through node ``choices[l - 1]`` of each layer l.  In the
+    numbering of :func:`build_layered` the source arc to choice j is j, the
+    arc from choice a in layer l to choice b in layer l + 1 is
+    w + (l - 1) w^2 + a w + b, and the sink arc from choice j is num_arcs - w + j."""
+    w = g.w
+    inner = [w + (l * w + a) * w + b for l, (a, b) in enumerate(zip(choices, choices[1:]))]
+    incidence = np.zeros(g.num_arcs, dtype=np.int8)
+    incidence[[choices[0], *inner, g.num_arcs - w + choices[-1]]] = 1
+    nodes = (g.source, *(1 + l * w + j for l, j in enumerate(choices)), g.sink)
+    return Decision(incidence, nodes)
 
 
 def decision_from_nodes(g: LayeredGraph, nodes) -> Decision:
-    incidence = np.zeros(g.num_arcs, dtype=np.int8)
-    for tail, head in zip(nodes[:-1], nodes[1:]):
-        incidence[g.arc_index(tail, head)] = 1
-    return Decision(incidence, tuple(nodes))
+    """The decision visiting ``nodes``: the source, one node per layer in order, the sink."""
+    nodes = tuple(int(n) for n in nodes)
+    choices = np.array(nodes[1:-1], dtype=np.intp) - 1
+    choices -= g.w * np.arange(choices.size)
+    if (len(nodes) != g.h + 2 or nodes[0] != g.source or nodes[-1] != g.sink
+            or np.any((choices < 0) | (choices >= g.w))):
+        raise ValueError(f"nodes {nodes} are not a source-sink path of the {g.h}x{g.w} graph")
+    return _path(g, choices.tolist())
 
 
 def shortest_path(g: LayeredGraph, costs) -> tuple[Decision, float]:
-    """Argmin decision and its value by a forward pass in arc order.
+    """Argmin decision and its value by dynamic programming over the layers.
 
-    Arcs are already topologically sorted; updating only on strict
-    improvement makes ties resolve to the lowest tail index, so repeated
-    runs are bit-for-bit identical.  Costs must be finite: a NaN never
-    improves a label, so it would leave nodes without a predecessor.
+    A head's label is the least of its tails' labels plus the arc cost: the
+    additions in path order that :func:`path_cost` makes, so the two agree
+    exactly.  Ties go to the lowest tail, and at the sink to the lowest node
+    of the last layer.  Costs must be finite: NaN (or inf - inf) has no order.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (g.num_arcs,):
@@ -112,19 +113,21 @@ def shortest_path(g: LayeredGraph, costs) -> tuple[Decision, float]:
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"arc {k} {g.arcs[k]} has non-finite cost {float(costs[k])!r}")
-    dist = np.full(g.num_nodes, np.inf)
-    dist[g.source] = 0.0
-    pred = np.full(g.num_nodes, -1, dtype=int)
-    for k, (tail, head) in enumerate(g.arcs):
-        cand = dist[tail] + costs[k]
-        if cand < dist[head]:
-            dist[head] = cand
-            pred[head] = k
-    nodes = [g.sink]
-    for _ in range(g.path_length):  # every source-sink path has h + 1 arcs
-        nodes.append(g.arcs[pred[nodes[-1]]][0])
-    nodes.reverse()
-    return decision_from_nodes(g, nodes), float(dist[g.sink])
+    w = g.w
+    heads = np.arange(w)
+    dist = 0.0 + costs[:w]  # the source's label is 0.0, as in path_cost
+    tails = []
+    for block in costs[w:-w].reshape(g.h - 1, w, w):  # rows are tails, columns heads
+        cand = dist[:, None] + block
+        tail = cand.argmin(axis=0)  # the first minimum: the lowest tail
+        dist = cand[tail, heads]
+        tails.append(tail)
+    last = dist + costs[-w:]
+    j = int(last.argmin())
+    choices = [j]
+    for tail in reversed(tails):
+        choices.append(int(tail[choices[-1]]))
+    return _path(g, choices[::-1]), float(last[j])
 
 
 @functools.lru_cache(maxsize=4)
@@ -134,13 +137,7 @@ def _paths_and_incidence(g: LayeredGraph) -> tuple[tuple, np.ndarray]:
         raise ValueError(
             f"{total} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
         )
-    paths = []
-    for combo in itertools.product(range(g.w), repeat=g.h):
-        nodes = [g.source]
-        for layer, j in enumerate(combo, start=1):
-            nodes.append(g.node(layer, j))
-        nodes.append(g.sink)
-        paths.append(decision_from_nodes(g, nodes))
+    paths = [_path(g, choices) for choices in itertools.product(range(g.w), repeat=g.h)]
     incidence = np.array([x.incidence for x in paths], dtype=float)
     incidence.setflags(write=False)
     return tuple(paths), incidence
@@ -164,8 +161,8 @@ def path_incidence(g: LayeredGraph) -> np.ndarray:
 def path_cost(decision: Decision, costs) -> float:
     """Sum of selected arc costs, accumulated in arc order.
 
-    Sequential order matches the forward pass in :func:`shortest_path`, so
-    the two agree exactly in floating point.
+    Arc order is path order, the order in which :func:`shortest_path` adds
+    up its labels, so the two agree exactly in floating point.
     """
     costs = np.asarray(costs, dtype=float)
     total = 0.0

@@ -87,16 +87,20 @@ def _split_once(data: DataSet, alpha: float) -> np.ndarray:
     return data.cache[key]
 
 
-def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
+def calibrate_ambiguity(data: DataSet, alpha: float,
+                        radius_override: float | None = None) -> AmbiguitySpec:
     """Per-action radii: split the budget, then take the best of the three
     finite-sample bounds once per distinct (T_a, alpha_a), with d_a the
-    size of the shared support.
+    size of the shared support.  A ``radius_override`` gives every action
+    that radius instead, labelled "manual".
 
     alpha_a depends on T_a alone except at the one arc whose share absorbed
     the split's rounding, so the distinct pairs are the distinct counts,
     each split in two where an arc's alpha differs from that of the first
     arc with its count.
     """
+    if radius_override is not None:
+        return AmbiguitySpec.manual(np.full(data.num_actions, float(radius_override)))
     sizes = data.sizes
     t_min = data.t_min
     alphas = _split_once(data, alpha)
@@ -113,18 +117,17 @@ def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
     return AmbiguitySpec(radii, tuple(found[k][1] for k in inverse))
 
 
-def _worst_case_costs(data: DataSet, spec: AmbiguitySpec, arcs=slice(None)) -> np.ndarray:
+def _worst_case_costs(data: DataSet, spec: AmbiguitySpec) -> np.ndarray:
     if spec.num_actions != data.num_actions:
         raise ValueError("ambiguity spec must cover every action")
-    pmf, sup = data.pmf[arcs], data.support
+    pmf, sup = data.pmf, data.support
     points = np.broadcast_to(sup.points, pmf.shape)
-    return solve_dual_batch(points, pmf, spec.radii[arcs], np.full(len(pmf), sup.max)).value
+    return solve_dual_batch(points, pmf, spec.radii, np.full(len(pmf), sup.max)).value
 
 
 def dro_predict(x: Decision, data: DataSet, spec: AmbiguitySpec) -> float:
     """Predicted loss of ``x``: sum of per-action worst-case costs on the path."""
-    # Python's sum adds in arc order, as path_cost and shortest_path do.
-    return float(sum(_worst_case_costs(data, spec, np.flatnonzero(x.incidence))))
+    return path_cost(x, _worst_case_costs(data, spec))
 
 
 def dro_prescribe(data: DataSet, spec: AmbiguitySpec, g: LayeredGraph) -> Prescription:
@@ -164,11 +167,11 @@ def hoeffding_prescribe(
 
 
 def truncate_dataset(data: DataSet) -> DataSet:
-    """Keep the first T_min observations of every action.
-
-    Built once per data set and kept in its cache, so dro1 and dro2 share
-    one truncation.
-    """
+    """Keep the first T_min observations of every action: the data itself
+    when every count is T_min, else a data set built once and cached, so
+    dro1 and dro2 share it."""
+    if (data.sizes == data.t_min).all():
+        return data
     if "truncated" not in data.cache:
         t_min = data.t_min
         data.cache["truncated"] = DataSet(data.support, data.prefix(t_min).ravel(),
@@ -234,33 +237,30 @@ def dro1_prescribe(
 ) -> Prescription:
     """Joint-ball rule on the truncated data: enumerate paths, then solve the
     scalar dual of every path in one batch with beta bounded below by the
-    top support point times the path length.
+    top support point times the path length.  Exact value ties go to the
+    path whose nodes come first read from the sink.
 
-    At radius zero the dual value degenerates to the joint sample-average
-    path cost, computed through the per-arc decomposition so it matches the
-    shortest-path relaxation bit for bit; exact value ties are broken the
-    same way the forward pass breaks them (sink-side node order).
+    At radius zero the dual value is the joint sample-average path cost,
+    the sum of the per-arc means on the path, so the rule is the SAA
+    shortest path on the truncated data, as :func:`dro2_prescribe` is there.
     """
     truncated = truncate_dataset(data)
-    joint = JointEmpirical.from_dataset(truncated)
     if radius_override is not None:
         r = float(radius_override)
     else:
         r, _ = _joint_ball_radius(truncated.t_min, data.support.size, data.num_actions, alpha)
-    paths = enumerate_paths(g)
     if r == 0.0:
-        means = truncated.means
-        values = [path_cost(x, means) for x in paths]
-    else:
-        incidence = path_incidence(g)
-        # One row per path: its cost at every joint atom (integer-valued, so
-        # exact), sorted by cost.
-        costs = incidence @ joint.atoms.T
-        order = np.argsort(costs, axis=1, kind="stable")
-        rows = np.take_along_axis(costs, order, axis=1)
-        lower = data.support.max * incidence.sum(axis=1)
-        radii = np.full(len(paths), r)
-        values = solve_dual_batch(rows, joint.probs[order], radii, lower).value.tolist()
+        return Prescription(*shortest_path(g, truncated.means))
+    joint = JointEmpirical.from_dataset(truncated)
+    paths = enumerate_paths(g)
+    # One row per path: its cost at every joint atom (integer-valued, so
+    # exact), sorted by cost.
+    costs = path_incidence(g) @ joint.atoms.T
+    order = np.argsort(costs, axis=1, kind="stable")
+    rows = np.take_along_axis(costs, order, axis=1)
+    lower = np.full(len(paths), data.support.max * g.path_length)
+    radii = np.full(len(paths), r)
+    values = solve_dual_batch(rows, joint.probs[order], radii, lower).value.tolist()
     best = min(range(len(paths)), key=lambda i: (values[i], tuple(reversed(paths[i].nodes))))
     return Prescription(paths[best], values[best], None)
 
@@ -273,8 +273,4 @@ def dro2_prescribe(
 ) -> Prescription:
     """Baseline rule on the truncated data, radii recalibrated at T_min."""
     truncated = truncate_dataset(data)
-    if radius_override is not None:
-        spec = AmbiguitySpec.manual(np.full(truncated.num_actions, float(radius_override)))
-    else:
-        spec = calibrate_ambiguity(truncated, alpha)
-    return dro_prescribe(truncated, spec, g)
+    return dro_prescribe(truncated, calibrate_ambiguity(truncated, alpha, radius_override), g)

@@ -3,7 +3,8 @@
 * ``dual_objective`` evaluates the scalar KL dual at one beta;
 * ``primal_oracle`` searches the simplex for the worst-case mean directly;
 * ``joint_atoms_reference`` builds the joint empirical with ``np.unique``;
-* ``dataset_from_costs`` turns per-action cost vectors into a ``DataSet``.
+* ``dataset_from_costs`` turns per-action cost vectors into a ``DataSet``;
+* ``shortest_path_reference`` is a forward pass over the arcs one by one.
 """
 
 import math
@@ -113,3 +114,25 @@ def primal_oracle(empirical: Marginal, r_a: float, grid: float = 1e-3) -> float:
         center = best_q[: d - 1]
         lo = np.clip(center - half, 0.0, 1.0)
         hi = np.clip(center + half, 0.0, 1.0)
+
+
+def shortest_path_reference(g, costs) -> tuple[tuple, float]:
+    """Nodes and value of a shortest path by a forward pass in arc order.
+
+    The arcs of a layered graph are topologically sorted, so one pass that
+    relaxes each (tail, head) arc in turn sets every label.  Updating only
+    on strict improvement sends ties to the lowest tail.
+    """
+    costs = np.asarray(costs, dtype=float)
+    dist = np.full(g.num_nodes, np.inf)
+    dist[g.source] = 0.0
+    pred = np.full(g.num_nodes, -1, dtype=int)
+    for k, (tail, head) in enumerate(g.arcs):
+        cand = dist[tail] + costs[k]
+        if cand < dist[head]:
+            dist[head] = cand
+            pred[head] = k
+    nodes = [g.sink]
+    for _ in range(g.path_length):  # every source-sink path has h + 1 arcs
+        nodes.append(g.arcs[pred[nodes[-1]]][0])
+    return tuple(reversed(nodes)), float(dist[g.sink])

@@ -66,17 +66,25 @@ class TestRun:
         ["d=0"], ["t_min=0"], ["h=0"], ["grid=-3"], ["sigma=0"],
         ["sweep=t_min", "grid=0"], ["sweep=t_min", "grid=5.5"],
         ["radius_override=-1"], ["redraw_nominal=true"], ["epsilon_override=nan"],
+        ["--threads=0"], ["--threads=-5"],
     ])
     def test_bad_sweep_inputs_fail_before_any_replicate(self, tmp_path, capsys, monkeypatch,
                                                         overrides):
+        """Each input is a ``--set`` item, or a flag when it starts with ``--``."""
         def refuse(*args):
             raise AssertionError("a replicate ran")
 
         monkeypatch.setattr(experiments, "run_replicate", refuse)
         cfg = write_config(tmp_path / "cfg.json")
         args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        assert main(args + [f"--set={item}" for item in overrides]) == 1
-        assert capsys.readouterr().err.startswith("error: invalid config: ")
+        flags = [item if item.startswith("--") else f"--set={item}" for item in overrides]
+        assert main(args + flags) == 1
+        err = capsys.readouterr().err
+        if flags[0].startswith("--threads="):
+            workers = flags[0].removeprefix("--threads=")
+            assert err == f"error: workers must be >= 1, got {workers}\n"
+        else:
+            assert err.startswith("error: invalid config: ")
         assert not (tmp_path / "out").exists()
 
     def test_same_seed_reproduces_files_byte_for_byte(self, tmp_path):

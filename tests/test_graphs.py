@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kldro import graphs
 from kldro.graphs import (
@@ -11,6 +16,7 @@ from kldro.graphs import (
     shortest_path,
     to_edgelist,
 )
+from oracles import shortest_path_reference
 
 
 def test_structure_counts():
@@ -138,6 +144,59 @@ def test_dp_matches_enumeration_on_random_instances():
             best = min(path_cost(p, costs) for p in enumerate_paths(g))
             assert value == best  # exact: identical accumulation order
             assert path_cost(dec, costs) == value
+
+
+@st.composite
+def graphs_and_tied_costs(draw):
+    """A graph of 1-6 layers of 1-5 nodes, and small integer arc costs (so
+    many paths tie) of which about one in eight carries a fraction."""
+    g = build_layered(draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    whole = draw(arrays(np.int64, g.num_arcs, elements=st.integers(0, 3)))
+    fractions = st.sampled_from([0.0] * 7 + [0.1, 0.25, 1 / 3, 0.7])
+    return g, whole + draw(arrays(np.float64, g.num_arcs, elements=fractions))
+
+
+@settings(max_examples=300)
+@given(graphs_and_tied_costs())
+def test_layer_dp_equals_the_arc_by_arc_forward_pass(case):
+    g, costs = case
+    dec, value = shortest_path(g, costs)
+    nodes, expected = shortest_path_reference(g, costs)
+    assert dec.nodes == nodes
+    assert value == expected
+    assert path_cost(dec, costs) == value
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (2, 5)])
+def test_decision_from_nodes_round_trips_every_path(h, w):
+    g = build_layered(h, w)
+    lookup = {arc: k for k, arc in enumerate(g.arcs)}
+    for path in enumerate_paths(g):
+        dec = decision_from_nodes(g, path.nodes)
+        assert dec.nodes == path.nodes
+        expected = np.zeros(g.num_arcs, dtype=np.int8)
+        expected[[lookup[arc] for arc in zip(path.nodes, path.nodes[1:])]] = 1
+        assert np.array_equal(dec.incidence, expected)
+        assert np.array_equal(path.incidence, expected)
+
+
+@pytest.mark.parametrize("nodes", [
+    (0, 1, 5),  # one node short
+    (1, 1, 3, 5),  # does not start at the source
+    (0, 1, 3, 4),  # does not end at the sink
+    (0, 3, 1, 5),  # layers out of order
+    (0, 1, 2, 5),  # node 2 lies in layer 1, not layer 2
+    (0, 3, 4, 5),  # node 3 lies in layer 2, not layer 1
+    (0, 1, 3, 4, 5),  # one node too many
+    (1, 3, 5),  # a path from layer 1, not from the source
+    (0, 1),  # a path that stops in layer 1
+    (),
+])
+def test_decision_from_nodes_rejects_non_paths(nodes):
+    g = build_layered(2, 2)
+    with pytest.raises(ValueError, match=rf"^nodes {re.escape(repr(nodes))} are not a "
+                                         r"source-sink path of the 2x2 graph$"):
+        decision_from_nodes(g, nodes)
 
 
 def test_decision_equality_and_incidence():

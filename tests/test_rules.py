@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kldro import rules
 from kldro.datagen import draw_dataset, nominal_marginals, random_nominal_spec, substream
 from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
 from kldro.marginals import DataSet, Support
@@ -116,6 +117,13 @@ class TestDroRules:
             assert pres.arc_costs[a] >= data.empirical(a).mean() - 1e-12
             assert pres.arc_costs[a] <= 8.0 + 1e-12
 
+    def test_radius_override_replaces_the_calibration(self):
+        g = build_layered(2, 2)
+        data, _ = random_dataset(g, 5, seed=37)
+        spec = calibrate_ambiguity(data, 0.05, radius_override=0.3)
+        assert spec.radii.tolist() == [0.3] * g.num_arcs
+        assert spec.labels == ("manual",) * g.num_arcs
+
     def test_spec_size_mismatch_rejected(self):
         g = build_layered(1, 2)
         data = integer_dataset([[1], [2], [1], [2]], d=2)
@@ -170,12 +178,12 @@ class TestHoeffding:
 class TestTruncate:
     def test_identity_when_equal(self):
         data = integer_dataset([[1, 2], [2, 1]], d=2)
-        got = truncate_dataset(data)
-        assert np.array_equal(got.index, data.index)
+        assert truncate_dataset(data) is data
 
     def test_prefix_and_t_min(self):
         data = integer_dataset([[1, 2, 1], [2, 1, 1, 2, 2]], d=2)
         got = truncate_dataset(data)
+        assert got is not data and truncate_dataset(data) is got
         assert got.sizes.tolist() == [3, 3]
         assert got.index.tolist() == [0, 1, 0, 1, 0, 0]
         assert got.t_min == data.t_min
@@ -227,6 +235,20 @@ class TestDro1:
         values = [float(np.dot(joint.probs, joint.atoms @ x.incidence.astype(float)))
                   for x in enumerate_paths(g)]
         assert pres.predicted_loss == pytest.approx(min(values), rel=1e-12)
+
+    def test_zero_radius_is_dro2_at_zero_without_enumerating(self, monkeypatch):
+        g = build_layered(3, 3)
+        data, _ = random_dataset(g, 4, seed=46, t_lo=3, t_hi=9)
+        expected = dro2_prescribe(data, 0.05, g, radius_override=0.0)
+
+        def refuse(*args):
+            raise AssertionError("paths were enumerated or summed one by one")
+
+        monkeypatch.setattr(rules, "enumerate_paths", refuse)
+        monkeypatch.setattr(rules, "path_cost", refuse)
+        pres = dro1_prescribe(data, 0.05, g, radius_override=0.0)
+        assert pres.decision == expected.decision
+        assert pres.predicted_loss == expected.predicted_loss
 
     def test_single_path_graph(self):
         g = build_layered(2, 1)
