@@ -17,12 +17,12 @@ from kldro import (
     build_layered,
     calibrate_ambiguity,
     draw_dataset,
-    dro2_prescribe,
     dro_prescribe,
     nominal_marginals,
     random_nominal_spec,
     sample_sizes,
     substream,
+    truncate_dataset,
 )
 
 D, ALPHA, SEED = 50, 0.05, 12
@@ -35,7 +35,8 @@ sizes = sample_sizes(SampleSizeSpec("uniform", 10, 20), marginals, rng)
 data = draw_dataset(marginals, sizes, rng)
 
 full = dro_prescribe(data, calibrate_ambiguity(data, ALPHA), graph)
-trunc = dro2_prescribe(data, ALPHA, graph)
+truncated = truncate_dataset(data)
+trunc = dro_prescribe(truncated, calibrate_ambiguity(truncated, ALPHA), graph)
 
 means = marginals.means
 order = np.argsort(means)

@@ -1,7 +1,9 @@
 """All four rules on a single data-driven shortest-path instance.
 
 Builds the small 3x3 layered network, draws an unevenly sampled data set
-from a shifted-binomial ground truth, and lets each rule pick a path.  The
+from a shifted-binomial ground truth, and lets each rule pick a path: its
+parameter (radii, slacks or one joint radius) is first calibrated from the
+data at the confidence level ALPHA, then the rule prescribes at it.  The
 printout compares what each rule predicted, what the path truly costs in
 expectation, and the resulting relative loss.
 
@@ -14,15 +16,17 @@ from kldro import (
     calibrate_ambiguity,
     draw_dataset,
     dro1_prescribe,
-    dro2_prescribe,
     dro_prescribe,
     hoeffding_prescribe,
+    hoeffding_slack,
+    joint_radius,
     nominal_marginals,
     path_cost,
     random_nominal_spec,
     sample_sizes,
     shortest_path,
     substream,
+    truncate_dataset,
 )
 
 D, ALPHA, SEED = 10, 0.05, 7
@@ -42,11 +46,12 @@ means = marginals.means
 oracle_path, oracle_value = shortest_path(graph, means)
 print(f"clairvoyant optimum: path {oracle_path.nodes}, expected cost {oracle_value:.4f}\n")
 
+truncated = truncate_dataset(data)
 prescriptions = {
     "robust baseline": dro_prescribe(data, calibrate_ambiguity(data, ALPHA), graph),
-    "hoeffding bound": hoeffding_prescribe(data, ALPHA, graph),
-    "joint-ball, truncated": dro1_prescribe(data, ALPHA, graph),
-    "baseline, truncated": dro2_prescribe(data, ALPHA, graph),
+    "hoeffding bound": hoeffding_prescribe(data, hoeffding_slack(data, ALPHA), graph),
+    "joint-ball, truncated": dro1_prescribe(data, joint_radius(data, ALPHA), graph),
+    "baseline, truncated": dro_prescribe(truncated, calibrate_ambiguity(truncated, ALPHA), graph),
 }
 
 print(f"{'rule':<22} {'predicted':>10} {'true cost':>10} {'rel. loss':>10}  path")

@@ -59,10 +59,11 @@ from .rules import (
     Prescription,
     calibrate_ambiguity,
     dro1_prescribe,
-    dro2_prescribe,
     dro_predict,
     dro_prescribe,
     hoeffding_prescribe,
+    hoeffding_slack,
+    joint_radius,
     split_alpha,
     truncate_dataset,
 )

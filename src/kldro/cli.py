@@ -29,10 +29,6 @@ from .radius import (RadiusInputs, radius_agrawal, radius_baseline, radius_best,
 from .worstcase import solve_dual
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _parse_value(text: str):
     """None for none/null, else an int, else a float, else the text itself;
     ``ExperimentConfig.from_dict`` then checks the type against the key."""
@@ -50,7 +46,7 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
     out = dict(raw)
     for item in overrides:
         if "=" not in item:
-            raise ValidationError(f"override {item!r} is not of the form key=value")
+            raise ValueError(f"override {item!r} is not of the form key=value")
         key, text = item.split("=", 1)
         if CONFIG_FIELDS.get(key) is list:
             out[key] = [_parse_value(part) for part in text.split(",") if part != ""]
@@ -63,7 +59,7 @@ def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",") if p != ""])
     except ValueError:
-        raise ValidationError(f"{flag} expects a comma-separated list of numbers")
+        raise ValueError(f"{flag} expects a comma-separated list of numbers")
 
 
 def cmd_run(args) -> int:
@@ -79,7 +75,7 @@ def cmd_run(args) -> int:
     try:
         raw = _apply_overrides(raw, args.set or [])
         cfg = ExperimentConfig.from_dict(raw)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 1
     results = run_sweep(cfg, workers=args.threads)
@@ -100,9 +96,9 @@ def cmd_worstcase(args) -> int:
         points = _parse_floats(args.z, "--z")
         probs = _parse_floats(args.q, "--q")
         if args.r < 0:
-            raise ValidationError("--r must be nonnegative")
+            raise ValueError("--r must be nonnegative")
         marginal = Marginal(Support(points), probs)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sol = solve_dual(marginal, args.r)
@@ -195,7 +191,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures map to exit 2

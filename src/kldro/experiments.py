@@ -6,8 +6,9 @@ batch of seeded replicates per grid value.  Each replicate draws fresh
 nominal parameters and data, runs the configured rules, and records the
 nominal relative loss rho = achieved / best-possible together with a
 disappointment flag (nominal loss strictly above the predicted loss).
-``ExperimentConfig`` holds what the figure configs set, plus optional fixed
-radius and slack overrides; ``from_dict`` is its one type check.
+Each rule's parameters are calibrated from the data at the configured
+alpha, then the rule runs at them.  ``ExperimentConfig`` holds exactly what
+the figure configs set; ``from_dict`` is its one type check.
 
 Replicates are embarrassingly parallel; each owns a Philox substream and
 results are reduced in replicate order, so output is identical whatever the
@@ -38,9 +39,11 @@ from .graphs import LayeredGraph, build_layered, path_cost, shortest_path
 from .rules import (
     calibrate_ambiguity,
     dro1_prescribe,
-    dro2_prescribe,
     dro_prescribe,
     hoeffding_prescribe,
+    hoeffding_slack,
+    joint_radius,
+    truncate_dataset,
 )
 
 __all__ = [
@@ -75,8 +78,6 @@ CONFIG_FIELDS = {
     "sweep": str,  # one of SWEEP_VARIABLES
     "grid": list,  # values of the swept variable
     "rules": list,  # nonempty subset of RULE_NAMES
-    "radius_override": float,  # fixed ball radius for dro/dro1/dro2 (else calibrated)
-    "epsilon_override": float,  # fixed slack for hoeffding (else calibrated)
 }
 # key type -> (accepted JSON values, how an error names them); no bool is accepted
 _ACCEPTED = {
@@ -103,17 +104,11 @@ class ExperimentConfig:
     grid: tuple
     rules: tuple
     sigma: float | None = None
-    radius_override: float | None = None
-    epsilon_override: float | None = None
 
     def __post_init__(self):
         for key in ("h", "w", "d", "t_min", "n0"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
-        if self.radius_override is not None and not self.radius_override >= 0.0:
-            raise ValueError("radius_override must be >= 0")
-        if self.epsilon_override is not None and not 0.0 <= self.epsilon_override < math.inf:
-            raise ValueError("epsilon_override must be finite and >= 0")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
@@ -222,15 +217,19 @@ def run_replicate(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
     _, best_nominal = shortest_path(g, means)
 
     outcomes = []
+    robust = {}  # id of a data set -> dro's prescription on it
     for rule in cfg.rules:
-        if rule == "dro":
-            pres = dro_prescribe(data, calibrate_ambiguity(data, cfg.alpha, cfg.radius_override), g)
-        elif rule == "hoeffding":
-            pres = hoeffding_prescribe(data, cfg.alpha, g, epsilon=cfg.epsilon_override)
+        if rule == "hoeffding":
+            pres = hoeffding_prescribe(data, hoeffding_slack(data, cfg.alpha), g)
         elif rule == "dro1":
-            pres = dro1_prescribe(data, cfg.alpha, g, radius_override=cfg.radius_override)
+            pres = dro1_prescribe(data, joint_radius(data, cfg.alpha), g)
         else:
-            pres = dro2_prescribe(data, cfg.alpha, g, radius_override=cfg.radius_override)
+            # dro runs on the data and dro2 on its truncation, which is the
+            # data itself when every count is equal: then dro2 is dro.
+            basis = data if rule == "dro" else truncate_dataset(data)
+            if id(basis) not in robust:
+                robust[id(basis)] = dro_prescribe(basis, calibrate_ambiguity(basis, cfg.alpha), g)
+            pres = robust[id(basis)]
         achieved = path_cost(pres.decision, means)
         outcomes.append(
             RuleOutcome(

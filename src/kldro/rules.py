@@ -1,14 +1,17 @@
 """Prediction and prescription rules for the data-driven path problem.
 
-Four rules share one interface: given a data set they produce per-path
-predicted losses and the minimizing decision.
+Each rule prescribes at given parameters and returns a decision with its
+predicted loss:
 
-* the robust baseline: per-action worst case over a KL ball, then a
-  deterministic shortest path (the two-stage decomposition);
-* an upper-confidence-bound benchmark from Hoeffding's inequality;
-* a joint-ball benchmark on the truncated data set, solved per enumerated
-  path ("dro1");
-* the baseline re-run on the truncated data set ("dro2").
+* ``dro_prescribe(data, spec, g)``: per-action worst case over KL balls of
+  the spec's radii, then a deterministic shortest path;
+* ``hoeffding_prescribe(data, epsilon, g)``: empirical means plus a slack;
+* ``dro1_prescribe(data, r, g)``: one joint ball of radius r on the
+  truncated data, solved per enumerated path.
+
+"dro2" is ``dro_prescribe`` on ``truncate_dataset(data)``.  Calibration is
+its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``,
+``hoeffding_slack`` and ``joint_radius``.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ __all__ = [
     "JointEmpirical",
     "split_alpha",
     "calibrate_ambiguity",
+    "hoeffding_slack",
+    "joint_radius",
     "dro_predict",
     "dro_prescribe",
     "hoeffding_prescribe",
     "truncate_dataset",
     "dro1_prescribe",
-    "dro2_prescribe",
 ]
 
 
@@ -56,8 +60,8 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
     alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed once per distinct
     count in exact integers (weights lcm // T_a) with one correctly rounded
     division, and the smallest share absorbs the rounding so the float
-    budget sums to exactly ``alpha``.  The rules call it once per (data
-    set, alpha): calibration and the Hoeffding rule share that one result.
+    budget sums to exactly ``alpha``.  It runs once per (data set, alpha):
+    the radius calibration and the Hoeffding slack share that one result.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -78,7 +82,7 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
 
 def _split_once(data: DataSet, alpha: float) -> np.ndarray:
     """``split_alpha(alpha, data.sizes)``, computed once per (data set,
-    alpha) and shared read-only by calibration and the Hoeffding rule."""
+    alpha) and shared read-only by calibration and the Hoeffding slack."""
     key = ("split_alpha", alpha)
     if key not in data.cache:
         alphas = split_alpha(alpha, data.sizes)
@@ -87,20 +91,16 @@ def _split_once(data: DataSet, alpha: float) -> np.ndarray:
     return data.cache[key]
 
 
-def calibrate_ambiguity(data: DataSet, alpha: float,
-                        radius_override: float | None = None) -> AmbiguitySpec:
+def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
     """Per-action radii: split the budget, then take the best of the three
     finite-sample bounds once per distinct (T_a, alpha_a), with d_a the
-    size of the shared support.  A ``radius_override`` gives every action
-    that radius instead, labelled "manual".
+    size of the shared support.
 
     alpha_a depends on T_a alone except at the one arc whose share absorbed
     the split's rounding, so the distinct pairs are the distinct counts,
     each split in two where an arc's alpha differs from that of the first
     arc with its count.
     """
-    if radius_override is not None:
-        return AmbiguitySpec.manual(np.full(data.num_actions, float(radius_override)))
     sizes = data.sizes
     t_min = data.t_min
     alphas = _split_once(data, alpha)
@@ -137,31 +137,20 @@ def dro_prescribe(data: DataSet, spec: AmbiguitySpec, g: LayeredGraph) -> Prescr
     return Prescription(decision, value, costs)
 
 
-def hoeffding_prescribe(
-    data: DataSet,
-    alpha: float,
-    g: LayeredGraph,
-    epsilon: float | np.ndarray | None = None,
-) -> Prescription:
-    """Upper confidence bounds for the means, clipped at the top cost d.
+def hoeffding_slack(data: DataSet, alpha: float) -> np.ndarray:
+    """Per-action slack that inverts Hoeffding's tail for a cost in
+    [z_1, z_d] at the split budget:
+    eps_a = (z_d - z_1) sqrt(ln(1/alpha_a) / (2 T_a))."""
+    points = data.support.points
+    alphas = _split_once(data, alpha)
+    return (points[-1] - points[0]) * np.sqrt(np.log(1.0 / alphas) / (2.0 * data.sizes))
 
-    The support must be {1, ..., d}.  The per-action slack inverts the
-    Hoeffding tail at the split budget:
-    eps_a = (d - 1) sqrt(ln(1/alpha_a) / (2 T_a)).  Passing ``epsilon``
-    overrides the calibration with a fixed slack (the plain
-    empirical-mean-plus-constant rule is the special case of a shared
-    scalar).
-    """
-    d = data.support.size
-    if not (data.support.points == np.arange(1.0, d + 1.0)).all():
-        raise ValueError("hoeffding rule expects the support {1, ..., d}")
-    sizes = data.sizes
-    if epsilon is None:
-        alphas = _split_once(data, alpha)
-        eps = (d - 1) * np.sqrt(np.log(1.0 / alphas) / (2.0 * sizes))
-    else:
-        eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (data.num_actions,))
-    costs = np.minimum(data.means + eps, float(d))
+
+def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
+                        g: LayeredGraph) -> Prescription:
+    """Upper confidence bounds for the means, clipped at the top cost:
+    ``epsilon`` is one slack per action or a shared scalar."""
+    costs = np.minimum(data.means + epsilon, data.support.max)
     decision, value = shortest_path(g, costs)
     return Prescription(decision, value, costs)
 
@@ -215,40 +204,33 @@ class JointEmpirical:
         return cls(data.support.points[block[:, starts].T], probs)
 
 
-def _joint_ball_radius(t_min: int, d: int, num_actions: int, alpha: float) -> tuple[float, str]:
-    # One ball around the joint empirical: support size d^m, T_min samples,
-    # and the whole confidence budget (no union bound over actions).
+def joint_radius(data: DataSet, alpha: float) -> float:
+    """Radius of one ball around the joint empirical of the first T_min
+    observations: support size d^m, T_min samples, and the whole confidence
+    budget (no union bound over actions)."""
+    t_min = data.t_min
     inputs = RadiusInputs(
         T_a=t_min,
-        d_a=d**num_actions,
+        d_a=data.support.size**data.num_actions,
         num_actions=1,
         T_min=t_min,
         alpha_a=alpha,
         rate=rate_from_alpha(alpha, t_min),
     )
-    return radius_best(inputs)
+    return radius_best(inputs)[0]
 
 
-def dro1_prescribe(
-    data: DataSet,
-    alpha: float,
-    g: LayeredGraph,
-    radius_override: float | None = None,
-) -> Prescription:
-    """Joint-ball rule on the truncated data: enumerate paths, then solve the
-    scalar dual of every path in one batch with beta bounded below by the
-    top support point times the path length.  Exact value ties go to the
-    path whose nodes come first read from the sink.
+def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
+    """Joint-ball rule of radius ``r`` on the truncated data: enumerate
+    paths, then solve the scalar dual of every path in one batch with beta
+    bounded below by the top support point times the path length.  Exact
+    value ties go to the path whose nodes come first read from the sink.
 
     At radius zero the dual value is the joint sample-average path cost,
     the sum of the per-arc means on the path, so the rule is the SAA
-    shortest path on the truncated data, as :func:`dro2_prescribe` is there.
+    shortest path on the truncated data, as dro at radius zero is there.
     """
     truncated = truncate_dataset(data)
-    if radius_override is not None:
-        r = float(radius_override)
-    else:
-        r, _ = _joint_ball_radius(truncated.t_min, data.support.size, data.num_actions, alpha)
     if r == 0.0:
         return Prescription(*shortest_path(g, truncated.means))
     joint = JointEmpirical.from_dataset(truncated)
@@ -264,13 +246,3 @@ def dro1_prescribe(
     best = min(range(len(paths)), key=lambda i: (values[i], tuple(reversed(paths[i].nodes))))
     return Prescription(paths[best], values[best], None)
 
-
-def dro2_prescribe(
-    data: DataSet,
-    alpha: float,
-    g: LayeredGraph,
-    radius_override: float | None = None,
-) -> Prescription:
-    """Baseline rule on the truncated data, radii recalibrated at T_min."""
-    truncated = truncate_dataset(data)
-    return dro_prescribe(truncated, calibrate_ambiguity(truncated, alpha, radius_override), g)

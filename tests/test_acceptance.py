@@ -26,6 +26,7 @@ from kldro.experiments import ExperimentConfig, run_sweep
 from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
 from kldro.marginals import Marginal, Support, kl_divergence
 from kldro.radius import (
+    AmbiguitySpec,
     RadiusInputs,
     mardia_constant,
     radius_agrawal,
@@ -34,7 +35,8 @@ from kldro.radius import (
     radius_mardia,
     rate_from_alpha,
 )
-from kldro.rules import calibrate_ambiguity, dro_predict, dro_prescribe
+from kldro.rules import (calibrate_ambiguity, dro1_prescribe, dro_predict, dro_prescribe,
+                         hoeffding_prescribe, truncate_dataset)
 from kldro.worstcase import solve_dual
 from oracles import primal_oracle
 
@@ -187,26 +189,28 @@ def test_criterion_5_degeneration_to_saa():
         nominal="shifted-binomial", sample_sizes="uniform",
         t_min=6, delta=0, sweep="delta", grid=(0,),
         rules=("dro", "hoeffding", "dro1", "dro2"),
-        radius_override=0.0, epsilon_override=0.0,
     )
-    results = run_sweep(cfg)
     g = build_layered(cfg.h, cfg.w)
-    for rep in results[0].replicates:
-        rhos = {out.rho for out in rep.outcomes}
-        nodes = {out.nodes for out in rep.outcomes}
-        assert len(rhos) == 1 and len(nodes) == 1
-        # independent SAA: regenerate the replicate's data and take the
-        # shortest path on plain empirical means
-        rng = substream(cfg.seed, 1 + rep.replicate)
+    zero = AmbiguitySpec.manual(np.zeros(g.num_arcs))
+    for replicate in range(cfg.n0):
+        # the replicate's data, regenerated from its substream
+        rng = substream(cfg.seed, 1 + replicate)
         spec = random_nominal_spec(cfg.nominal, g.num_arcs, cfg.d, rng)
         marg = nominal_marginals(spec, g)
         sizes = sample_sizes(SampleSizeSpec("uniform", 6, 0), marg, rng)
         data = draw_dataset(marg, sizes, rng)
+        prescriptions = [
+            dro_prescribe(data, zero, g),
+            hoeffding_prescribe(data, 0.0, g),
+            dro1_prescribe(data, 0.0, g),
+            dro_prescribe(truncate_dataset(data), zero, g),
+        ]
+        # independent SAA: the shortest path on plain empirical means
         means = [data.empirical(a).mean() for a in range(g.num_arcs)]
         saa_decision, _ = shortest_path(g, means)
-        assert rep.outcomes[0].nodes == saa_decision.nodes
+        assert [pres.decision for pres in prescriptions] == [saa_decision] * 4
     report("ACCEPTANCE 5 degeneration: zero radius and zero slack reproduce the "
-           "sample-average rule, identical rho sequences on 100 replicates -- PASS")
+           "sample-average path for all four rules on 100 replicates -- PASS")
 
 
 def test_criterion_6a_spread_crossover():

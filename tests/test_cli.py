@@ -39,7 +39,8 @@ class TestRun:
 
     def test_unknown_override_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
-        for item in ("bogus=1", "redraw_nominal=true", "enumeration_cap=0"):
+        for item in ("bogus=1", "redraw_nominal=true", "enumeration_cap=0", "radius_override=0",
+                     "epsilon_override=0"):
             assert main(["run", "--config", str(cfg), "--set", item]) == 1
             assert capsys.readouterr().err.startswith("error: invalid config: unknown config keys")
         old = write_config(tmp_path / "old.json", mad_center="mean")
@@ -56,7 +57,7 @@ class TestRun:
         code = main([
             "run", "--config", str(cfg), "--out", str(out),
             "--set", "n0=2", "--set", "grid=0", "--set", "rules=dro",
-            "--set", "radius_override=inf", "--set", "sigma=null",
+            "--set", "sigma=null",
         ])
         assert code == 0
         lines = (out / "results.csv").read_text().strip().splitlines()

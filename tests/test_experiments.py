@@ -122,7 +122,8 @@ class TestConfig:
                                  ("grid", 3, "a list")]:
             with pytest.raises(ValueError, match=f"^config key '{key}' must be {kind}$"):
                 ExperimentConfig.from_dict({**raw, key: value})
-        for removed in ("redraw_nominal", "mad_center", "enumeration_cap"):
+        for removed in ("redraw_nominal", "mad_center", "enumeration_cap", "radius_override",
+                        "epsilon_override"):
             with pytest.raises(ValueError, match=f"unknown config keys: \\['{removed}'\\]"):
                 ExperimentConfig.from_dict({**raw, removed: None})
         assert ExperimentConfig.from_dict({**raw, "sigma": None}).sigma is None
@@ -130,6 +131,11 @@ class TestConfig:
             ExperimentConfig.from_dict({**raw, "rules": ["nope"]})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**raw, "grid": []})
+
+    def test_fields_are_the_keys_the_figure_configs_set(self):
+        keys = set().union(*(json.loads(path.read_text()) for path in CONFIGS.glob("fig*.json")))
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} == keys
+        assert set(experiments.CONFIG_FIELDS) == keys
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("fig*.json")), ids=lambda p: p.stem)
     def test_figure_configs_survive_a_json_round_trip(self, path):
@@ -163,20 +169,10 @@ class TestConfig:
         (dict(sweep="sigma", grid=(math.nan,)), "^sigma sweep value nan must be positive"),
         (dict(sweep="t_min", grid=("5",)), "^sweep value '5' is not a number"),
         (dict(sweep="delta", grid=(True,)), "^sweep value True is not a number"),
-        (dict(radius_override=-1.0), "^radius_override must be >= 0"),
-        (dict(radius_override=math.nan), "^radius_override must be >= 0"),
-        (dict(epsilon_override=-0.5), "^epsilon_override must be finite and >= 0"),
-        (dict(epsilon_override=math.nan), "^epsilon_override must be finite and >= 0"),
-        (dict(epsilon_override=math.inf), "^epsilon_override must be finite and >= 0"),
     ])
     def test_rejects_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_config(**overrides)
-
-    def test_boundary_overrides_are_accepted(self):
-        cfg = small_config(radius_override=math.inf, epsilon_override=0.0)
-        assert (cfg.radius_override, cfg.epsilon_override) == (math.inf, 0.0)
-        assert small_config(radius_override=0.0).radius_override == 0.0
 
     def test_integral_float_counts_are_accepted(self):
         assert small_config(sweep="t_min", grid=(5.0, 7)).grid == (5.0, 7)
@@ -292,6 +288,28 @@ class TestRunSweep:
             # once for the data (dro and hoeffding), once for the truncation (dro2)
             assert len(splits) == 2 * (replicate + 1)
         assert graphs._paths_and_incidence.cache_info().misses == 1
+
+    def test_fig7_dro2_reuses_dro_when_counts_are_equal(self, monkeypatch):
+        raw = json.loads((CONFIGS / "fig7.json").read_text())
+        cfg = ExperimentConfig.from_dict({**raw, "grid": [0, 14], "n0": 2})
+        g = build_layered(cfg.h, cfg.w)
+        calls = []
+        solve_dual_batch = rules.solve_dual_batch
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return solve_dual_batch(*args)
+
+        monkeypatch.setattr(rules, "solve_dual_batch", counting)
+        # one row per arc for dro (and dro2), one per path for dro1
+        for grid_index, rows in ((0, [24, 27]), (1, [24, 27, 24])):
+            for replicate in range(cfg.n0):
+                calls.clear()
+                result = run_replicate(cfg, g, grid_index, replicate)
+                assert calls == rows
+                dro, dro2 = result.outcomes[0], result.outcomes[3]
+                if grid_index == 0:
+                    assert (dro.nodes, dro.predicted) == (dro2.nodes, dro2.predicted)
 
     def test_parallel_matches_sequential(self, tmp_path):
         cfg = small_config(n0=4, grid=(0, 3))

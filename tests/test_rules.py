@@ -7,15 +7,16 @@ from kldro import rules
 from kldro.datagen import draw_dataset, nominal_marginals, random_nominal_spec, substream
 from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
 from kldro.marginals import DataSet, Support
-from kldro.radius import AmbiguitySpec
+from kldro.radius import AmbiguitySpec, RadiusInputs, radius_best, rate_from_alpha
 from kldro.rules import (
     JointEmpirical,
     calibrate_ambiguity,
     dro1_prescribe,
-    dro2_prescribe,
     dro_predict,
     dro_prescribe,
     hoeffding_prescribe,
+    hoeffding_slack,
+    joint_radius,
     split_alpha,
     truncate_dataset,
 )
@@ -117,13 +118,6 @@ class TestDroRules:
             assert pres.arc_costs[a] >= data.empirical(a).mean() - 1e-12
             assert pres.arc_costs[a] <= 8.0 + 1e-12
 
-    def test_radius_override_replaces_the_calibration(self):
-        g = build_layered(2, 2)
-        data, _ = random_dataset(g, 5, seed=37)
-        spec = calibrate_ambiguity(data, 0.05, radius_override=0.3)
-        assert spec.radii.tolist() == [0.3] * g.num_arcs
-        assert spec.labels == ("manual",) * g.num_arcs
-
     def test_spec_size_mismatch_rejected(self):
         g = build_layered(1, 2)
         data = integer_dataset([[1], [2], [1], [2]], d=2)
@@ -137,14 +131,14 @@ class TestHoeffding:
         # eps = (d-1) sqrt(ln(e)/4) = 0.5 on the d=2 grid
         g = build_layered(1, 1)
         data = integer_dataset([[1, 1], [1, 2]], d=2)
-        pres = hoeffding_prescribe(data, 2 / math.e, g)
+        pres = hoeffding_prescribe(data, hoeffding_slack(data, 2 / math.e), g)
         assert pres.arc_costs[0] == pytest.approx(1.0 + 0.5, rel=1e-12)
         assert pres.arc_costs[1] == pytest.approx(1.5 + 0.5, rel=1e-12)
 
     def test_clipping_at_top_cost(self):
         g = build_layered(1, 1)
         data = integer_dataset([[2, 2], [2, 2]], d=2)
-        pres = hoeffding_prescribe(data, 0.05, g)
+        pres = hoeffding_prescribe(data, hoeffding_slack(data, 0.05), g)
         assert np.all(pres.arc_costs == 2.0)
 
     def test_costs_follow_the_tail_inversion_formula(self):
@@ -154,7 +148,7 @@ class TestHoeffding:
         sizes = data.sizes
         alphas = split_alpha(0.4, sizes)
         eps = (5 - 1) * np.sqrt(np.log(1.0 / alphas) / (2.0 * sizes))
-        pres = hoeffding_prescribe(data, 0.4, g)
+        pres = hoeffding_prescribe(data, hoeffding_slack(data, 0.4), g)
         assert pres.arc_costs == pytest.approx(np.minimum(means + eps, 5.0), rel=1e-12)
         # slack vanishes as the per-action confidence approaches one
         assert (5 - 1) * math.sqrt(math.log(1.0 / (1 - 1e-12)) / 2.0) < 1e-5
@@ -163,16 +157,20 @@ class TestHoeffding:
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 5, seed=38)
         means = np.array([data.empirical(a).mean() for a in range(g.num_arcs)])
-        pres = hoeffding_prescribe(data, 0.05, g, epsilon=0.0)
+        pres = hoeffding_prescribe(data, 0.0, g)
         assert np.array_equal(pres.arc_costs, np.minimum(means, 5.0))
-        pres1 = hoeffding_prescribe(data, 0.05, g, epsilon=1.0)
+        pres1 = hoeffding_prescribe(data, 1.0, g)
         assert np.array_equal(pres1.arc_costs, np.minimum(means + 1.0, 5.0))
 
-    def test_rejects_non_integer_grid(self):
-        sup = Support(np.array([1.0, 3.0]))
-        data = dataset_from_costs(sup, ([1.0], [3.0]))
-        with pytest.raises(ValueError):
-            hoeffding_prescribe(data, 0.05, build_layered(1, 1))
+    def test_slack_scales_with_the_support_range(self):
+        # Hoeffding's range form on {1, 3}: eps_a = (3 - 1) sqrt(ln(1/alpha_a) / (2 T_a))
+        data = dataset_from_costs(Support(np.array([1.0, 3.0])), ([1.0] * 7 + [3.0], [3.0] * 4))
+        sizes = np.array([8, 4])
+        eps = hoeffding_slack(data, 0.05)
+        expected = 2.0 * np.sqrt(np.log(1.0 / split_alpha(0.05, sizes)) / (2.0 * sizes))
+        assert eps.tolist() == expected.tolist()
+        pres = hoeffding_prescribe(data, eps, build_layered(1, 1))
+        assert pres.arc_costs.tolist() == [1.25 + eps[0], 3.0]
 
 
 class TestTruncate:
@@ -230,7 +228,7 @@ class TestDro1:
     def test_zero_radius_matches_joint_sample_average(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=39, t_lo=6, t_hi=6)
-        pres = dro1_prescribe(data, 0.05, g, radius_override=0.0)
+        pres = dro1_prescribe(data, 0.0, g)
         joint = JointEmpirical.from_dataset(data)
         values = [float(np.dot(joint.probs, joint.atoms @ x.incidence.astype(float)))
                   for x in enumerate_paths(g)]
@@ -239,21 +237,22 @@ class TestDro1:
     def test_zero_radius_is_dro2_at_zero_without_enumerating(self, monkeypatch):
         g = build_layered(3, 3)
         data, _ = random_dataset(g, 4, seed=46, t_lo=3, t_hi=9)
-        expected = dro2_prescribe(data, 0.05, g, radius_override=0.0)
+        zero = AmbiguitySpec.manual(np.zeros(g.num_arcs))
+        expected = dro_prescribe(truncate_dataset(data), zero, g)
 
         def refuse(*args):
             raise AssertionError("paths were enumerated or summed one by one")
 
         monkeypatch.setattr(rules, "enumerate_paths", refuse)
         monkeypatch.setattr(rules, "path_cost", refuse)
-        pres = dro1_prescribe(data, 0.05, g, radius_override=0.0)
+        pres = dro1_prescribe(data, 0.0, g)
         assert pres.decision == expected.decision
         assert pres.predicted_loss == expected.predicted_loss
 
     def test_single_path_graph(self):
         g = build_layered(2, 1)
         data = integer_dataset([[1, 2], [2, 1], [1, 1]], d=2)
-        pres = dro1_prescribe(data, 0.05, g)
+        pres = dro1_prescribe(data, joint_radius(data, 0.05), g)
         assert pres.decision == enumerate_paths(g)[0]
         assert pres.predicted_loss >= path_cost(pres.decision, [1.5, 1.5, 1.0]) - 1e-9
 
@@ -262,7 +261,7 @@ class TestDro1:
         data, _ = random_dataset(g, 4, seed=40, t_lo=5, t_hi=9)
         rng = np.random.default_rng(41)
         for r in (0.05, 0.3, 1.0):
-            pres = dro1_prescribe(data, 0.05, g, radius_override=r)
+            pres = dro1_prescribe(data, r, g)
             oracle_value, oracle_path = dro1_grid_oracle(data, r, 4, g)
             assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
             assert pres.decision == oracle_path
@@ -274,15 +273,23 @@ class TestDro1:
         rng = np.random.default_rng(45)
         index = np.concatenate([rng.integers(0, 3, size=6) for _ in range(g.num_arcs)])
         data = DataSet(Support(points), index, np.full(g.num_arcs, 6))
-        pres = dro1_prescribe(data, 0.05, g, radius_override=0.3)
+        pres = dro1_prescribe(data, 0.3, g)
         oracle_value, oracle_path = dro1_grid_oracle(data, 0.3, 7.0, g)
         assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
         assert pres.decision == oracle_path
 
+    def test_joint_radius_is_one_ball_at_t_min_with_the_whole_budget(self):
+        g = build_layered(2, 2)
+        data, _ = random_dataset(g, 4, seed=42)
+        expected, _ = radius_best(RadiusInputs(data.t_min, 4**g.num_arcs, 1, data.t_min, 0.05,
+                                               rate_from_alpha(0.05, data.t_min)))
+        assert joint_radius(data, 0.05) == expected
+        assert joint_radius(truncate_dataset(data), 0.05) == expected
+
     def test_calibrated_radius_runs(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=42)
-        pres = dro1_prescribe(data, 0.05, g)
+        pres = dro1_prescribe(data, joint_radius(data, 0.05), g)
         assert pres.arc_costs is None
         assert pres.predicted_loss <= 4 * (g.h + 1) + 1e-9
 
@@ -291,7 +298,7 @@ class TestDro1:
         data = DataSet(Support.integers(2), np.zeros(g.num_arcs, dtype=int),
                        np.ones(g.num_arcs, dtype=int))
         with pytest.raises(ValueError, match="cap"):
-            dro1_prescribe(data, 0.05, g)
+            dro1_prescribe(data, 0.3, g)
 
     def test_path_objective_convex_in_beta(self):
         g = build_layered(2, 2)
@@ -316,7 +323,9 @@ class TestDro2:
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 5, seed=45, t_lo=7, t_hi=7)
         base = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
-        trunc = dro2_prescribe(data, 0.05, g)
+        truncated = truncate_dataset(data)
+        assert truncated is data
+        trunc = dro_prescribe(truncated, calibrate_ambiguity(truncated, 0.05), g)
         assert base.decision == trunc.decision
         assert base.predicted_loss == trunc.predicted_loss
 
@@ -326,7 +335,8 @@ class TestDro2:
         g = build_layered(1, 1)
         data = integer_dataset([[1, 2, 1, 2], [1, 2]], d=2)
         base = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
-        trunc = dro2_prescribe(data, 0.05, g)
+        truncated = truncate_dataset(data)
+        trunc = dro_prescribe(truncated, calibrate_ambiguity(truncated, 0.05), g)
         assert np.all(trunc.arc_costs >= base.arc_costs - 1e-12)
         assert trunc.arc_costs[0] > base.arc_costs[0]
 
@@ -343,7 +353,7 @@ class TestDro2:
         data = integer_dataset(samples, d=5)
         spec = AmbiguitySpec.manual(np.zeros(4))
         base = dro_prescribe(data, spec, g)
-        trunc = dro2_prescribe(data, 0.05, g, radius_override=0.0)
+        trunc = dro_prescribe(truncate_dataset(data), spec, g)
         assert base.decision != trunc.decision
         assert trunc.decision.nodes == (0, 2, 3)
         assert base.decision.nodes == (0, 1, 3)
