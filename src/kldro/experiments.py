@@ -10,9 +10,14 @@ Each rule's parameters are calibrated from the data at the configured
 alpha, then the rule runs at them.  ``ExperimentConfig`` holds exactly what
 the figure configs set; ``from_dict`` is its one type check.
 
-Replicates are embarrassingly parallel; each owns a Philox substream and
-results are reduced in replicate order, so output is identical whatever the
-worker count.
+A sweep runs as blocks of up to ``BLOCK_SIZE`` consecutive replicates,
+which may span grid values.  Each replicate owns a Philox substream, its
+data draw and its calibrations; the block then makes one dual-kernel call
+for all dro and dro2 rows, one dro1 call per joint-atom count, and one
+batched shortest-path DP over every cost row.  Kernel and DP rows are
+solved independently and results are reduced in replicate order, so output
+is identical whatever the block size or the worker count.
+``run_replicate`` is a block of one.
 """
 
 from __future__ import annotations
@@ -38,13 +43,16 @@ from .datagen import (
 from .graphs import LayeredGraph, build_layered, path_cost, shortest_path
 from .rules import (
     calibrate_ambiguity,
-    dro1_prescribe,
-    dro_prescribe,
-    hoeffding_prescribe,
+    hoeffding_costs,
     hoeffding_slack,
     joint_radius,
+    joint_worst_case_paths,
     truncate_dataset,
+    worst_case_costs,
 )
+# Blocks call the rules' shared helpers; the prescriptions stay importable
+# from here because bench/trace_layers.py wraps them.
+from .rules import dro1_prescribe, dro_prescribe, hoeffding_prescribe  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -60,6 +68,9 @@ __all__ = [
 ]
 
 RULE_NAMES = ("dro", "hoeffding", "dro1", "dro2")
+# Most replicates per block.  On full fig2a grid values 16 was the fastest
+# block size; blocks of 64 or more were slower, from cache pressure.
+BLOCK_SIZE = 16
 SWEEP_VARIABLES = ("t_min", "delta", "sigma")
 
 # The type of every config key, checked by ExperimentConfig.from_dict.
@@ -203,45 +214,71 @@ def _stream_index(cfg: ExperimentConfig, grid_index: int, replicate: int) -> int
     return grid_index * (cfg.n0 + 1) + 1 + replicate
 
 
-def run_replicate(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
-                  replicate: int) -> ReplicateResult:
-    sweep_value = cfg.grid[grid_index]
-    t_min, delta, sigma = _resolved(cfg, sweep_value)
+def _replicate_data(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
+                    replicate: int):
+    """One replicate's nominal means and data set, drawn from its own substream."""
+    t_min, delta, sigma = _resolved(cfg, cfg.grid[grid_index])
     rng = substream(cfg.seed, _stream_index(cfg, grid_index, replicate))
     spec = random_nominal_spec(cfg.nominal, g.num_arcs, cfg.d, rng, sigma=sigma)
     marginals = nominal_marginals(spec, g)
     sizes = sample_sizes(SampleSizeSpec(cfg.sample_sizes, t_min, delta), marginals, rng)
-    data = draw_dataset(marginals, sizes, rng, joint=(cfg.nominal == "multinomial"))
+    return marginals.means, draw_dataset(marginals, sizes, rng, joint=(cfg.nominal == "multinomial"))
 
-    means = marginals.means
-    _, best_nominal = shortest_path(g, means)
 
-    outcomes = []
-    robust = {}  # id of a data set -> dro's prescription on it
-    for rule in cfg.rules:
-        if rule == "hoeffding":
-            pres = hoeffding_prescribe(data, hoeffding_slack(data, cfg.alpha), g)
-        elif rule == "dro1":
-            pres = dro1_prescribe(data, joint_radius(data, cfg.alpha), g)
-        else:
-            # dro runs on the data and dro2 on its truncation, which is the
-            # data itself when every count is equal: then dro2 is dro.
-            basis = data if rule == "dro" else truncate_dataset(data)
-            if id(basis) not in robust:
-                robust[id(basis)] = dro_prescribe(basis, calibrate_ambiguity(basis, cfg.alpha), g)
-            pres = robust[id(basis)]
-        achieved = path_cost(pres.decision, means)
-        outcomes.append(
-            RuleOutcome(
-                rule=rule,
-                nodes=pres.decision.nodes,
-                predicted=pres.predicted_loss,
-                nominal=achieved,
-                rho=achieved / best_nominal,
-                disappointed=bool(achieved > pres.predicted_loss),
-            )
-        )
-    return ReplicateResult(replicate, tuple(int(t) for t in sizes), tuple(outcomes))
+def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateResult]:
+    """The replicates ``keys``, (grid index, replicate) pairs, as one block.
+
+    Each replicate draws its data and calibrates every rule on it.  Then the
+    block makes one dual-kernel call for the dro and dro2 rows of all its
+    replicates, one dro1 kernel call per joint-atom count, and one dynamic
+    program over every cost row to route.  Rows are solved independently,
+    so a replicate's result does not depend on the block it runs in.
+    """
+    drawn = [_replicate_data(cfg, g, *key) for key in keys]
+    rows = {}  # (replicate in block, rule) -> cost row to route; rule None: the nominal best
+    robust = {}  # id of a data set -> (data set, its spec): dro on the data, dro2 on the truncation
+    routes = {}  # (replicate in block, rule) -> id of the data set whose worst-case costs it routes
+    joint = {}  # (replicate in block, "dro1") -> (truncated data, joint radius), radius > 0
+    for k, (means, data) in enumerate(drawn):
+        rows[k, None] = means
+        for rule in cfg.rules:
+            if rule == "hoeffding":
+                rows[k, rule] = hoeffding_costs(data, hoeffding_slack(data, cfg.alpha))
+            elif rule == "dro1":
+                r, truncated = joint_radius(data, cfg.alpha), truncate_dataset(data)
+                if r == 0.0:  # the shortest path on the truncated means, as in dro1_prescribe
+                    rows[k, rule] = truncated.means
+                else:
+                    joint[k, rule] = (truncated, r)
+            else:
+                # dro runs on the data and dro2 on its truncation, which is the
+                # data itself when every count is equal: then dro2 is dro.
+                basis = data if rule == "dro" else truncate_dataset(data)
+                if id(basis) not in robust:
+                    robust[id(basis)] = (basis, calibrate_ambiguity(basis, cfg.alpha))
+                routes[k, rule] = id(basis)
+    solved = dict(zip(robust, worst_case_costs(robust.values())))
+    rows.update((slot, solved[basis]) for slot, basis in routes.items())
+    picked = dict(zip(joint, joint_worst_case_paths(g, joint.values())))
+    picked.update(zip(rows, shortest_path(g, np.stack(list(rows.values())))))
+
+    results = []
+    for k, ((_, replicate), (means, data)) in enumerate(zip(keys, drawn)):
+        best_nominal = picked[k, None][1]
+        outcomes = []
+        for rule in cfg.rules:
+            decision, predicted = picked[k, rule]
+            achieved = path_cost(decision, means)
+            outcomes.append(RuleOutcome(rule, decision.nodes, predicted, achieved,
+                                        achieved / best_nominal, bool(achieved > predicted)))
+        results.append(ReplicateResult(replicate, tuple(data.sizes.tolist()), tuple(outcomes)))
+    return results
+
+
+def run_replicate(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
+                  replicate: int) -> ReplicateResult:
+    """One replicate, run as a block of one: what any block computes for it."""
+    return _run_block(cfg, g, [(grid_index, replicate)])[0]
 
 
 class ReplicateError(RuntimeError):
@@ -249,16 +286,28 @@ class ReplicateError(RuntimeError):
     replicate, seed and substream."""
 
 
-def _replicate_task(args) -> ReplicateResult:
-    cfg, _, grid_index, replicate = args
+def _replicate_task(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
+                    replicate: int) -> ReplicateResult:
     try:
-        return run_replicate(*args)
+        return run_replicate(cfg, g, grid_index, replicate)
     except Exception as exc:
         raise ReplicateError(
             f"replicate failed at sweep value {cfg.grid[grid_index]!r} "
             f"(grid index {grid_index}, replicate {replicate}, seed {cfg.seed}, "
             f"substream {_stream_index(cfg, grid_index, replicate)}): {exc}"
         ) from exc
+
+
+def _block_task(args) -> list[ReplicateResult]:
+    cfg, g, keys = args
+    try:
+        return _run_block(cfg, g, keys)
+    except Exception:
+        # Run the block again one replicate at a time, so that the error
+        # names the replicate that fails.
+        for key in keys:
+            _replicate_task(cfg, g, *key)
+        raise
 
 
 def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray):
@@ -271,14 +320,16 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     g = build_layered(cfg.h, cfg.w)
-    tasks = [(cfg, g, grid_index, i) for grid_index in range(len(cfg.grid))
-             for i in range(cfg.n0)]
+    keys = [(grid_index, i) for grid_index in range(len(cfg.grid)) for i in range(cfg.n0)]
+    size = min(BLOCK_SIZE, -(-len(keys) // workers))
+    tasks = [(cfg, g, keys[k:k + size]) for k in range(0, len(keys), size)]
     if workers > 1:
-        # One ordered map over the whole sweep, so no grid value waits for
-        # the previous one.  Leaving the block shuts the pool down.
+        # One ordered map over the whole sweep, one task per block, so no
+        # grid value waits for the previous one.  Leaving the block shuts
+        # the pool down.
         try:
-            with ProcessPoolExecutor(workers) as pool:
-                replicates = list(pool.map(_replicate_task, tasks))
+            with ProcessPoolExecutor(min(workers, len(tasks))) as pool:
+                blocks = list(pool.map(_block_task, tasks))
         except ReplicateError:
             raise
         except Exception as exc:  # a killed worker, a task that does not pickle
@@ -287,7 +338,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
                 f"(seed {cfg.seed}, {workers} workers): {exc!r}"
             ) from exc
     else:
-        replicates = list(map(_replicate_task, tasks))
+        blocks = list(map(_block_task, tasks))
+    replicates = [result for block in blocks for result in block]
     results = []
     for grid_index, sweep_value in enumerate(cfg.grid):
         batch = replicates[grid_index * cfg.n0 : (grid_index + 1) * cfg.n0]

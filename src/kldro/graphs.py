@@ -98,36 +98,45 @@ def decision_from_nodes(g: LayeredGraph, nodes) -> Decision:
     return _path(g, choices.tolist())
 
 
-def shortest_path(g: LayeredGraph, costs) -> tuple[Decision, float]:
+def shortest_path(g: LayeredGraph, costs):
     """Argmin decision and its value by dynamic programming over the layers.
 
+    ``costs`` is one row of arc costs, answered with ``(decision, value)``,
+    or an (R, arcs) matrix whose rows are solved at once, answered with one
+    ``(decision, value)`` pair per row; a row's answer is the same either way.
     A head's label is the least of its tails' labels plus the arc cost: the
     additions in path order that :func:`path_cost` makes, so the two agree
     exactly.  Ties go to the lowest tail, and at the sink to the lowest node
     of the last layer.  Costs must be finite: NaN (or inf - inf) has no order.
     """
     costs = np.asarray(costs, dtype=float)
-    if costs.shape != (g.num_arcs,):
-        raise ValueError(f"expected {g.num_arcs} costs, got {costs.shape}")
-    finite = np.isfinite(costs)
+    if costs.ndim not in (1, 2) or costs.shape[-1] != g.num_arcs:
+        raise ValueError(f"expected {g.num_arcs} costs per row, got {costs.shape}")
+    rows = costs.reshape(-1, g.num_arcs)
+    finite = np.isfinite(rows)
     if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"arc {k} {g.arcs[k]} has non-finite cost {float(costs[k])!r}")
-    w = g.w
-    heads = np.arange(w)
-    dist = 0.0 + costs[:w]  # the source's label is 0.0, as in path_cost
+        row, k = divmod(int(np.argmin(finite)), g.num_arcs)
+        where = f"row {row}: " if costs.ndim == 2 else ""
+        raise ValueError(f"{where}arc {k} {g.arcs[k]} has non-finite cost {float(rows[row, k])!r}")
+    n, w = rows.shape[0], g.w
+    every = np.arange(n)
+    dist = 0.0 + rows[:, :w]  # the source's label is 0.0, as in path_cost
     tails = []
-    for block in costs[w:-w].reshape(g.h - 1, w, w):  # rows are tails, columns heads
-        cand = dist[:, None] + block
-        tail = cand.argmin(axis=0)  # the first minimum: the lowest tail
-        dist = cand[tail, heads]
+    # per row, (h - 1) blocks whose rows are tails and columns heads
+    for block in np.moveaxis(rows[:, w:-w].reshape(n, g.h - 1, w, w), 1, 0):
+        cand = dist[:, :, None] + block
+        tail = cand.argmin(axis=1)  # the first minimum: the lowest tail
+        dist = np.take_along_axis(cand, tail[:, None, :], axis=1)[:, 0]
         tails.append(tail)
-    last = dist + costs[-w:]
-    j = int(last.argmin())
-    choices = [j]
+    last = dist + rows[:, -w:]
+    choice = last.argmin(axis=1)
+    values = last[every, choice].tolist()
+    choices = [choice]
     for tail in reversed(tails):
-        choices.append(int(tail[choices[-1]]))
-    return _path(g, choices[::-1]), float(last[j])
+        choices.append(tail[every, choices[-1]])
+    found = [(_path(g, path), value)
+             for path, value in zip(np.stack(choices[::-1], axis=1).tolist(), values)]
+    return found[0] if costs.ndim == 1 else found
 
 
 @functools.lru_cache(maxsize=4)

@@ -12,6 +12,13 @@ predicted loss:
 "dro2" is ``dro_prescribe`` on ``truncate_dataset(data)``.  Calibration is
 its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``,
 ``hoeffding_slack`` and ``joint_radius``.
+
+The prescriptions are built from helpers that also serve many data sets at
+once, which is how a sweep's block of replicates runs them:
+``worst_case_costs`` solves the dual rows of every (data, spec) pair in one
+kernel call, ``hoeffding_costs`` gives the Hoeffding cost row, and
+``joint_worst_case_paths`` picks dro1's path for every (truncated data, r)
+pair with one kernel call per joint-atom count.
 """
 
 from __future__ import annotations
@@ -36,10 +43,13 @@ __all__ = [
     "calibrate_ambiguity",
     "hoeffding_slack",
     "joint_radius",
+    "worst_case_costs",
     "dro_predict",
     "dro_prescribe",
+    "hoeffding_costs",
     "hoeffding_prescribe",
     "truncate_dataset",
+    "joint_worst_case_paths",
     "dro1_prescribe",
 ]
 
@@ -117,22 +127,35 @@ def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
     return AmbiguitySpec(radii, tuple(found[k][1] for k in inverse))
 
 
-def _worst_case_costs(data: DataSet, spec: AmbiguitySpec) -> np.ndarray:
-    if spec.num_actions != data.num_actions:
-        raise ValueError("ambiguity spec must cover every action")
-    pmf, sup = data.pmf, data.support
-    points = np.broadcast_to(sup.points, pmf.shape)
-    return solve_dual_batch(points, pmf, spec.radii, np.full(len(pmf), sup.max)).value
+def worst_case_costs(cases) -> list[np.ndarray]:
+    """Per-action worst-case costs of every ``(data, spec)`` pair, from one
+    kernel call over the stacked rows of all pairs; every row has the width
+    of the one support the data sets share, so each pair's costs are
+    bit-identical to those of a call on that pair alone."""
+    cases = list(cases)
+    if not cases:
+        return []
+    support = cases[0][0].support
+    for data, spec in cases:
+        if spec.num_actions != data.num_actions:
+            raise ValueError("ambiguity spec must cover every action")
+        if not data.support.same_as(support):
+            raise ValueError("data sets must share one support")
+    pmf = np.concatenate([data.pmf for data, _ in cases])
+    radii = np.concatenate([spec.radii for _, spec in cases])
+    points = np.broadcast_to(support.points, pmf.shape)
+    values = solve_dual_batch(points, pmf, radii, np.full(len(pmf), support.max)).value
+    return np.split(values, np.cumsum([data.num_actions for data, _ in cases[:-1]]))
 
 
 def dro_predict(x: Decision, data: DataSet, spec: AmbiguitySpec) -> float:
     """Predicted loss of ``x``: sum of per-action worst-case costs on the path."""
-    return path_cost(x, _worst_case_costs(data, spec))
+    return path_cost(x, worst_case_costs([(data, spec)])[0])
 
 
 def dro_prescribe(data: DataSet, spec: AmbiguitySpec, g: LayeredGraph) -> Prescription:
     """Worst-case costs once per action, then one deterministic shortest path."""
-    costs = _worst_case_costs(data, spec)
+    costs = worst_case_costs([(data, spec)])[0]
     decision, value = shortest_path(g, costs)
     return Prescription(decision, value, costs)
 
@@ -146,11 +169,16 @@ def hoeffding_slack(data: DataSet, alpha: float) -> np.ndarray:
     return (points[-1] - points[0]) * np.sqrt(np.log(1.0 / alphas) / (2.0 * data.sizes))
 
 
-def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
-                        g: LayeredGraph) -> Prescription:
+def hoeffding_costs(data: DataSet, epsilon: float | np.ndarray) -> np.ndarray:
     """Upper confidence bounds for the means, clipped at the top cost:
     ``epsilon`` is one slack per action or a shared scalar."""
-    costs = np.minimum(data.means + epsilon, data.support.max)
+    return np.minimum(data.means + epsilon, data.support.max)
+
+
+def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
+                        g: LayeredGraph) -> Prescription:
+    """The shortest path under :func:`hoeffding_costs`."""
+    costs = hoeffding_costs(data, epsilon)
     decision, value = shortest_path(g, costs)
     return Prescription(decision, value, costs)
 
@@ -220,11 +248,46 @@ def joint_radius(data: DataSet, alpha: float) -> float:
     return radius_best(inputs)[0]
 
 
+def joint_worst_case_paths(g: LayeredGraph, cases) -> list[tuple[Decision, float]]:
+    """dro1's path and predicted loss for every ``(truncated data, r)`` pair
+    with r > 0: the scalar dual of every path, with beta bounded below by the
+    top support point times the path length.  Pairs with the same number of
+    joint atoms share one kernel call, since rows are bit-identical only at
+    equal width.  Exact value ties go to the path whose nodes come first
+    read from the sink."""
+    cases = list(cases)
+    if not cases:
+        return []
+    paths = enumerate_paths(g)
+    groups = {}  # atom count -> [(case, cost rows, their probabilities, r)]
+    for k, (truncated, r) in enumerate(cases):
+        joint = JointEmpirical.from_dataset(truncated)
+        # One row per path: its cost at every joint atom (integer-valued, so
+        # exact), sorted by cost.
+        costs = path_incidence(g) @ joint.atoms.T
+        order = np.argsort(costs, axis=1, kind="stable")
+        rows = np.take_along_axis(costs, order, axis=1)
+        groups.setdefault(len(joint.probs), []).append((k, rows, joint.probs[order], r))
+    top = cases[0][0].support.max * g.path_length
+    # argmin takes the first least value, so over the paths in this order a
+    # tie goes to the path whose nodes come first read from the sink
+    sink_first = np.array(sorted(range(len(paths)), key=lambda i: paths[i].nodes[::-1]))
+    found = [None] * len(cases)
+    for members in groups.values():
+        radii = np.repeat([r for *_, r in members], len(paths))
+        values = solve_dual_batch(np.concatenate([rows for _, rows, _, _ in members]),
+                                  np.concatenate([probs for _, _, probs, _ in members]),
+                                  radii, np.full(radii.size, top)).value.reshape(len(members), -1)
+        best = sink_first[values[:, sink_first].argmin(axis=1)].tolist()
+        for (k, *_), row, i in zip(members, values.tolist(), best):
+            found[k] = (paths[i], row[i])
+    return found
+
+
 def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
     """Joint-ball rule of radius ``r`` on the truncated data: enumerate
-    paths, then solve the scalar dual of every path in one batch with beta
-    bounded below by the top support point times the path length.  Exact
-    value ties go to the path whose nodes come first read from the sink.
+    paths and take the one of least worst-case cost over the ball
+    (:func:`joint_worst_case_paths`).
 
     At radius zero the dual value is the joint sample-average path cost,
     the sum of the per-arc means on the path, so the rule is the SAA
@@ -233,16 +296,4 @@ def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
     truncated = truncate_dataset(data)
     if r == 0.0:
         return Prescription(*shortest_path(g, truncated.means))
-    joint = JointEmpirical.from_dataset(truncated)
-    paths = enumerate_paths(g)
-    # One row per path: its cost at every joint atom (integer-valued, so
-    # exact), sorted by cost.
-    costs = path_incidence(g) @ joint.atoms.T
-    order = np.argsort(costs, axis=1, kind="stable")
-    rows = np.take_along_axis(costs, order, axis=1)
-    lower = np.full(len(paths), data.support.max * g.path_length)
-    radii = np.full(len(paths), r)
-    values = solve_dual_batch(rows, joint.probs[order], radii, lower).value.tolist()
-    best = min(range(len(paths)), key=lambda i: (values[i], tuple(reversed(paths[i].nodes))))
-    return Prescription(paths[best], values[best], None)
-
+    return Prescription(*joint_worst_case_paths(g, [(truncated, r)])[0], None)

@@ -73,9 +73,9 @@ class TestRun:
                                                         overrides):
         """Each input is a ``--set`` item, or a flag when it starts with ``--``."""
         def refuse(*args):
-            raise AssertionError("a replicate ran")
+            raise AssertionError("a block of replicates ran")
 
-        monkeypatch.setattr(experiments, "run_replicate", refuse)
+        monkeypatch.setattr(experiments, "_run_block", refuse)
         cfg = write_config(tmp_path / "cfg.json")
         args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
         flags = [item if item.startswith("--") else f"--set={item}" for item in overrides]

@@ -232,11 +232,11 @@ class TestRunSweep:
 
         def die(*args):
             if os.getpid() == parent:
-                raise AssertionError("the replicate ran in the parent process")
+                raise AssertionError("the block ran in the parent process")
             os._exit(1)
 
         # workers are forked after the patch, so they run ``die``
-        monkeypatch.setattr(experiments, "run_replicate", die)
+        monkeypatch.setattr(experiments, "_run_block", die)
         with pytest.raises(RuntimeError, match=r"pool failed in the delta sweep .*seed 17"):
             run_sweep(small_config(n0=1), workers=2)
 
@@ -301,8 +301,9 @@ class TestRunSweep:
             return solve_dual_batch(*args)
 
         monkeypatch.setattr(rules, "solve_dual_batch", counting)
-        # one row per arc for dro (and dro2), one per path for dro1
-        for grid_index, rows in ((0, [24, 27]), (1, [24, 27, 24])):
+        # one call for the rows of dro and dro2 (one per arc each, unless the
+        # truncation is the data), then one with a row per path for dro1
+        for grid_index, rows in ((0, [24, 27]), (1, [48, 27])):
             for replicate in range(cfg.n0):
                 calls.clear()
                 result = run_replicate(cfg, g, grid_index, replicate)
@@ -310,6 +311,63 @@ class TestRunSweep:
                 dro, dro2 = result.outcomes[0], result.outcomes[3]
                 if grid_index == 0:
                     assert (dro.nodes, dro.predicted) == (dro2.nodes, dro2.predicted)
+
+    def test_fig7_block_makes_one_robust_call_and_one_per_atom_count(self, monkeypatch):
+        raw = json.loads((CONFIGS / "fig7.json").read_text())
+        cfg = ExperimentConfig.from_dict({**raw, "grid": [0, 14], "n0": 3})
+        g = build_layered(cfg.h, cfg.w)
+        keys = [(grid_index, i) for grid_index in range(2) for i in range(cfg.n0)]
+        calls = []
+        solve_dual_batch = rules.solve_dual_batch
+
+        def counting(*args):
+            calls.append(np.shape(args[0]))
+            return solve_dual_batch(*args)
+
+        monkeypatch.setattr(rules, "solve_dual_batch", counting)
+        widths = set()
+        for key in keys:
+            calls.clear()
+            experiments._run_block(cfg, g, [key])
+            widths.add(calls[-1][1])  # dro1's call comes last; its width is the atom count
+        assert len(widths) > 1  # uniform sizes lift one replicate's T_min to 11
+        calls.clear()
+        experiments._run_block(cfg, g, keys)
+        # dro on all six data sets, dro2 on the three delta = 14 truncations
+        assert calls[0] == (9 * 24, cfg.d)
+        assert len(calls) == 1 + len(widths)
+        assert {width for _, width in calls[1:]} == widths
+        assert sum(rows for rows, _ in calls[1:]) == 6 * 27
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_inside_a_block_names_its_replicate(self, monkeypatch, workers):
+        cfg = small_config(n0=4, grid=(0, 3))  # one block of 8, or two of 4
+        stream = experiments._stream_index(cfg, 1, 2)
+        substream = experiments.substream
+
+        def failing(seed, index):
+            if index == stream:
+                raise ValueError("injected")
+            return substream(seed, index)
+
+        monkeypatch.setattr(experiments, "substream", failing)
+        with pytest.raises(experiments.ReplicateError, match=(
+                rf"^replicate failed at sweep value 3 \(grid index 1, replicate 2, seed 17, "
+                rf"substream {stream}\): injected$")):
+            run_sweep(cfg, workers=workers)
+
+    def test_a_block_that_fails_only_as_a_block_raises_its_own_error(self, monkeypatch):
+        shortest_path = experiments.shortest_path
+
+        def one_replicate_only(g, costs):
+            if len(costs) > len(small_config().rules) + 1:
+                raise RuntimeError("more than one replicate's rows")
+            return shortest_path(g, costs)
+
+        monkeypatch.setattr(experiments, "shortest_path", one_replicate_only)
+        with pytest.raises(RuntimeError, match="^more than one replicate's rows$"):
+            run_sweep(small_config(n0=2))
+        assert len(run_sweep(small_config(n0=1, grid=(0,)))) == 1
 
     def test_parallel_matches_sequential(self, tmp_path):
         cfg = small_config(n0=4, grid=(0, 3))
@@ -366,3 +424,39 @@ class TestAggregatesAndEmit:
         for rule in cfg.rules:
             _, _, freq = results[0].aggregates[rule]
             assert freq <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / 30)
+
+
+# config -> reduced grid.  At delta = 40, fig7's uniform sizes lift T_min above
+# 10 in some replicates, so its blocks mix dro1 atom counts (10, 12 and 13 at
+# n0 = 5); fig8b runs dro1 and dro2 on binomial2 sizes.
+REDUCED = {"fig2a.json": (5, 35), "fig7.json": (0, 40), "fig8b.json": (0, 40)}
+
+
+def reduced_config(name, n0):
+    raw = json.loads((CONFIGS / name).read_text())
+    return ExperimentConfig.from_dict({**raw, "grid": list(REDUCED[name]), "n0": n0})
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("name", sorted(REDUCED))
+    def test_block_size_does_not_change_results(self, name):
+        cfg = reduced_config(name, n0=5)
+        g = build_layered(cfg.h, cfg.w)
+        keys = [(grid_index, i) for grid_index in range(len(cfg.grid)) for i in range(cfg.n0)]
+        by_size = {
+            size: [result for k in range(0, len(keys), size)
+                   for result in experiments._run_block(cfg, g, keys[k:k + size])]
+            for size in (1, 7, cfg.n0, len(keys))  # 7 and the whole sweep cross grid values
+        }
+        assert by_size[1] == by_size[7] == by_size[cfg.n0] == by_size[len(keys)]
+        assert [r.replicate for r in by_size[1]] == [i for _, i in keys]
+
+    @pytest.mark.parametrize("name", sorted(REDUCED))
+    def test_worker_count_does_not_change_the_csvs(self, name, tmp_path):
+        cfg = reduced_config(name, n0=4)
+        written = {}
+        for workers in (1, 2, 3):  # one block of 8, blocks of 4, blocks of 3, 3 and 2
+            paths = emit_results(run_sweep(cfg, workers=workers), str(tmp_path / str(workers)),
+                                 cfg.sweep, cfg.rules)
+            written[workers] = [Path(path).read_bytes() for path in paths]
+        assert written[1] == written[2] == written[3]

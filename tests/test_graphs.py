@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -147,13 +147,15 @@ def test_dp_matches_enumeration_on_random_instances():
 
 
 @st.composite
-def graphs_and_tied_costs(draw):
+def graphs_and_tied_costs(draw, max_rows=None):
     """A graph of 1-6 layers of 1-5 nodes, and small integer arc costs (so
-    many paths tie) of which about one in eight carries a fraction."""
+    many paths tie) of which about one in eight carries a fraction: one row
+    of them, or with ``max_rows`` a stack of 1 to ``max_rows`` rows."""
     g = build_layered(draw(st.integers(1, 6)), draw(st.integers(1, 5)))
-    whole = draw(arrays(np.int64, g.num_arcs, elements=st.integers(0, 3)))
+    shape = g.num_arcs if max_rows is None else (draw(st.integers(1, max_rows)), g.num_arcs)
+    whole = draw(arrays(np.int64, shape, elements=st.integers(0, 3)))
     fractions = st.sampled_from([0.0] * 7 + [0.1, 0.25, 1 / 3, 0.7])
-    return g, whole + draw(arrays(np.float64, g.num_arcs, elements=fractions))
+    return g, whole + draw(arrays(np.float64, shape, elements=fractions))
 
 
 @settings(max_examples=300)
@@ -165,6 +167,33 @@ def test_layer_dp_equals_the_arc_by_arc_forward_pass(case):
     assert dec.nodes == nodes
     assert value == expected
     assert path_cost(dec, costs) == value
+
+
+@settings(max_examples=200)
+@given(graphs_and_tied_costs(max_rows=6))
+@example((build_layered(1, 3), np.array([[1.0, 0.0, 2.0, 1.0, 1.0, 0.0], [0.0] * 6])))
+def test_batched_dp_answers_every_row_as_the_one_row_call(case):
+    """h = 1 graphs, which have no inner block, come up too."""
+    g, rows = case
+    found = shortest_path(g, rows)
+    assert len(found) == len(rows)
+    for row, (dec, value) in zip(rows, found):
+        alone, alone_value = shortest_path(g, row)
+        assert dec.nodes == alone.nodes == shortest_path_reference(g, row)[0]
+        assert np.array_equal(dec.incidence, alone.incidence)
+        assert value == alone_value == path_cost(dec, row)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batched_dp_names_the_row_and_arc_of_a_non_finite_cost(bad):
+    g = build_layered(2, 2)
+    rows = np.ones((3, g.num_arcs))
+    rows[1, 5] = bad
+    rows[2] = bad  # a later row does not hide the first bad one
+    with pytest.raises(ValueError, match=rf"^row 1: arc 5 \(2, 4\) has non-finite cost {bad!r}$"):
+        shortest_path(g, rows)
+    with pytest.raises(ValueError, match=r"^expected 8 costs per row, got \(1, 3, 8\)$"):
+        shortest_path(g, rows[None])
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (2, 5)])
