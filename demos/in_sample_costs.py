@@ -13,13 +13,11 @@ Run:  python demos/in_sample_costs.py
 import numpy as np
 
 from kldro import (
-    SampleSizeSpec,
     build_layered,
     calibrate_ambiguity,
     draw_dataset,
     dro_prescribe,
     nominal_marginals,
-    random_nominal_spec,
     sample_sizes,
     substream,
     truncate_dataset,
@@ -29,9 +27,8 @@ D, ALPHA, SEED = 50, 0.05, 12
 
 graph = build_layered(3, 3)
 rng = substream(SEED, 0)
-spec = random_nominal_spec("discretized-normal", graph.num_arcs, D, rng, sigma=D / 4)
-marginals = nominal_marginals(spec, graph)
-sizes = sample_sizes(SampleSizeSpec("uniform", 10, 20), marginals, rng)
+marginals = nominal_marginals("discretized-normal", graph.num_arcs, D, rng, sigma=D / 4)
+sizes = sample_sizes("uniform", 10, 20, marginals, rng)
 data = draw_dataset(marginals, sizes, rng)
 
 full = dro_prescribe(data, calibrate_ambiguity(data, ALPHA), graph)

@@ -11,7 +11,6 @@ Run:  python demos/rules_on_one_instance.py
 """
 
 from kldro import (
-    SampleSizeSpec,
     build_layered,
     calibrate_ambiguity,
     draw_dataset,
@@ -22,7 +21,6 @@ from kldro import (
     joint_radius,
     nominal_marginals,
     path_cost,
-    random_nominal_spec,
     sample_sizes,
     shortest_path,
     substream,
@@ -33,9 +31,8 @@ D, ALPHA, SEED = 10, 0.05, 7
 
 graph = build_layered(3, 3)
 rng = substream(SEED, 0)
-spec = random_nominal_spec("shifted-binomial", graph.num_arcs, D, rng)
-marginals = nominal_marginals(spec, graph)
-sizes = sample_sizes(SampleSizeSpec("uniform", 5, 15), marginals, rng)
+marginals = nominal_marginals("shifted-binomial", graph.num_arcs, D, rng)
+sizes = sample_sizes("uniform", 5, 15, marginals, rng)
 data = draw_dataset(marginals, sizes, rng)
 
 print(f"network: {graph.num_nodes} nodes, {graph.num_arcs} arcs, "

@@ -6,10 +6,13 @@ renormalized discretization of a normal density.  Sample counts per action
 are drawn uniformly or with a binomial tilt that observes cheap (or
 expensive) actions more often.
 
-The nominal marginals of all actions form one (actions x d) pmf matrix
-(:class:`~kldro.marginals.PmfMatrix`) with its row means computed once;
-sample sizes and data draws read that matrix, not per-action objects.  A
-draw hands its support indices straight to the :class:`~kldro.marginals.DataSet`.
+Every function takes plain arguments: ``binomial_pmfs`` and ``normal_pmfs``
+build the one (actions x d) pmf matrix
+(:class:`~kldro.marginals.PmfMatrix`, row means computed once) from
+parameter arrays, and ``nominal_marginals`` draws those parameters per
+instance.  Sample sizes and data draws read that matrix, not per-action
+objects.  A draw hands its support indices straight to the
+:class:`~kldro.marginals.DataSet`.
 
 Randomness comes from numpy's counter-based Philox generator; the
 substream for replicate ``i`` of an experiment uses key ``seed XOR i``, so
@@ -23,19 +26,16 @@ uniforms; the draws, and the stream position afterwards, equal those of one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .graphs import LayeredGraph
 from .marginals import DataSet, PmfMatrix, Support
 
 __all__ = [
-    "NominalSpec",
-    "SampleSizeSpec",
     "substream",
-    "random_nominal_spec",
+    "binomial_pmfs",
+    "normal_pmfs",
     "nominal_marginals",
     "sample_sizes",
     "draw_dataset",
@@ -54,125 +54,75 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) ^ int(index)))
 
 
-@dataclass(frozen=True)
-class NominalSpec:
-    """Parameters of the data-generating marginals on {1, ..., d}."""
-
-    kind: str
-    d: int
-    p: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in NOMINAL_KINDS:
-            raise ValueError(f"unknown nominal kind {self.kind!r}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.kind in ("shifted-binomial", "multinomial"):
-            if self.p is None:
-                raise ValueError(f"{self.kind} requires success probabilities p")
-            p = np.asarray(self.p, dtype=float)
-            p.setflags(write=False)
-            if np.any(p < 0.0) or np.any(p > 1.0):
-                raise ValueError("p must lie in [0, 1]")
-            if self.kind == "multinomial" and abs(float(p.sum()) - 1.0) > 1e-9:
-                raise ValueError("multinomial p must sum to 1")
-            object.__setattr__(self, "p", p)
-        else:
-            if self.mu is None or self.sigma is None:
-                raise ValueError("discretized-normal requires mu and sigma")
-            mu = np.asarray(self.mu, dtype=float)
-            sigma = np.asarray(self.sigma, dtype=float)
-            mu.setflags(write=False)
-            sigma.setflags(write=False)
-            if np.any(sigma <= 0.0):
-                raise ValueError("sigma must be positive")
-            if np.any(mu < 1.0) or np.any(mu > self.d):
-                raise ValueError("mu must lie in [1, d]")
-            object.__setattr__(self, "mu", mu)
-            object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def num_actions(self) -> int:
-        arr = self.p if self.p is not None else self.mu
-        return int(arr.size)
+def binomial_pmfs(p, d: int) -> PmfMatrix:
+    """Shifted binomials on {1, ..., d}: cost 1 + Bin(d - 1, p_a) for each
+    success probability p_a, from exact binomial coefficients."""
+    support = Support.integers(d)
+    p = np.asarray(p, dtype=float)[:, None]
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError("p must lie in [0, 1]")
+    n = d - 1
+    ks = np.arange(d)
+    comb = np.array([float(math.comb(n, k)) for k in ks])
+    cells = comb * p**ks * (1.0 - p) ** (n - ks)
+    return PmfMatrix(support, cells / cells.sum(axis=1, keepdims=True))
 
 
-@dataclass(frozen=True)
-class SampleSizeSpec:
-    """How many observations each action gets: T_a in [t_min, t_min + delta]."""
-
-    kind: str
-    t_min: int
-    delta: int
-
-    def __post_init__(self):
-        if self.kind not in SIZE_KINDS:
-            raise ValueError(f"unknown sample-size kind {self.kind!r}")
-        if self.t_min < 1:
-            raise ValueError("t_min must be >= 1")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-
-    @property
-    def t_max(self) -> int:
-        return self.t_min + self.delta
+def normal_pmfs(mu, sigma: float, d: int) -> PmfMatrix:
+    """Normal densities of means ``mu`` and one standard deviation
+    ``sigma``, discretized on {1, ..., d}: each cell is the difference of
+    the normal cdf at its half-integer edges, and each row is renormalized."""
+    support = Support.integers(d)
+    mu = np.asarray(mu, dtype=float)
+    sigma = float(sigma)
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    if not np.all((1.0 <= mu) & (mu <= d)):
+        raise ValueError("mu must lie in [1, d]")
+    edges = np.arange(0.5, d + 1.0)
+    cells = np.diff(ndtr((edges - mu[:, None]) / sigma), axis=1)
+    return PmfMatrix(support, cells / cells.sum(axis=1, keepdims=True))
 
 
-def random_nominal_spec(
-    kind: str, num_actions: int, d: int, rng: np.random.Generator, sigma: float | None = None
-) -> NominalSpec:
-    """Fresh per-instance parameters: p_a ~ U(0,1), mu_a ~ U(1,d)."""
-    if kind == "shifted-binomial":
-        return NominalSpec(kind, d, p=rng.uniform(0.0, 1.0, num_actions))
-    if kind == "multinomial":
-        p = rng.uniform(0.0, 1.0, num_actions)
-        return NominalSpec(kind, d, p=p / p.sum())
+def nominal_marginals(kind: str, num_actions: int, d: int, rng: np.random.Generator,
+                      sigma: float | None = None) -> PmfMatrix:
+    """Fresh nominal pmfs for ``num_actions`` actions on {1, ..., d}.
+
+    Binomial kinds draw p_a ~ U(0, 1), normalized to sum to 1 for the
+    multinomial; the discretized normal draws mu_a ~ U(1, d) and needs the
+    shared ``sigma``.
+    """
+    if kind not in NOMINAL_KINDS:
+        raise ValueError(f"unknown nominal kind {kind!r}")
     if kind == "discretized-normal":
         if sigma is None:
             raise ValueError("discretized-normal requires sigma")
-        mu = rng.uniform(1.0, float(d), num_actions)
-        return NominalSpec(kind, d, mu=mu, sigma=np.full(num_actions, float(sigma)))
-    raise ValueError(f"unknown nominal kind {kind!r}")
+        return normal_pmfs(rng.uniform(1.0, float(d), num_actions), sigma, d)
+    p = rng.uniform(0.0, 1.0, num_actions)
+    return binomial_pmfs(p / p.sum() if kind == "multinomial" else p, d)
 
 
-def nominal_marginals(spec: NominalSpec, graph: LayeredGraph) -> PmfMatrix:
-    """One pmf per arc of ``graph`` on the shared support {1, ..., d}.
-
-    All arcs are evaluated on one (arcs x d) grid: binomial pmfs from exact
-    binomial coefficients, normal cells as differences of the normal cdf at
-    the half-integer edges; each row is then renormalized.
-    """
-    if spec.num_actions != graph.num_arcs:
-        raise ValueError(
-            f"spec covers {spec.num_actions} actions but the graph has {graph.num_arcs} arcs"
-        )
-    if spec.kind in ("shifted-binomial", "multinomial"):
-        n = spec.d - 1
-        ks = np.arange(spec.d)
-        comb = np.array([float(math.comb(n, k)) for k in ks])
-        p = spec.p[:, None]
-        cells = comb * p**ks * (1.0 - p) ** (n - ks)
-    else:
-        edges = np.arange(0.5, spec.d + 1.0)
-        cdf = ndtr((edges - spec.mu[:, None]) / spec.sigma[:, None])
-        cells = np.diff(cdf, axis=1)
-    return PmfMatrix(Support.integers(spec.d), cells / cells.sum(axis=1, keepdims=True))
-
-
-def sample_sizes(spec: SampleSizeSpec, nominal: PmfMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Realized per-action observation counts, always within [t_min, t_max]."""
-    if spec.kind == "uniform":
-        return rng.integers(spec.t_min, spec.t_max + 1, size=len(nominal))
+def sample_sizes(kind: str, t_min: int, delta: int, nominal: PmfMatrix,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Realized per-action observation counts in [t_min, t_min + delta]:
+    uniform, or binomial with a success share that rises (binomial1) or
+    falls (binomial2) with the action's nominal mean."""
+    if kind not in SIZE_KINDS:
+        raise ValueError(f"unknown sample-size kind {kind!r}")
+    if t_min < 1:
+        raise ValueError("t_min must be >= 1")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    if kind == "uniform":
+        return rng.integers(t_min, t_min + delta + 1, size=len(nominal))
     means = nominal.means
     lo, hi = float(means.min()), float(means.max())
     if hi - lo == 0.0:
-        raise ValueError(f"{spec.kind} sizes need unequal nominal means to normalize")
+        raise ValueError(f"{kind} sizes need unequal nominal means to normalize")
     share = (means - lo) / (hi - lo)
-    if spec.kind == "binomial2":
+    if kind == "binomial2":
         share = 1.0 - share
-    return spec.t_min + rng.binomial(spec.delta, share)
+    return t_min + rng.binomial(delta, share)
 
 
 def draw_dataset(

@@ -30,16 +30,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .datagen import (
-    NOMINAL_KINDS,
-    SIZE_KINDS,
-    SampleSizeSpec,
-    draw_dataset,
-    nominal_marginals,
-    random_nominal_spec,
-    sample_sizes,
-    substream,
-)
+from .datagen import (NOMINAL_KINDS, SIZE_KINDS, draw_dataset, nominal_marginals, sample_sizes,
+                      substream)
 from .graphs import LayeredGraph, build_layered, path_cost, shortest_path
 from .rules import (
     calibrate_ambiguity,
@@ -146,6 +138,8 @@ class ExperimentConfig:
             raise ValueError(f"rules must be a nonempty subset of {RULE_NAMES}")
         if self.nominal == "discretized-normal" and self.sigma is None and self.sweep != "sigma":
             raise ValueError("discretized-normal needs sigma unless sigma is swept")
+        if self.sweep == "sigma" and self.nominal != "discretized-normal":
+            raise ValueError("a sigma sweep needs the discretized-normal nominal")
         object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "rules", tuple(self.rules))
 
@@ -219,9 +213,8 @@ def _replicate_data(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
     """One replicate's nominal means and data set, drawn from its own substream."""
     t_min, delta, sigma = _resolved(cfg, cfg.grid[grid_index])
     rng = substream(cfg.seed, _stream_index(cfg, grid_index, replicate))
-    spec = random_nominal_spec(cfg.nominal, g.num_arcs, cfg.d, rng, sigma=sigma)
-    marginals = nominal_marginals(spec, g)
-    sizes = sample_sizes(SampleSizeSpec(cfg.sample_sizes, t_min, delta), marginals, rng)
+    marginals = nominal_marginals(cfg.nominal, g.num_arcs, cfg.d, rng, sigma=sigma)
+    sizes = sample_sizes(cfg.sample_sizes, t_min, delta, marginals, rng)
     return marginals.means, draw_dataset(marginals, sizes, rng, joint=(cfg.nominal == "multinomial"))
 
 
@@ -238,18 +231,14 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     rows = {}  # (replicate in block, rule) -> cost row to route; rule None: the nominal best
     robust = {}  # id of a data set -> (data set, its spec): dro on the data, dro2 on the truncation
     routes = {}  # (replicate in block, rule) -> id of the data set whose worst-case costs it routes
-    joint = {}  # (replicate in block, "dro1") -> (truncated data, joint radius), radius > 0
+    joint = {}  # (replicate in block, "dro1") -> (truncated data, joint radius), always > 0
     for k, (means, data) in enumerate(drawn):
         rows[k, None] = means
         for rule in cfg.rules:
             if rule == "hoeffding":
                 rows[k, rule] = hoeffding_costs(data, hoeffding_slack(data, cfg.alpha))
             elif rule == "dro1":
-                r, truncated = joint_radius(data, cfg.alpha), truncate_dataset(data)
-                if r == 0.0:  # the shortest path on the truncated means, as in dro1_prescribe
-                    rows[k, rule] = truncated.means
-                else:
-                    joint[k, rule] = (truncated, r)
+                joint[k, rule] = (truncate_dataset(data), joint_radius(data, cfg.alpha))
             else:
                 # dro runs on the data and dro2 on its truncation, which is the
                 # data itself when every count is equal: then dro2 is dro.

@@ -250,14 +250,17 @@ def joint_radius(data: DataSet, alpha: float) -> float:
 
 def joint_worst_case_paths(g: LayeredGraph, cases) -> list[tuple[Decision, float]]:
     """dro1's path and predicted loss for every ``(truncated data, r)`` pair
-    with r > 0: the scalar dual of every path, with beta bounded below by the
-    top support point times the path length.  Pairs with the same number of
-    joint atoms share one kernel call, since rows are bit-identical only at
-    equal width.  Exact value ties go to the path whose nodes come first
-    read from the sink."""
+    with r > 0, all on one support: the scalar dual of every path, with beta
+    bounded below by the top support point times the path length.  Pairs
+    with the same number of joint atoms share one kernel call, since rows
+    are bit-identical only at equal width.  Exact value ties go to the path
+    whose nodes come first read from the sink."""
     cases = list(cases)
     if not cases:
         return []
+    support = cases[0][0].support
+    if not all(truncated.support.same_as(support) for truncated, _ in cases):
+        raise ValueError("data sets must share one support")
     paths = enumerate_paths(g)
     groups = {}  # atom count -> [(case, cost rows, their probabilities, r)]
     for k, (truncated, r) in enumerate(cases):
@@ -268,7 +271,7 @@ def joint_worst_case_paths(g: LayeredGraph, cases) -> list[tuple[Decision, float
         order = np.argsort(costs, axis=1, kind="stable")
         rows = np.take_along_axis(costs, order, axis=1)
         groups.setdefault(len(joint.probs), []).append((k, rows, joint.probs[order], r))
-    top = cases[0][0].support.max * g.path_length
+    top = support.max * g.path_length
     # argmin takes the first least value, so over the paths in this order a
     # tie goes to the path whose nodes come first read from the sink
     sink_first = np.array(sorted(range(len(paths)), key=lambda i: paths[i].nodes[::-1]))

@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 from kldro.cli import main as cli_main
-from kldro.datagen import (
-    SampleSizeSpec,
-    draw_dataset,
-    nominal_marginals,
-    random_nominal_spec,
-    sample_sizes,
-    substream,
-)
+from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from kldro.experiments import ExperimentConfig, run_sweep
 from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
 from kldro.marginals import Marginal, Support, kl_divergence
@@ -97,8 +90,7 @@ def test_criterion_2_decomposition_suite():
         assert w**h <= 100
         g = build_layered(h, w)
         d = int(rng.integers(3, 9))
-        spec = random_nominal_spec("shifted-binomial", g.num_arcs, d, rng)
-        marg = nominal_marginals(spec, g)
+        marg = nominal_marginals("shifted-binomial", g.num_arcs, d, rng)
         sizes = rng.integers(3, 11, size=g.num_arcs)
         data = draw_dataset(marg, sizes, rng)
         amb = calibrate_ambiguity(data, 0.05)
@@ -132,9 +124,8 @@ def test_criterion_3_finite_sample_guarantee():
     disappoint_prescribed = 0
     for i in range(n):
         rng = substream(3001, i)
-        spec = random_nominal_spec("shifted-binomial", g.num_arcs, d, rng)
-        marg = nominal_marginals(spec, g)
-        sizes = sample_sizes(SampleSizeSpec("uniform", 5, 10), marg, rng)
+        marg = nominal_marginals("shifted-binomial", g.num_arcs, d, rng)
+        sizes = sample_sizes("uniform", 5, 10, marg, rng)
         data = draw_dataset(marg, sizes, rng)
         pres = dro_prescribe(data, calibrate_ambiguity(data, alpha), g)
         means = marg.means
@@ -195,9 +186,8 @@ def test_criterion_5_degeneration_to_saa():
     for replicate in range(cfg.n0):
         # the replicate's data, regenerated from its substream
         rng = substream(cfg.seed, 1 + replicate)
-        spec = random_nominal_spec(cfg.nominal, g.num_arcs, cfg.d, rng)
-        marg = nominal_marginals(spec, g)
-        sizes = sample_sizes(SampleSizeSpec("uniform", 6, 0), marg, rng)
+        marg = nominal_marginals(cfg.nominal, g.num_arcs, cfg.d, rng)
+        sizes = sample_sizes("uniform", 6, 0, marg, rng)
         data = draw_dataset(marg, sizes, rng)
         prescriptions = [
             dro_prescribe(data, zero, g),

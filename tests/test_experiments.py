@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kldro import experiments, graphs, rules
-from kldro.datagen import NominalSpec, nominal_marginals, random_nominal_spec, substream
+from kldro.datagen import binomial_pmfs, nominal_marginals, substream
 from kldro.experiments import (
     ExperimentConfig,
     aggregate_rows,
@@ -37,8 +37,8 @@ def small_config(**overrides):
 
 
 def binomial_marginals(g, p, d=6):
-    spec = NominalSpec("shifted-binomial", d, p=np.asarray(p, dtype=float))
-    return nominal_marginals(spec, g)
+    assert len(p) == g.num_arcs
+    return binomial_pmfs(p, d)
 
 
 class TestLosses:
@@ -93,7 +93,7 @@ class TestLosses:
         result = run_replicate(cfg, g, 1, 2)
         assert experiments._stream_index(cfg, 1, 2) == 1 * (cfg.n0 + 1) + 1 + 2
         rng = substream(cfg.seed, experiments._stream_index(cfg, 1, 2))
-        means = nominal_marginals(random_nominal_spec(nominal, g.num_arcs, cfg.d, rng), g).means
+        means = nominal_marginals(nominal, g.num_arcs, cfg.d, rng).means
         _, best = shortest_path(g, means)
         for out in result.outcomes:
             assert out.nominal == path_cost(decision_from_nodes(g, out.nodes), means)
@@ -149,6 +149,13 @@ class TestConfig:
         cfg = small_config(nominal="discretized-normal", sweep="sigma", grid=(5.0,))
         assert cfg.sigma is None
 
+    @pytest.mark.parametrize("nominal", ["shifted-binomial", "multinomial"])
+    def test_sigma_sweep_needs_the_normal_nominal(self, nominal):
+        # Only the discretized normal reads sigma; any other sweep of it
+        # would run the same instances at every grid value.
+        with pytest.raises(ValueError, match="^a sigma sweep needs the discretized-normal nominal$"):
+            small_config(nominal=nominal, sweep="sigma", grid=(5.0,))
+
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(h=0), "^h must be >= 1"),
@@ -164,9 +171,12 @@ class TestConfig:
         (dict(sweep="delta", grid=(-1,)), "^delta sweep value -1 must be an integer >= 0"),
         (dict(sweep="delta", grid=(0, 1.5)), "^delta sweep value 1.5 must be an integer >= 0"),
         (dict(sweep="delta", grid=(math.inf,)), "^delta sweep value inf must be an integer"),
-        (dict(sweep="sigma", grid=(2.0, 0.0)), "^sigma sweep value 0.0 must be positive"),
-        (dict(sweep="sigma", grid=(-1.0,)), "^sigma sweep value -1.0 must be positive"),
-        (dict(sweep="sigma", grid=(math.nan,)), "^sigma sweep value nan must be positive"),
+        (dict(nominal="discretized-normal", sweep="sigma", grid=(2.0, 0.0)),
+         "^sigma sweep value 0.0 must be positive"),
+        (dict(nominal="discretized-normal", sweep="sigma", grid=(-1.0,)),
+         "^sigma sweep value -1.0 must be positive"),
+        (dict(nominal="discretized-normal", sweep="sigma", grid=(math.nan,)),
+         "^sigma sweep value nan must be positive"),
         (dict(sweep="t_min", grid=("5",)), "^sweep value '5' is not a number"),
         (dict(sweep="delta", grid=(True,)), "^sweep value True is not a number"),
     ])
@@ -176,7 +186,8 @@ class TestConfig:
 
     def test_integral_float_counts_are_accepted(self):
         assert small_config(sweep="t_min", grid=(5.0, 7)).grid == (5.0, 7)
-        assert small_config(sweep="sigma", grid=(0.5,), sigma=None).grid == (0.5,)
+        assert small_config(nominal="discretized-normal", sweep="sigma", grid=(0.5,),
+                            sigma=None).grid == (0.5,)
 
 
 class TestRunSweep:

@@ -134,6 +134,19 @@ def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
             assert spec.labels[a] == label
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 60), st.integers(1, 30), st.one_of(st.integers(1, 30), st.integers(1, 10**4)),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(1, 1, 1, 0.05)
+@example(1, 24, 5, 1.0 - 2.0**-53)
+def test_joint_radius_is_positive(d, m, t_min, alpha):
+    """dro1's radius is never 0, so a block always solves its joint dual:
+    at d^m = 1 the baseline is (ln(T+1) - ln alpha)/T, otherwise Agrawal's
+    bound is at least (d^m - 1)/T and Mardia's is positive."""
+    data = DataSet(Support.integers(d), np.zeros(m * t_min, dtype=int), np.full(m, t_min))
+    assert rules.joint_radius(data, alpha) > 0.0
+
+
 def split_alpha_with_fractions(alpha, sizes):
     """The rational-arithmetic split: exact weights 1/T per distinct count,
     one float() rounding per share, then the same rounding absorption."""

@@ -269,6 +269,33 @@ supports = st.one_of(st.integers(2, 60), st.integers(2, 50**9))
 counts = st.one_of(st.integers(1, 30), st.integers(1, 10**4))
 budgets = st.floats(1e-12, 1.0 - 1e-9)
 
+# Each bound must reach the floor ln(d/T) when d > T: for q uniform on d
+# points, KL(q_hat || q) = ln d - H(q_hat) >= ln(d/T) on every draw of T.
+floor_inputs = st.builds(
+    lambda T, extra, m, t_min_share, alpha: RadiusInputs(
+        T, T + extra, m, max(1, round(t_min_share * T)), alpha,
+        rate_from_alpha(alpha, max(1, round(t_min_share * T)))),
+    counts, st.one_of(st.integers(1, 60), st.integers(1, 50**9)), st.integers(1, 1000),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=150)
+@given(floor_inputs)
+def test_baseline_and_agrawal_reach_the_floor_when_d_exceeds_T(inp):
+    floor = math.log(inp.d_a / inp.T_a)
+    assert radius_baseline(inp) >= floor
+    assert radius_agrawal(inp) >= floor
+
+
+@pytest.mark.xfail(strict=True, reason="the Mardia bound falls below the floor: d=50, T=5, "
+                                       "alpha=0.05 gives 1.816 < ln(10) = 2.303")
+@settings(max_examples=150)
+@given(floor_inputs)
+@example(RadiusInputs(5, 50, 1, 5, 0.05, rate_from_alpha(0.05, 5)))
+def test_best_reaches_the_floor_when_d_exceeds_T(inp):
+    assert radius_best(inp)[0] >= math.log(inp.d_a / inp.T_a)
+
+
 LABELLED = [  # (T_a, d_a, num_actions, alpha_a) and the bound that wins
     ((1, 2, 1, 1e-6), "baseline"),
     ((1, 2, 10, 0.5), "agrawal"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kldro import rules
-from kldro.datagen import draw_dataset, nominal_marginals, random_nominal_spec, substream
+from kldro.datagen import draw_dataset, nominal_marginals, substream
 from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
 from kldro.marginals import DataSet, Support
 from kldro.radius import AmbiguitySpec, RadiusInputs, radius_best, rate_from_alpha
@@ -31,8 +31,7 @@ def integer_dataset(samples, d):
 
 def random_dataset(g, d, seed, t_lo=4, t_hi=12):
     rng = substream(seed, 0)
-    spec = random_nominal_spec("shifted-binomial", g.num_arcs, d, rng)
-    marg = nominal_marginals(spec, g)
+    marg = nominal_marginals("shifted-binomial", g.num_arcs, d, rng)
     sizes = rng.integers(t_lo, t_hi + 1, size=g.num_arcs)
     return draw_dataset(marg, sizes, rng), marg
 
@@ -277,6 +276,17 @@ class TestDro1:
         oracle_value, oracle_path = dro1_grid_oracle(data, 0.3, 7.0, g)
         assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
         assert pres.decision == oracle_path
+
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_joint_paths_reject_data_on_different_supports(self, small_first):
+        # beta's lower bound is the top point of one shared support, so a
+        # case on another support would get a wrong value, whatever the order.
+        g = build_layered(1, 2)
+        small = truncate_dataset(random_dataset(g, 3, seed=46)[0])
+        large = truncate_dataset(random_dataset(g, 9, seed=47)[0])
+        cases = [(small, 0.3), (large, 0.3)]
+        with pytest.raises(ValueError, match="share one support"):
+            rules.joint_worst_case_paths(g, cases if small_first else cases[::-1])
 
     def test_joint_radius_is_one_ball_at_t_min_with_the_whole_budget(self):
         g = build_layered(2, 2)
