@@ -6,25 +6,33 @@ renormalized discretization of a normal density.  Sample counts per action
 are drawn uniformly or with a binomial tilt that observes cheap (or
 expensive) actions more often.
 
-Every function takes plain arguments: ``binomial_pmfs`` and ``normal_pmfs``
-build the one (actions x d) pmf matrix
-(:class:`~kldro.marginals.PmfMatrix`, row means computed once) from
-parameter arrays, and ``nominal_marginals`` draws those parameters per
-instance.  Sample sizes and data draws read that matrix, not per-action
-objects.  A draw hands its support indices straight to the
-:class:`~kldro.marginals.DataSet`.
+Every function takes plain arguments, for one data set or for a block of
+replicates given one generator each: then ``nominal_marginals`` builds one
+stacked (replicates x actions x d) :class:`~kldro.marginals.PmfMatrix`,
+``sample_sizes`` one row per replicate and ``draw_dataset`` a list of
+:class:`~kldro.marginals.DataSet`.  One generator is a block of one.
 
 Randomness comes from numpy's counter-based Philox generator; the
 substream for replicate ``i`` of an experiment uses key ``seed XOR i``, so
-any replicate can be regenerated in isolation, byte for byte.  Per-action
-observations come from one ``rng.random`` call over all actions, mapped
-through each row's inverse cdf exactly as ``Generator.choice`` maps its
-uniforms; the draws, and the stream position afterwards, equal those of one
-``rng.choice(d, size=T_a, p=row)`` call per action in action order.
+any replicate can be regenerated in isolation, byte for byte.  In any
+block, each stream makes its replicate's calls in order: ``uniform``, then
+``integers`` or ``binomial``, then ``random`` (or ``multinomial``).
+
+Draws equal ``Generator.choice`` draw for draw.  ``rng.choice(d, size=T,
+p=row)`` takes T uniforms from ``random``, sets ``cdf = cumsum(row); cdf /=
+cdf[-1]`` and counts the entries c <= u by ``searchsorted(u,
+side="right")``.  ``draw_dataset`` takes a replicate's uniforms in one
+``random`` call and builds the same cdf rows.  ``random`` returns u = k
+2**-53, and c <= k 2**-53 exactly when ceil(c 2**53) <= k, both sides exact.
+So one search of the int64 keys row 2**54 + floor(u 2**53) among row 2**54 +
+ceil(c 2**53) counts the same entries for every uniform of a block.  A
+uniform off that grid, which ``random`` never returns, then steps over the
+entries its key missed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -54,93 +62,124 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) ^ int(index)))
 
 
+def _per_stream(rng, draw, *args):
+    """``draw(rng, *args)`` for one generator; for a block, the stack of
+    ``draw(rng[b], *(a[b] for a in args))``, each stream in turn."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng, *args)
+    return np.array([draw(r, *a) for r, *a in zip(rng, *args)])
+
+
+@functools.cache
+def _binomial_coefficients(n: int) -> tuple:
+    return tuple(float(math.comb(n, k)) for k in range(n + 1))
+
+
 def binomial_pmfs(p, d: int) -> PmfMatrix:
-    """Shifted binomials on {1, ..., d}: cost 1 + Bin(d - 1, p_a) for each
-    success probability p_a, from exact binomial coefficients."""
+    """Shifted binomials on {1, ..., d}: cost 1 + Bin(d - 1, p) for each
+    success probability in ``p``, (actions,) or (replicates, actions), from
+    exact binomial coefficients."""
     support = Support.integers(d)
-    p = np.asarray(p, dtype=float)[:, None]
+    p = np.asarray(p, dtype=float)[..., None]
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
     n = d - 1
     ks = np.arange(d)
-    comb = np.array([float(math.comb(n, k)) for k in ks])
-    cells = comb * p**ks * (1.0 - p) ** (n - ks)
-    return PmfMatrix(support, cells / cells.sum(axis=1, keepdims=True))
+    cells = np.array(_binomial_coefficients(n)) * p**ks * (1.0 - p) ** (n - ks)
+    return PmfMatrix(support, cells / cells.sum(axis=-1, keepdims=True))
 
 
-def normal_pmfs(mu, sigma: float, d: int) -> PmfMatrix:
-    """Normal densities of means ``mu`` and one standard deviation
-    ``sigma``, discretized on {1, ..., d}: each cell is the difference of
-    the normal cdf at its half-integer edges, and each row is renormalized."""
+def normal_pmfs(mu, sigma, d: int) -> PmfMatrix:
+    """Normal densities of means ``mu`` and standard deviation ``sigma``,
+    discretized on {1, ..., d}: each cell is the difference of the normal
+    cdf at its half-integer edges, and each row is renormalized.  For a
+    block, ``mu`` has a row and ``sigma`` one value or one per replicate."""
     support = Support.integers(d)
     mu = np.asarray(mu, dtype=float)
-    sigma = float(sigma)
-    if not sigma > 0.0:
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all(sigma > 0.0):
         raise ValueError("sigma must be positive")
     if not np.all((1.0 <= mu) & (mu <= d)):
         raise ValueError("mu must lie in [1, d]")
     edges = np.arange(0.5, d + 1.0)
-    cells = np.diff(ndtr((edges - mu[:, None]) / sigma), axis=1)
-    return PmfMatrix(support, cells / cells.sum(axis=1, keepdims=True))
+    cells = np.diff(ndtr((edges - mu[..., None]) / sigma[..., None, None]), axis=-1)
+    return PmfMatrix(support, cells / cells.sum(axis=-1, keepdims=True))
 
 
-def nominal_marginals(kind: str, num_actions: int, d: int, rng: np.random.Generator,
-                      sigma: float | None = None) -> PmfMatrix:
+def nominal_marginals(kind: str, num_actions: int, d: int, rng, sigma=None) -> PmfMatrix:
     """Fresh nominal pmfs for ``num_actions`` actions on {1, ..., d}.
 
     Binomial kinds draw p_a ~ U(0, 1), normalized to sum to 1 for the
-    multinomial; the discretized normal draws mu_a ~ U(1, d) and needs the
-    shared ``sigma``.
+    multinomial; the discretized normal draws mu_a ~ U(1, d) and needs
+    ``sigma``, one per replicate for a block.
     """
     if kind not in NOMINAL_KINDS:
         raise ValueError(f"unknown nominal kind {kind!r}")
     if kind == "discretized-normal":
         if sigma is None:
             raise ValueError("discretized-normal requires sigma")
-        return normal_pmfs(rng.uniform(1.0, float(d), num_actions), sigma, d)
-    p = rng.uniform(0.0, 1.0, num_actions)
-    return binomial_pmfs(p / p.sum() if kind == "multinomial" else p, d)
+        mu = _per_stream(rng, lambda r: r.uniform(1.0, float(d), num_actions))
+        return normal_pmfs(mu, sigma, d)
+    p = _per_stream(rng, lambda r: r.uniform(0.0, 1.0, num_actions))
+    return binomial_pmfs(p / p.sum(axis=-1, keepdims=True) if kind == "multinomial" else p, d)
 
 
-def sample_sizes(kind: str, t_min: int, delta: int, nominal: PmfMatrix,
-                 rng: np.random.Generator) -> np.ndarray:
+def sample_sizes(kind: str, t_min, delta, nominal: PmfMatrix, rng) -> np.ndarray:
     """Realized per-action observation counts in [t_min, t_min + delta]:
     uniform, or binomial with a success share that rises (binomial1) or
-    falls (binomial2) with the action's nominal mean."""
+    falls (binomial2) with the action's nominal mean.  For a block, every
+    argument but ``kind`` runs along its replicates."""
     if kind not in SIZE_KINDS:
         raise ValueError(f"unknown sample-size kind {kind!r}")
-    if t_min < 1:
+    if np.any(np.less(t_min, 1)):
         raise ValueError("t_min must be >= 1")
-    if delta < 0:
+    if np.any(np.less(delta, 0)):
         raise ValueError("delta must be >= 0")
-    if kind == "uniform":
-        return rng.integers(t_min, t_min + delta + 1, size=len(nominal))
     means = nominal.means
-    lo, hi = float(means.min()), float(means.max())
-    if hi - lo == 0.0:
+    if kind == "uniform":
+        return _per_stream(rng, lambda r, low, spread: r.integers(
+            low, low + spread + 1, size=means.shape[-1]), t_min, delta)
+    lo, hi = means.min(axis=-1, keepdims=True), means.max(axis=-1, keepdims=True)
+    if np.any(hi == lo):
         raise ValueError(f"{kind} sizes need unequal nominal means to normalize")
     share = (means - lo) / (hi - lo)
     if kind == "binomial2":
         share = 1.0 - share
-    return t_min + rng.binomial(delta, share)
+    return _per_stream(rng, lambda r, low, spread, s: low + r.binomial(spread, s),
+                       t_min, delta, share)
 
 
-def draw_dataset(
-    nominal: PmfMatrix,
-    sizes,
-    rng: np.random.Generator,
-    joint: bool = False,
-) -> DataSet:
+_GRID = 2.0**53
+_CHUNK = 511  # rows per search: row * 2**54 + 2**53 < 2**63 for row < 512
+
+
+def _inverse_cdf(cdf: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf[row[i]].searchsorted(u[i], side="right")`` for every i, by the
+    keyed search of the module docstring; ``row`` is nondecreasing, cdf rows
+    nondecreasing and ending at 1.0, and u in [0, 1)."""
+    scaled = u * _GRID
+    grid = scaled.astype(np.int64)  # floor, as u >= 0
+    index = np.empty(u.size, dtype=np.intp)
+    bounds = row.searchsorted(np.arange(0, len(cdf) + _CHUNK, _CHUNK))
+    for first, lo, hi in zip(range(0, len(cdf), _CHUNK), bounds, bounds[1:]):
+        keys = np.ceil(cdf[first:first + _CHUNK] * _GRID).astype(np.int64)
+        keys += np.arange(len(keys), dtype=np.int64)[:, None] << 54
+        local = row[lo:hi] - first
+        index[lo:hi] = keys.ravel().searchsorted((local << 54) + grid[lo:hi], side="right")
+        index[lo:hi] -= local * cdf.shape[1]
+    off = np.flatnonzero(grid != scaled)
+    while off.size:
+        off = off[cdf[row[off], index[off]] <= u[off]]
+        index[off] += 1
+    return index
+
+
+def draw_dataset(nominal: PmfMatrix, sizes, rng, joint: bool = False):
     """Observations as support indices: i.i.d. per action, or prefixes of
-    joint draws.
+    joint draws; for a block, one data set per replicate.
 
-    Independent draws take sum(T_a) uniforms from one ``rng.random`` call
-    and send action ``a``'s block of T_a through the inverse cdf of row
-    ``a``: ``cdf = cumsum(row)``, ``cdf /= cdf[-1]``, then
-    ``searchsorted(u, side="right")``.  That is what
-    ``rng.choice(d, size=T_a, p=row)`` does, so the indices, and the stream
-    position afterwards, equal one ``choice`` call per action in action
-    order, draw for draw.
+    Independent draws, and the stream position afterwards, equal one
+    ``rng.choice(d, size=T_a, p=row)`` call per action in action order.
 
     With ``joint=True`` the marginals must be the binomial components of a
     multinomial vector; max(T_a) full count vectors are drawn jointly and
@@ -149,26 +188,29 @@ def draw_dataset(
     observed prefix.
     """
     sizes = np.array(sizes, dtype=int)
-    if sizes.size != len(nominal):
+    if sizes.shape != nominal.means.shape:
         raise ValueError("one sample count per action is required")
     if np.any(sizes < 1):
         raise ValueError("every action needs at least one observation")
     support = nominal.support
     d = support.size
+    one = isinstance(rng, np.random.Generator)
+    streams, rows = ([rng] if one else rng), sizes.reshape(-1, sizes.shape[-1])
     if not joint:
-        ends = np.cumsum(sizes).tolist()
-        u = rng.random(ends[-1])
-        cdf = np.cumsum(nominal.probs, axis=1)
+        u = np.concatenate([r.random(t) for r, t in zip(streams, rows.sum(axis=1))])
+        cdf = np.cumsum(nominal.probs.reshape(-1, d), axis=1)
         cdf /= cdf[:, -1:]
-        index = np.concatenate([row.searchsorted(u[lo:hi], side="right")
-                                for row, lo, hi in zip(cdf, [0, *ends[:-1]], ends)])
-        return DataSet(support, index, sizes)
-    if d == 1:
-        return DataSet(support, np.zeros(int(sizes.sum()), dtype=int), sizes)
-    p = (nominal.means - 1.0) / (d - 1.0)
-    if np.any(p < -1e-9) or abs(float(p.sum()) - 1.0) > 1e-6:
-        raise ValueError("joint sampling requires multinomial component marginals")
-    p = np.clip(p, 0.0, 1.0)
-    t_max = int(sizes.max())
-    counts = rng.multinomial(d - 1, p / p.sum(), size=t_max)
-    return DataSet(support, counts.T[np.arange(t_max) < sizes[:, None]], sizes)
+        index = _inverse_cdf(cdf, np.repeat(np.arange(rows.size), rows.ravel()), u)
+        indices = np.split(index, np.cumsum(rows.sum(axis=1))[:-1])
+    elif d == 1:
+        indices = [np.zeros(t, dtype=int) for t in rows.sum(axis=1)]
+    else:
+        p = (nominal.means.reshape(rows.shape) - 1.0) / (d - 1.0)
+        if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
+            raise ValueError("joint sampling requires multinomial component marginals")
+        p = np.clip(p, 0.0, 1.0)
+        counts = [r.multinomial(d - 1, q / q.sum(), size=t.max())
+                  for r, q, t in zip(streams, p, rows)]
+        indices = [c.T[np.arange(len(c)) < t[:, None]] for c, t in zip(counts, rows)]
+    data = [DataSet(support, index, t) for index, t in zip(indices, rows)]
+    return data[0] if one else data

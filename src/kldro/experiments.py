@@ -11,13 +11,14 @@ alpha, then the rule runs at them.  ``ExperimentConfig`` holds exactly what
 the figure configs set; ``from_dict`` is its one type check.
 
 A sweep runs as blocks of up to ``BLOCK_SIZE`` consecutive replicates,
-which may span grid values.  Each replicate owns a Philox substream, its
-data draw and its calibrations; the block then makes one dual-kernel call
-for all dro and dro2 rows, one dro1 call per joint-atom count, and one
-batched shortest-path DP over every cost row.  Kernel and DP rows are
-solved independently and results are reduced in replicate order, so output
-is identical whatever the block size or the worker count.
-``run_replicate`` is a block of one.
+which may span grid values.  Each replicate owns a Philox substream and
+its calibrations, but data is drawn per block: one pmf tensor and one
+inverse-cdf search.  The block then makes one dual-kernel call for all dro
+and dro2 rows, one dro1 call per joint-atom count, and one batched
+shortest-path DP over every cost row.  Kernel and DP rows are solved
+independently and results are reduced in replicate order, so output is
+identical whatever the block size or the worker count.  ``run_replicate``
+is a block of one.
 """
 
 from __future__ import annotations
@@ -208,32 +209,28 @@ def _stream_index(cfg: ExperimentConfig, grid_index: int, replicate: int) -> int
     return grid_index * (cfg.n0 + 1) + 1 + replicate
 
 
-def _replicate_data(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
-                    replicate: int):
-    """One replicate's nominal means and data set, drawn from its own substream."""
-    t_min, delta, sigma = _resolved(cfg, cfg.grid[grid_index])
-    rng = substream(cfg.seed, _stream_index(cfg, grid_index, replicate))
-    marginals = nominal_marginals(cfg.nominal, g.num_arcs, cfg.d, rng, sigma=sigma)
-    sizes = sample_sizes(cfg.sample_sizes, t_min, delta, marginals, rng)
-    return marginals.means, draw_dataset(marginals, sizes, rng, joint=(cfg.nominal == "multinomial"))
-
-
 def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateResult]:
     """The replicates ``keys``, (grid index, replicate) pairs, as one block.
 
-    Each replicate draws its data and calibrates every rule on it.  Then the
-    block makes one dual-kernel call for the dro and dro2 rows of all its
+    Each replicate draws its data from its own substream, one call per stage
+    for the whole block, and calibrates every rule on it.  Then the block
+    makes one dual-kernel call for the dro and dro2 rows of all its
     replicates, one dro1 kernel call per joint-atom count, and one dynamic
     program over every cost row to route.  Rows are solved independently,
     so a replicate's result does not depend on the block it runs in.
     """
-    drawn = [_replicate_data(cfg, g, *key) for key in keys]
+    rngs = [substream(cfg.seed, _stream_index(cfg, *key)) for key in keys]
+    t_min, delta, sigma = zip(*(_resolved(cfg, cfg.grid[grid_index]) for grid_index, _ in keys))
+    nominal = nominal_marginals(cfg.nominal, g.num_arcs, cfg.d, rngs,
+                                sigma=None if sigma[0] is None else np.array(sigma))
+    sizes = sample_sizes(cfg.sample_sizes, np.array(t_min), np.array(delta), nominal, rngs)
+    drawn = draw_dataset(nominal, sizes, rngs, joint=(cfg.nominal == "multinomial"))
     rows = {}  # (replicate in block, rule) -> cost row to route; rule None: the nominal best
     robust = {}  # id of a data set -> (data set, its spec): dro on the data, dro2 on the truncation
     routes = {}  # (replicate in block, rule) -> id of the data set whose worst-case costs it routes
     joint = {}  # (replicate in block, "dro1") -> (truncated data, joint radius), always > 0
-    for k, (means, data) in enumerate(drawn):
-        rows[k, None] = means
+    for k, data in enumerate(drawn):
+        rows[k, None] = nominal.means[k]
         for rule in cfg.rules:
             if rule == "hoeffding":
                 rows[k, rule] = hoeffding_costs(data, hoeffding_slack(data, cfg.alpha))
@@ -252,12 +249,12 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     picked.update(zip(rows, shortest_path(g, np.stack(list(rows.values())))))
 
     results = []
-    for k, ((_, replicate), (means, data)) in enumerate(zip(keys, drawn)):
+    for k, ((_, replicate), data) in enumerate(zip(keys, drawn)):
         best_nominal = picked[k, None][1]
         outcomes = []
         for rule in cfg.rules:
             decision, predicted = picked[k, rule]
-            achieved = path_cost(decision, means)
+            achieved = path_cost(decision, nominal.means[k])
             outcomes.append(RuleOutcome(rule, decision.nodes, predicted, achieved,
                                         achieved / best_nominal, bool(achieved > predicted)))
         results.append(ReplicateResult(replicate, tuple(data.sizes.tolist()), tuple(outcomes)))

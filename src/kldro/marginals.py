@@ -81,18 +81,18 @@ class Marginal:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _checked_pmfs(self.probs, self.support, 1))
+        object.__setattr__(self, "probs", _checked_pmfs(self.probs, self.support, False))
 
     def mean(self) -> float:
         return float(pmf_means(self.support.points, self.probs))
 
 
-def _checked_pmfs(probs, support: Support, ndim: int) -> np.ndarray:
-    """``probs`` as a read-only array of ``ndim`` dimensions whose rows are
-    pmfs on ``support``: entries in [0, 1] (so not NaN), each row summing to 1
-    within 1e-12."""
+def _checked_pmfs(probs, support: Support, stacked: bool) -> np.ndarray:
+    """``probs`` as a read-only array of one row, or of rows ``stacked`` on
+    two or more axes, that are pmfs on ``support``: entries in [0, 1] (so
+    not NaN), each row summing to 1 within 1e-12."""
     p = _readonly(probs)
-    if p.ndim != ndim or p.shape[-1:] != support.points.shape:
+    if (p.ndim >= 2) != stacked or p.shape[-1:] != support.points.shape:
         raise ValueError("probs length must match support size")
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
@@ -106,9 +106,10 @@ def _checked_pmfs(probs, support: Support, ndim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PmfMatrix:
     """One pmf per action on a shared :class:`Support`, as an
-    (actions x d) matrix validated once, with every row's mean.
+    (actions x d) matrix validated once, with every row's mean; a block of
+    replicates stacks its matrices into one (replicates x actions x d).
 
-    Indexing builds the per-action :class:`Marginal` on demand;
+    Indexing a matrix builds the per-action :class:`Marginal` on demand;
     ``means[a]`` equals ``self[a].mean()`` bit for bit.
     """
 
@@ -117,7 +118,7 @@ class PmfMatrix:
     means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = _checked_pmfs(self.probs, self.support, 2)
+        p = _checked_pmfs(self.probs, self.support, True)
         means = pmf_means(self.support.points, p)
         means.setflags(write=False)
         object.__setattr__(self, "probs", p)

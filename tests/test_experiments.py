@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kldro import experiments, graphs, rules
+from kldro import datagen, experiments, graphs, rules
 from kldro.datagen import binomial_pmfs, nominal_marginals, substream
 from kldro.experiments import (
     ExperimentConfig,
@@ -437,10 +437,13 @@ class TestAggregatesAndEmit:
             assert freq <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / 30)
 
 
-# config -> reduced grid.  At delta = 40, fig7's uniform sizes lift T_min above
-# 10 in some replicates, so its blocks mix dro1 atom counts (10, 12 and 13 at
-# n0 = 5); fig8b runs dro1 and dro2 on binomial2 sizes.
-REDUCED = {"fig2a.json": (5, 35), "fig7.json": (0, 40), "fig8b.json": (0, 40)}
+# config -> reduced grid, one config per nominal kind and more.  At delta =
+# 40, fig7's uniform sizes lift T_min above 10 in some replicates, so its
+# blocks mix dro1 atom counts (10, 12 and 13 at n0 = 5); fig8b runs dro1 and
+# dro2 on binomial2 sizes; fig2b draws the multinomial jointly; fig4's
+# blocks span several sigma values.
+REDUCED = {"fig2a.json": (5, 35), "fig2b.json": (5, 35), "fig4.json": (1, 25, 49),
+           "fig7.json": (0, 40), "fig8b.json": (0, 40)}
 
 
 def reduced_config(name, n0):
@@ -461,6 +464,29 @@ class TestBlocks:
         }
         assert by_size[1] == by_size[7] == by_size[cfg.n0] == by_size[len(keys)]
         assert [r.replicate for r in by_size[1]] == [i for _, i in keys]
+
+    @pytest.mark.parametrize("name, build", [("fig2a.json", "binomial_pmfs"),
+                                             ("fig4.json", "normal_pmfs")])
+    def test_a_block_builds_one_pmf_tensor_and_makes_one_keyed_search(self, monkeypatch,
+                                                                       name, build):
+        cfg = reduced_config(name, n0=4)
+        g = build_layered(cfg.h, cfg.w)
+        keys = [(grid_index, i) for grid_index in range(len(cfg.grid)) for i in range(cfg.n0)]
+        calls = []
+
+        def counting(attr):
+            original = getattr(datagen, attr)
+
+            def counted(*args):
+                calls.append((attr, np.shape(args[0])))
+                return original(*args)
+
+            return counted
+
+        for attr in (build, "_inverse_cdf"):
+            monkeypatch.setattr(datagen, attr, counting(attr))
+        experiments._run_block(cfg, g, keys[:8])  # crosses a grid value
+        assert calls == [(build, (8, g.num_arcs)), ("_inverse_cdf", (8 * g.num_arcs, cfg.d))]
 
     @pytest.mark.parametrize("name", sorted(REDUCED))
     def test_worker_count_does_not_change_the_csvs(self, name, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kldro.datagen import draw_dataset, substream
+from kldro.datagen import _inverse_cdf, draw_dataset, substream
 from kldro.marginals import (
     DataSet,
     Marginal,
@@ -239,6 +239,34 @@ def test_batched_draw_equals_choice_at_cdf_steps(probs, data):
     for a, t in enumerate(sizes):
         assert np.array_equal(got[a], ref.choice(d, size=t, p=probs[a]))
     assert rng.used == ref.used == sum(sizes)
+
+
+@settings(max_examples=40)
+@given(pmf_matrices(), st.sampled_from([1, 2, 510, 511, 512, 1022, 1023, 1200]), st.data())
+def test_keyed_inverse_cdf_equals_per_row_searchsorted(probs, rows, data):
+    """The keyed map over more rows than one 511-row key chunk holds, on
+    rows with zero cells (repeated cdf values) and point masses, with
+    uniforms on, just below and just above the cdf steps, and on the 2**-53
+    grid that ``Generator.random`` draws from."""
+    m, d = probs.shape
+    base = np.vstack([probs, np.eye(d)[data.draw(st.integers(0, d - 1))]])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    pattern = rng.integers(0, len(base), size=rows)
+    cdf = np.cumsum(base, axis=1)
+    cdf /= cdf[:, -1:]
+    steps = np.concatenate([cdf.ravel(), [0.0]])
+    steps = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
+                            rng.integers(0, 2**53, size=16) / 2.0**53])
+    steps = np.unique(steps[(steps >= 0.0) & (steps < 1.0)])
+    per_row = rng.integers(0, 4, size=rows)
+    row = np.repeat(np.arange(rows), per_row)
+    u = rng.choice(steps, size=row.size)
+    got = _inverse_cdf(cdf[pattern], row, u)
+    expected = np.empty_like(got)
+    for b in range(len(base)):
+        mine = pattern[row] == b
+        expected[mine] = cdf[b].searchsorted(u[mine], side="right")
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=60)

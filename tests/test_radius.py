@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from kldro.radius import (
     AmbiguitySpec,
@@ -335,3 +335,41 @@ def test_radii_nonincreasing_in_T(d, alpha_a, m, t_min, extra):
     for fn in bounds:
         values = [fn(RadiusInputs(T, d, m, t_min, alpha_a, rate)) for T in Ts]
         assert all(b <= a for a, b in zip(values, values[1:])), (fn, Ts, values)
+
+
+def kl_tail_exact(q, T, radius):
+    """P(KL(q_hat || q) > radius) for q_hat the empirical pmf of T i.i.d.
+    draws from q, summed exactly over every type (count vector) of T."""
+    d = len(q)
+    grid = np.indices((T + 1,) * (d - 1)).reshape(d - 1, -1).T
+    grid = grid[grid.sum(axis=1) <= T]
+    counts = np.column_stack([grid, T - grid.sum(axis=1)])
+    log_prob = (gammaln(T + 1) - gammaln(counts + 1).sum(axis=1)
+                + (counts * np.log(q)).sum(axis=1))
+    share = counts / T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(counts > 0, share * np.log(share / q), 0.0).sum(axis=1)
+    return float(np.exp(log_prob[kl > radius]).sum())
+
+
+EXACT_TAIL_ALPHAS = (0.05, 0.2)
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["uniform q", "skewed q"])
+def test_bounds_cover_exactly_on_small_supports(skewed):
+    """Each single-action bound at confidence alpha leaves an exact tail
+    mass P(KL(q_hat || q) > r) <= alpha for every d <= 5 and T <= 20 (Mardia's
+    from T = 2, where it applies)."""
+    worst = 0.0
+    for d in range(2, 6):
+        q = np.array([0.55, 0.25, 0.12, 0.05, 0.03])[:d] if skewed else np.full(d, 1.0)
+        q = q / q.sum()
+        for T in range(1, 21):
+            for alpha in EXACT_TAIL_ALPHAS:
+                inp = RadiusInputs(T, d, 1, T, alpha, rate_from_alpha(alpha, T))
+                bounds = [radius_baseline, radius_agrawal] + [radius_mardia] * (T >= 2)
+                for bound in bounds:
+                    tail = kl_tail_exact(q, T, bound(inp))
+                    assert tail <= alpha, (bound.__name__, d, T, alpha, tail)
+                    worst = max(worst, tail / alpha)
+    assert worst > 0.0  # some bound leaves a tail: the check is not vacuous
