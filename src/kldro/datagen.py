@@ -85,8 +85,12 @@ def binomial_pmfs(p, d: int) -> PmfMatrix:
         raise ValueError("p must lie in [0, 1]")
     n = d - 1
     ks = np.arange(d)
-    cells = np.array(_binomial_coefficients(n)) * p**ks * (1.0 - p) ** (n - ks)
-    return PmfMatrix(support, cells / cells.sum(axis=-1, keepdims=True))
+    # In place, one temporary fewer; the products commute, so the bits stay.
+    cells = p**ks
+    cells *= np.array(_binomial_coefficients(n))
+    cells *= (1.0 - p) ** (n - ks)
+    cells /= cells.sum(axis=-1, keepdims=True)
+    return PmfMatrix(support, cells)
 
 
 def normal_pmfs(mu, sigma, d: int) -> PmfMatrix:

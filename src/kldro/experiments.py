@@ -11,14 +11,14 @@ alpha, then the rule runs at them.  ``ExperimentConfig`` holds exactly what
 the figure configs set; ``from_dict`` is its one type check.
 
 A sweep runs as blocks of up to ``BLOCK_SIZE`` consecutive replicates,
-which may span grid values.  Each replicate owns a Philox substream and
-its calibrations, but data is drawn per block: one pmf tensor and one
-inverse-cdf search.  The block then makes one dual-kernel call for all dro
-and dro2 rows, one dro1 call per joint-atom count, and one batched
-shortest-path DP over every cost row.  Kernel and DP rows are solved
-independently and results are reduced in replicate order, so output is
-identical whatever the block size or the worker count.  ``run_replicate``
-is a block of one.
+which may span grid values.  Each replicate owns a Philox substream, but
+data is drawn per block: one pmf tensor and one inverse-cdf search.  The
+block then makes one calibration call for all dro and dro2 bases (data
+sets with equal counts share a spec), one dual-kernel call for their rows,
+one dro1 call per joint-atom count, and one batched shortest-path DP over
+every cost row.  Kernel and DP rows are solved independently and results
+are reduced in replicate order, so output is identical whatever the block
+size or the worker count.  ``run_replicate`` is a block of one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .datagen import (NOMINAL_KINDS, SIZE_KINDS, draw_dataset, nominal_marginals
                       substream)
 from .graphs import LayeredGraph, build_layered, path_cost, shortest_path
 from .rules import (
-    calibrate_ambiguity,
+    calibrate_ambiguities,
     hoeffding_costs,
     hoeffding_slack,
     joint_radius,
@@ -43,9 +43,9 @@ from .rules import (
     truncate_dataset,
     worst_case_costs,
 )
-# Blocks call the rules' shared helpers; the prescriptions stay importable
-# from here because bench/trace_layers.py wraps them.
-from .rules import dro1_prescribe, dro_prescribe, hoeffding_prescribe  # noqa: F401
+# Blocks call the rules' shared helpers; calibrate_ambiguity and the
+# prescriptions stay importable here because bench/trace_layers.py wraps them.
+from .rules import calibrate_ambiguity, dro1_prescribe, dro_prescribe, hoeffding_prescribe  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -213,11 +213,11 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     """The replicates ``keys``, (grid index, replicate) pairs, as one block.
 
     Each replicate draws its data from its own substream, one call per stage
-    for the whole block, and calibrates every rule on it.  Then the block
-    makes one dual-kernel call for the dro and dro2 rows of all its
-    replicates, one dro1 kernel call per joint-atom count, and one dynamic
-    program over every cost row to route.  Rows are solved independently,
-    so a replicate's result does not depend on the block it runs in.
+    for the whole block.  Then the block makes one calibration call and one
+    dual-kernel call for the dro and dro2 rows of all its replicates, one
+    dro1 kernel call per joint-atom count, and one dynamic program over
+    every cost row to route.  Rows are solved independently, so a
+    replicate's result does not depend on the block it runs in.
     """
     rngs = [substream(cfg.seed, _stream_index(cfg, *key)) for key in keys]
     t_min, delta, sigma = zip(*(_resolved(cfg, cfg.grid[grid_index]) for grid_index, _ in keys))
@@ -226,7 +226,7 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     sizes = sample_sizes(cfg.sample_sizes, np.array(t_min), np.array(delta), nominal, rngs)
     drawn = draw_dataset(nominal, sizes, rngs, joint=(cfg.nominal == "multinomial"))
     rows = {}  # (replicate in block, rule) -> cost row to route; rule None: the nominal best
-    robust = {}  # id of a data set -> (data set, its spec): dro on the data, dro2 on the truncation
+    bases = {}  # id of a data set -> data set: dro on the data, dro2 on the truncation
     routes = {}  # (replicate in block, rule) -> id of the data set whose worst-case costs it routes
     joint = {}  # (replicate in block, "dro1") -> (truncated data, joint radius), always > 0
     for k, data in enumerate(drawn):
@@ -240,10 +240,10 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
                 # dro runs on the data and dro2 on its truncation, which is the
                 # data itself when every count is equal: then dro2 is dro.
                 basis = data if rule == "dro" else truncate_dataset(data)
-                if id(basis) not in robust:
-                    robust[id(basis)] = (basis, calibrate_ambiguity(basis, cfg.alpha))
+                bases[id(basis)] = basis
                 routes[k, rule] = id(basis)
-    solved = dict(zip(robust, worst_case_costs(robust.values())))
+    specs = calibrate_ambiguities(bases.values(), cfg.alpha)
+    solved = dict(zip(bases, worst_case_costs(zip(bases.values(), specs))))
     rows.update((slot, solved[basis]) for slot, basis in routes.items())
     picked = dict(zip(joint, joint_worst_case_paths(g, joint.values())))
     picked.update(zip(rows, shortest_path(g, np.stack(list(rows.values())))))
@@ -297,9 +297,13 @@ def _block_task(args) -> list[ReplicateResult]:
 
 
 def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray):
-    """(mean rho, MAD around the mean, disappointment frequency)."""
+    """(mean rho, MAD around the mean, disappointment frequency); the MAD is
+    the median deviation as ``np.median`` takes it, at (a + b) / 2 if even."""
     mean = float(np.mean(rhos))
-    return mean, float(np.median(np.abs(rhos - mean))), float(np.mean(disappointed))
+    dev = sorted(np.abs(rhos - mean).tolist())
+    mid = len(dev) // 2
+    mad = dev[mid] if len(dev) % 2 else (dev[mid - 1] + dev[mid]) / 2
+    return mean, mad, float(np.mean(disappointed))
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:

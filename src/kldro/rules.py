@@ -13,8 +13,10 @@ predicted loss:
 its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``,
 ``hoeffding_slack`` and ``joint_radius``.
 
-The prescriptions are built from helpers that also serve many data sets at
-once, which is how a sweep's block of replicates runs them:
+The prescriptions and the calibration are built from helpers that also
+serve many data sets at once, which is how a sweep's block of replicates
+runs them: ``calibrate_ambiguities`` shares one spec per distinct (support
+size, counts) and one ``radius_best`` solve per distinct input,
 ``worst_case_costs`` solves the dual rows of every (data, spec) pair in one
 kernel call, ``hoeffding_costs`` gives the Hoeffding cost row, and
 ``joint_worst_case_paths`` picks dro1's path for every (truncated data, r)
@@ -23,7 +25,9 @@ pair with one kernel call per joint-atom count.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,7 @@ __all__ = [
     "Prescription",
     "JointEmpirical",
     "split_alpha",
+    "calibrate_ambiguities",
     "calibrate_ambiguity",
     "hoeffding_slack",
     "joint_radius",
@@ -76,16 +81,16 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     sizes = np.asarray(sizes, dtype=int)
-    if sizes.ndim != 1 or sizes.size < 1 or np.any(sizes < 1):
+    if sizes.ndim != 1 or sizes.size < 1 or sizes.min() < 1:
         raise ValueError("sizes must be positive integers")
-    distinct, inverse, mult = np.unique(sizes, return_inverse=True, return_counts=True)
-    distinct = distinct.tolist()
-    lcm = math.lcm(*distinct)
-    weights = [lcm // t for t in distinct]
+    counts = sizes.tolist()
+    mult = Counter(counts)  # distinct count -> how many actions have it
+    lcm = math.lcm(*mult)
     num, den = float(alpha).as_integer_ratio()
-    den *= sum(k * w for k, w in zip(mult.tolist(), weights))
+    den *= sum(k * (lcm // t) for t, k in mult.items())
     # int / int true division rounds correctly, as float(Fraction) does.
-    out = np.array([num * w / den for w in weights])[inverse.reshape(-1)]
+    share = {t: num * (lcm // t) / den for t in mult}
+    out = np.array([share[t] for t in counts])
     _absorb_rounding(out, alpha, int(np.argmin(out)))
     return out
 
@@ -101,30 +106,36 @@ def _split_once(data: DataSet, alpha: float) -> np.ndarray:
     return data.cache[key]
 
 
-def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
-    """Per-action radii: split the budget, then take the best of the three
-    finite-sample bounds once per distinct (T_a, alpha_a), with d_a the
-    size of the shared support.
+def calibrate_ambiguities(datas, alpha: float) -> list[AmbiguitySpec]:
+    """Per-action radii of every data set: split the budget, then take the
+    best of the three finite-sample bounds, with d_a the support size.  A
+    spec depends only on d_a and the counts, so data sets equal in both
+    share one (immutable) spec, and ``radius_best`` runs once per distinct
+    (d_a, actions, T_min, T_a, alpha_a) over all of them."""
+    specs = {}  # (support size, counts) -> spec
+    solved = {}  # (d_a, actions, T_min, T_a, alpha_a) -> (radius, label)
+    out = []
+    for data in datas:
+        key = (data.support.size, data.sizes.tobytes())
+        if key not in specs:
+            d, m, t_min = data.support.size, data.num_actions, data.t_min
+            rate = rate_from_alpha(alpha, t_min)
+            found = []
+            for t, alpha_a in zip(data.sizes.tolist(), _split_once(data, alpha).tolist()):
+                inputs = (d, m, t_min, t, alpha_a)
+                if inputs not in solved:
+                    solved[inputs] = radius_best(RadiusInputs(t, d, m, t_min, alpha_a, rate))
+                found.append(solved[inputs])
+            radii, labels = zip(*found)
+            specs[key] = AmbiguitySpec(np.array(radii), labels)
+        out.append(specs[key])
+    return out
 
-    alpha_a depends on T_a alone except at the one arc whose share absorbed
-    the split's rounding, so the distinct pairs are the distinct counts,
-    each split in two where an arc's alpha differs from that of the first
-    arc with its count.
-    """
-    sizes = data.sizes
-    t_min = data.t_min
-    alphas = _split_once(data, alpha)
-    rate = rate_from_alpha(alpha, t_min)
-    _, first, count = np.unique(sizes, return_index=True, return_inverse=True)
-    _, index, inverse = np.unique(2 * count + (alphas != alphas[first][count]),
-                                  return_index=True, return_inverse=True)
-    found = [
-        radius_best(RadiusInputs(int(sizes[a]), data.support.size, data.num_actions, t_min,
-                                 float(alphas[a]), rate))
-        for a in index.tolist()
-    ]
-    radii = np.array([radius for radius, _ in found])[inverse]
-    return AmbiguitySpec(radii, tuple(found[k][1] for k in inverse))
+
+def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
+    """Per-action radii of one data set: :func:`calibrate_ambiguities` on
+    a block of one."""
+    return calibrate_ambiguities([data], alpha)[0]
 
 
 def worst_case_costs(cases) -> list[np.ndarray]:
@@ -236,15 +247,13 @@ def joint_radius(data: DataSet, alpha: float) -> float:
     """Radius of one ball around the joint empirical of the first T_min
     observations: support size d^m, T_min samples, and the whole confidence
     budget (no union bound over actions)."""
-    t_min = data.t_min
-    inputs = RadiusInputs(
-        T_a=t_min,
-        d_a=data.support.size**data.num_actions,
-        num_actions=1,
-        T_min=t_min,
-        alpha_a=alpha,
-        rate=rate_from_alpha(alpha, t_min),
-    )
+    return _joint_radius(data.t_min, data.support.size, data.num_actions, alpha)
+
+
+@functools.cache  # a pure function of four numbers, of which a sweep meets few
+def _joint_radius(t_min: int, d: int, m: int, alpha: float) -> float:
+    inputs = RadiusInputs(T_a=t_min, d_a=d**m, num_actions=1, T_min=t_min, alpha_a=alpha,
+                          rate=rate_from_alpha(alpha, t_min))
     return radius_best(inputs)[0]
 
 

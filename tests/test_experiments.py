@@ -350,6 +350,43 @@ class TestRunSweep:
         assert {width for _, width in calls[1:]} == widths
         assert sum(rows for rows, _ in calls[1:]) == 6 * 27
 
+    def test_fig7_block_makes_one_calibration_call_and_one_solve_per_input(self, monkeypatch):
+        raw = json.loads((CONFIGS / "fig7.json").read_text())
+        cfg = ExperimentConfig.from_dict({**raw, "grid": [0, 14], "n0": 3})
+        g = build_layered(cfg.h, cfg.w)
+        keys = [(grid_index, i) for grid_index in range(2) for i in range(cfg.n0)]
+        calibrated, solved = [], []
+        calibrate_ambiguities, radius_best = experiments.calibrate_ambiguities, rules.radius_best
+
+        def calibrating(datas, alpha):
+            datas = list(datas)
+            specs = calibrate_ambiguities(datas, alpha)
+            calibrated.append((datas, specs))
+            return specs
+
+        def solving(inputs):
+            solved.append(inputs)
+            return radius_best(inputs)
+
+        monkeypatch.setattr(experiments, "calibrate_ambiguities", calibrating)
+        monkeypatch.setattr(rules, "radius_best", solving)
+        rules._joint_radius.cache_clear()
+        experiments._run_block(cfg, g, keys)
+        [(datas, specs)] = calibrated
+        # dro on all six data sets, dro2 on the three delta = 14 truncations
+        assert len(datas) == 9
+        # the three delta = 0 data sets have equal counts, so one spec
+        assert specs[0] is specs[1] is specs[2]
+        inputs = {(data.support.size, data.num_actions, data.t_min, t, alpha_a)
+                  for data in datas
+                  for t, alpha_a in zip(data.sizes.tolist(),
+                                        rules.split_alpha(cfg.alpha, data.sizes).tolist())}
+        per_arc = [(i.d_a, i.num_actions, i.T_min, i.T_a, i.alpha_a)
+                   for i in solved if i.num_actions > 1]
+        assert sorted(per_arc) == sorted(inputs)
+        # dro1's joint radius, once per distinct T_min
+        assert len(solved) - len(per_arc) == len({data.t_min for data in datas})
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_inside_a_block_names_its_replicate(self, monkeypatch, workers):
         cfg = small_config(n0=4, grid=(0, 3))  # one block of 8, or two of 4

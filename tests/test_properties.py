@@ -134,6 +134,43 @@ def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
             assert spec.labels[a] == label
 
 
+@st.composite
+def calibration_blocks(draw):
+    """Data sets on two support sizes whose count vectors repeat, some of
+    them truncated; each is its own object, so only equal counts can share."""
+    dims = draw(st.lists(st.integers(1, 50), min_size=2, max_size=2))
+    vectors = draw(st.lists(st.lists(st.integers(1, 30), min_size=1, max_size=30),
+                            min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(vectors) - 1), st.integers(0, 1),
+                                    st.booleans()), min_size=1, max_size=12))
+    datas = []
+    for vector, dim, truncated in picks:
+        sizes = np.array(vectors[vector])
+        data = DataSet(Support.integers(dims[dim]), np.zeros(sizes.sum(), dtype=int), sizes)
+        datas.append(rules.truncate_dataset(data) if truncated else data)
+    return datas
+
+
+@settings(max_examples=60)
+@given(calibration_blocks(), st.floats(1e-4, 0.99))
+def test_block_calibration_shares_specs_and_solves_each_input_once(datas, alpha):
+    """``calibrate_ambiguities`` equals ``calibrate_ambiguity`` per data set
+    bit for bit, hands equal (d, counts) one spec object, and runs
+    ``radius_best`` once per distinct (d_a, actions, T_min, T_a, alpha_a)."""
+    with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
+        specs = rules.calibrate_ambiguities(datas, alpha)
+    inputs = {(data.support.size, data.num_actions, data.t_min, t, alpha_a)
+              for data in datas
+              for t, alpha_a in zip(data.sizes.tolist(), split_alpha(alpha, data.sizes).tolist())}
+    assert calls.call_count == len(inputs)
+    keys = [(data.support.size, tuple(data.sizes.tolist())) for data in datas]
+    for data, key, spec in zip(datas, keys, specs):
+        alone = calibrate_ambiguity(data, alpha)
+        assert np.array_equal(spec.radii, alone.radii) and spec.labels == alone.labels
+        for other_key, other in zip(keys, specs):
+            assert (other is spec) == (other_key == key)
+
+
 @settings(max_examples=100)
 @given(st.integers(1, 60), st.integers(1, 30), st.one_of(st.integers(1, 30), st.integers(1, 10**4)),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
