@@ -22,12 +22,16 @@ Draws equal ``Generator.choice`` draw for draw.  ``rng.choice(d, size=T,
 p=row)`` takes T uniforms from ``random``, sets ``cdf = cumsum(row); cdf /=
 cdf[-1]`` and counts the entries c <= u by ``searchsorted(u,
 side="right")``.  ``draw_dataset`` takes a replicate's uniforms in one
-``random`` call and builds the same cdf rows.  ``random`` returns u = k
-2**-53, and c <= k 2**-53 exactly when ceil(c 2**53) <= k, both sides exact.
-So one search of the int64 keys row 2**54 + floor(u 2**53) among row 2**54 +
-ceil(c 2**53) counts the same entries for every uniform of a block.  A
-uniform off that grid, which ``random`` never returns, then steps over the
-entries its key missed.
+``random`` call, builds the same cdf rows and counts the same entries for
+every uniform of a block by one bisection that only compares floats.  In a
+nondecreasing row the entries c <= u are a prefix, whose length n the
+bisection keeps in [at, at + width], ``at`` counted from the row's first
+entry and starting from [0, d].  If entry at + half - 1 is <= u, then n >=
+at + half and ``at`` moves up by half; otherwise n <= at + half - 1 <= at +
+width - half.  Either way the width drops by half.  At width 1, n is ``at``
+plus whether entry ``at`` is <= u.  Comparisons alone decide n, so it
+equals the ``searchsorted`` count for any u, on or off the 2**-53 grid of
+``random``.
 """
 
 from __future__ import annotations
@@ -153,29 +157,19 @@ def sample_sizes(kind: str, t_min, delta, nominal: PmfMatrix, rng) -> np.ndarray
                        t_min, delta, share)
 
 
-_GRID = 2.0**53
-_CHUNK = 511  # rows per search: row * 2**54 + 2**53 < 2**63 for row < 512
-
-
 def _inverse_cdf(cdf: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``cdf[row[i]].searchsorted(u[i], side="right")`` for every i, by the
-    keyed search of the module docstring; ``row`` is nondecreasing, cdf rows
-    nondecreasing and ending at 1.0, and u in [0, 1)."""
-    scaled = u * _GRID
-    grid = scaled.astype(np.int64)  # floor, as u >= 0
-    index = np.empty(u.size, dtype=np.intp)
-    bounds = row.searchsorted(np.arange(0, len(cdf) + _CHUNK, _CHUNK))
-    for first, lo, hi in zip(range(0, len(cdf), _CHUNK), bounds, bounds[1:]):
-        keys = np.ceil(cdf[first:first + _CHUNK] * _GRID).astype(np.int64)
-        keys += np.arange(len(keys), dtype=np.int64)[:, None] << 54
-        local = row[lo:hi] - first
-        index[lo:hi] = keys.ravel().searchsorted((local << 54) + grid[lo:hi], side="right")
-        index[lo:hi] -= local * cdf.shape[1]
-    off = np.flatnonzero(grid != scaled)
-    while off.size:
-        off = off[cdf[row[off], index[off]] <= u[off]]
-        index[off] += 1
-    return index
+    bisection of the module docstring over the flattened rows; cdf rows are
+    nondecreasing."""
+    d = cdf.shape[1]
+    flat = cdf.ravel()
+    first = row * d
+    at, width = first.copy(), d
+    while width > 1:
+        half = width // 2
+        at += half * (flat[at + half - 1] <= u)
+        width -= half
+    return at - first + (flat[at] <= u)
 
 
 def draw_dataset(nominal: PmfMatrix, sizes, rng, joint: bool = False):

@@ -235,7 +235,7 @@ class AmbiguitySpec:
         r.setflags(write=False)
         if r.ndim != 1 or r.size < 1:
             raise ValueError("radii must be a nonempty 1-d array")
-        if np.any(r < 0.0):
+        if not np.all(r >= 0.0):
             raise ValueError("radii must be nonnegative")
         if len(self.labels) != r.size:
             raise ValueError("one label per radius is required")

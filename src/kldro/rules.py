@@ -222,6 +222,8 @@ class JointEmpirical:
         probs.setflags(write=False)
         if atoms.ndim != 2 or probs.shape != (atoms.shape[0],):
             raise ValueError("atoms must be (k, m) with one probability per atom")
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1")
         object.__setattr__(self, "atoms", atoms)

@@ -205,10 +205,10 @@ def test_split_alpha_equals_rational_reference_and_sums_to_alpha(sizes, alpha):
 
 
 @st.composite
-def pmf_matrices(draw, d_max=50):
+def pmf_matrices(draw, d_max=50, d=None):
     """An (actions x d) pmf matrix with zero cells; rows normalized by their
     float sum, as the nominal marginals are."""
-    d = draw(st.integers(1, d_max))
+    d = draw(st.integers(1, d_max)) if d is None else d
     m = draw(st.integers(1, 8))
     masses = st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.5, 1.0, 3.0])
     raw = np.array(draw(st.lists(st.lists(masses, min_size=d, max_size=d),
@@ -279,12 +279,15 @@ def test_batched_draw_equals_choice_at_cdf_steps(probs, data):
 
 
 @settings(max_examples=40)
-@given(pmf_matrices(), st.sampled_from([1, 2, 510, 511, 512, 1022, 1023, 1200]), st.data())
+@given(st.one_of(pmf_matrices(), st.sampled_from([63, 64, 65, 127, 128, 129]).flatmap(
+           lambda d: pmf_matrices(d=d))),
+       st.sampled_from([1, 2, 510, 511, 512, 1022, 1023, 1200]), st.data())
 def test_keyed_inverse_cdf_equals_per_row_searchsorted(probs, rows, data):
-    """The keyed map over more rows than one 511-row key chunk holds, on
-    rows with zero cells (repeated cdf values) and point masses, with
-    uniforms on, just below and just above the cdf steps, and on the 2**-53
-    grid that ``Generator.random`` draws from."""
+    """The bisection over up to 1200 rows of up to 50 points, and of 63-65
+    and 127-129 points, where its step count changes, on rows with zero
+    cells (repeated cdf values) and point masses, with uniforms on, just
+    below and just above the cdf steps, and on the 2**-53 grid that
+    ``Generator.random`` draws from."""
     m, d = probs.shape
     base = np.vstack([probs, np.eye(d)[data.draw(st.integers(0, d - 1))]])
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))

@@ -203,6 +203,9 @@ def test_ambiguity_spec_validation():
     assert spec.num_actions == 2
     with pytest.raises(ValueError):
         AmbiguitySpec(np.array([-0.1]), ("manual",))
+    with pytest.raises(ValueError, match="radii must be nonnegative"):
+        AmbiguitySpec.manual([0.1, float("nan")])
+    assert AmbiguitySpec.manual([math.inf]).radii[0] == math.inf
     with pytest.raises(ValueError):
         AmbiguitySpec(np.array([0.1]), ("bogus",))
     with pytest.raises(ValueError):

@@ -200,6 +200,11 @@ class TestJointEmpirical:
         rows = {tuple(r) for r in joint.atoms}
         assert rows == {(1.0, 1.0), (2.0, 2.0), (2.0, 1.0)}
 
+    @pytest.mark.parametrize("probs", [[1.5, -0.5], [math.nan, 1.0], [1.0, math.nan]])
+    def test_rejects_probabilities_outside_unit_interval(self, probs):
+        with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+            JointEmpirical(np.array([[1.0], [2.0]]), probs)
+
 
 def dro1_grid_oracle(data, r, d, g, step=1e-4):
     """Independent re-implementation: dense beta grid on the raw product."""
