@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .experiments import CONFIG_FIELDS, ExperimentConfig, emit_results, run_sweep
+from .experiments import ExperimentConfig, emit_results, run_sweep
 from .graphs import build_layered, to_edgelist
 from .marginals import Marginal, Support
 from .radius import (RadiusInputs, radius_agrawal, radius_baseline, radius_best, radius_mardia,
@@ -44,11 +45,12 @@ def _parse_value(text: str):
 
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
     out = dict(raw)
+    lists = {f.name for f in fields(ExperimentConfig) if f.type == "tuple"}
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, text = item.split("=", 1)
-        if CONFIG_FIELDS.get(key) is list:
+        if key in lists:
             out[key] = [_parse_value(part) for part in text.split(",") if part != ""]
         else:
             out[key] = _parse_value(text)
@@ -67,17 +69,13 @@ def cmd_run(args) -> int:
         with open(args.config) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        print(f"error: malformed config {args.config}: line {exc.lineno}: {exc.msg}", file=sys.stderr)
-        return 1
+        raise ValueError(f"malformed config {args.config}: line {exc.lineno}: {exc.msg}") from exc
     try:
-        raw = _apply_overrides(raw, args.set or [])
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = ExperimentConfig.from_dict(_apply_overrides(raw, args.set or []))
     except ValueError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"invalid config: {exc}") from exc
     results = run_sweep(cfg, workers=args.threads)
     results_path, agg_path = emit_results(results, args.out, cfg.sweep, cfg.rules)
     for point in results:
@@ -92,16 +90,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_worstcase(args) -> int:
-    try:
-        points = _parse_floats(args.z, "--z")
-        probs = _parse_floats(args.q, "--q")
-        if args.r < 0:
-            raise ValueError("--r must be nonnegative")
-        marginal = Marginal(Support(points), probs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sol = solve_dual(marginal, args.r)
+    points = _parse_floats(args.z, "--z")
+    probs = _parse_floats(args.q, "--q")
+    if args.r < 0:
+        raise ValueError("--r must be nonnegative")
+    sol = solve_dual(Marginal(Support(points), probs), args.r)
     print(f"worst-case expected cost: {sol.value!r}")
     print(f"beta: {sol.beta!r}")
     pmf = ", ".join(f"{z:g}: {float(p)!r}" for z, p in zip(points, sol.primal.probs))
@@ -110,15 +103,11 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    try:
-        inputs = RadiusInputs(
-            T_a=args.T, d_a=args.d, num_actions=args.A,
-            T_min=args.T_min, alpha_a=args.alpha_a,
-            rate=rate_from_alpha(args.alpha_a, args.T_min),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inputs = RadiusInputs(
+        T_a=args.T, d_a=args.d, num_actions=args.A,
+        T_min=args.T_min, alpha_a=args.alpha_a,
+        rate=rate_from_alpha(args.alpha_a, args.T_min),
+    )
     print(f"baseline: {radius_baseline(inputs)!r}")
     if inputs.d_a >= 2:
         print(f"agrawal:  {radius_agrawal(inputs)!r}")
@@ -133,11 +122,7 @@ def cmd_radius(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    try:
-        g = build_layered(args.layers, args.width)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = build_layered(args.layers, args.width)
     text = to_edgelist(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -191,7 +176,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except ValueError as exc:  # the one place a validation error becomes exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures map to exit 2

@@ -40,7 +40,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .marginals import DataSet, PmfMatrix, Support
 
@@ -102,6 +101,8 @@ def normal_pmfs(mu, sigma, d: int) -> PmfMatrix:
     discretized on {1, ..., d}: each cell is the difference of the normal
     cdf at its half-integer edges, and each row is renormalized.  For a
     block, ``mu`` has a row and ``sigma`` one value or one per replicate."""
+    from scipy.special import ndtr  # slow to import, and only this nominal needs it
+
     support = Support.integers(d)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)

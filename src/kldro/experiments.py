@@ -66,53 +66,42 @@ RULE_NAMES = ("dro", "hoeffding", "dro1", "dro2")
 BLOCK_SIZE = 16
 SWEEP_VARIABLES = ("t_min", "delta", "sigma")
 
-# The type of every config key, checked by ExperimentConfig.from_dict.
-CONFIG_FIELDS = {
-    "h": int,  # intermediate layers
-    "w": int,  # nodes per layer
-    "d": int,  # support size of every action
-    "alpha": float,  # global confidence level in (0, 1)
-    "n0": int,  # replicates per grid value
-    "seed": int,  # root seed for the Philox substreams
-    "nominal": str,  # one of NOMINAL_KINDS
-    "sample_sizes": str,  # one of SIZE_KINDS
-    "t_min": int,  # floor of the per-action sample counts
-    "delta": int,  # spread: counts lie in [t_min, t_min + delta]
-    "sigma": float,  # std dev for the discretized-normal nominal
-    "sweep": str,  # one of SWEEP_VARIABLES
-    "grid": list,  # values of the swept variable
-    "rules": list,  # nonempty subset of RULE_NAMES
-}
-# key type -> (accepted JSON values, how an error names them); no bool is accepted
+# field annotation -> (accepted JSON values, how an error names them); no bool is accepted
 _ACCEPTED = {
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    str: (str, "a string"),
-    list: ((list, tuple), "a list"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "tuple": ((list, tuple), "a list"),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    h: int
-    w: int
-    d: int
-    alpha: float
-    n0: int
-    seed: int
-    nominal: str
-    sample_sizes: str
-    t_min: int
-    delta: int
-    sweep: str
-    grid: tuple
-    rules: tuple
-    sigma: float | None = None
+    """A sweep's config; each annotation is the JSON type ``from_dict``
+    accepts for its key, a list for a tuple."""
+
+    h: int  # intermediate layers
+    w: int  # nodes per layer
+    d: int  # support size of every action
+    alpha: float  # global confidence level in (0, 1)
+    n0: int  # replicates per grid value
+    seed: int  # root seed for the Philox substreams, in [0, 2**64)
+    nominal: str  # one of NOMINAL_KINDS
+    sample_sizes: str  # one of SIZE_KINDS
+    t_min: int  # floor of the per-action sample counts
+    delta: int  # spread: counts lie in [t_min, t_min + delta]
+    sweep: str  # one of SWEEP_VARIABLES
+    grid: tuple  # values of the swept variable
+    rules: tuple  # nonempty subset of RULE_NAMES
+    sigma: float | None = None  # std dev for the discretized-normal nominal
 
     def __post_init__(self):
         for key in ("h", "w", "d", "t_min", "n0"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
@@ -123,6 +112,9 @@ class ExperimentConfig:
             raise ValueError(f"nominal must be one of {NOMINAL_KINDS}")
         if self.sample_sizes not in SIZE_KINDS:
             raise ValueError(f"sample_sizes must be one of {SIZE_KINDS}")
+        if self.sample_sizes != "uniform" and self.d < 2:
+            # at d = 1 every nominal mean is 1, so the tilt cannot normalize
+            raise ValueError(f"{self.sample_sizes} sample sizes need d >= 2")
         if self.sweep not in SWEEP_VARIABLES:
             raise ValueError(f"sweep must be one of {SWEEP_VARIABLES}")
         if len(self.grid) == 0:
@@ -135,7 +127,8 @@ class ExperimentConfig:
                 raise ValueError(f"sigma sweep value {value!r} must be positive and finite")
             if low is not None and not (float(value).is_integer() and value >= low):
                 raise ValueError(f"{self.sweep} sweep value {value!r} must be an integer >= {low}")
-        if len(self.rules) == 0 or any(r not in RULE_NAMES for r in self.rules):
+        if (len(self.rules) == 0 or any(r not in RULE_NAMES for r in self.rules)
+                or len(set(self.rules)) < len(self.rules)):
             raise ValueError(f"rules must be a nonempty subset of {RULE_NAMES}")
         if self.nominal == "discretized-normal" and self.sigma is None and self.sweep != "sigma":
             raise ValueError("discretized-normal needs sigma unless sigma is swept")
@@ -146,25 +139,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """The one type check of a config read from JSON or ``--set``; None
-        is accepted exactly for the keys whose default is None."""
-        unknown = set(raw) - set(CONFIG_FIELDS)
+        """The one type check of a config read from JSON or ``--set``, by
+        the field annotations; None is accepted exactly for the keys whose
+        default is None."""
+        declared = {f.name: f for f in fields(cls)}
+        unknown = set(raw) - set(declared)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        declared = fields(cls)
-        missing = {f.name for f in declared if f.default is MISSING} - set(raw)
+        missing = {key for key, f in declared.items() if f.default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        optional = {f.name for f in declared if f.default is None}
         kwargs = {}
         for key, value in raw.items():
-            if value is None and key in optional:
+            if value is None and declared[key].default is None:
                 continue
-            typ = CONFIG_FIELDS[key]
-            accepted, kind = _ACCEPTED[typ]
+            accepted, kind = _ACCEPTED[declared[key].type]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError(f"config key {key!r} must be {kind}")
-            kwargs[key] = float(value) if typ is float else value
+            kwargs[key] = float(value) if kind == "a number" else value
         return cls(**kwargs)
 
 
@@ -272,18 +264,6 @@ class ReplicateError(RuntimeError):
     replicate, seed and substream."""
 
 
-def _replicate_task(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,
-                    replicate: int) -> ReplicateResult:
-    try:
-        return run_replicate(cfg, g, grid_index, replicate)
-    except Exception as exc:
-        raise ReplicateError(
-            f"replicate failed at sweep value {cfg.grid[grid_index]!r} "
-            f"(grid index {grid_index}, replicate {replicate}, seed {cfg.seed}, "
-            f"substream {_stream_index(cfg, grid_index, replicate)}): {exc}"
-        ) from exc
-
-
 def _block_task(args) -> list[ReplicateResult]:
     cfg, g, keys = args
     try:
@@ -291,8 +271,15 @@ def _block_task(args) -> list[ReplicateResult]:
     except Exception:
         # Run the block again one replicate at a time, so that the error
         # names the replicate that fails.
-        for key in keys:
-            _replicate_task(cfg, g, *key)
+        for grid_index, replicate in keys:
+            try:
+                run_replicate(cfg, g, grid_index, replicate)
+            except Exception as exc:
+                raise ReplicateError(
+                    f"replicate failed at sweep value {cfg.grid[grid_index]!r} "
+                    f"(grid index {grid_index}, replicate {replicate}, seed {cfg.seed}, "
+                    f"substream {_stream_index(cfg, grid_index, replicate)}): {exc}"
+                ) from exc
         raise
 
 

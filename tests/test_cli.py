@@ -28,14 +28,17 @@ class TestRun:
         stdout = capsys.readouterr().out
         assert "mean_rho" in stdout
 
-    def test_missing_config_is_validation_error(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+    def test_missing_config_is_validation_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["run", "--config", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read config: [Errno 2] No such file or directory: '{missing}'\n")
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"h": 1,\n  "w": }')
         assert main(["run", "--config", str(bad)]) == 1
-        assert "line 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: malformed config {bad}: line 2: Expecting value\n"
 
     def test_unknown_override_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -68,6 +71,8 @@ class TestRun:
         ["sweep=t_min", "grid=0"], ["sweep=t_min", "grid=5.5"],
         ["radius_override=-1"], ["redraw_nominal=true"], ["epsilon_override=nan"],
         ["--threads=0"], ["--threads=-5"],
+        ["seed=-1"], ["seed=18446744073709551616"], ["rules=dro,dro"],
+        ["sample_sizes=binomial1", "d=1"], ["sample_sizes=binomial2", "d=1"],
     ])
     def test_bad_sweep_inputs_fail_before_any_replicate(self, tmp_path, capsys, monkeypatch,
                                                         overrides):
@@ -108,12 +113,14 @@ class TestWorstcase:
         assert "1.71287863" in out
         assert "worst-case pmf" in out
 
-    def test_invalid_pmf(self):
+    def test_invalid_pmf(self, capsys):
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.6", "--r", "0.1"]) == 1
+        assert capsys.readouterr().err == "error: probabilities sum to 1.1, not 1\n"
         assert main(["worstcase", "--z", "1,2", "--q", "nan,nan", "--r", "0.1"]) == 1
 
-    def test_negative_radius(self):
+    def test_negative_radius(self, capsys):
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.5", "--r", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --r must be nonnegative\n"
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.5", "--r", "nan"]) == 1
 
 
@@ -140,9 +147,10 @@ class TestRadius:
                      "--T-min", "0", "--alpha-a", "0.05"]) == 1
         assert capsys.readouterr().err == "error: T_min must be >= 1\n"
 
-    def test_alpha_out_of_range(self):
+    def test_alpha_out_of_range(self, capsys):
         assert main(["radius", "--T", "25", "--d", "5", "--A", "10",
                      "--T-min", "20", "--alpha-a", "1.5"]) == 1
+        assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
 
 
 class TestGraph:
@@ -157,5 +165,6 @@ class TestGraph:
         assert main(["graph", "--layers", "2", "--width", "3", "--out", str(target)]) == 0
         assert target.read_text().splitlines()[0] == "2 3"
 
-    def test_invalid_dimensions(self):
+    def test_invalid_dimensions(self, capsys):
         assert main(["graph", "--layers", "0", "--width", "2"]) == 1
+        assert capsys.readouterr().err == "error: h and w must be >= 1\n"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,10 +18,22 @@ from kldro.datagen import (
 from kldro.graphs import build_layered
 
 G33 = build_layered(3, 3)  # 24 arcs
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sample_bytes(data) -> bytes:
     return data.index.tobytes()
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy.special is most of the package's import time; only normal_pmfs needs it
+    code = ("import sys, kldro, kldro.experiments, kldro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestNominalMarginals:
