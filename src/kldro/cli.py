@@ -72,6 +72,8 @@ def cmd_run(args) -> int:
         raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed config {args.config}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError("invalid config: config must be a JSON object")
     try:
         cfg = ExperimentConfig.from_dict(_apply_overrides(raw, args.set or []))
     except ValueError as exc:
@@ -92,7 +94,7 @@ def cmd_run(args) -> int:
 def cmd_worstcase(args) -> int:
     points = _parse_floats(args.z, "--z")
     probs = _parse_floats(args.q, "--q")
-    if args.r < 0:
+    if not args.r >= 0:  # NaN too
         raise ValueError("--r must be nonnegative")
     sol = solve_dual(Marginal(Support(points), probs), args.r)
     print(f"worst-case expected cost: {sol.value!r}")

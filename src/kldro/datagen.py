@@ -9,8 +9,10 @@ expensive) actions more often.
 Every function takes plain arguments, for one data set or for a block of
 replicates given one generator each: then ``nominal_marginals`` builds one
 stacked (replicates x actions x d) :class:`~kldro.marginals.PmfMatrix`,
-``sample_sizes`` one row per replicate and ``draw_dataset`` a list of
-:class:`~kldro.marginals.DataSet`.  One generator is a block of one.
+``sample_sizes`` one row per replicate and ``draw_dataset`` one block
+:class:`~kldro.marginals.DataSet` (``DataSet.stacked``): (replicates x
+actions) counts over one flat index, validated once.  One generator is a
+block of one.
 
 Randomness comes from numpy's counter-based Philox generator; the
 substream for replicate ``i`` of an experiment uses key ``seed XOR i``, so
@@ -175,7 +177,7 @@ def _inverse_cdf(cdf: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def draw_dataset(nominal: PmfMatrix, sizes, rng, joint: bool = False):
     """Observations as support indices: i.i.d. per action, or prefixes of
-    joint draws; for a block, one data set per replicate.
+    joint draws; for a block, one stacked data set of all its replicates.
 
     Independent draws, and the stream position afterwards, equal one
     ``rng.choice(d, size=T_a, p=row)`` call per action in action order.
@@ -193,16 +195,15 @@ def draw_dataset(nominal: PmfMatrix, sizes, rng, joint: bool = False):
         raise ValueError("every action needs at least one observation")
     support = nominal.support
     d = support.size
-    one = isinstance(rng, np.random.Generator)
-    streams, rows = ([rng] if one else rng), sizes.reshape(-1, sizes.shape[-1])
+    streams = [rng] if isinstance(rng, np.random.Generator) else rng
+    rows = sizes.reshape(-1, sizes.shape[-1])
     if not joint:
         u = np.concatenate([r.random(t) for r, t in zip(streams, rows.sum(axis=1))])
         cdf = np.cumsum(nominal.probs.reshape(-1, d), axis=1)
         cdf /= cdf[:, -1:]
         index = _inverse_cdf(cdf, np.repeat(np.arange(rows.size), rows.ravel()), u)
-        indices = np.split(index, np.cumsum(rows.sum(axis=1))[:-1])
     elif d == 1:
-        indices = [np.zeros(t, dtype=int) for t in rows.sum(axis=1)]
+        index = np.zeros(rows.sum(), dtype=int)
     else:
         p = (nominal.means.reshape(rows.shape) - 1.0) / (d - 1.0)
         if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
@@ -210,6 +211,5 @@ def draw_dataset(nominal: PmfMatrix, sizes, rng, joint: bool = False):
         p = np.clip(p, 0.0, 1.0)
         counts = [r.multinomial(d - 1, q / q.sum(), size=t.max())
                   for r, q, t in zip(streams, p, rows)]
-        indices = [c.T[np.arange(len(c)) < t[:, None]] for c, t in zip(counts, rows)]
-    data = [DataSet(support, index, t) for index, t in zip(indices, rows)]
-    return data[0] if one else data
+        index = np.concatenate([c.T[np.arange(len(c)) < t[:, None]] for c, t in zip(counts, rows)])
+    return DataSet.stacked(support, index, sizes)

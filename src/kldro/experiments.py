@@ -12,13 +12,14 @@ the figure configs set; ``from_dict`` is its one type check.
 
 A sweep runs as blocks of up to ``BLOCK_SIZE`` consecutive replicates,
 which may span grid values.  Each replicate owns a Philox substream, but
-data is drawn per block: one pmf tensor and one inverse-cdf search.  The
-block then makes one calibration call for all dro and dro2 bases (data
-sets with equal counts share a spec), one dual-kernel call for their rows,
-one dro1 call per joint-atom count, and one batched shortest-path DP over
-every cost row.  Kernel and DP rows are solved independently and results
-are reduced in replicate order, so output is identical whatever the block
-size or the worker count.  ``run_replicate`` is a block of one.
+data is drawn per block: one pmf tensor, one inverse-cdf search and one
+data set stacking the block's rows.  The rules run as array code over
+those rows: one calibration call and one dual-kernel call for all dro and
+dro2 rows, one dro1 call per joint-atom count, and one batched
+shortest-path DP over every cost row, whose layer choices give each
+rule's nodes and, by one gather, its achieved cost.  Kernel and DP rows
+are solved independently, so output is identical whatever the block size
+or the worker count.  ``run_replicate`` is a block of one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .datagen import (NOMINAL_KINDS, SIZE_KINDS, draw_dataset, nominal_marginals, sample_sizes,
                       substream)
-from .graphs import LayeredGraph, build_layered, path_cost, shortest_path
+from .graphs import LayeredGraph, build_layered, path_nodes, route_costs, shortest_path
 from .rules import (
     calibrate_ambiguities,
     hoeffding_costs,
@@ -216,41 +217,42 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     nominal = nominal_marginals(cfg.nominal, g.num_arcs, cfg.d, rngs,
                                 sigma=None if sigma[0] is None else np.array(sigma))
     sizes = sample_sizes(cfg.sample_sizes, np.array(t_min), np.array(delta), nominal, rngs)
-    drawn = draw_dataset(nominal, sizes, rngs, joint=(cfg.nominal == "multinomial"))
-    rows = {}  # (replicate in block, rule) -> cost row to route; rule None: the nominal best
-    bases = {}  # id of a data set -> data set: dro on the data, dro2 on the truncation
-    routes = {}  # (replicate in block, rule) -> id of the data set whose worst-case costs it routes
-    joint = {}  # (replicate in block, "dro1") -> (truncated data, joint radius), always > 0
-    for k, data in enumerate(drawn):
-        rows[k, None] = nominal.means[k]
-        for rule in cfg.rules:
-            if rule == "hoeffding":
-                rows[k, rule] = hoeffding_costs(data, hoeffding_slack(data, cfg.alpha))
-            elif rule == "dro1":
-                joint[k, rule] = (truncate_dataset(data), joint_radius(data, cfg.alpha))
-            else:
-                # dro runs on the data and dro2 on its truncation, which is the
-                # data itself when every count is equal: then dro2 is dro.
-                basis = data if rule == "dro" else truncate_dataset(data)
-                bases[id(basis)] = basis
-                routes[k, rule] = id(basis)
-    specs = calibrate_ambiguities(bases.values(), cfg.alpha)
-    solved = dict(zip(bases, worst_case_costs(zip(bases.values(), specs))))
-    rows.update((slot, solved[basis]) for slot, basis in routes.items())
-    picked = dict(zip(joint, joint_worst_case_paths(g, joint.values())))
-    picked.update(zip(rows, shortest_path(g, np.stack(list(rows.values())))))
+    data = draw_dataset(nominal, sizes, rngs, joint=(cfg.nominal == "multinomial"))
+    costs = {None: nominal.means}  # rule -> (replicates x arcs) cost rows to route; None: nominal
+    if "hoeffding" in cfg.rules:
+        costs["hoeffding"] = hoeffding_costs(data, hoeffding_slack(data, cfg.alpha))
+    if "dro" in cfg.rules or "dro2" in cfg.rules:
+        # dro runs on the data and dro2 on its truncation, which is the data
+        # itself in the rows where every count is equal: there dro2 is dro.
+        truncated = truncate_dataset(data) if "dro2" in cfg.rules else data
+        cut = (truncated.sizes != data.sizes).any(axis=1)
+        whole = ~cut | ("dro" in cfg.rules)
+        (r_whole, _), (r_cut, _) = calibrate_ambiguities([data, truncated], cfg.alpha)
+        robust = np.zeros((2, *data.sizes.shape))  # the data's rows, then the truncation's
+        robust[0][whole], robust[1][cut] = np.split(worst_case_costs(
+            data.support, np.concatenate([data.pmf[whole], truncated.pmf[cut]]),
+            np.concatenate([r_whole[whole], r_cut[cut]])), [whole.sum()])
+        costs["dro"], costs["dro2"] = robust[0], np.where(cut[:, None], robust[1], robust[0])
+    routed = [None, *(rule for rule in costs if rule in cfg.rules)]
+    routes = shortest_path(g, np.concatenate([costs[rule] for rule in routed]))
+    choices = dict(zip(routed, np.split(routes.choices, len(routed))))
+    predicted = dict(zip(routed, np.split(routes.values, len(routed))))
+    if "dro1" in cfg.rules:
+        best, predicted["dro1"] = joint_worst_case_paths(g, [(data, joint_radius(data, cfg.alpha))])
+        choices["dro1"] = np.stack(np.unravel_index(best, (g.w,) * g.h), axis=-1)
 
-    results = []
-    for k, ((_, replicate), data) in enumerate(zip(keys, drawn)):
-        best_nominal = picked[k, None][1]
-        outcomes = []
-        for rule in cfg.rules:
-            decision, predicted = picked[k, rule]
-            achieved = path_cost(decision, nominal.means[k])
-            outcomes.append(RuleOutcome(rule, decision.nodes, predicted, achieved,
-                                        achieved / best_nominal, bool(achieved > predicted)))
-        results.append(ReplicateResult(replicate, tuple(data.sizes.tolist()), tuple(outcomes)))
-    return results
+    chosen = np.stack([choices[rule] for rule in cfg.rules], axis=1)  # (replicates, rules, h)
+    guess = np.stack([predicted[rule] for rule in cfg.rules], axis=1)
+    # every route under every replicate's means: a replicate's own on the diagonal
+    every = np.arange(len(keys))
+    achieved = route_costs(g, chosen, nominal.means.T)[every, :, every]
+    rho = achieved / predicted[None][:, None]
+    return [ReplicateResult(replicate, tuple(counts), tuple(
+                RuleOutcome(rule, tuple(nodes), guessed, got, ratio, got > guessed)
+                for rule, nodes, guessed, got, ratio in zip(cfg.rules, *outcomes)))
+            for (_, replicate), counts, *outcomes in zip(
+                keys, data.sizes.tolist(), path_nodes(g, chosen).tolist(), guess.tolist(),
+                achieved.tolist(), rho.tolist())]
 
 
 def run_replicate(cfg: ExperimentConfig, g: LayeredGraph, grid_index: int,

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LayeredGraph", "Decision", "build_layered", "shortest_path", "enumerate_paths",
-           "path_incidence", "to_edgelist", "path_cost"]
+__all__ = ["LayeredGraph", "Decision", "Routes", "build_layered", "shortest_path",
+           "enumerate_paths", "path_incidence", "to_edgelist", "path_cost", "path_nodes",
+           "route_costs"]
 
 ENUMERATION_CAP = 100_000
 
@@ -74,17 +75,37 @@ def build_layered(h: int, w: int) -> LayeredGraph:
     return LayeredGraph(h, w, tuple(arcs), 0, sink)
 
 
+def _path_arcs(g: LayeredGraph, choices) -> np.ndarray:
+    """The arcs, in path order, of the paths through node ``choices[..., l - 1]``
+    of each layer l: (..., h + 1).  In the numbering of :func:`build_layered`
+    the source arc to choice j is j, the arc from choice a in layer l to
+    choice b in layer l + 1 is w + (l - 1) w^2 + a w + b, and the sink arc
+    from choice j is num_arcs - w + j."""
+    choices, w = np.asarray(choices), g.w
+    inner = w + (np.arange(g.h - 1) * w + choices[..., :-1]) * w + choices[..., 1:]
+    return np.concatenate([choices[..., :1], inner, g.num_arcs - w + choices[..., -1:]], axis=-1)
+
+
+def path_nodes(g: LayeredGraph, choices) -> np.ndarray:
+    """The source, node ``choices`` (..., h) of each layer, and the sink."""
+    inner = 1 + np.arange(g.h) * g.w + np.asarray(choices)
+    ends = [(0, 0)] * (inner.ndim - 1) + [(1, 1)]
+    return np.pad(inner, ends, constant_values=(g.source, g.sink))
+
+
+def route_costs(g: LayeredGraph, choices, costs) -> np.ndarray:
+    """Cost of each path through ``choices`` (..., h) under each column of
+    arc ``costs`` (arcs, ...): one gather of arc rows, then the h + 1 arc
+    costs added left to right, as :func:`path_cost` adds them."""
+    picked = np.asarray(costs, dtype=float)[_path_arcs(g, choices)]
+    return functools.reduce(np.add, np.moveaxis(picked, np.ndim(choices) - 1, 0))
+
+
 def _path(g: LayeredGraph, choices) -> Decision:
-    """The path through node ``choices[l - 1]`` of each layer l.  In the
-    numbering of :func:`build_layered` the source arc to choice j is j, the
-    arc from choice a in layer l to choice b in layer l + 1 is
-    w + (l - 1) w^2 + a w + b, and the sink arc from choice j is num_arcs - w + j."""
-    w = g.w
-    inner = [w + (l * w + a) * w + b for l, (a, b) in enumerate(zip(choices, choices[1:]))]
+    """The path through node ``choices[l - 1]`` of each layer l."""
     incidence = np.zeros(g.num_arcs, dtype=np.int8)
-    incidence[[choices[0], *inner, g.num_arcs - w + choices[-1]]] = 1
-    nodes = (g.source, *(1 + l * w + j for l, j in enumerate(choices)), g.sink)
-    return Decision(incidence, nodes)
+    incidence[_path_arcs(g, choices)] = 1
+    return Decision(incidence, path_nodes(g, choices).tolist())
 
 
 def decision_from_nodes(g: LayeredGraph, nodes) -> Decision:
@@ -98,12 +119,28 @@ def decision_from_nodes(g: LayeredGraph, nodes) -> Decision:
     return _path(g, choices.tolist())
 
 
+@dataclass(frozen=True)
+class Routes:
+    """Shortest paths of a cost matrix's rows: node ``choices`` (R, h) and
+    ``values`` (R,); ``routes[k]`` is row k's ``(decision, value)``."""
+
+    g: LayeredGraph
+    choices: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, k: int) -> tuple[Decision, float]:
+        return _path(self.g, self.choices[k]), float(self.values[k])
+
+
 def shortest_path(g: LayeredGraph, costs):
     """Argmin decision and its value by dynamic programming over the layers.
 
     ``costs`` is one row of arc costs, answered with ``(decision, value)``,
-    or an (R, arcs) matrix whose rows are solved at once, answered with one
-    ``(decision, value)`` pair per row; a row's answer is the same either way.
+    or an (R, arcs) matrix whose rows are solved at once, answered with
+    :class:`Routes`; a row's answer is the same either way.
     A head's label is the least of its tails' labels plus the arc cost: the
     additions in path order that :func:`path_cost` makes, so the two agree
     exactly.  Ties go to the lowest tail, and at the sink to the lowest node
@@ -130,13 +167,11 @@ def shortest_path(g: LayeredGraph, costs):
         tails.append(tail)
     last = dist + rows[:, -w:]
     choice = last.argmin(axis=1)
-    values = last[every, choice].tolist()
     choices = [choice]
     for tail in reversed(tails):
         choices.append(tail[every, choices[-1]])
-    found = [(_path(g, path), value)
-             for path, value in zip(np.stack(choices[::-1], axis=1).tolist(), values)]
-    return found[0] if costs.ndim == 1 else found
+    routes = Routes(g, np.stack(choices[::-1], axis=1), last[every, choice])
+    return routes[0] if costs.ndim == 1 else routes
 
 
 @functools.lru_cache(maxsize=4)

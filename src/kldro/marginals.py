@@ -4,7 +4,8 @@ Every cost component ("action") takes values on one small, strictly
 positive, strictly increasing grid of support points.  A data set stores
 each observation as its index on that grid, all actions in one flat array;
 observation counts may differ across actions, which is the whole point of
-the library.
+the library.  A block of R replicates is one data set with (R, actions)
+counts over one flat index (:meth:`DataSet.stacked`).
 """
 
 from __future__ import annotations
@@ -197,7 +198,9 @@ def _fsum_is_one(pmf: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     [2**62 - 2**8, 2**62 + 2**9]: both half-way points round to even, that
     is to 1.0.  Rows with T_a > 1024 are summed by fsum.
     """
-    total = (pmf * 2.0**62).astype(np.int64).sum(axis=1)
+    # One int64 temporary, truncated as astype does: for a block's pmf a
+    # float temporary as well costs more than the arithmetic.
+    total = np.multiply(pmf, 2.0**62, out=np.empty(pmf.shape, np.int64), casting="unsafe").sum(1)
     one = (total >= 2**62 - 2**8) & (total <= 2**62 + 2**9)
     for a in np.flatnonzero(sizes > 1024):
         one[a] = math.fsum(pmf[a]) == 1.0
@@ -216,6 +219,9 @@ class DataSet:
     the smallest observed entry absorbing the rounding; ``_fsum_is_one``
     finds those rows with one exact integer sum per row instead of an fsum.
     ``index`` and ``sizes`` become read-only.
+
+    A block (:meth:`stacked`) has (R, actions) ``sizes`` and an (R,
+    actions, d) ``pmf``; each row equals the data set of its replicate.
 
     ``cache`` holds what the rules derive from a data set (its truncation,
     its confidence splits), so each is computed once per data set.
@@ -253,13 +259,24 @@ class DataSet:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @property
-    def num_actions(self) -> int:
-        return self.sizes.size
+    @classmethod
+    def stacked(cls, support: Support, index, sizes) -> "DataSet":
+        """The data set of counts ``sizes`` of any shape, (R, actions) for a
+        block, validated once over all its rows."""
+        data, shape = cls(support, index, np.ravel(sizes)), np.shape(sizes)
+        object.__setattr__(data, "sizes", data.sizes.reshape(shape))
+        object.__setattr__(data, "pmf", data.pmf.reshape(*shape, -1))
+        return data
 
     @property
-    def t_min(self) -> int:
-        return int(self.sizes.min())
+    def num_actions(self) -> int:
+        return self.sizes.shape[-1]
+
+    @property
+    def t_min(self):
+        """The least count; one per replicate for a block."""
+        least = self.sizes.min(axis=-1)
+        return least if least.ndim else int(least)
 
     @property
     def means(self) -> np.ndarray:

@@ -5,13 +5,17 @@ size and a confidence budget into a ball radius: a method-of-types bound
 (always applicable), a moment-generating-function bound solved as a root
 problem, and a partial-sum bound with Wallis-product coefficients.  The
 smallest applicable estimate wins.
+
+Every formula also takes arrays of inputs (see :class:`RadiusInputs`); its
+logarithms stay ``math`` calls per input, which ``np.log`` may miss by an
+ulp, so a radius is the same alone or in an array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +31,13 @@ __all__ = [
 ]
 
 _LABELS = ("baseline", "agrawal", "mardia", "manual")
+_PER_ACTION = ("T_a", "T_min", "alpha_a", "rate")  # the fields that may be arrays
 
 
 @dataclass(frozen=True)
 class RadiusInputs:
-    """Everything the calibration formulas need for one action."""
+    """Everything the calibration formulas need for one action, or for
+    many: the ``_PER_ACTION`` fields may be arrays, one entry per action."""
 
     T_a: int
     d_a: int
@@ -41,35 +47,48 @@ class RadiusInputs:
     rate: float
 
     def __post_init__(self):
-        if self.T_a < 1 or self.d_a < 1 or self.num_actions < 1:
+        T_a, T_min, alpha_a, rate = (np.asarray(getattr(self, f)) for f in _PER_ACTION)
+        if (T_a < 1).any() or self.d_a < 1 or self.num_actions < 1:
             raise ValueError("T_a, d_a and num_actions must be >= 1")
-        if not 1 <= self.T_min <= self.T_a:
+        if not ((1 <= T_min) & (T_min <= T_a)).all():
             raise ValueError("T_min must satisfy 1 <= T_min <= T_a")
-        if not 0.0 < self.alpha_a < 1.0:
+        if not ((0.0 < alpha_a) & (alpha_a < 1.0)).all():
             raise ValueError("alpha_a must lie in (0, 1)")
-        if not self.rate > 0.0:
+        if not (rate > 0.0).all():
             raise ValueError("rate must be positive")
 
 
-def rate_from_alpha(alpha: float, T_min: int) -> float:
-    """Exponential decay rate matching confidence level ``alpha``."""
+def _each(fn, values) -> np.ndarray:
+    """``fn``, a scalar function, of every entry of ``values``."""
+    return np.array(list(map(fn, np.ravel(values).tolist()))).reshape(np.shape(values))
+
+
+def _scalar_or_array(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def rate_from_alpha(alpha: float, T_min):
+    """Exponential decay rate matching confidence level ``alpha``, for one
+    ``T_min`` or an array of them."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if T_min < 1:
+    if (np.asarray(T_min) < 1).any():
         raise ValueError("T_min must be >= 1")
     return -math.log(alpha) / T_min
 
 
-def radius_baseline(inputs: RadiusInputs) -> float:
+def radius_baseline(inputs: RadiusInputs):
     """Method-of-types radius; applicable for any support size."""
     try:
-        d_term = float(inputs.d_a) * math.log(inputs.T_a + 1)
+        d = float(inputs.d_a)
     except OverflowError:
-        return math.inf
-    return (math.log(inputs.num_actions) + d_term + inputs.T_min * inputs.rate) / inputs.T_a
+        return _scalar_or_array(np.full(np.shape(inputs.T_a), math.inf))
+    d_term = d * _each(math.log, np.add(inputs.T_a, 1))
+    return _scalar_or_array(
+        (math.log(inputs.num_actions) + d_term + inputs.T_min * inputs.rate) / inputs.T_a)
 
 
-def _agrawal_log_lhs(offset: float, d_a: int, T_a: int) -> float:
+def _agrawal_log_lhs(offset: float, d_a: int) -> float:
     # ln of ((e/(d-1)) r T)^(d-1) e^{-rT} at r T = (d-1) + offset, which
     # collapses to (d-1) log1p(x) - offset for x = offset/(d-1).  When x is
     # tiny the linear parts cancel far below float noise, so switch to the
@@ -101,7 +120,7 @@ def radius_agrawal(inputs: RadiusInputs) -> float:
         # astronomically large support sizes.
         hi = max(1.0 * T, math.sqrt(2.0 * float(d - 1) * -log_alpha))
         expansions = 0
-        while _agrawal_log_lhs(hi, d, T) > log_alpha:
+        while _agrawal_log_lhs(hi, d) > log_alpha:
             hi *= 2.0
             expansions += 1
             if expansions > 200:
@@ -115,7 +134,7 @@ def radius_agrawal(inputs: RadiusInputs) -> float:
             if hi - lo <= 1e-12 * T or hi - lo <= 1e-13 * max(float(T), hi):
                 break
             mid = 0.5 * (lo + hi)
-            if _agrawal_log_lhs(mid, d, T) > log_alpha:
+            if _agrawal_log_lhs(mid, d) > log_alpha:
                 lo = mid
             else:
                 hi = mid
@@ -172,16 +191,21 @@ def mardia_constant(d_a: int, T_a: int) -> float:
     return math.exp(math.log(12.0 / math.pi) + _log_mardia_sum(d_a, T_a))
 
 
-def radius_mardia(inputs: RadiusInputs) -> float:
+def _mardia(d_a: int, T_a, alpha_a) -> np.ndarray:
+    log_c = math.log(12.0 / math.pi) + _each(functools.partial(_log_mardia_sum, d_a), T_a)
+    return (log_c - _each(math.log, alpha_a)) / T_a
+
+
+def radius_mardia(inputs: RadiusInputs):
     """Radius from the Wallis-product partial-sum bound (d_a, T_a >= 2)."""
-    if inputs.d_a < 2 or inputs.T_a < 2:
+    if inputs.d_a < 2 or (np.asarray(inputs.T_a) < 2).any():
         raise ValueError("mardia bound requires d_a >= 2 and T_a >= 2")
-    log_c = math.log(12.0 / math.pi) + _log_mardia_sum(inputs.d_a, inputs.T_a)
-    return (log_c - math.log(inputs.alpha_a)) / inputs.T_a
+    return _scalar_or_array(_mardia(inputs.d_a, inputs.T_a, inputs.alpha_a))
 
 
-def _agrawal_exceeds(r: float, inputs: RadiusInputs) -> bool:
-    """True when at most one evaluation proves ``radius_agrawal(inputs) > r``.
+def _agrawal_exceeds(r: np.ndarray, d_a: int, T_a: np.ndarray, alpha_a: np.ndarray) -> np.ndarray:
+    """For every input, True when at most one evaluation proves that
+    ``radius_agrawal`` exceeds its radius r.
 
     The bisection runs on the offset o = r T - (d-1) and returns a radius
     above (d-1)/T.  Test o' = (r (1 + 1e-9) + 1e-12) T - (d-1).  If o' <= 0,
@@ -195,32 +219,38 @@ def _agrawal_exceeds(r: float, inputs: RadiusInputs) -> bool:
     radius is then strictly above r, and skipping it changes neither the
     minimum nor its label.
     """
-    d, T = inputs.d_a, inputs.T_a
     try:
-        offset = (r * (1.0 + 1e-9) + 1e-12) * T - (d - 1)
-        return offset <= 0.0 or _agrawal_log_lhs(offset, d, T) > math.log(inputs.alpha_a)
+        offset = (r * (1.0 + 1e-9) + 1e-12) * T_a - float(d_a - 1)
     except OverflowError:
-        return False
+        return np.zeros(np.shape(r), dtype=bool)
+    log_alpha = _each(math.log, alpha_a)
+    return np.array([o <= 0.0 or _agrawal_log_lhs(o, d_a) > a
+                     for o, a in zip(offset.tolist(), log_alpha.tolist())], dtype=bool)
 
 
-def radius_best(inputs: RadiusInputs) -> tuple[float, str]:
+def radius_best(inputs: RadiusInputs):
     """Minimum of the applicable estimates, with the winner's label; ties go
-    to the earlier of baseline, agrawal, mardia.
+    to the earlier of baseline, agrawal, mardia.  Array inputs give an
+    array of radii and one of labels; one input is a block of one.
 
-    Mardia's radius is computed first.  When one evaluation of the mgf
+    Mardia's radius is computed first.  Where one evaluation of the mgf
     bound's left side proves the Agrawal root larger (see
     ``_agrawal_exceeds``), the ~43-step bisection is skipped: that bound
     cannot win, so the value and label are those of the full search.
     """
-    candidates = [(radius_baseline(inputs), "baseline")]
-    if inputs.d_a >= 2 and inputs.T_a >= 2:
-        r_m = radius_mardia(inputs)
-        if not _agrawal_exceeds(r_m, inputs):
-            candidates.append((radius_agrawal(inputs), "agrawal"))
-        candidates.append((r_m, "mardia"))
-    elif inputs.d_a >= 2:
-        candidates.append((radius_agrawal(inputs), "agrawal"))
-    return min(candidates, key=lambda c: c[0])
+    d, T, alpha_a = inputs.d_a, np.atleast_1d(inputs.T_a), np.atleast_1d(inputs.alpha_a)
+    candidates = [np.atleast_1d(radius_baseline(inputs))]
+    if d >= 2:
+        r_m = np.where(T >= 2, _mardia(d, np.maximum(T, 2), alpha_a), math.inf)
+        r_a = np.full(T.shape, math.inf)
+        for k in np.flatnonzero((T < 2) | ~_agrawal_exceeds(r_m, d, T, alpha_a)).tolist():
+            one = {f: np.broadcast_to(getattr(inputs, f), T.shape)[k].item() for f in _PER_ACTION}
+            r_a[k] = radius_agrawal(replace(inputs, **one))
+        candidates += [r_a, r_m]
+    # argmin takes the first least radius: ties go to the earlier label
+    stacked = np.stack(candidates)
+    radius, labels = stacked.min(axis=0), np.array(_LABELS)[stacked.argmin(axis=0)]
+    return (float(radius[0]), str(labels[0])) if np.ndim(inputs.T_a) == 0 else (radius, labels)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,12 @@ predicted loss:
 its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``,
 ``hoeffding_slack`` and ``joint_radius``.
 
-The prescriptions and the calibration are built from helpers that also
-serve many data sets at once, which is how a sweep's block of replicates
-runs them: ``calibrate_ambiguities`` shares one spec per distinct (support
-size, counts) and one ``radius_best`` solve per distinct input,
-``worst_case_costs`` solves the dual rows of every (data, spec) pair in one
-kernel call, ``hoeffding_costs`` gives the Hoeffding cost row, and
-``joint_worst_case_paths`` picks dro1's path for every (truncated data, r)
-pair with one kernel call per joint-atom count.
+Every step also takes a block of replicates stacked into one data set
+(``DataSet.stacked``) and runs as array code over its rows; one data set
+is a block of one.  Calibration evaluates the bounds once per distinct
+(T_min, T_a, alpha_a) of all rows, ``worst_case_costs`` solves any stack of
+pmf rows in one kernel call, and ``joint_worst_case_paths`` makes one
+kernel call per joint-atom count.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Decision, LayeredGraph, enumerate_paths, path_cost, path_incidence,
+from .graphs import (Decision, LayeredGraph, enumerate_paths, path_cost, route_costs,
                      shortest_path)
-from .marginals import DataSet, _absorb_rounding
+from .marginals import DataSet, Support, _absorb_rounding
 from .radius import AmbiguitySpec, RadiusInputs, radius_best, rate_from_alpha
 # The rules solve all arcs or paths in one solve_dual_batch call; the one-row
 # solvers stay importable from here because bench/trace_layers.py wraps them.
@@ -70,29 +68,38 @@ class Prescription:
 
 
 def split_alpha(alpha: float, sizes) -> np.ndarray:
-    """Confidence budget split in inverse ratio with the sample counts.
+    """Confidence budget split in inverse ratio with the sample counts, per
+    row of counts (one row, or (R, actions)).
 
     alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed once per distinct
-    count in exact integers (weights lcm // T_a) with one correctly rounded
-    division, and the smallest share absorbs the rounding so the float
-    budget sums to exactly ``alpha``.  It runs once per (data set, alpha):
-    the radius calibration and the Hoeffding slack share that one result.
+    row and count in exact integers (weights lcm // T_a) with one correctly
+    rounded division, and the smallest share absorbs the rounding so the
+    float budget sums to exactly ``alpha``.  It runs once per (data set,
+    alpha): the radius calibration and the Hoeffding slack share that one
+    result.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     sizes = np.asarray(sizes, dtype=int)
-    if sizes.ndim != 1 or sizes.size < 1 or sizes.min() < 1:
+    if sizes.ndim not in (1, 2) or sizes.size < 1 or sizes.min() < 1:
         raise ValueError("sizes must be positive integers")
-    counts = sizes.tolist()
-    mult = Counter(counts)  # distinct count -> how many actions have it
-    lcm = math.lcm(*mult)
+    rows = sizes.reshape(-1, sizes.shape[-1])
     num, den = float(alpha).as_integer_ratio()
-    den *= sum(k * (lcm // t) for t, k in mult.items())
-    # int / int true division rounds correctly, as float(Fraction) does.
-    share = {t: num * (lcm // t) / den for t in mult}
-    out = np.array([share[t] for t in counts])
-    _absorb_rounding(out, alpha, int(np.argmin(out)))
-    return out
+    out, done = np.empty(rows.shape), {}  # count row -> its split
+    for i, row in enumerate(rows):
+        key = row.tobytes()
+        if key not in done:
+            mult = Counter(row.tolist())  # distinct count -> how many actions have it
+            lcm = math.lcm(*mult)
+            weight = {t: lcm // t for t in mult}
+            total = den * sum(k * weight[t] for t, k in mult.items())
+            # int / int true division rounds correctly, as float(Fraction) does.
+            share = np.zeros(max(mult) + 1)
+            share[list(weight)] = [num * w / total for w in weight.values()]
+            done[key] = share[row]
+            _absorb_rounding(done[key], alpha, int(np.argmin(done[key])))
+        out[i] = done[key]
+    return out.reshape(sizes.shape)
 
 
 def _split_once(data: DataSet, alpha: float) -> np.ndarray:
@@ -106,67 +113,59 @@ def _split_once(data: DataSet, alpha: float) -> np.ndarray:
     return data.cache[key]
 
 
-def calibrate_ambiguities(datas, alpha: float) -> list[AmbiguitySpec]:
-    """Per-action radii of every data set: split the budget, then take the
-    best of the three finite-sample bounds, with d_a the support size.  A
-    spec depends only on d_a and the counts, so data sets equal in both
-    share one (immutable) spec, and ``radius_best`` runs once per distinct
-    (d_a, actions, T_min, T_a, alpha_a) over all of them."""
-    specs = {}  # (support size, counts) -> spec
-    solved = {}  # (d_a, actions, T_min, T_a, alpha_a) -> (radius, label)
-    out = []
-    for data in datas:
-        key = (data.support.size, data.sizes.tobytes())
-        if key not in specs:
-            d, m, t_min = data.support.size, data.num_actions, data.t_min
-            rate = rate_from_alpha(alpha, t_min)
-            found = []
-            for t, alpha_a in zip(data.sizes.tolist(), _split_once(data, alpha).tolist()):
-                inputs = (d, m, t_min, t, alpha_a)
-                if inputs not in solved:
-                    solved[inputs] = radius_best(RadiusInputs(t, d, m, t_min, alpha_a, rate))
-                found.append(solved[inputs])
-            radii, labels = zip(*found)
-            specs[key] = AmbiguitySpec(np.array(radii), labels)
-        out.append(specs[key])
-    return out
+def calibrate_ambiguities(datas, alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-action radii and labels, shaped as ``sizes``, of every data set
+    in ``datas`` (one support size and action count): split the budget,
+    then take the best of the three finite-sample bounds, with d_a the
+    support size.  One ``radius_best`` call evaluates each distinct
+    (T_min, T_a, alpha_a) of all rows once."""
+    datas = list(datas)
+    d, m = datas[0].support.size, datas[0].num_actions
+    if any(x.support.size != d or x.num_actions != m for x in datas):
+        raise ValueError("data sets must share one support size and action count")
+    sizes = np.concatenate([x.sizes.ravel() for x in datas])
+    alphas = np.concatenate([_split_once(x, alpha).ravel() for x in datas])
+    t_min = np.repeat(sizes.reshape(-1, m).min(axis=1), m)
+    order = np.lexsort((alphas, sizes, t_min))
+    new = np.arange(order.size) == 0  # where a distinct input starts, in sorted order
+    for key in (alphas, sizes, t_min):
+        new[1:] |= key[order[1:]] != key[order[:-1]]
+    first = order[new]
+    radii, labels = radius_best(RadiusInputs(sizes[first], d, m, t_min[first], alphas[first],
+                                             rate_from_alpha(alpha, t_min[first])))
+    distinct = np.empty(order.size, dtype=np.intp)
+    distinct[order] = np.cumsum(new) - 1
+    ends = np.cumsum([x.sizes.size for x in datas])[:-1]
+    return [(r.reshape(x.sizes.shape), lab.reshape(x.sizes.shape)) for x, r, lab in
+            zip(datas, np.split(radii[distinct], ends), np.split(labels[distinct], ends))]
 
 
 def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
     """Per-action radii of one data set: :func:`calibrate_ambiguities` on
     a block of one."""
-    return calibrate_ambiguities([data], alpha)[0]
+    radii, labels = calibrate_ambiguities([data], alpha)[0]
+    return AmbiguitySpec(radii, tuple(labels.tolist()))
 
 
-def worst_case_costs(cases) -> list[np.ndarray]:
-    """Per-action worst-case costs of every ``(data, spec)`` pair, from one
-    kernel call over the stacked rows of all pairs; every row has the width
-    of the one support the data sets share, so each pair's costs are
-    bit-identical to those of a call on that pair alone."""
-    cases = list(cases)
-    if not cases:
-        return []
-    support = cases[0][0].support
-    for data, spec in cases:
-        if spec.num_actions != data.num_actions:
-            raise ValueError("ambiguity spec must cover every action")
-        if not data.support.same_as(support):
-            raise ValueError("data sets must share one support")
-    pmf = np.concatenate([data.pmf for data, _ in cases])
-    radii = np.concatenate([spec.radii for _, spec in cases])
-    points = np.broadcast_to(support.points, pmf.shape)
-    values = solve_dual_batch(points, pmf, radii, np.full(len(pmf), support.max)).value
-    return np.split(values, np.cumsum([data.num_actions for data, _ in cases[:-1]]))
+def worst_case_costs(support: Support, pmf: np.ndarray, radii) -> np.ndarray:
+    """Worst-case costs of pmf rows (..., d) on ``support`` at radii (...)
+    in one kernel call; a row's cost is bit-identical alone or stacked."""
+    if np.shape(radii) != pmf.shape[:-1]:
+        raise ValueError("ambiguity spec must cover every action")
+    rows = pmf.reshape(-1, support.size)
+    points = np.broadcast_to(support.points, rows.shape)
+    values = solve_dual_batch(points, rows, np.ravel(radii), np.full(len(rows), support.max)).value
+    return values.reshape(np.shape(radii))
 
 
 def dro_predict(x: Decision, data: DataSet, spec: AmbiguitySpec) -> float:
     """Predicted loss of ``x``: sum of per-action worst-case costs on the path."""
-    return path_cost(x, worst_case_costs([(data, spec)])[0])
+    return path_cost(x, worst_case_costs(data.support, data.pmf, spec.radii))
 
 
 def dro_prescribe(data: DataSet, spec: AmbiguitySpec, g: LayeredGraph) -> Prescription:
     """Worst-case costs once per action, then one deterministic shortest path."""
-    costs = worst_case_costs([(data, spec)])[0]
+    costs = worst_case_costs(data.support, data.pmf, spec.radii)
     decision, value = shortest_path(g, costs)
     return Prescription(decision, value, costs)
 
@@ -195,16 +194,42 @@ def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
 
 
 def truncate_dataset(data: DataSet) -> DataSet:
-    """Keep the first T_min observations of every action: the data itself
-    when every count is T_min, else a data set built once and cached, so
-    dro1 and dro2 share it."""
-    if (data.sizes == data.t_min).all():
+    """Keep each row's first T_min observations of every action: the data
+    itself when every count is its row's T_min, else a data set gathered
+    once and cached, so dro1 and dro2 share it."""
+    sizes = data.sizes.reshape(-1, data.num_actions)
+    keep = np.broadcast_to(sizes.min(axis=1, keepdims=True), sizes.shape)
+    if (sizes == keep).all():
         return data
     if "truncated" not in data.cache:
-        t_min = data.t_min
-        data.cache["truncated"] = DataSet(data.support, data.prefix(t_min).ravel(),
-                                          np.full(data.num_actions, t_min))
+        kept, drop = keep.ravel(), (sizes - keep).ravel()
+        at = np.arange(kept.sum()) + np.repeat(np.cumsum(drop) - drop, kept)  # skip earlier drops
+        data.cache["truncated"] = DataSet.stacked(data.support, data.index[at],
+                                                  keep.reshape(data.sizes.shape))
     return data.cache["truncated"]
+
+
+def _joint_atoms(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint empirical of each row's first T_min observations: atoms as
+    (atoms x actions) support indices, row by row, their probabilities and
+    each row's atom count.  One lexsort orders all columns by row, then
+    lexicographically; each run of equal columns is one atom, and each
+    row's probabilities fsum to 1."""
+    sizes = data.sizes.reshape(-1, data.num_actions)
+    t_min = sizes.min(axis=1)
+    row = np.repeat(np.arange(len(t_min)), t_min)  # the row of each column
+    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)[row].T
+    columns = data.index[starts + np.arange(row.size) - np.repeat(np.cumsum(t_min) - t_min, t_min)]
+    order = np.lexsort((*columns[::-1], row))
+    columns, row = columns[:, order], row[order]
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0) | (row[1:] != row[:-1])
+    at = np.flatnonzero(first)
+    probs = np.diff(at, append=row.size) / t_min[row[at]]
+    counts = np.bincount(row[at])
+    for hi, k in zip(np.cumsum(counts).tolist(), counts.tolist()):
+        _absorb_rounding(probs[hi - k:hi], 1.0, int(np.argmin(probs[hi - k:hi])))
+    return columns[:, at].T, probs, counts
 
 
 @dataclass(frozen=True)
@@ -232,24 +257,19 @@ class JointEmpirical:
     @classmethod
     def from_dataset(cls, data: DataSet) -> "JointEmpirical":
         """One atom per distinct column of the first T_min observations, in
-        lexicographic order of the cost vectors: the columns are lexsorted,
-        then each run of equal columns is one atom."""
-        t_min = data.t_min
-        block = data.prefix(t_min)
-        block = block[:, np.lexsort(block[::-1])]
-        first = np.ones(t_min, dtype=bool)
-        first[1:] = (block[:, 1:] != block[:, :-1]).any(axis=0)
-        starts = np.flatnonzero(first)
-        probs = np.diff(starts, append=t_min) / t_min
-        _absorb_rounding(probs, 1.0, int(np.argmin(probs)))
-        return cls(data.support.points[block[:, starts].T], probs)
+        lexicographic order of the cost vectors: ``_joint_atoms`` on a block
+        of one."""
+        atoms, probs, _ = _joint_atoms(data)
+        return cls(data.support.points[atoms], probs)
 
 
-def joint_radius(data: DataSet, alpha: float) -> float:
+def joint_radius(data: DataSet, alpha: float):
     """Radius of one ball around the joint empirical of the first T_min
     observations: support size d^m, T_min samples, and the whole confidence
-    budget (no union bound over actions)."""
-    return _joint_radius(data.t_min, data.support.size, data.num_actions, alpha)
+    budget (no union bound over actions); one per row of a block."""
+    radii = np.array([_joint_radius(t, data.support.size, data.num_actions, alpha)
+                      for t in np.ravel(data.t_min).tolist()])
+    return radii if data.sizes.ndim == 2 else float(radii[0])
 
 
 @functools.cache  # a pure function of four numbers, of which a sweep meets few
@@ -259,43 +279,47 @@ def _joint_radius(t_min: int, d: int, m: int, alpha: float) -> float:
     return radius_best(inputs)[0]
 
 
-def joint_worst_case_paths(g: LayeredGraph, cases) -> list[tuple[Decision, float]]:
-    """dro1's path and predicted loss for every ``(truncated data, r)`` pair
-    with r > 0, all on one support: the scalar dual of every path, with beta
-    bounded below by the top support point times the path length.  Pairs
-    with the same number of joint atoms share one kernel call, since rows
-    are bit-identical only at equal width.  Exact value ties go to the path
-    whose nodes come first read from the sink."""
+def joint_worst_case_paths(g: LayeredGraph, cases) -> tuple[np.ndarray, np.ndarray]:
+    """dro1's path, as its position in :func:`enumerate_paths`, and its
+    predicted loss for every row of every ``(data, r)`` pair, all on one
+    support, from each row's first T_min observations and radius r > 0: the
+    scalar dual of every path, with beta bounded below by the top support
+    point times the path length.  Rows with the same number of joint atoms
+    share one kernel call, since rows are bit-identical only at equal
+    width.  Exact value ties go to the path whose nodes come first read
+    from the sink."""
     cases = list(cases)
-    if not cases:
-        return []
     support = cases[0][0].support
-    if not all(truncated.support.same_as(support) for truncated, _ in cases):
+    if not all(data.support.same_as(support) for data, _ in cases):
         raise ValueError("data sets must share one support")
     paths = enumerate_paths(g)
-    groups = {}  # atom count -> [(case, cost rows, their probabilities, r)]
-    for k, (truncated, r) in enumerate(cases):
-        joint = JointEmpirical.from_dataset(truncated)
-        # One row per path: its cost at every joint atom (integer-valued, so
-        # exact), sorted by cost.
-        costs = path_incidence(g) @ joint.atoms.T
-        order = np.argsort(costs, axis=1, kind="stable")
-        rows = np.take_along_axis(costs, order, axis=1)
-        groups.setdefault(len(joint.probs), []).append((k, rows, joint.probs[order], r))
-    top = support.max * g.path_length
+    choices = np.stack(np.unravel_index(np.arange(len(paths)), (g.w,) * g.h), axis=-1)
+    atoms, probs, counts = (np.concatenate(x) for x in zip(*(_joint_atoms(d) for d, _ in cases)))
+    radii = np.concatenate([np.ravel(r) for _, r in cases])
+    # Every path's cost at every atom, (paths x atoms), sorted within each
+    # row's atoms (stable, so ties keep atom order), and the probabilities
+    # in that order.
+    costs = route_costs(g, choices, support.points[atoms].T)
+    rows = np.broadcast_to(np.repeat(np.arange(len(counts)), counts), costs.shape)
+    order = np.lexsort((costs, rows))
+    costs, probs = np.take_along_axis(costs, order, -1), probs[order]
+    ends, top = np.cumsum(counts), support.max * g.path_length
     # argmin takes the first least value, so over the paths in this order a
     # tie goes to the path whose nodes come first read from the sink
-    sink_first = np.array(sorted(range(len(paths)), key=lambda i: paths[i].nodes[::-1]))
-    found = [None] * len(cases)
-    for members in groups.values():
-        radii = np.repeat([r for *_, r in members], len(paths))
-        values = solve_dual_batch(np.concatenate([rows for _, rows, _, _ in members]),
-                                  np.concatenate([probs for _, _, probs, _ in members]),
-                                  radii, np.full(radii.size, top)).value.reshape(len(members), -1)
-        best = sink_first[values[:, sink_first].argmin(axis=1)].tolist()
-        for (k, *_), row, i in zip(members, values.tolist(), best):
-            found[k] = (paths[i], row[i])
-    return found
+    sink_first = np.lexsort(choices.T)
+    best, value = np.empty(len(counts), dtype=np.intp), np.empty(len(counts))
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        cols = (ends[rows] - k)[:, None] + np.arange(k)
+        # one C-contiguous kernel row per (data row, path): the kernel's row
+        # sums are bit-identical across batches only over contiguous rows
+        z, q = (np.ascontiguousarray(np.moveaxis(x[:, cols], 0, 1)).reshape(-1, k)
+                for x in (costs, probs))
+        found = solve_dual_batch(z, q, np.repeat(radii[rows], len(paths)),
+                                 np.full(len(z), top)).value.reshape(len(rows), -1)
+        best[rows] = sink_first[found[:, sink_first].argmin(axis=1)]
+        value[rows] = found[np.arange(len(rows)), best[rows]]
+    return best, value
 
 
 def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
@@ -310,4 +334,5 @@ def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
     truncated = truncate_dataset(data)
     if r == 0.0:
         return Prescription(*shortest_path(g, truncated.means))
-    return Prescription(*joint_worst_case_paths(g, [(truncated, r)])[0], None)
+    (best,), (value,) = joint_worst_case_paths(g, [(truncated, r)])
+    return Prescription(enumerate_paths(g)[best], float(value), None)

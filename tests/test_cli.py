@@ -40,6 +40,13 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: malformed config {bad}: line 2: Expecting value\n"
 
+    @pytest.mark.parametrize("text", ["[1]", '"abc"', "3", "null"])
+    def test_config_that_is_not_a_json_object_is_a_validation_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad), "--set", "n0=2"]) == 1
+        assert capsys.readouterr().err == "error: invalid config: config must be a JSON object\n"
+
     def test_unknown_override_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         for item in ("bogus=1", "redraw_nominal=true", "enumeration_cap=0", "radius_override=0",
@@ -122,6 +129,7 @@ class TestWorstcase:
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.5", "--r", "-1"]) == 1
         assert capsys.readouterr().err == "error: --r must be nonnegative\n"
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.5", "--r", "nan"]) == 1
+        assert capsys.readouterr().err == "error: --r must be nonnegative\n"
 
 
 class TestRadius:

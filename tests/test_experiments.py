@@ -21,6 +21,7 @@ from kldro.experiments import (
 from kldro.graphs import (build_layered, decision_from_nodes, enumerate_paths, path_cost,
                           shortest_path)
 from kldro.marginals import DataSet, Marginal
+from kldro.radius import RadiusInputs, rate_from_alpha
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -368,9 +369,9 @@ class TestRunSweep:
 
         def calibrating(datas, alpha):
             datas = list(datas)
-            specs = calibrate_ambiguities(datas, alpha)
-            calibrated.append((datas, specs))
-            return specs
+            found = calibrate_ambiguities(datas, alpha)
+            calibrated.append((datas, found))
+            return found
 
         def solving(inputs):
             solved.append(inputs)
@@ -380,20 +381,31 @@ class TestRunSweep:
         monkeypatch.setattr(rules, "radius_best", solving)
         rules._joint_radius.cache_clear()
         experiments._run_block(cfg, g, keys)
-        [(datas, specs)] = calibrated
-        # dro on all six data sets, dro2 on the three delta = 14 truncations
-        assert len(datas) == 9
-        # the three delta = 0 data sets have equal counts, so one spec
-        assert specs[0] is specs[1] is specs[2]
-        inputs = {(data.support.size, data.num_actions, data.t_min, t, alpha_a)
+        [(datas, found)] = calibrated
+        # the block's data and its truncation, six replicates each
+        assert [data.sizes.shape for data in datas] == [(6, 24), (6, 24)]
+        inputs = [(min(row), t, alpha_a)
                   for data in datas
-                  for t, alpha_a in zip(data.sizes.tolist(),
-                                        rules.split_alpha(cfg.alpha, data.sizes).tolist())}
-        per_arc = [(i.d_a, i.num_actions, i.T_min, i.T_a, i.alpha_a)
-                   for i in solved if i.num_actions > 1]
-        assert sorted(per_arc) == sorted(inputs)
+                  for row, alphas in zip(data.sizes.tolist(),
+                                         rules.split_alpha(cfg.alpha, data.sizes).tolist())
+                  for t, alpha_a in zip(row, alphas)]
+        # one call evaluates every distinct (T_min, T_a, alpha_a) once
+        [per_arc] = [i for i in solved if i.num_actions > 1]
+        assert (per_arc.d_a, per_arc.num_actions) == (cfg.d, g.num_arcs)
+        assert sorted(zip(per_arc.T_min.tolist(), per_arc.T_a.tolist(),
+                          per_arc.alpha_a.tolist())) == sorted(set(inputs))
+        # and every radius and label is that of radius_best on its input
+        radii = np.concatenate([r.ravel() for r, _ in found])
+        labels = np.concatenate([lab.ravel() for _, lab in found])
+        for (t_min, t, alpha_a), radius, label in zip(inputs, radii.tolist(), labels.tolist()):
+            rate = rate_from_alpha(cfg.alpha, t_min)
+            assert (radius, label) == radius_best(
+                RadiusInputs(t, cfg.d, g.num_arcs, t_min, alpha_a, rate))
+        # the three delta = 0 replicates have equal counts, so equal radii
+        assert np.array_equal(found[0][0][0], found[0][0][1])
+        assert np.array_equal(found[0][0][0], found[0][0][2])
         # dro1's joint radius, once per distinct T_min
-        assert len(solved) - len(per_arc) == len({data.t_min for data in datas})
+        assert len(solved) - 1 == len({t for data in datas for t in data.t_min.tolist()})
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_inside_a_block_names_its_replicate(self, monkeypatch, workers):
@@ -532,6 +544,24 @@ class TestBlocks:
             monkeypatch.setattr(datagen, attr, counting(attr))
         experiments._run_block(cfg, g, keys[:8])  # crosses a grid value
         assert calls == [(build, (8, g.num_arcs)), ("_inverse_cdf", (8 * g.num_arcs, cfg.d))]
+
+    @pytest.mark.parametrize("name, validations", [("fig2a.json", 1), ("fig7.json", 2)])
+    def test_a_block_validates_its_data_once(self, monkeypatch, name, validations):
+        """One validation over all rows of a block of 8, and one more for its
+        truncation where dro2 runs (fig7: the delta = 40 rows are cut)."""
+        cfg = reduced_config(name, n0=4)
+        g = build_layered(cfg.h, cfg.w)
+        keys = [(grid_index, i) for grid_index in range(len(cfg.grid)) for i in range(cfg.n0)]
+        validated = []
+        post_init = DataSet.__post_init__
+
+        def counting(self):
+            validated.append(self.sizes.shape)
+            post_init(self)
+
+        monkeypatch.setattr(DataSet, "__post_init__", counting)
+        experiments._run_block(cfg, g, keys[:8])
+        assert validated == [(8 * g.num_arcs,)] * validations
 
     @pytest.mark.parametrize("name", sorted(REDUCED))
     def test_worker_count_does_not_change_the_csvs(self, name, tmp_path):

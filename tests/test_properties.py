@@ -1,5 +1,5 @@
-"""Property tests for the batched dual kernel, per-count calibration and
-the array-first data path."""
+"""Property tests for the batched dual kernel, per-count calibration, the
+array-first data path and the block data set."""
 
 import math
 from fractions import Fraction
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kldro.datagen import _inverse_cdf, draw_dataset, substream
+from kldro.graphs import build_layered, decision_from_nodes, path_cost, path_nodes, route_costs
 from kldro.marginals import (
     DataSet,
     Marginal,
@@ -118,8 +119,8 @@ def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
        st.lists(st.integers(1, 50), min_size=3, max_size=3), st.floats(1e-4, 0.99))
 def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
     """The same counts on supports of different sizes get each support's own
-    radii, and ``radius_best`` runs once per distinct (T_a, alpha_a): the
-    arc whose share absorbed the rounding counts apart."""
+    radii, and one ``radius_best`` call evaluates each distinct (T_a,
+    alpha_a) once: the arc whose share absorbed the rounding counts apart."""
     alphas = split_alpha(alpha, sizes)
     t_min = min(sizes)
     rate = rate_from_alpha(alpha, t_min)
@@ -127,7 +128,8 @@ def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
         data = DataSet(Support.integers(d), np.zeros(sum(sizes), dtype=int), np.array(sizes))
         with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
             spec = calibrate_ambiguity(data, alpha)
-        assert calls.call_count == len(set(zip(sizes, alphas.tolist())))
+        assert calls.call_count == 1
+        assert np.size(calls.call_args.args[0].T_a) == len(set(zip(sizes, alphas.tolist())))
         for a, t in enumerate(sizes):
             radius, label = radius_best(RadiusInputs(t, d, len(sizes), t_min, float(alphas[a]), rate))
             assert spec.radii[a] == radius
@@ -136,39 +138,43 @@ def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
 
 @st.composite
 def calibration_blocks(draw):
-    """Data sets on two support sizes whose count vectors repeat, some of
-    them truncated; each is its own object, so only equal counts can share."""
-    dims = draw(st.lists(st.integers(1, 50), min_size=2, max_size=2))
-    vectors = draw(st.lists(st.lists(st.integers(1, 30), min_size=1, max_size=30),
+    """Blocks of count rows on one support, the rows repeating within and
+    across blocks, some blocks truncated; and the support size."""
+    d = draw(st.integers(1, 50))
+    m = draw(st.integers(1, 30))
+    vectors = draw(st.lists(st.lists(st.integers(1, 30), min_size=m, max_size=m),
                             min_size=1, max_size=4))
-    picks = draw(st.lists(st.tuples(st.integers(0, len(vectors) - 1), st.integers(0, 1),
-                                    st.booleans()), min_size=1, max_size=12))
+    picks = st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=4)
     datas = []
-    for vector, dim, truncated in picks:
-        sizes = np.array(vectors[vector])
-        data = DataSet(Support.integers(dims[dim]), np.zeros(sizes.sum(), dtype=int), sizes)
+    for rows, truncated in draw(st.lists(st.tuples(picks, st.booleans()), min_size=1, max_size=4)):
+        sizes = np.array([vectors[k] for k in rows])
+        data = DataSet.stacked(Support.integers(d), np.zeros(sizes.sum(), dtype=int), sizes)
         datas.append(rules.truncate_dataset(data) if truncated else data)
-    return datas
+    return datas, d
 
 
 @settings(max_examples=60)
 @given(calibration_blocks(), st.floats(1e-4, 0.99))
-def test_block_calibration_shares_specs_and_solves_each_input_once(datas, alpha):
-    """``calibrate_ambiguities`` equals ``calibrate_ambiguity`` per data set
-    bit for bit, hands equal (d, counts) one spec object, and runs
-    ``radius_best`` once per distinct (d_a, actions, T_min, T_a, alpha_a)."""
+def test_block_calibration_shares_specs_and_solves_each_input_once(blocks, alpha):
+    """``calibrate_ambiguities`` equals ``calibrate_ambiguity`` on every
+    row alone, bit for bit, so equal rows share their radii, and one
+    ``radius_best`` call evaluates each distinct (T_min, T_a, alpha_a) of
+    all rows once."""
+    datas, d = blocks
     with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
-        specs = rules.calibrate_ambiguities(datas, alpha)
-    inputs = {(data.support.size, data.num_actions, data.t_min, t, alpha_a)
-              for data in datas
-              for t, alpha_a in zip(data.sizes.tolist(), split_alpha(alpha, data.sizes).tolist())}
-    assert calls.call_count == len(inputs)
-    keys = [(data.support.size, tuple(data.sizes.tolist())) for data in datas]
-    for data, key, spec in zip(datas, keys, specs):
-        alone = calibrate_ambiguity(data, alpha)
-        assert np.array_equal(spec.radii, alone.radii) and spec.labels == alone.labels
-        for other_key, other in zip(keys, specs):
-            assert (other is spec) == (other_key == key)
+        found = rules.calibrate_ambiguities(datas, alpha)
+    rows = [row for data in datas for row in data.sizes.tolist()]
+    inputs = {(min(row), t, alpha_a)
+              for row in rows for t, alpha_a in zip(row, split_alpha(alpha, row).tolist())}
+    assert calls.call_count == 1
+    assert np.size(calls.call_args.args[0].T_a) == len(inputs)
+    radii = np.concatenate([r for r, _ in found])
+    labels = np.concatenate([lab for _, lab in found])
+    for row, row_radii, row_labels in zip(rows, radii, labels):
+        alone = calibrate_ambiguity(
+            DataSet(Support.integers(d), np.zeros(sum(row), dtype=int), np.array(row)), alpha)
+        assert np.array_equal(row_radii, alone.radii)
+        assert tuple(row_labels.tolist()) == alone.labels
 
 
 @settings(max_examples=100)
@@ -408,3 +414,86 @@ def test_joint_atoms_equal_the_unique_reference(data):
     atoms, probs = joint_atoms_reference(data)
     assert joint.atoms.shape == atoms.shape and np.array_equal(joint.atoms, atoms)
     assert np.array_equal(joint.probs, probs)
+
+
+# Counts on 5 points whose pmf row c / 22 does not fsum to 1, so the
+# smallest observed entry must absorb the rounding.
+OFF_ONE_COUNTS = (0, 0, 1, 6, 15)
+
+
+@st.composite
+def ragged_blocks(draw):
+    """A block of 1 to 6 replicates on one support of 1, 2, 5 or 50 points:
+    rows of unequal counts, rows whose counts are all equal (truncation is
+    the identity there), rows with counts above 1024 (where fsum decides
+    the row sum) and, on 5 points, rows whose pmf needs the fix-up."""
+    d = draw(st.sampled_from([1, 2, 5, 50]))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.dirichlet(np.full(d, 0.3))
+    sizes, index = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["ragged", "equal", "large", "off one"]))
+        if kind == "off one" and d == 5:
+            sizes.append([sum(OFF_ONE_COUNTS)] * m)
+            index += [rng.permutation(np.repeat(np.arange(d), OFF_ONE_COUNTS)) for _ in range(m)]
+            continue
+        if kind in ("equal", "off one"):
+            row = [draw(st.integers(1, 12))] * m
+        else:
+            counts = st.integers(1, 12) if kind == "ragged" else st.integers(1000, 1100)
+            row = draw(st.lists(counts, min_size=m, max_size=m))
+        sizes.append(row)
+        index.append(rng.choice(d, size=sum(row), p=p))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=d, max_size=d))
+    return DataSet.stacked(Support(0.5 + np.cumsum(steps)), np.concatenate(index),
+                           np.array(sizes))
+
+
+@settings(max_examples=60)
+@given(ragged_blocks(), st.floats(1e-4, 0.99))
+def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
+    """Every block step equals the one-replicate call on each row: pmf,
+    means, split, Hoeffding slack, truncation, joint atoms and probabilities,
+    and calibrated radii and labels."""
+    support = block.support
+    ends = np.cumsum(block.sizes.sum(axis=1))
+    truncated = rules.truncate_dataset(block)
+    trunc_ends = np.cumsum(truncated.sizes.sum(axis=1))
+    atoms, probs, counts = rules._joint_atoms(block)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    [(radii, labels)] = rules.calibrate_ambiguities([block], alpha)
+    slack = rules.hoeffding_slack(block, alpha)
+    for k, index in enumerate(np.split(block.index, ends[:-1])):
+        one = DataSet(support, index, block.sizes[k])
+        assert np.array_equal(block.pmf[k], one.pmf)
+        assert np.array_equal(block.means[k], one.means)
+        assert np.array_equal(split_alpha(alpha, block.sizes)[k], split_alpha(alpha, one.sizes))
+        assert np.array_equal(slack[k], rules.hoeffding_slack(one, alpha))
+        cut = rules.truncate_dataset(one)
+        assert np.array_equal(truncated.sizes[k], cut.sizes)
+        assert np.array_equal(np.split(truncated.index, trunc_ends[:-1])[k], cut.index)
+        assert np.array_equal(truncated.pmf[k], cut.pmf)
+        joint = JointEmpirical.from_dataset(one)
+        assert np.array_equal(support.points[atoms[owner == k]], joint.atoms)
+        assert np.array_equal(probs[owner == k], joint.probs)
+        assert np.array_equal(probs[owner == k], joint_atoms_reference(one)[1])
+        spec = calibrate_ambiguity(one, alpha)
+        assert np.array_equal(radii[k], spec.radii)
+        assert tuple(labels[k].tolist()) == spec.labels
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_gathered_route_costs_equal_path_cost(h, w, rows, seed):
+    """The achieved cost of a route, one gather and h + 1 additions in path
+    order, equals ``path_cost`` of its decision bit for bit."""
+    g = build_layered(h, w)
+    rng = np.random.default_rng(seed)
+    costs = rng.uniform(0.5, 50.0, size=(rows, g.num_arcs)) * rng.choice([1.0, 1e-7, 1e7],
+                                                                          size=(rows, g.num_arcs))
+    choices = rng.integers(0, w, size=(rows, h))
+    got = route_costs(g, choices, costs.T)  # every route under every row of costs
+    for k in range(rows):
+        decision = decision_from_nodes(g, path_nodes(g, choices[k]).tolist())
+        assert got[k, k] == path_cost(decision, costs[k])
