@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LayeredGraph", "Decision", "Routes", "build_layered", "shortest_path",
-           "enumerate_paths", "path_incidence", "to_edgelist", "path_cost", "path_nodes",
+           "enumerate_paths", "to_edgelist", "path_cost", "path_nodes",
            "route_costs"]
 
 ENUMERATION_CAP = 100_000
@@ -175,31 +175,18 @@ def shortest_path(g: LayeredGraph, costs):
 
 
 @functools.lru_cache(maxsize=4)
-def _paths_and_incidence(g: LayeredGraph) -> tuple[tuple, np.ndarray]:
-    total = g.w**g.h
-    if total > ENUMERATION_CAP:
-        raise ValueError(
-            f"{total} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
-        )
-    paths = [_path(g, choices) for choices in itertools.product(range(g.w), repeat=g.h)]
-    incidence = np.array([x.incidence for x in paths], dtype=float)
-    incidence.setflags(write=False)
-    return tuple(paths), incidence
-
-
 def enumerate_paths(g: LayeredGraph) -> tuple[Decision, ...]:
     """All w**h source-sink paths in lexicographic layer order.
 
     Built once per graph (a small LRU cache keyed by the graph); a graph
     with more than ``ENUMERATION_CAP`` paths raises before any is built.
     """
-    return _paths_and_incidence(g)[0]
-
-
-def path_incidence(g: LayeredGraph) -> np.ndarray:
-    """Read-only (paths x arcs) 0/1 float matrix, one row per path of
-    :func:`enumerate_paths` in its order; built once per graph with it."""
-    return _paths_and_incidence(g)[1]
+    total = g.w**g.h
+    if total > ENUMERATION_CAP:
+        raise ValueError(
+            f"{total} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
+        )
+    return tuple(_path(g, choices) for choices in itertools.product(range(g.w), repeat=g.h))
 
 
 def path_cost(decision: Decision, costs) -> float:

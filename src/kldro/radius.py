@@ -2,8 +2,9 @@
 
 Three interchangeable finite-sample bounds turn a sample count, a support
 size and a confidence budget into a ball radius: a method-of-types bound
-(always applicable), a moment-generating-function bound solved as a root
-problem, and a partial-sum bound with Wallis-product coefficients.  The
+(always applicable), a moment-generating-function bound that reduces in
+closed form to one scalar root per support size and confidence, divided by
+the count, and a partial-sum bound with Wallis-product coefficients.  The
 smallest applicable estimate wins.
 
 Every formula also takes arrays of inputs (see :class:`RadiusInputs`); its
@@ -15,20 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "RadiusInputs",
-    "AmbiguitySpec",
-    "rate_from_alpha",
-    "radius_baseline",
-    "radius_agrawal",
-    "radius_mardia",
-    "radius_best",
-    "mardia_constant",
-]
+__all__ = ["RadiusInputs", "AmbiguitySpec", "rate_from_alpha", "radius_baseline",
+           "radius_agrawal", "radius_mardia", "radius_best", "mardia_constant"]
 
 _LABELS = ("baseline", "agrawal", "mardia", "manual")
 _PER_ACTION = ("T_a", "T_min", "alpha_a", "rate")  # the fields that may be arrays
@@ -88,66 +81,62 @@ def radius_baseline(inputs: RadiusInputs):
         (math.log(inputs.num_actions) + d_term + inputs.T_min * inputs.rate) / inputs.T_a)
 
 
-def _agrawal_log_lhs(offset: float, d_a: int) -> float:
-    # ln of ((e/(d-1)) r T)^(d-1) e^{-rT} at r T = (d-1) + offset, which
-    # collapses to (d-1) log1p(x) - offset for x = offset/(d-1).  When x is
-    # tiny the linear parts cancel far below float noise, so switch to the
-    # series -(d-1) x^2 (1/2 - x/3 + x^2/4 - ...).
-    x = offset / (d_a - 1)
-    if x < 1e-6:
-        return -(d_a - 1) * x * x * (0.5 - x / 3.0 + x * x / 4.0)
-    return (d_a - 1) * math.log1p(x) - offset
+# (x - log1p(x)) / x^2 = sum_k (-x)^k / (k + 2), in Horner order
+_SERIES = tuple(1.0 / (k + 2) for k in range(15, -1, -1))
+_NEWTON_STEPS = 100
 
 
-def radius_agrawal(inputs: RadiusInputs) -> float:
-    """Radius from the mgf bound: the root of its tail equation above (d-1)/T.
+def _agrawal_x(d_a: int, alpha_a: float) -> float:
+    """The x > 0 with x - log1p(x) = c = ln(1/alpha_a)/(d_a - 1), by Newton's
+    method from the series inversion x ~ s + s^2/3, s = sqrt(2c).
 
-    The left side equals 1 at r = (d-1)/T and decreases to 0, so a unique
-    root exists for any confidence in (0, 1).  Solved by bisection (safe on
-    the monotone branch) in log space, parametrized by the offset of r T
-    above d-1.
+    f(x) = x - log1p(x) is convex and increasing, so Newton converges from
+    any x > 0, quadratically: once a step is within 1e-12 of x, x is at
+    float noise.  Below x = 0.05 the difference cancels, so f is x^2 times
+    its series there.
     """
-    d, T, alpha = inputs.d_a, inputs.T_a, inputs.alpha_a
-    if d == 1:
-        # Degenerate support: the marginal is known exactly.
-        return 0.0
-    log_alpha = math.log(alpha)
-    try:
-        lo = 1e-12 * T
-        # For offsets small against d-1 the left side behaves like
-        # -offset^2 / (2(d-1)), so the root sits near sqrt(2 (d-1) |ln a|);
-        # seeding the bracket there keeps the doubling count bounded for
-        # astronomically large support sizes.
-        hi = max(1.0 * T, math.sqrt(2.0 * float(d - 1) * -log_alpha))
-        expansions = 0
-        while _agrawal_log_lhs(hi, d) > log_alpha:
-            hi *= 2.0
-            expansions += 1
-            if expansions > 200:
-                raise RuntimeError(
-                    f"radius_agrawal: no bracket after {expansions} doublings "
-                    f"(d_a={d}, T_a={T}, alpha_a={alpha})"
-                )
-        for _ in range(300):
-            # Absolute tolerance well inside 1e-10 on r, or relative once the
-            # offset is so large that absolute width hits float resolution.
-            if hi - lo <= 1e-12 * T or hi - lo <= 1e-13 * max(float(T), hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if _agrawal_log_lhs(mid, d) > log_alpha:
-                lo = mid
-            else:
-                hi = mid
+    log_inv = -math.log(alpha_a)
+    c = log_inv / (d_a - 1)
+    s = math.sqrt(2.0 * log_inv) / math.sqrt(d_a - 1)
+    if s < 1e-100:  # x = s (1 + s/3 + ...) = s; c and x * x may be subnormal
+        return s
+    x = s + s * s / 3.0
+    for _ in range(_NEWTON_STEPS):
+        if x < 0.05:
+            g = 0.0
+            for coef in _SERIES:
+                g = g * -x + coef
+            f = x * x * g
         else:
-            raise RuntimeError(
-                f"radius_agrawal: bisection did not converge (d_a={d}, T_a={T}, "
-                f"alpha_a={alpha}, offset bracket=[{lo}, {hi}])"
-            )
-        return ((d - 1) + 0.5 * (lo + hi)) / T
-    except OverflowError:
-        # Support so large the bound cannot be evaluated in floats; it is
-        # certainly not the minimum then.
-        return math.inf
+            f = x - math.log1p(x)
+        step = (f - c) * (1.0 + x) / x
+        x -= step
+        if abs(step) <= 1e-12 * x:
+            return x
+    raise RuntimeError(f"radius_agrawal: Newton's method did not converge "
+                       f"(d_a={d_a}, alpha_a={alpha_a})")
+
+
+def radius_agrawal(inputs: RadiusInputs):
+    """Radius from the mgf bound: the root above (d-1)/T of the tail
+    equation ((e/(d-1)) r T)^(d-1) e^{-rT} = alpha_a.
+
+    With r T = (d-1)(1 + x) the equation reduces to x - log1p(x) =
+    ln(1/alpha_a)/(d-1), free of T, so r = (d-1)(1 + x)/T_a for one root
+    x per distinct alpha_a (:func:`_agrawal_x`).
+    """
+    d, alpha_a = inputs.d_a, inputs.alpha_a
+    try:
+        d_m1 = float(d - 1)
+    except OverflowError:  # a support too large for floats: never the minimum
+        d_m1 = math.inf
+    if d_m1 in (0.0, math.inf):  # radius 0 at d = 1: the marginal is known exactly
+        shape = np.broadcast_shapes(np.shape(inputs.T_a), np.shape(alpha_a))
+        return _scalar_or_array(np.full(shape, d_m1))
+    alphas = np.ravel(alpha_a).tolist()
+    roots = {a: _agrawal_x(d, a) for a in set(alphas)}
+    x = np.array([roots[a] for a in alphas]).reshape(np.shape(alpha_a))
+    return _scalar_or_array(d_m1 * (1.0 + x) / inputs.T_a)
 
 
 @functools.cache
@@ -203,52 +192,17 @@ def radius_mardia(inputs: RadiusInputs):
     return _scalar_or_array(_mardia(inputs.d_a, inputs.T_a, inputs.alpha_a))
 
 
-def _agrawal_exceeds(r: np.ndarray, d_a: int, T_a: np.ndarray, alpha_a: np.ndarray) -> np.ndarray:
-    """For every input, True when at most one evaluation proves that
-    ``radius_agrawal`` exceeds its radius r.
-
-    The bisection runs on the offset o = r T - (d-1) and returns a radius
-    above (d-1)/T.  Test o' = (r (1 + 1e-9) + 1e-12) T - (d-1).  If o' <= 0,
-    r is below (d-1)/T.  Else the left side of the tail equation decreases
-    in o, so a value above ln(alpha) at o' puts the root beyond o'.  The
-    bisection returns the midpoint of a final bracket no wider than 1e-12 T
-    (or 1e-13 o once o > 10 T), which the 1e-12 T term covers; without it a
-    tie at T = 1e4 can resolve the other way.  The 1e-9 margin is scaled by
-    r T, not by o, which loses ~0.5 to cancellation when d_a ~ 50**9, and
-    stays far above the float noise in the left side.  So the bisected
-    radius is then strictly above r, and skipping it changes neither the
-    minimum nor its label.
-    """
-    try:
-        offset = (r * (1.0 + 1e-9) + 1e-12) * T_a - float(d_a - 1)
-    except OverflowError:
-        return np.zeros(np.shape(r), dtype=bool)
-    log_alpha = _each(math.log, alpha_a)
-    return np.array([o <= 0.0 or _agrawal_log_lhs(o, d_a) > a
-                     for o, a in zip(offset.tolist(), log_alpha.tolist())], dtype=bool)
-
-
 def radius_best(inputs: RadiusInputs):
     """Minimum of the applicable estimates, with the winner's label; ties go
     to the earlier of baseline, agrawal, mardia.  Array inputs give an
-    array of radii and one of labels; one input is a block of one.
-
-    Mardia's radius is computed first.  Where one evaluation of the mgf
-    bound's left side proves the Agrawal root larger (see
-    ``_agrawal_exceeds``), the ~43-step bisection is skipped: that bound
-    cannot win, so the value and label are those of the full search.
-    """
+    array of radii and one of labels; one input is a block of one."""
     d, T, alpha_a = inputs.d_a, np.atleast_1d(inputs.T_a), np.atleast_1d(inputs.alpha_a)
-    candidates = [np.atleast_1d(radius_baseline(inputs))]
+    candidates = [radius_baseline(inputs)]
     if d >= 2:
         r_m = np.where(T >= 2, _mardia(d, np.maximum(T, 2), alpha_a), math.inf)
-        r_a = np.full(T.shape, math.inf)
-        for k in np.flatnonzero((T < 2) | ~_agrawal_exceeds(r_m, d, T, alpha_a)).tolist():
-            one = {f: np.broadcast_to(getattr(inputs, f), T.shape)[k].item() for f in _PER_ACTION}
-            r_a[k] = radius_agrawal(replace(inputs, **one))
-        candidates += [r_a, r_m]
+        candidates += [radius_agrawal(inputs), r_m]
     # argmin takes the first least radius: ties go to the earlier label
-    stacked = np.stack(candidates)
+    stacked = np.stack([np.atleast_1d(c) for c in candidates])
     radius, labels = stacked.min(axis=0), np.array(_LABELS)[stacked.argmin(axis=0)]
     return (float(radius[0]), str(labels[0])) if np.ndim(inputs.T_a) == 0 else (radius, labels)
 

@@ -311,10 +311,7 @@ def joint_worst_case_paths(g: LayeredGraph, cases) -> tuple[np.ndarray, np.ndarr
     for k in np.unique(counts).tolist():
         rows = np.flatnonzero(counts == k)
         cols = (ends[rows] - k)[:, None] + np.arange(k)
-        # one C-contiguous kernel row per (data row, path): the kernel's row
-        # sums are bit-identical across batches only over contiguous rows
-        z, q = (np.ascontiguousarray(np.moveaxis(x[:, cols], 0, 1)).reshape(-1, k)
-                for x in (costs, probs))
+        z, q = (np.moveaxis(x[:, cols], 0, 1).reshape(-1, k) for x in (costs, probs))
         found = solve_dual_batch(z, q, np.repeat(radii[rows], len(paths)),
                                  np.full(len(z), top)).value.reshape(len(rows), -1)
         best[rows] = sink_first[found[:, sink_first].argmin(axis=1)]

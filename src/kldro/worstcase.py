@@ -86,9 +86,9 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     (zero-weight entries are padding), ``radii`` holds one ball radius per
     row and ``lower`` the bound beta >= lower, which must not be below the
     row's largest value.  Rows are solved independently: a row's result is
-    bit-identical whatever other rows share the batch.  Values are clipped
-    to [row mean, lower] to absorb rounding.  Raises RuntimeError when a
-    row fails to converge.
+    bit-identical whatever other rows share the batch and whatever the
+    memory layout of the input.  Values are clipped to [row mean, lower] to
+    absorb rounding.  Raises RuntimeError when a row fails to converge.
     """
     z = np.asarray(values, dtype=float)
     q = np.asarray(weights, dtype=float)
@@ -97,6 +97,9 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     n = z.shape[0]
     if z.ndim != 2 or q.shape != z.shape or r.shape != (n,) or top.shape != (n,):
         raise ValueError("values/weights must be (rows, k) with one radius and bound per row")
+    # Row sums are pairwise only along rows whose elements are adjacent in
+    # memory; rows already laid out so (broadcast ones too) are not copied.
+    z, q = (x if x.strides[1] == x.itemsize else np.ascontiguousarray(x) for x in (z, q))
     if not (r >= 0.0).all():
         raise ValueError("radius must be nonnegative")
     if (top < z.max(axis=1) - 1e-12).any():

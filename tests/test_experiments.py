@@ -301,13 +301,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(DataSet, "__post_init__", counting)
         monkeypatch.setattr(rules, "split_alpha", counting_split)
-        graphs._paths_and_incidence.cache_clear()
+        graphs.enumerate_paths.cache_clear()
         for replicate in range(cfg.n0):
             run_replicate(cfg, build_layered(cfg.h, cfg.w), 0, replicate)
             assert len(built) == 2 * (replicate + 1)  # the data and its truncation
             # once for the data (dro and hoeffding), once for the truncation (dro2)
             assert len(splits) == 2 * (replicate + 1)
-        assert graphs._paths_and_incidence.cache_info().misses == 1
+        assert graphs.enumerate_paths.cache_info().misses == 1
 
     def test_fig7_dro2_reuses_dro_when_counts_are_equal(self, monkeypatch):
         raw = json.loads((CONFIGS / "fig7.json").read_text())

@@ -6,13 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kldro import graphs
 from kldro.graphs import (
     build_layered,
     decision_from_nodes,
     enumerate_paths,
     path_cost,
-    path_incidence,
     shortest_path,
     to_edgelist,
 )
@@ -103,17 +101,12 @@ def test_enumeration_cap():
 
 
 def test_paths_and_incidence_built_once_per_graph():
-    graphs._paths_and_incidence.cache_clear()
+    enumerate_paths.cache_clear()
     g = build_layered(3, 3)
     paths = enumerate_paths(g)
     assert enumerate_paths(build_layered(3, 3)) is paths  # an equal graph hits too
-    incidence = path_incidence(g)
-    assert graphs._paths_and_incidence.cache_info().misses == 1
-    assert incidence.shape == (27, g.num_arcs) and not incidence.flags.writeable
-    assert np.array_equal(incidence, [x.incidence for x in paths])
+    assert enumerate_paths.cache_info().misses == 1
     too_many = build_layered(9, 4)  # 4**9 paths, above ENUMERATION_CAP
-    with pytest.raises(ValueError, match="cap"):
-        path_incidence(too_many)
     with pytest.raises(ValueError, match="cap"):
         enumerate_paths(too_many)
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
+import kldro.radius
 from kldro.radius import (
     AmbiguitySpec,
     _log_mardia_sum,
@@ -92,6 +93,49 @@ def test_agrawal_resubstitution_across_grid():
 
 def test_agrawal_degenerate_support_returns_zero():
     assert radius_agrawal(inputs(5, 1)) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_agrawal_matches_the_series_root_as_alpha_tends_to_one(d):
+    # x - log1p(x) = c inverts to x = s + s^2/3 + s^3/36 - s^4/270 + O(s^5),
+    # s = sqrt(2c), whose dropped terms are far below 1e-16 of x here
+    T = 10**4
+    for gap in (1e-8, 1e-9, 3e-10, 1e-12):
+        alpha = 1.0 - gap
+        s = math.sqrt(2.0 * -math.log(alpha) / (d - 1))
+        x = s + s**2 / 3 + s**3 / 36 - s**4 / 270
+        assert radius_agrawal(inputs(T, d, alpha_a=alpha)) == pytest.approx(
+            (d - 1) * (1 + x) / T, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 5, 50, 50**24], ids=["2", "5", "50", "50**24"])
+def test_agrawal_on_arrays_equals_scalar_calls_bit_for_bit(d):
+    rng = np.random.default_rng(17)
+    alphas = np.concatenate([np.geomspace(1e-12, 0.5, 20), 1.0 - np.geomspace(1e-9, 0.5, 20)])
+    alphas = rng.permutation(np.concatenate([alphas, alphas[::3]]))  # repeats share a root
+    T = rng.integers(1, 10**4, size=alphas.size)
+    got = radius_agrawal(RadiusInputs(T, d, 1, np.ones_like(T), alphas, 1.0))
+    alone = [radius_agrawal(RadiusInputs(int(t), d, 1, 1, float(a), 1.0))
+             for t, a in zip(T, alphas)]
+    assert got.shape == T.shape and np.array_equal(got, alone)
+
+
+def test_agrawal_at_and_beyond_the_float_range_of_the_support():
+    # near the top of the float range x < 1e-150 vanishes beside 1, even
+    # where ln(1/alpha)/(d - 1) is subnormal or underflows to 0
+    for d in (3 * 10**296, 10**298, 10**308, 17 * 10**307):
+        for alpha in (0.05, 1.0 - 1e-12, 1.0 - 2.0**-52, 1.0 - 2.0**-53):
+            assert radius_agrawal(inputs(7, d, alpha_a=alpha)) == float(d - 1) / 7
+    assert radius_agrawal(inputs(5, 10**400)) == math.inf
+    big = RadiusInputs(np.array([5, 9]), 10**400, 1, np.array([5, 9]), np.array([0.05, 0.5]), 1.0)
+    assert np.array_equal(radius_agrawal(big), [math.inf, math.inf])
+    assert radius_best(big)[1].tolist() == ["mardia", "mardia"]
+
+
+def test_agrawal_raises_naming_the_input_when_newton_does_not_converge(monkeypatch):
+    monkeypatch.setattr(kldro.radius, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match=r"d_a=7, alpha_a=0\.05"):
+        radius_agrawal(inputs(5, 7, alpha_a=0.05))
 
 
 def test_wallis_products():
@@ -224,26 +268,11 @@ def radius_best_in_full(inp):
     return min(candidates, key=lambda c: c[0])
 
 
-def test_best_skips_the_agrawal_bisection_when_mardia_provably_wins(monkeypatch):
-    import kldro.radius
-
-    def fail(_):
-        raise AssertionError("the Agrawal bisection ran")
-
-    # fig2a scale: d = 50, T_a in [5, 10], 104 arcs
-    cases = [RadiusInputs(T, 50, 104, 5, 0.05 / 104, rate_from_alpha(0.05, 5)) for T in range(5, 11)]
-    expected = [radius_best_in_full(inp) for inp in cases]
-    monkeypatch.setattr(kldro.radius, "radius_agrawal", fail)
-    assert [radius_best(inp) for inp in cases] == expected
-    assert {label for _, label in expected} == {"mardia"}
-
-
 @pytest.mark.parametrize("d, T", [(2, 2), (2, 3000), (2, 10**4), (3, 2), (3, 10**4)])
 def test_best_equals_full_search_next_to_the_agrawal_mardia_crossing(d, T):
     # Bisect alpha to where the two bounds cross, then probe alphas within
-    # 4e-9 (relative) on either side: the one-evaluation skip must not
-    # decide differently from the full search there.  At T = 1e4 a margin
-    # without the bisection-tolerance term fails on ~10% of these probes.
+    # 4e-9 (relative) on either side: the array minimum must pick the same
+    # radius and label as the scalar bounds compared one by one there.
     def agrawal_wins(alpha):
         inp = inputs(T, d, alpha_a=alpha)
         return radius_agrawal(inp) <= radius_mardia(inp)

@@ -118,6 +118,26 @@ class TestSolveDual:
             assert kl_divergence(m, sol.primal) <= r * (1 + 1e-9)
             assert sol.primal.mean() == pytest.approx(sol.value, rel=1e-15)
 
+    def test_row_values_do_not_depend_on_memory_layout(self):
+        # a dro1-sized batch (27 paths) passed C-ordered, Fortran-ordered,
+        # as a column slice of a wider array and with broadcast values
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            k = int(rng.integers(2, 12))
+            z = np.sort(rng.uniform(1.0, 50.0, (27, k)), axis=1)
+            q = rng.dirichlet(np.ones(k), size=27)
+            r, top = np.full(27, float(rng.uniform(0.01, 2.0))), np.full(27, 50.0)
+            wide = np.zeros((27, k + 3))
+            wide[:, :k] = q
+            c_order = worstcase.solve_dual_batch(z, q, r, top)
+            for zs, qs in [(np.asfortranarray(z), np.asfortranarray(q)), (z, wide[:, :k])]:
+                other = worstcase.solve_dual_batch(zs, qs, r, top)
+                assert np.array_equal(c_order.value, other.value)
+                assert np.array_equal(c_order.beta, other.beta)
+            shared = np.broadcast_to(z[0], z.shape)
+            assert np.array_equal(worstcase.solve_dual_batch(shared, q, r, top).value,
+                                  worstcase.solve_dual_batch(shared.copy(), q, r, top).value)
+
     def test_non_convergence_raises_with_row_context(self, monkeypatch):
         monkeypatch.setattr(worstcase, "_MAX_ITERATIONS", 1)
         with pytest.raises(RuntimeError, match=r"row 0, r=0\.1, top=2\.0"):
