@@ -17,9 +17,10 @@ data set stacking the block's rows.  The rules run as array code over
 those rows: one calibration call and one dual-kernel call for all dro and
 dro2 rows, one dro1 call per joint-atom count, and one batched
 shortest-path DP over every cost row, whose layer choices give each
-rule's nodes and, by one gather, its achieved cost.  Kernel and DP rows
-are solved independently, so output is identical whatever the block size
-or the worker count.  ``run_replicate`` is a block of one.
+rule's nodes and, by one gather, its achieved cost; dro1 returns routes
+too.  Kernel and DP rows are solved independently, so output is identical
+whatever the block size or the worker count.  ``run_replicate`` is a block
+of one.  The aggregates are one reduction of a (grid, rule, replicate) array.
 """
 
 from __future__ import annotations
@@ -238,8 +239,8 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     choices = dict(zip(routed, np.split(routes.choices, len(routed))))
     predicted = dict(zip(routed, np.split(routes.values, len(routed))))
     if "dro1" in cfg.rules:
-        best, predicted["dro1"] = joint_worst_case_paths(g, [(data, joint_radius(data, cfg.alpha))])
-        choices["dro1"] = np.stack(np.unravel_index(best, (g.w,) * g.h), axis=-1)
+        dro1 = joint_worst_case_paths(g, data, joint_radius(data, cfg.alpha))
+        choices["dro1"], predicted["dro1"] = dro1.choices, dro1.values
 
     chosen = np.stack([choices[rule] for rule in cfg.rules], axis=1)  # (replicates, rules, h)
     guess = np.stack([predicted[rule] for rule in cfg.rules], axis=1)
@@ -286,13 +287,13 @@ def _block_task(args) -> list[ReplicateResult]:
 
 
 def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray):
-    """(mean rho, MAD around the mean, disappointment frequency); the MAD is
-    the median deviation as ``np.median`` takes it, at (a + b) / 2 if even."""
-    mean = float(np.mean(rhos))
-    dev = sorted(np.abs(rhos - mean).tolist())
-    mid = len(dev) // 2
-    mad = dev[mid] if len(dev) % 2 else (dev[mid - 1] + dev[mid]) / 2
-    return mean, mad, float(np.mean(disappointed))
+    """(mean rho, MAD around the mean, disappointment frequency) along the
+    last axis; the MAD is the median deviation, the mean (a + b) / 2 of the
+    two middle ones if their count is even."""
+    mean = np.mean(rhos, axis=-1)
+    dev, n = np.sort(np.abs(rhos - mean[..., None]), axis=-1), rhos.shape[-1]
+    mad = (dev[..., (n - 1) // 2] + dev[..., n // 2]) / 2
+    return mean, mad, np.mean(disappointed, axis=-1)
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
@@ -319,16 +320,14 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
     else:
         blocks = list(map(_block_task, tasks))
     replicates = [result for block in blocks for result in block]
-    results = []
-    for grid_index, sweep_value in enumerate(cfg.grid):
-        batch = replicates[grid_index * cfg.n0 : (grid_index + 1) * cfg.n0]
-        aggregates = {}
-        for k, rule in enumerate(cfg.rules):
-            rhos = np.array([rep.outcomes[k].rho for rep in batch])
-            dis = np.array([rep.outcomes[k].disappointed for rep in batch])
-            aggregates[rule] = aggregate_rows(rhos, dis)
-        results.append(GridPointResult(float(sweep_value), tuple(batch), aggregates))
-    return results
+    # (grid, rule, replicate) per field; a contiguous row sums as a 1-d array does
+    rho, dis = (np.array([[getattr(out, name) for out in rep.outcomes] for rep in replicates])
+                .reshape(len(cfg.grid), cfg.n0, -1).swapaxes(1, 2).copy()
+                for name in ("rho", "disappointed"))
+    stats = np.stack(aggregate_rows(rho, dis), axis=-1).tolist()  # (grid, rule, 3)
+    return [GridPointResult(float(sweep_value), tuple(replicates[i * cfg.n0:(i + 1) * cfg.n0]),
+                            dict(zip(cfg.rules, map(tuple, stats[i]))))
+            for i, sweep_value in enumerate(cfg.grid)]
 
 
 def emit_results(

@@ -121,8 +121,8 @@ def decision_from_nodes(g: LayeredGraph, nodes) -> Decision:
 
 @dataclass(frozen=True)
 class Routes:
-    """Shortest paths of a cost matrix's rows: node ``choices`` (R, h) and
-    ``values`` (R,); ``routes[k]`` is row k's ``(decision, value)``."""
+    """Paths for R rows, from ``shortest_path`` or dro1: node ``choices`` (R, h)
+    and ``values`` (R,); ``routes[k]`` is row k's ``(decision, value)``."""
 
     g: LayeredGraph
     choices: np.ndarray

@@ -285,10 +285,3 @@ class DataSet:
 
     def empirical(self, action: int) -> Marginal:
         return Marginal(self.support, self.pmf[action])
-
-    def prefix(self, t: int) -> np.ndarray:
-        """The (actions x t) block of every action's first t indices."""
-        if not 0 < t <= self.t_min:
-            raise ValueError(f"prefix length {t} must lie in [1, t_min={self.t_min}]")
-        starts = np.cumsum(self.sizes) - self.sizes
-        return self.index[starts[:, None] + np.arange(t)]

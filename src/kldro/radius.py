@@ -9,7 +9,8 @@ smallest applicable estimate wins.
 
 Every formula also takes arrays of inputs (see :class:`RadiusInputs`); its
 logarithms stay ``math`` calls per input, which ``np.log`` may miss by an
-ulp, so a radius is the same alone or in an array.
+ulp, so a radius is the same alone or in an array.  The rules take radii
+as a plain array, one per action.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RadiusInputs", "AmbiguitySpec", "rate_from_alpha", "radius_baseline",
-           "radius_agrawal", "radius_mardia", "radius_best", "mardia_constant"]
+__all__ = ["RadiusInputs", "rate_from_alpha", "radius_baseline", "radius_agrawal",
+           "radius_mardia", "radius_best", "mardia_constant"]
 
-_LABELS = ("baseline", "agrawal", "mardia", "manual")
+_LABELS = ("baseline", "agrawal", "mardia")
 _PER_ACTION = ("T_a", "T_min", "alpha_a", "rate")  # the fields that may be arrays
 
 
 @dataclass(frozen=True)
 class RadiusInputs:
     """Everything the calibration formulas need for one action, or for
-    many: the ``_PER_ACTION`` fields may be arrays, one entry per action."""
+    many: the ``_PER_ACTION`` fields may be arrays, broadcast to one shape."""
 
     T_a: int
     d_a: int
@@ -40,7 +41,11 @@ class RadiusInputs:
     rate: float
 
     def __post_init__(self):
-        T_a, T_min, alpha_a, rate = (np.asarray(getattr(self, f)) for f in _PER_ACTION)
+        values = np.broadcast_arrays(*(getattr(self, f) for f in _PER_ACTION))
+        if values[0].ndim:  # all-scalar inputs stay scalars, so radii stay floats
+            for name, value in zip(_PER_ACTION, values):
+                object.__setattr__(self, name, value)
+        T_a, T_min, alpha_a, rate = values
         if (T_a < 1).any() or self.d_a < 1 or self.num_actions < 1:
             raise ValueError("T_a, d_a and num_actions must be >= 1")
         if not ((1 <= T_min) & (T_min <= T_a)).all():
@@ -131,8 +136,7 @@ def radius_agrawal(inputs: RadiusInputs):
     except OverflowError:  # a support too large for floats: never the minimum
         d_m1 = math.inf
     if d_m1 in (0.0, math.inf):  # radius 0 at d = 1: the marginal is known exactly
-        shape = np.broadcast_shapes(np.shape(inputs.T_a), np.shape(alpha_a))
-        return _scalar_or_array(np.full(shape, d_m1))
+        return _scalar_or_array(np.full(np.shape(alpha_a), d_m1))
     alphas = np.ravel(alpha_a).tolist()
     roots = {a: _agrawal_x(d, a) for a in set(alphas)}
     x = np.array([roots[a] for a in alphas]).reshape(np.shape(alpha_a))
@@ -206,34 +210,3 @@ def radius_best(inputs: RadiusInputs):
     radius, labels = stacked.min(axis=0), np.array(_LABELS)[stacked.argmin(axis=0)]
     return (float(radius[0]), str(labels[0])) if np.ndim(inputs.T_a) == 0 else (radius, labels)
 
-
-@dataclass(frozen=True)
-class AmbiguitySpec:
-    """Per-action ball radii plus the calibration that produced them."""
-
-    radii: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        r.setflags(write=False)
-        if r.ndim != 1 or r.size < 1:
-            raise ValueError("radii must be a nonempty 1-d array")
-        if not np.all(r >= 0.0):
-            raise ValueError("radii must be nonnegative")
-        if len(self.labels) != r.size:
-            raise ValueError("one label per radius is required")
-        for lab in self.labels:
-            if lab not in _LABELS:
-                raise ValueError(f"unknown calibration label {lab!r}")
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def num_actions(self) -> int:
-        return int(self.radii.size)
-
-    @classmethod
-    def manual(cls, radii) -> "AmbiguitySpec":
-        r = np.asarray(radii, dtype=float)
-        return cls(r, ("manual",) * r.size)

@@ -3,22 +3,23 @@
 Each rule prescribes at given parameters and returns a decision with its
 predicted loss:
 
-* ``dro_prescribe(data, spec, g)``: per-action worst case over KL balls of
-  the spec's radii, then a deterministic shortest path;
+* ``dro_prescribe(data, radii, g)``: per-action worst case over KL balls
+  of the given radii, one per action, then a deterministic shortest path;
 * ``hoeffding_prescribe(data, epsilon, g)``: empirical means plus a slack;
 * ``dro1_prescribe(data, r, g)``: one joint ball of radius r on the
   truncated data, solved per enumerated path.
 
 "dro2" is ``dro_prescribe`` on ``truncate_dataset(data)``.  Calibration is
-its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``,
-``hoeffding_slack`` and ``joint_radius``.
+its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``
+(the radii array), ``hoeffding_slack`` and ``joint_radius``.
 
 Every step also takes a block of replicates stacked into one data set
 (``DataSet.stacked``) and runs as array code over its rows; one data set
 is a block of one.  Calibration evaluates the bounds once per distinct
 (T_min, T_a, alpha_a) of all rows, ``worst_case_costs`` solves any stack of
 pmf rows in one kernel call, and ``joint_worst_case_paths`` makes one
-kernel call per joint-atom count.
+kernel call per joint-atom count and returns dro1's paths as
+``graphs.Routes``, as ``shortest_path`` routes a cost matrix.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Decision, LayeredGraph, enumerate_paths, path_cost, route_costs,
+from .graphs import (Decision, LayeredGraph, Routes, enumerate_paths, path_cost, route_costs,
                      shortest_path)
 from .marginals import DataSet, Support, _absorb_rounding
-from .radius import AmbiguitySpec, RadiusInputs, radius_best, rate_from_alpha
+from .radius import RadiusInputs, radius_best, rate_from_alpha
 # The rules solve all arcs or paths in one solve_dual_batch call; the one-row
 # solvers stay importable from here because bench/trace_layers.py wraps them.
 from .worstcase import minimize_dual, solve_dual, solve_dual_batch  # noqa: F401
@@ -140,32 +141,31 @@ def calibrate_ambiguities(datas, alpha: float) -> list[tuple[np.ndarray, np.ndar
             zip(datas, np.split(radii[distinct], ends), np.split(labels[distinct], ends))]
 
 
-def calibrate_ambiguity(data: DataSet, alpha: float) -> AmbiguitySpec:
+def calibrate_ambiguity(data: DataSet, alpha: float) -> np.ndarray:
     """Per-action radii of one data set: :func:`calibrate_ambiguities` on
     a block of one."""
-    radii, labels = calibrate_ambiguities([data], alpha)[0]
-    return AmbiguitySpec(radii, tuple(labels.tolist()))
+    return calibrate_ambiguities([data], alpha)[0][0]
 
 
 def worst_case_costs(support: Support, pmf: np.ndarray, radii) -> np.ndarray:
     """Worst-case costs of pmf rows (..., d) on ``support`` at radii (...)
     in one kernel call; a row's cost is bit-identical alone or stacked."""
     if np.shape(radii) != pmf.shape[:-1]:
-        raise ValueError("ambiguity spec must cover every action")
+        raise ValueError("one radius per action is required")
     rows = pmf.reshape(-1, support.size)
     points = np.broadcast_to(support.points, rows.shape)
     values = solve_dual_batch(points, rows, np.ravel(radii), np.full(len(rows), support.max)).value
     return values.reshape(np.shape(radii))
 
 
-def dro_predict(x: Decision, data: DataSet, spec: AmbiguitySpec) -> float:
+def dro_predict(x: Decision, data: DataSet, radii) -> float:
     """Predicted loss of ``x``: sum of per-action worst-case costs on the path."""
-    return path_cost(x, worst_case_costs(data.support, data.pmf, spec.radii))
+    return path_cost(x, worst_case_costs(data.support, data.pmf, radii))
 
 
-def dro_prescribe(data: DataSet, spec: AmbiguitySpec, g: LayeredGraph) -> Prescription:
-    """Worst-case costs once per action, then one deterministic shortest path."""
-    costs = worst_case_costs(data.support, data.pmf, spec.radii)
+def dro_prescribe(data: DataSet, radii, g: LayeredGraph) -> Prescription:
+    """Worst-case costs at ``radii``, once per action, then one shortest path."""
+    costs = worst_case_costs(data.support, data.pmf, radii)
     decision, value = shortest_path(g, costs)
     return Prescription(decision, value, costs)
 
@@ -279,31 +279,26 @@ def _joint_radius(t_min: int, d: int, m: int, alpha: float) -> float:
     return radius_best(inputs)[0]
 
 
-def joint_worst_case_paths(g: LayeredGraph, cases) -> tuple[np.ndarray, np.ndarray]:
-    """dro1's path, as its position in :func:`enumerate_paths`, and its
-    predicted loss for every row of every ``(data, r)`` pair, all on one
-    support, from each row's first T_min observations and radius r > 0: the
+def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
+    """dro1's path and predicted loss for every row of ``data``, from each
+    row's first T_min observations and its radius r > 0 in ``radii``: the
     scalar dual of every path, with beta bounded below by the top support
     point times the path length.  Rows with the same number of joint atoms
     share one kernel call, since rows are bit-identical only at equal
     width.  Exact value ties go to the path whose nodes come first read
-    from the sink."""
-    cases = list(cases)
-    support = cases[0][0].support
-    if not all(data.support.same_as(support) for data, _ in cases):
-        raise ValueError("data sets must share one support")
+    from the sink, as in :func:`shortest_path`."""
     paths = enumerate_paths(g)
     choices = np.stack(np.unravel_index(np.arange(len(paths)), (g.w,) * g.h), axis=-1)
-    atoms, probs, counts = (np.concatenate(x) for x in zip(*(_joint_atoms(d) for d, _ in cases)))
-    radii = np.concatenate([np.ravel(r) for _, r in cases])
+    atoms, probs, counts = _joint_atoms(data)
+    radii = np.ravel(radii)
     # Every path's cost at every atom, (paths x atoms), sorted within each
     # row's atoms (stable, so ties keep atom order), and the probabilities
     # in that order.
-    costs = route_costs(g, choices, support.points[atoms].T)
+    costs = route_costs(g, choices, data.support.points[atoms].T)
     rows = np.broadcast_to(np.repeat(np.arange(len(counts)), counts), costs.shape)
     order = np.lexsort((costs, rows))
     costs, probs = np.take_along_axis(costs, order, -1), probs[order]
-    ends, top = np.cumsum(counts), support.max * g.path_length
+    ends, top = np.cumsum(counts), data.support.max * g.path_length
     # argmin takes the first least value, so over the paths in this order a
     # tie goes to the path whose nodes come first read from the sink
     sink_first = np.lexsort(choices.T)
@@ -316,7 +311,7 @@ def joint_worst_case_paths(g: LayeredGraph, cases) -> tuple[np.ndarray, np.ndarr
                                  np.full(len(z), top)).value.reshape(len(rows), -1)
         best[rows] = sink_first[found[:, sink_first].argmin(axis=1)]
         value[rows] = found[np.arange(len(rows)), best[rows]]
-    return best, value
+    return Routes(g, choices[best], value)
 
 
 def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
@@ -331,5 +326,4 @@ def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
     truncated = truncate_dataset(data)
     if r == 0.0:
         return Prescription(*shortest_path(g, truncated.means))
-    (best,), (value,) = joint_worst_case_paths(g, [(truncated, r)])
-    return Prescription(enumerate_paths(g)[best], float(value), None)
+    return Prescription(*joint_worst_case_paths(g, truncated, r)[0], None)

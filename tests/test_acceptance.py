@@ -19,7 +19,6 @@ from kldro.experiments import ExperimentConfig, run_sweep
 from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
 from kldro.marginals import Marginal, Support, kl_divergence
 from kldro.radius import (
-    AmbiguitySpec,
     RadiusInputs,
     mardia_constant,
     radius_agrawal,
@@ -99,7 +98,7 @@ def test_criterion_2_decomposition_suite():
         # the predictor decomposes per arc, so its enumeration reduces to
         # path sums of per-arc worst cases; spot-check the identity exactly,
         # then brute-force the argmin over those sums
-        costs = np.array([solve_dual(data.empirical(a), float(amb.radii[a])).value
+        costs = np.array([solve_dual(data.empirical(a), float(amb[a])).value
                           for a in range(g.num_arcs)])
         for x in (paths[0], paths[len(paths) // 2], paths[-1]):
             assert dro_predict(x, data, amb) == path_cost(x, costs)
@@ -182,7 +181,7 @@ def test_criterion_5_degeneration_to_saa():
         rules=("dro", "hoeffding", "dro1", "dro2"),
     )
     g = build_layered(cfg.h, cfg.w)
-    zero = AmbiguitySpec.manual(np.zeros(g.num_arcs))
+    zero = np.zeros(g.num_arcs)
     for replicate in range(cfg.n0):
         # the replicate's data, regenerated from its substream
         rng = substream(cfg.seed, 1 + replicate)

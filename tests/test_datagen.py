@@ -152,7 +152,7 @@ class TestDrawDataset:
     def test_empirical_means_converge(self):
         marg = binomial_pmfs(np.linspace(0.2, 0.8, G33.num_arcs), 7)
         data = draw_dataset(marg, np.full(G33.num_arcs, 10_000), substream(10, 0))
-        costs = data.support.points[data.prefix(10_000)]
+        costs = data.support.points[data.index.reshape(G33.num_arcs, -1)]
         for a in (0, 11, 23):
             q = marg[a]
             sd = np.sqrt(np.dot(q.support.points**2, q.probs) - q.mean() ** 2)
@@ -162,7 +162,7 @@ class TestDrawDataset:
         marg = nominal_marginals("multinomial", G33.num_arcs, 9, substream(11, 0))
         sizes = np.full(G33.num_arcs, 6)
         data = draw_dataset(marg, sizes, substream(11, 1), joint=True)
-        costs = data.support.points[data.prefix(6)]
+        costs = data.support.points[data.index.reshape(G33.num_arcs, -1)]
         assert np.all(costs.sum(axis=0) == 9 - 1 + G33.num_arcs)
 
     def test_joint_draws_reject_non_multinomial_marginals(self):

@@ -455,6 +455,28 @@ class TestAggregatesAndEmit:
         assert mad == pytest.approx(np.median(np.abs(rhos - 1.5)))
         assert freq == 0.25
 
+    @pytest.mark.parametrize("n0", [1, 2, 3, 9, 50, 129])
+    def test_stacked_aggregates_equal_each_row_alone(self, n0):
+        """The (grid, rules, n0) reduction equals, bit for bit, the 1-d
+        definition on each row: the mean, and the median deviation from a
+        sorted list at (a + b) / 2 when n0 is even."""
+        def one_row(rhos, disappointed):
+            mean = float(np.mean(rhos))
+            dev = sorted(np.abs(rhos - mean).tolist())
+            mid = len(dev) // 2
+            mad = dev[mid] if len(dev) % 2 else (dev[mid - 1] + dev[mid]) / 2
+            return mean, mad, float(np.mean(disappointed))
+
+        rng = np.random.default_rng(n0)
+        rhos = 1.0 + rng.exponential(0.3, size=(3, 4, n0))
+        dis = rng.random((3, 4, n0)) < 0.3
+        stats = np.stack(aggregate_rows(rhos, dis), axis=-1)
+        assert stats.shape == (3, 4, 3)
+        assert dis.any()
+        for grid in range(3):
+            for rule in range(4):
+                assert stats[grid, rule].tolist() == list(one_row(rhos[grid, rule], dis[grid, rule]))
+
     def test_csv_round_trip_reproduces_aggregates(self, tmp_path):
         cfg = small_config(rules=("dro", "hoeffding", "dro2"))
         results = run_sweep(cfg)

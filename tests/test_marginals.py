@@ -211,12 +211,3 @@ def test_dataset_counts_every_action_on_the_shared_support():
     assert data.pmf.tolist() == [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
     assert data.means.tolist() == [6.875, 2.0, 0.5]
     assert data.empirical(1).support is sup
-
-
-def test_dataset_prefix_is_the_first_observations_of_every_action():
-    data = DataSet(Support.integers(3), np.array([2, 0, 2, 1, 0, 1, 1, 2]), np.array([3, 2, 3]))
-    assert data.prefix(2).tolist() == [[2, 0], [1, 0], [1, 1]]
-    assert data.prefix(1).tolist() == [[2], [1], [1]]
-    for t in (0, 3):
-        with pytest.raises(ValueError, match=rf"prefix length {t} must lie in \[1, t_min=2\]"):
-            data.prefix(t)

@@ -103,15 +103,16 @@ def test_value_matches_primal_oracle(pmf, r):
 def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
     sup = Support.integers(d)
     data = DataSet(sup, np.zeros(sum(sizes), dtype=int), np.array(sizes))
-    spec = calibrate_ambiguity(data, alpha)
+    radii = calibrate_ambiguity(data, alpha)
+    [(_, labels)] = rules.calibrate_ambiguities([data], alpha)
     alphas = split_alpha(alpha, sizes)
     t_min = min(sizes)
     rate = rate_from_alpha(alpha, t_min)
     for a, t in enumerate(sizes):
         inputs = RadiusInputs(t, d, len(sizes), t_min, float(alphas[a]), rate)
         radius, label = radius_best(inputs)
-        assert spec.radii[a] == radius
-        assert spec.labels[a] == label
+        assert radii[a] == radius
+        assert labels[a] == label
 
 
 @settings(max_examples=40)
@@ -127,13 +128,13 @@ def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
     for d in dims:
         data = DataSet(Support.integers(d), np.zeros(sum(sizes), dtype=int), np.array(sizes))
         with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
-            spec = calibrate_ambiguity(data, alpha)
+            [(radii, labels)] = rules.calibrate_ambiguities([data], alpha)
         assert calls.call_count == 1
         assert np.size(calls.call_args.args[0].T_a) == len(set(zip(sizes, alphas.tolist())))
         for a, t in enumerate(sizes):
             radius, label = radius_best(RadiusInputs(t, d, len(sizes), t_min, float(alphas[a]), rate))
-            assert spec.radii[a] == radius
-            assert spec.labels[a] == label
+            assert radii[a] == radius
+            assert labels[a] == label
 
 
 @st.composite
@@ -171,10 +172,9 @@ def test_block_calibration_shares_specs_and_solves_each_input_once(blocks, alpha
     radii = np.concatenate([r for r, _ in found])
     labels = np.concatenate([lab for _, lab in found])
     for row, row_radii, row_labels in zip(rows, radii, labels):
-        alone = calibrate_ambiguity(
-            DataSet(Support.integers(d), np.zeros(sum(row), dtype=int), np.array(row)), alpha)
-        assert np.array_equal(row_radii, alone.radii)
-        assert tuple(row_labels.tolist()) == alone.labels
+        one = DataSet(Support.integers(d), np.zeros(sum(row), dtype=int), np.array(row))
+        assert np.array_equal(row_radii, calibrate_ambiguity(one, alpha))
+        assert row_labels.tolist() == rules.calibrate_ambiguities([one], alpha)[0][1].tolist()
 
 
 @settings(max_examples=100)
@@ -478,9 +478,8 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
         assert np.array_equal(support.points[atoms[owner == k]], joint.atoms)
         assert np.array_equal(probs[owner == k], joint.probs)
         assert np.array_equal(probs[owner == k], joint_atoms_reference(one)[1])
-        spec = calibrate_ambiguity(one, alpha)
-        assert np.array_equal(radii[k], spec.radii)
-        assert tuple(labels[k].tolist()) == spec.labels
+        assert np.array_equal(radii[k], calibrate_ambiguity(one, alpha))
+        assert labels[k].tolist() == rules.calibrate_ambiguities([one], alpha)[0][1].tolist()
 
 
 @settings(max_examples=60)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 import kldro.radius
+from kldro.graphs import build_layered
+from kldro.marginals import Support
 from kldro.radius import (
-    AmbiguitySpec,
     _log_mardia_sum,
     RadiusInputs,
     mardia_constant,
@@ -18,6 +19,8 @@ from kldro.radius import (
     radius_mardia,
     rate_from_alpha,
 )
+from kldro.rules import dro_prescribe
+from oracles import dataset_from_costs
 
 
 def inputs(T_a, d_a, A=1, T_min=None, alpha_a=0.5, rate=1.0):
@@ -242,20 +245,32 @@ def test_baseline_radii_reproduce_union_bound_chain():
 
 
 def test_ambiguity_spec_validation():
-    spec = AmbiguitySpec.manual([0.0, 0.5])
-    assert spec.labels == ("manual", "manual")
-    assert spec.num_actions == 2
-    with pytest.raises(ValueError):
-        AmbiguitySpec(np.array([-0.1]), ("manual",))
-    with pytest.raises(ValueError, match="radii must be nonnegative"):
-        AmbiguitySpec.manual([0.1, float("nan")])
-    assert AmbiguitySpec.manual([math.inf]).radii[0] == math.inf
-    with pytest.raises(ValueError):
-        AmbiguitySpec(np.array([0.1]), ("bogus",))
+    # The radii are a plain array, checked where the rules use them.
+    g = build_layered(1, 2)
+    data = dataset_from_costs(Support.integers(3), [[1, 2], [2, 2], [1, 3], [3, 3]])
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            dro_prescribe(data, np.array([0.1, bad, 0.1, 0.1]), g)
+    assert dro_prescribe(data, np.full(g.num_arcs, math.inf), g).arc_costs.tolist() == [3.0] * 4
+    for wrong in ([0.1], np.full(g.num_arcs + 1, 0.1)):
+        with pytest.raises(ValueError, match="one radius per action is required"):
+            dro_prescribe(data, wrong, g)
     with pytest.raises(ValueError):
         RadiusInputs(5, 2, 1, 6, 0.5, 1.0)
     with pytest.raises(ValueError):
         RadiusInputs(5, 2, 1, 5, 1.5, 1.0)
+
+
+def test_mixed_scalar_and_array_inputs_equal_the_scalar_calls():
+    # A scalar T_a next to an array alpha_a is broadcast to the array's shape.
+    alphas = [0.05, 0.1]
+    got = radius_best(RadiusInputs(5, 3, 1, 5, np.array(alphas), 1.0))
+    alone = [radius_best(RadiusInputs(5, 3, 1, 5, alpha, 1.0)) for alpha in alphas]
+    assert got[0].tolist() == [r for r, _ in alone]
+    assert got[1].tolist() == [label for _, label in alone]
+    for bound in (radius_baseline, radius_agrawal, radius_mardia):
+        mixed = bound(RadiusInputs(5, 3, 1, 5, np.array(alphas), 1.0))
+        assert mixed.tolist() == [bound(RadiusInputs(5, 3, 1, 5, a, 1.0)) for a in alphas]
 
 
 def radius_best_in_full(inp):

@@ -7,7 +7,7 @@ from kldro import rules
 from kldro.datagen import draw_dataset, nominal_marginals, substream
 from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
 from kldro.marginals import DataSet, Support
-from kldro.radius import AmbiguitySpec, RadiusInputs, radius_best, rate_from_alpha
+from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
 from kldro.rules import (
     JointEmpirical,
     calibrate_ambiguity,
@@ -67,31 +67,30 @@ class TestDroRules:
     def test_zero_radius_predict_is_sample_average(self):
         g = build_layered(1, 2)
         data = integer_dataset([[1, 2], [2, 2], [1, 1], [1, 3]], d=3)
-        spec = AmbiguitySpec.manual(np.zeros(4))
+        radii = np.zeros(4)
         for x in enumerate_paths(g):
             expected = path_cost(x, [data.empirical(a).mean() for a in range(4)])
-            assert dro_predict(x, data, spec) == expected
+            assert dro_predict(x, data, radii) == expected
 
     def test_saturated_radius_predicts_top_cost_per_arc(self):
         g = build_layered(2, 2)
         d = 4
         data = integer_dataset([[1, 2]] * g.num_arcs, d)
-        spec = AmbiguitySpec.manual(np.full(g.num_arcs, 50.0))
+        radii = np.full(g.num_arcs, 50.0)
         x = enumerate_paths(g)[0]
-        assert dro_predict(x, data, spec) == pytest.approx((g.h + 1) * d, rel=1e-9)
+        assert dro_predict(x, data, radii) == pytest.approx((g.h + 1) * d, rel=1e-9)
 
     def test_two_arc_worked_values(self):
         g = build_layered(1, 1)
         data = integer_dataset([[1, 1], [1, 2]], d=2)
-        spec = AmbiguitySpec.manual([math.log(2), 0.1])
+        radii = np.array([math.log(2), 0.1])
         x = enumerate_paths(g)[0]
-        assert dro_predict(x, data, spec) == pytest.approx(1.5 + VALUE_R01, abs=1e-9)
+        assert dro_predict(x, data, radii) == pytest.approx(1.5 + VALUE_R01, abs=1e-9)
 
     def test_zero_radius_prescribe_equals_saa(self):
         g = build_layered(2, 3)
         data, _ = random_dataset(g, 6, seed=31)
-        spec = AmbiguitySpec.manual(np.zeros(g.num_arcs))
-        robust = dro_prescribe(data, spec, g)
+        robust = dro_prescribe(data, np.zeros(g.num_arcs), g)
         means = [data.empirical(a).mean() for a in range(g.num_arcs)]
         saa_decision, saa_value = shortest_path(g, means)
         assert robust.decision == saa_decision
@@ -101,9 +100,9 @@ class TestDroRules:
         for h, w, seed in [(2, 2, 32), (3, 2, 33), (2, 3, 34), (4, 2, 35)]:
             g = build_layered(h, w)
             data, _ = random_dataset(g, 5, seed=seed)
-            spec = calibrate_ambiguity(data, 0.05)
-            pres = dro_prescribe(data, spec, g)
-            values = [dro_predict(x, data, spec) for x in enumerate_paths(g)]
+            radii = calibrate_ambiguity(data, 0.05)
+            pres = dro_prescribe(data, radii, g)
+            values = [dro_predict(x, data, radii) for x in enumerate_paths(g)]
             best = int(np.argmin(values))
             assert pres.decision == enumerate_paths(g)[best]
             assert pres.predicted_loss == values[best]
@@ -111,8 +110,7 @@ class TestDroRules:
     def test_worst_case_costs_dominate_means_and_stay_below_top(self):
         g = build_layered(3, 3)
         data, _ = random_dataset(g, 8, seed=36)
-        spec = calibrate_ambiguity(data, 0.05)
-        pres = dro_prescribe(data, spec, g)
+        pres = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
         for a in range(g.num_arcs):
             assert pres.arc_costs[a] >= data.empirical(a).mean() - 1e-12
             assert pres.arc_costs[a] <= 8.0 + 1e-12
@@ -120,8 +118,8 @@ class TestDroRules:
     def test_spec_size_mismatch_rejected(self):
         g = build_layered(1, 2)
         data = integer_dataset([[1], [2], [1], [2]], d=2)
-        with pytest.raises(ValueError):
-            dro_prescribe(data, AmbiguitySpec.manual([0.1]), g)
+        with pytest.raises(ValueError, match="one radius per action is required"):
+            dro_prescribe(data, np.array([0.1]), g)
 
 
 class TestHoeffding:
@@ -241,8 +239,7 @@ class TestDro1:
     def test_zero_radius_is_dro2_at_zero_without_enumerating(self, monkeypatch):
         g = build_layered(3, 3)
         data, _ = random_dataset(g, 4, seed=46, t_lo=3, t_hi=9)
-        zero = AmbiguitySpec.manual(np.zeros(g.num_arcs))
-        expected = dro_prescribe(truncate_dataset(data), zero, g)
+        expected = dro_prescribe(truncate_dataset(data), np.zeros(g.num_arcs), g)
 
         def refuse(*args):
             raise AssertionError("paths were enumerated or summed one by one")
@@ -282,16 +279,28 @@ class TestDro1:
         assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
         assert pres.decision == oracle_path
 
-    @pytest.mark.parametrize("small_first", [True, False])
-    def test_joint_paths_reject_data_on_different_supports(self, small_first):
-        # beta's lower bound is the top point of one shared support, so a
-        # case on another support would get a wrong value, whatever the order.
-        g = build_layered(1, 2)
-        small = truncate_dataset(random_dataset(g, 3, seed=46)[0])
-        large = truncate_dataset(random_dataset(g, 9, seed=47)[0])
-        cases = [(small, 0.3), (large, 0.3)]
-        with pytest.raises(ValueError, match="share one support"):
-            rules.joint_worst_case_paths(g, cases if small_first else cases[::-1])
+    def test_exact_ties_go_to_the_path_shortest_path_picks(self):
+        # Arcs with equal data columns give paths equal cost vectors at
+        # every atom, so their dual values tie exactly.  Row 0: every arc
+        # has the same columns, so all w**h paths tie.  Row 1: the arcs from
+        # layer-1 node a to layer-2 node a cost more, so only the paths that
+        # switch nodes tie; read from the sink, (1, 0) comes first, where
+        # the first in path order is (0, 1).
+        g = build_layered(2, 2)
+        cheap, dear = [1, 2, 2, 1, 3], [3, 3, 2, 3, 3]
+        columns = [[cheap] * g.num_arcs,
+                   [dear if arc in ((1, 3), (2, 4)) else cheap for arc in g.arcs]]
+        block = DataSet.stacked(Support.integers(3), np.concatenate(
+            [integer_dataset(row, d=3).index for row in columns]), np.full((2, g.num_arcs), 5))
+        routes = rules.joint_worst_case_paths(g, block, np.array([0.2, 0.2]))
+        for k, row in enumerate(columns):
+            data = integer_dataset(row, d=3)
+            tie_rule, _ = shortest_path(g, data.means)  # equal costs on the tied paths
+            assert tie_rule.nodes == ((0, 1, 3, 5), (0, 2, 3, 5))[k]
+            pres = dro1_prescribe(data, 0.2, g)
+            assert pres.decision == tie_rule
+            assert routes[k][0] == tie_rule
+            assert routes.values[k] == pres.predicted_loss
 
     def test_joint_radius_is_one_ball_at_t_min_with_the_whole_budget(self):
         g = build_layered(2, 2)
@@ -366,9 +375,9 @@ class TestDro2:
             [1, 1, 1, 5, 5],      # node2 -> sink
         ]
         data = integer_dataset(samples, d=5)
-        spec = AmbiguitySpec.manual(np.zeros(4))
-        base = dro_prescribe(data, spec, g)
-        trunc = dro_prescribe(truncate_dataset(data), spec, g)
+        zero = np.zeros(4)
+        base = dro_prescribe(data, zero, g)
+        trunc = dro_prescribe(truncate_dataset(data), zero, g)
         assert base.decision != trunc.decision
         assert trunc.decision.nodes == (0, 2, 3)
         assert base.decision.nodes == (0, 1, 3)
