@@ -20,7 +20,8 @@ from kldro import (
     hoeffding_slack,
     joint_radius,
     nominal_marginals,
-    path_cost,
+    path_nodes,
+    route_costs,
     sample_sizes,
     shortest_path,
     substream,
@@ -41,7 +42,8 @@ print(f"samples per arc: min {data.t_min}, max {int(data.sizes.max())}\n")
 
 means = marginals.means
 oracle_path, oracle_value = shortest_path(graph, means)
-print(f"clairvoyant optimum: path {oracle_path.nodes}, expected cost {oracle_value:.4f}\n")
+print(f"clairvoyant optimum: path {path_nodes(graph, oracle_path).tolist()}, "
+      f"expected cost {oracle_value:.4f}\n")
 
 truncated = truncate_dataset(data)
 prescriptions = {
@@ -53,9 +55,10 @@ prescriptions = {
 
 print(f"{'rule':<22} {'predicted':>10} {'true cost':>10} {'rel. loss':>10}  path")
 for name, pres in prescriptions.items():
-    true_cost = path_cost(pres.decision, means)
+    true_cost = float(route_costs(graph, pres.path, means))
     rho = true_cost / oracle_value
-    print(f"{name:<22} {pres.predicted_loss:>10.4f} {true_cost:>10.4f} {rho:>10.4f}  {pres.decision.nodes}")
+    print(f"{name:<22} {pres.predicted_loss:>10.4f} {true_cost:>10.4f} {rho:>10.4f}  "
+          f"{path_nodes(graph, pres.path).tolist()}")
 
 print("\nPredicted losses sit above the realized expected costs by design:")
 print("each rule hedges so that underestimating the loss is the rare event.")

@@ -13,7 +13,7 @@ Monte-Carlo harness support out-of-sample comparisons.
 # imported from its module.
 from .datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from .experiments import ExperimentConfig, run_sweep
-from .graphs import build_layered, path_cost, shortest_path
+from .graphs import build_layered, path_nodes, route_costs, shortest_path
 from .marginals import Marginal, Support, kl_divergence
 from .radius import (RadiusInputs, radius_agrawal, radius_baseline, radius_best, radius_mardia,
                      rate_from_alpha)

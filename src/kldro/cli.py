@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--threads", type=int, default=1, help="worker processes for replicates")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker processes (at most one per CPU)")
     p_run.set_defaults(func=cmd_run)
 
     p_wc = sub.add_parser("worstcase", help="worst-case mean over a KL ball")

@@ -35,7 +35,8 @@ import numpy as np
 
 from .datagen import (NOMINAL_KINDS, SIZE_KINDS, draw_dataset, nominal_marginals, sample_sizes,
                       substream)
-from .graphs import LayeredGraph, build_layered, path_nodes, route_costs, shortest_path
+from .graphs import (ENUMERATION_CAP, LayeredGraph, build_layered, path_nodes, route_costs,
+                     shortest_path)
 from .rules import (
     calibrate_ambiguities,
     hoeffding_costs,
@@ -132,6 +133,9 @@ class ExperimentConfig:
         if (len(self.rules) == 0 or any(r not in RULE_NAMES for r in self.rules)
                 or len(set(self.rules)) < len(self.rules)):
             raise ValueError(f"rules must be a nonempty subset of {RULE_NAMES}")
+        if "dro1" in self.rules and self.w**self.h > ENUMERATION_CAP:
+            raise ValueError(f"dro1 enumerates {self.w}**{self.h} paths, above the enumeration "
+                             f"cap {ENUMERATION_CAP}")
         if self.nominal == "discretized-normal" and self.sigma is None and self.sweep != "sigma":
             raise ValueError("discretized-normal needs sigma unless sigma is swept")
         if self.sweep == "sigma" and self.nominal != "discretized-normal":
@@ -305,10 +309,10 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
     tasks = [(cfg, g, keys[k:k + size]) for k in range(0, len(keys), size)]
     if workers > 1:
         # One ordered map over the whole sweep, one task per block, so no
-        # grid value waits for the previous one.  Leaving the block shuts
-        # the pool down.
+        # grid value waits for the previous one; at most one process per
+        # CPU.  Leaving the block shuts the pool down.
         try:
-            with ProcessPoolExecutor(min(workers, len(tasks))) as pool:
+            with ProcessPoolExecutor(min(workers, len(tasks), os.cpu_count() or 1)) as pool:
                 blocks = list(pool.map(_block_task, tasks))
         except ReplicateError:
             raise

@@ -2,9 +2,13 @@
 
 The benchmark network has a single source, ``h`` intermediate layers of
 ``w`` nodes each, a single sink, and every consecutive pair of layers fully
-connected.  Costs are linear over arcs, so the deterministic problem is
-solved exactly by dynamic programming over the layers; no MIP solver is
-needed.  Only this module knows the arc numbering and the tie rule.
+connected.  A source-sink path is its node choices: the index in
+``range(w)`` of the node it visits in each layer, a tuple of h ints for
+one path or an (..., h) integer array for many.  Costs are linear over
+arcs, so a path's cost is the sum of its h + 1 arc costs, and the
+deterministic problem is solved exactly by dynamic programming over the
+layers; no MIP solver is needed.  Only this module knows the arc numbering
+and the tie rule.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LayeredGraph", "Decision", "Routes", "build_layered", "shortest_path",
-           "enumerate_paths", "to_edgelist", "path_cost", "path_nodes",
-           "route_costs"]
+__all__ = ["LayeredGraph", "Routes", "build_layered", "shortest_path", "enumerate_paths",
+           "to_edgelist", "path_nodes", "route_costs"]
 
 ENUMERATION_CAP = 100_000
 
@@ -42,26 +45,6 @@ class LayeredGraph:
     def path_length(self) -> int:
         """Arcs on any source-sink path."""
         return self.h + 1
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Binary incidence vector over arcs; the ones form a source-sink path."""
-
-    incidence: np.ndarray
-    nodes: tuple
-
-    def __post_init__(self):
-        inc = np.asarray(self.incidence, dtype=np.int8)
-        inc.setflags(write=False)
-        object.__setattr__(self, "incidence", inc)
-        object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
-
-    def __eq__(self, other):
-        return isinstance(other, Decision) and self.nodes == other.nodes
-
-    def __hash__(self):
-        return hash(self.nodes)
 
 
 def build_layered(h: int, w: int) -> LayeredGraph:
@@ -96,55 +79,39 @@ def path_nodes(g: LayeredGraph, choices) -> np.ndarray:
 def route_costs(g: LayeredGraph, choices, costs) -> np.ndarray:
     """Cost of each path through ``choices`` (..., h) under each column of
     arc ``costs`` (arcs, ...): one gather of arc rows, then the h + 1 arc
-    costs added left to right, as :func:`path_cost` adds them."""
+    costs added left to right, in path order, the order in which
+    :func:`shortest_path` adds up its labels, so the two agree exactly."""
     picked = np.asarray(costs, dtype=float)[_path_arcs(g, choices)]
     return functools.reduce(np.add, np.moveaxis(picked, np.ndim(choices) - 1, 0))
-
-
-def _path(g: LayeredGraph, choices) -> Decision:
-    """The path through node ``choices[l - 1]`` of each layer l."""
-    incidence = np.zeros(g.num_arcs, dtype=np.int8)
-    incidence[_path_arcs(g, choices)] = 1
-    return Decision(incidence, path_nodes(g, choices).tolist())
-
-
-def decision_from_nodes(g: LayeredGraph, nodes) -> Decision:
-    """The decision visiting ``nodes``: the source, one node per layer in order, the sink."""
-    nodes = tuple(int(n) for n in nodes)
-    choices = np.array(nodes[1:-1], dtype=np.intp) - 1
-    choices -= g.w * np.arange(choices.size)
-    if (len(nodes) != g.h + 2 or nodes[0] != g.source or nodes[-1] != g.sink
-            or np.any((choices < 0) | (choices >= g.w))):
-        raise ValueError(f"nodes {nodes} are not a source-sink path of the {g.h}x{g.w} graph")
-    return _path(g, choices.tolist())
 
 
 @dataclass(frozen=True)
 class Routes:
     """Paths for R rows, from ``shortest_path`` or dro1: node ``choices`` (R, h)
-    and ``values`` (R,); ``routes[k]`` is row k's ``(decision, value)``."""
+    and ``values`` (R,); ``routes[k]`` is row k's ``(path, value)``, the
+    path a tuple of h node choices."""
 
-    g: LayeredGraph
     choices: np.ndarray
     values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, k: int) -> tuple[Decision, float]:
-        return _path(self.g, self.choices[k]), float(self.values[k])
+    def __getitem__(self, k: int) -> tuple[tuple, float]:
+        return tuple(self.choices[k].tolist()), float(self.values[k])
 
 
 def shortest_path(g: LayeredGraph, costs):
-    """Argmin decision and its value by dynamic programming over the layers.
+    """Argmin path and its value by dynamic programming over the layers.
 
-    ``costs`` is one row of arc costs, answered with ``(decision, value)``,
-    or an (R, arcs) matrix whose rows are solved at once, answered with
-    :class:`Routes`; a row's answer is the same either way.
-    A head's label is the least of its tails' labels plus the arc cost: the
-    additions in path order that :func:`path_cost` makes, so the two agree
-    exactly.  Ties go to the lowest tail, and at the sink to the lowest node
-    of the last layer.  Costs must be finite: NaN (or inf - inf) has no order.
+    ``costs`` is one row of arc costs, answered with ``(path, value)``, the
+    path a tuple of h node choices, or an (R, arcs) matrix whose rows are
+    solved at once, answered with :class:`Routes`; a row's answer is the
+    same either way.  A head's label is the least of its tails' labels plus
+    the arc cost: the additions in path order that :func:`route_costs`
+    makes, so the two agree exactly.  Ties go to the lowest tail, and at
+    the sink to the lowest node of the last layer.  Costs must be finite:
+    NaN (or inf - inf) has no order.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim not in (1, 2) or costs.shape[-1] != g.num_arcs:
@@ -157,7 +124,7 @@ def shortest_path(g: LayeredGraph, costs):
         raise ValueError(f"{where}arc {k} {g.arcs[k]} has non-finite cost {float(rows[row, k])!r}")
     n, w = rows.shape[0], g.w
     every = np.arange(n)
-    dist = 0.0 + rows[:, :w]  # the source's label is 0.0, as in path_cost
+    dist = 0.0 + rows[:, :w]  # the source's label is 0.0
     tails = []
     # per row, (h - 1) blocks whose rows are tails and columns heads
     for block in np.moveaxis(rows[:, w:-w].reshape(n, g.h - 1, w, w), 1, 0):
@@ -170,13 +137,14 @@ def shortest_path(g: LayeredGraph, costs):
     choices = [choice]
     for tail in reversed(tails):
         choices.append(tail[every, choices[-1]])
-    routes = Routes(g, np.stack(choices[::-1], axis=1), last[every, choice])
+    routes = Routes(np.stack(choices[::-1], axis=1), last[every, choice])
     return routes[0] if costs.ndim == 1 else routes
 
 
 @functools.lru_cache(maxsize=4)
-def enumerate_paths(g: LayeredGraph) -> tuple[Decision, ...]:
-    """All w**h source-sink paths in lexicographic layer order.
+def enumerate_paths(g: LayeredGraph) -> np.ndarray:
+    """The node choices (w**h, h) of all source-sink paths, read-only, in
+    lexicographic layer order (the order of ``itertools.product``).
 
     Built once per graph (a small LRU cache keyed by the graph); a graph
     with more than ``ENUMERATION_CAP`` paths raises before any is built.
@@ -186,20 +154,9 @@ def enumerate_paths(g: LayeredGraph) -> tuple[Decision, ...]:
         raise ValueError(
             f"{total} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
         )
-    return tuple(_path(g, choices) for choices in itertools.product(range(g.w), repeat=g.h))
-
-
-def path_cost(decision: Decision, costs) -> float:
-    """Sum of selected arc costs, accumulated in arc order.
-
-    Arc order is path order, the order in which :func:`shortest_path` adds
-    up its labels, so the two agree exactly in floating point.
-    """
-    costs = np.asarray(costs, dtype=float)
-    total = 0.0
-    for k in np.flatnonzero(decision.incidence):
-        total += float(costs[k])
-    return total
+    choices = np.stack(np.unravel_index(np.arange(total), (g.w,) * g.h), axis=-1)
+    choices.setflags(write=False)
+    return choices
 
 
 def to_edgelist(g: LayeredGraph) -> str:

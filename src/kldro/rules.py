@@ -1,7 +1,8 @@
 """Prediction and prescription rules for the data-driven path problem.
 
-Each rule prescribes at given parameters and returns a decision with its
-predicted loss:
+Each rule prescribes at given parameters and returns a path, its node
+choices (one per layer, as ``graphs`` defines a path), with its predicted
+loss:
 
 * ``dro_prescribe(data, radii, g)``: per-action worst case over KL balls
   of the given radii, one per action, then a deterministic shortest path;
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Decision, LayeredGraph, Routes, enumerate_paths, path_cost, route_costs,
-                     shortest_path)
+from .graphs import LayeredGraph, Routes, enumerate_paths, route_costs, shortest_path
 from .marginals import DataSet, Support, _absorb_rounding
 from .radius import RadiusInputs, radius_best, rate_from_alpha
 # The rules solve all arcs or paths in one solve_dual_batch call; the one-row
@@ -60,10 +60,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Prescription:
-    """A decision, the rule's predicted loss at it, and (when the rule
-    decomposes per action) the per-arc costs that produced it."""
+    """A path (a tuple of h node choices), the rule's predicted loss at it,
+    and (when the rule decomposes per action) the per-arc costs that
+    produced it."""
 
-    decision: Decision
+    path: tuple
     predicted_loss: float
     arc_costs: np.ndarray | None = None
 
@@ -158,16 +159,16 @@ def worst_case_costs(support: Support, pmf: np.ndarray, radii) -> np.ndarray:
     return values.reshape(np.shape(radii))
 
 
-def dro_predict(x: Decision, data: DataSet, radii) -> float:
-    """Predicted loss of ``x``: sum of per-action worst-case costs on the path."""
-    return path_cost(x, worst_case_costs(data.support, data.pmf, radii))
+def dro_predict(g: LayeredGraph, path, data: DataSet, radii) -> float:
+    """Predicted loss of ``path`` (node choices): the sum of the per-action
+    worst-case costs on it."""
+    return float(route_costs(g, path, worst_case_costs(data.support, data.pmf, radii)))
 
 
 def dro_prescribe(data: DataSet, radii, g: LayeredGraph) -> Prescription:
     """Worst-case costs at ``radii``, once per action, then one shortest path."""
     costs = worst_case_costs(data.support, data.pmf, radii)
-    decision, value = shortest_path(g, costs)
-    return Prescription(decision, value, costs)
+    return Prescription(*shortest_path(g, costs), costs)
 
 
 def hoeffding_slack(data: DataSet, alpha: float) -> np.ndarray:
@@ -189,8 +190,7 @@ def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
                         g: LayeredGraph) -> Prescription:
     """The shortest path under :func:`hoeffding_costs`."""
     costs = hoeffding_costs(data, epsilon)
-    decision, value = shortest_path(g, costs)
-    return Prescription(decision, value, costs)
+    return Prescription(*shortest_path(g, costs), costs)
 
 
 def truncate_dataset(data: DataSet) -> DataSet:
@@ -287,8 +287,7 @@ def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
     share one kernel call, since rows are bit-identical only at equal
     width.  Exact value ties go to the path whose nodes come first read
     from the sink, as in :func:`shortest_path`."""
-    paths = enumerate_paths(g)
-    choices = np.stack(np.unravel_index(np.arange(len(paths)), (g.w,) * g.h), axis=-1)
+    choices = enumerate_paths(g)
     atoms, probs, counts = _joint_atoms(data)
     radii = np.ravel(radii)
     # Every path's cost at every atom, (paths x atoms), sorted within each
@@ -307,11 +306,11 @@ def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
         rows = np.flatnonzero(counts == k)
         cols = (ends[rows] - k)[:, None] + np.arange(k)
         z, q = (np.moveaxis(x[:, cols], 0, 1).reshape(-1, k) for x in (costs, probs))
-        found = solve_dual_batch(z, q, np.repeat(radii[rows], len(paths)),
+        found = solve_dual_batch(z, q, np.repeat(radii[rows], len(choices)),
                                  np.full(len(z), top)).value.reshape(len(rows), -1)
         best[rows] = sink_first[found[:, sink_first].argmin(axis=1)]
         value[rows] = found[np.arange(len(rows)), best[rows]]
-    return Routes(g, choices[best], value)
+    return Routes(choices[best], value)
 
 
 def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:

@@ -4,13 +4,15 @@
 * ``primal_oracle`` searches the simplex for the worst-case mean directly;
 * ``joint_atoms_reference`` builds the joint empirical with ``np.unique``;
 * ``dataset_from_costs`` turns per-action cost vectors into a ``DataSet``;
-* ``shortest_path_reference`` is a forward pass over the arcs one by one.
+* ``shortest_path_reference`` is a forward pass over the arcs one by one;
+* ``path_cost`` sums a path's arc costs one at a time, in path order.
 """
 
 import math
 
 import numpy as np
 
+from kldro.graphs import path_nodes
 from kldro.marginals import DataSet, Marginal, Support, _absorb_rounding
 
 
@@ -136,3 +138,14 @@ def shortest_path_reference(g, costs) -> tuple[tuple, float]:
     for _ in range(g.path_length):  # every source-sink path has h + 1 arcs
         nodes.append(g.arcs[pred[nodes[-1]]][0])
     return tuple(reversed(nodes)), float(dist[g.sink])
+
+
+def path_cost(g, choices, costs) -> float:
+    """Cost of the path through node ``choices``: each pair of consecutive
+    nodes looked up in ``g.arcs`` and its cost added, in path order, the
+    order in which ``shortest_path`` adds up its labels."""
+    nodes = path_nodes(g, choices).tolist()
+    total = 0.0
+    for arc in zip(nodes, nodes[1:]):
+        total += float(costs[g.arcs.index(arc)])
+    return total

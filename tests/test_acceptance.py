@@ -16,7 +16,7 @@ import pytest
 from kldro.cli import main as cli_main
 from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from kldro.experiments import ExperimentConfig, run_sweep
-from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
+from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_path
 from kldro.marginals import Marginal, Support, kl_divergence
 from kldro.radius import (
     RadiusInputs,
@@ -30,7 +30,7 @@ from kldro.radius import (
 from kldro.rules import (calibrate_ambiguity, dro1_prescribe, dro_predict, dro_prescribe,
                          hoeffding_prescribe, truncate_dataset)
 from kldro.worstcase import solve_dual
-from oracles import primal_oracle
+from oracles import path_cost, primal_oracle
 
 
 def report(line: str) -> None:
@@ -101,12 +101,12 @@ def test_criterion_2_decomposition_suite():
         costs = np.array([solve_dual(data.empirical(a), float(amb[a])).value
                           for a in range(g.num_arcs)])
         for x in (paths[0], paths[len(paths) // 2], paths[-1]):
-            assert dro_predict(x, data, amb) == path_cost(x, costs)
-        values = [path_cost(x, costs) for x in paths]
-        best = min(range(len(paths)),
-                   key=lambda i: (values[i], tuple(reversed(paths[i].nodes))))
+            assert dro_predict(g, x, data, amb) == path_cost(g, x, costs)
+        values = [path_cost(g, x, costs) for x in paths]
+        nodes = path_nodes(g, paths).tolist()
+        best = min(range(len(paths)), key=lambda i: (values[i], nodes[i][::-1]))
         assert pres.predicted_loss == values[best]
-        assert pres.decision == paths[best]
+        assert pres.path == tuple(paths[best].tolist())
     elapsed = time.time() - start
     assert elapsed < 10.0
     report(f"ACCEPTANCE 2 decomposition: 200 instances, exact argmin match, "
@@ -128,9 +128,9 @@ def test_criterion_3_finite_sample_guarantee():
         data = draw_dataset(marg, sizes, rng)
         pres = dro_prescribe(data, calibrate_ambiguity(data, alpha), g)
         means = marg.means
-        if path_cost(fixed_path, means) > path_cost(fixed_path, pres.arc_costs):
+        if path_cost(g, fixed_path, means) > path_cost(g, fixed_path, pres.arc_costs):
             disappoint_fixed += 1
-        if path_cost(pres.decision, means) > pres.predicted_loss:
+        if path_cost(g, pres.path, means) > pres.predicted_loss:
             disappoint_prescribed += 1
     elapsed = time.time() - start
     assert disappoint_fixed / n <= alpha
@@ -196,8 +196,8 @@ def test_criterion_5_degeneration_to_saa():
         ]
         # independent SAA: the shortest path on plain empirical means
         means = [data.empirical(a).mean() for a in range(g.num_arcs)]
-        saa_decision, _ = shortest_path(g, means)
-        assert [pres.decision for pres in prescriptions] == [saa_decision] * 4
+        saa_path, _ = shortest_path(g, means)
+        assert [pres.path for pres in prescriptions] == [saa_path] * 4
     report("ACCEPTANCE 5 degeneration: zero radius and zero slack reproduce the "
            "sample-average path for all four rules on 100 replicates -- PASS")
 

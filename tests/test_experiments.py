@@ -18,10 +18,10 @@ from kldro.experiments import (
     run_replicate,
     run_sweep,
 )
-from kldro.graphs import (build_layered, decision_from_nodes, enumerate_paths, path_cost,
-                          shortest_path)
+from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_path
 from kldro.marginals import DataSet, Marginal
 from kldro.radius import RadiusInputs, rate_from_alpha
+from oracles import path_cost
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,8 +46,7 @@ class TestLosses:
     def test_point_mass_nominals_give_deterministic_cost(self):
         g = build_layered(1, 2)
         marg = binomial_marginals(g, [0.0, 1.0, 0.0, 1.0], d=4)
-        dec = decision_from_nodes(g, (0, 1, 3))
-        assert path_cost(dec, marg.means) == pytest.approx(2.0, rel=1e-12)
+        assert path_cost(g, (0,), marg.means) == pytest.approx(2.0, rel=1e-12)
 
     def test_uniform_marginals_value_depends_only_on_length(self):
         g = build_layered(3, 2)
@@ -56,13 +55,13 @@ class TestLosses:
         from kldro.marginals import PmfMatrix, Support
 
         marg = PmfMatrix(Support.integers(d), np.tile(sup_probs, (g.num_arcs, 1)))
-        for dec in enumerate_paths(g):
-            assert path_cost(dec, marg.means) == pytest.approx((g.h + 1) * (d + 1) / 2, rel=1e-12)
+        for path in enumerate_paths(g):
+            assert path_cost(g, path, marg.means) == pytest.approx((g.h + 1) * (d + 1) / 2,
+                                                                   rel=1e-12)
 
     def test_nominal_loss_matches_monte_carlo(self):
         g = build_layered(1, 2)
         marg = binomial_marginals(g, [0.3, 0.6, 0.8, 0.2], d=6)
-        dec = decision_from_nodes(g, (0, 2, 3))
         rng = substream(99, 0)
         n = 100_000
         draws = sum(
@@ -70,16 +69,16 @@ class TestLosses:
             for a in (1, 3)
         )
         sd = float(np.std(draws))
-        assert path_cost(dec, marg.means) == pytest.approx(
+        assert path_cost(g, (1,), marg.means) == pytest.approx(
             float(np.mean(draws)), abs=3 * sd / math.sqrt(n)
         )
 
     def test_relative_loss_of_optimum_is_one(self):
         g = build_layered(2, 2)
         marg = binomial_marginals(g, np.linspace(0.1, 0.9, g.num_arcs))
-        decision, best = shortest_path(g, marg.means)
-        assert path_cost(decision, marg.means) / best == 1.0
-        assert all(path_cost(x, marg.means) / best >= 1.0 - 1e-12 for x in enumerate_paths(g))
+        path, best = shortest_path(g, marg.means)
+        assert path_cost(g, path, marg.means) / best == 1.0
+        assert all(path_cost(g, x, marg.means) / best >= 1.0 - 1e-12 for x in enumerate_paths(g))
 
     def test_two_branch_ratio(self):
         # single path, so every rule's rho is 1 by construction
@@ -97,7 +96,9 @@ class TestLosses:
         means = nominal_marginals(nominal, g.num_arcs, cfg.d, rng).means
         _, best = shortest_path(g, means)
         for out in result.outcomes:
-            assert out.nominal == path_cost(decision_from_nodes(g, out.nodes), means)
+            choices = [(node - 1) % g.w for node in out.nodes[1:-1]]
+            assert tuple(path_nodes(g, choices).tolist()) == out.nodes
+            assert out.nominal == path_cost(g, choices, means)
             assert out.rho == out.nominal / best
             assert out.rho >= 1.0
 
@@ -184,10 +185,19 @@ class TestConfig:
         (dict(rules=("dro", "hoeffding", "dro")), "^rules must be a nonempty subset"),
         (dict(sample_sizes="binomial1", d=1), "^binomial1 sample sizes need d >= 2$"),
         (dict(sample_sizes="binomial2", d=1), "^binomial2 sample sizes need d >= 2$"),
+        (dict(h=10, w=4, rules=("dro", "dro1")),
+         r"^dro1 enumerates 4\*\*10 paths, above the enumeration cap 100000$"),
+        (dict(h=10**5, w=4, rules=("dro1",)),
+         r"^dro1 enumerates 4\*\*100000 paths, above the enumeration cap 100000$"),
     ])
     def test_rejects_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_config(**overrides)
+
+    def test_path_cap_binds_only_dro1(self):
+        # 4**10 paths are legal without dro1, and 10**5, exactly the cap, with it
+        assert small_config(h=10, w=4, rules=("dro", "hoeffding", "dro2")).h == 10
+        assert small_config(h=5, w=10, rules=("dro1",)).w == 10
 
     def test_integral_float_counts_are_accepted(self):
         assert small_config(sweep="t_min", grid=(5.0, 7)).grid == (5.0, 7)
@@ -225,7 +235,7 @@ class TestRunSweep:
 
         data = draw_dataset(marg, np.full(g.num_arcs, 30), substream(5, 5))
         pres = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
-        assert path_cost(pres.decision, marg.means) == shortest_path(g, marg.means)[1]
+        assert path_cost(g, pres.path, marg.means) == shortest_path(g, marg.means)[1]
         assert results  # the sweep itself ran
 
     def test_sweep_variable_is_applied(self):
@@ -445,6 +455,34 @@ class TestRunSweep:
         b = emit_results(par, str(tmp_path / "par"), cfg.sweep, cfg.rules)
         assert Path(a[0]).read_bytes() == Path(b[0]).read_bytes()
         assert Path(a[1]).read_bytes() == Path(b[1]).read_bytes()
+
+    @pytest.mark.parametrize("cpus, processes", [(3, 3), (None, 1)])
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, cpus, processes):
+        """10,000 workers cut the 8 replicates into 8 blocks, as before, but
+        open a pool of one process per CPU; the stand-in pool maps in this
+        process, so no process starts."""
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = small_config(n0=4, grid=(0, 3))
+        many, one = run_sweep(cfg, workers=10_000), run_sweep(cfg, workers=1)
+        assert opened == [processes]
+        assert many == one
+        assert [p.aggregates for p in many] == [p.aggregates for p in one]
 
 
 class TestAggregatesAndEmit:

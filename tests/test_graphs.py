@@ -1,4 +1,4 @@
-import re
+import itertools
 
 import numpy as np
 import pytest
@@ -8,13 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from kldro.graphs import (
     build_layered,
-    decision_from_nodes,
     enumerate_paths,
-    path_cost,
+    path_nodes,
+    route_costs,
     shortest_path,
     to_edgelist,
 )
-from oracles import shortest_path_reference
+from oracles import path_cost, shortest_path_reference
 
 
 def test_structure_counts():
@@ -49,9 +49,10 @@ def test_arc_ordering_stable():
 def test_shortest_path_two_branches():
     g = build_layered(1, 2)
     # branch via node 1 costs 3, via node 2 costs 5
-    dec, value = shortest_path(g, np.array([1.0, 2.0, 2.0, 3.0]))
+    path, value = shortest_path(g, np.array([1.0, 2.0, 2.0, 3.0]))
     assert value == 3.0
-    assert dec.nodes == (0, 1, 3)
+    assert path == (0,)
+    assert path_nodes(g, path).tolist() == [0, 1, 3]
 
 
 def test_constant_costs_value_counts_path_length():
@@ -86,13 +87,23 @@ def test_shortest_path_rejects_non_finite_costs(bad):
 def test_enumeration_counts_and_lexicographic_order():
     assert len(enumerate_paths(build_layered(3, 3))) == 27
     assert len(enumerate_paths(build_layered(2, 4))) == 16
-    paths = enumerate_paths(build_layered(2, 2))
-    assert [p.nodes for p in paths] == [
-        (0, 1, 3, 5),
-        (0, 1, 4, 5),
-        (0, 2, 3, 5),
-        (0, 2, 4, 5),
+    g = build_layered(2, 2)
+    assert path_nodes(g, enumerate_paths(g)).tolist() == [
+        [0, 1, 3, 5],
+        [0, 1, 4, 5],
+        [0, 2, 3, 5],
+        [0, 2, 4, 5],
     ]
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)])
+def test_enumeration_is_one_read_only_array_in_product_order(h, w):
+    g = build_layered(h, w)
+    paths = enumerate_paths(g)
+    assert paths.shape == (w**h, h) and paths.dtype == np.intp
+    assert paths.tolist() == [list(c) for c in itertools.product(range(w), repeat=h)]
+    with pytest.raises(ValueError, match="read-only"):
+        paths[0, 0] = 1
 
 
 def test_enumeration_cap():
@@ -113,10 +124,13 @@ def test_paths_and_incidence_built_once_per_graph():
 
 def test_flow_conservation_on_enumerated_paths():
     g = build_layered(3, 2)
-    for dec in enumerate_paths(g):
+    # a path's incidence vector: its cost under each unit cost vector
+    incidence = route_costs(g, enumerate_paths(g), np.eye(g.num_arcs))
+    for row in incidence:
+        assert set(row.tolist()) == {0.0, 1.0}
         out_deg = np.zeros(g.num_nodes, dtype=int)
         in_deg = np.zeros(g.num_nodes, dtype=int)
-        for k in np.flatnonzero(dec.incidence):
+        for k in np.flatnonzero(row):
             tail, head = g.arcs[k]
             out_deg[tail] += 1
             in_deg[head] += 1
@@ -133,10 +147,10 @@ def test_dp_matches_enumeration_on_random_instances():
         g = build_layered(h, w)
         for _ in range(10):
             costs = rng.uniform(0.5, 10.0, g.num_arcs)
-            dec, value = shortest_path(g, costs)
-            best = min(path_cost(p, costs) for p in enumerate_paths(g))
+            path, value = shortest_path(g, costs)
+            best = min(path_cost(g, p, costs) for p in enumerate_paths(g))
             assert value == best  # exact: identical accumulation order
-            assert path_cost(dec, costs) == value
+            assert path_cost(g, path, costs) == value
 
 
 @st.composite
@@ -155,11 +169,11 @@ def graphs_and_tied_costs(draw, max_rows=None):
 @given(graphs_and_tied_costs())
 def test_layer_dp_equals_the_arc_by_arc_forward_pass(case):
     g, costs = case
-    dec, value = shortest_path(g, costs)
+    path, value = shortest_path(g, costs)
     nodes, expected = shortest_path_reference(g, costs)
-    assert dec.nodes == nodes
+    assert tuple(path_nodes(g, path).tolist()) == nodes
     assert value == expected
-    assert path_cost(dec, costs) == value
+    assert path_cost(g, path, costs) == value
 
 
 @settings(max_examples=200)
@@ -170,11 +184,11 @@ def test_batched_dp_answers_every_row_as_the_one_row_call(case):
     g, rows = case
     found = shortest_path(g, rows)
     assert len(found) == len(rows)
-    for row, (dec, value) in zip(rows, found):
+    for row, (path, value) in zip(rows, found):
         alone, alone_value = shortest_path(g, row)
-        assert dec.nodes == alone.nodes == shortest_path_reference(g, row)[0]
-        assert np.array_equal(dec.incidence, alone.incidence)
-        assert value == alone_value == path_cost(dec, row)
+        assert path == alone
+        assert tuple(path_nodes(g, path).tolist()) == shortest_path_reference(g, row)[0]
+        assert value == alone_value == path_cost(g, path, row)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -190,44 +204,19 @@ def test_batched_dp_names_the_row_and_arc_of_a_non_finite_cost(bad):
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (2, 5)])
-def test_decision_from_nodes_round_trips_every_path(h, w):
+def test_path_nodes_and_incidence_round_trip_every_path(h, w):
+    """Each path's nodes, looked up pair by pair in ``g.arcs``, are the
+    arcs its choices gather: the ones of its incidence vector."""
     g = build_layered(h, w)
-    lookup = {arc: k for k, arc in enumerate(g.arcs)}
-    for path in enumerate_paths(g):
-        dec = decision_from_nodes(g, path.nodes)
-        assert dec.nodes == path.nodes
-        expected = np.zeros(g.num_arcs, dtype=np.int8)
-        expected[[lookup[arc] for arc in zip(path.nodes, path.nodes[1:])]] = 1
-        assert np.array_equal(dec.incidence, expected)
-        assert np.array_equal(path.incidence, expected)
-
-
-@pytest.mark.parametrize("nodes", [
-    (0, 1, 5),  # one node short
-    (1, 1, 3, 5),  # does not start at the source
-    (0, 1, 3, 4),  # does not end at the sink
-    (0, 3, 1, 5),  # layers out of order
-    (0, 1, 2, 5),  # node 2 lies in layer 1, not layer 2
-    (0, 3, 4, 5),  # node 3 lies in layer 2, not layer 1
-    (0, 1, 3, 4, 5),  # one node too many
-    (1, 3, 5),  # a path from layer 1, not from the source
-    (0, 1),  # a path that stops in layer 1
-    (),
-])
-def test_decision_from_nodes_rejects_non_paths(nodes):
-    g = build_layered(2, 2)
-    with pytest.raises(ValueError, match=rf"^nodes {re.escape(repr(nodes))} are not a "
-                                         r"source-sink path of the 2x2 graph$"):
-        decision_from_nodes(g, nodes)
-
-
-def test_decision_equality_and_incidence():
-    g = build_layered(2, 2)
-    d1 = decision_from_nodes(g, (0, 1, 3, 5))
-    d2 = decision_from_nodes(g, (0, 1, 3, 5))
-    d3 = decision_from_nodes(g, (0, 2, 3, 5))
-    assert d1 == d2 and d1 != d3
-    assert int(np.sum(d1.incidence)) == g.path_length
+    paths = enumerate_paths(g)
+    incidence = route_costs(g, paths, np.eye(g.num_arcs))
+    for choices, nodes, row in zip(paths, path_nodes(g, paths).tolist(), incidence):
+        assert nodes[0] == g.source and nodes[-1] == g.sink
+        assert [(n - 1) // w for n in nodes[1:-1]] == list(range(h))  # one node per layer
+        assert [(n - 1) % w for n in nodes[1:-1]] == choices.tolist()
+        expected = np.zeros(g.num_arcs)
+        expected[[g.arcs.index(arc) for arc in zip(nodes, nodes[1:])]] = 1.0
+        assert np.array_equal(row, expected)
 
 
 def test_edgelist_format():

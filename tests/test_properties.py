@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kldro.datagen import _inverse_cdf, draw_dataset, substream
-from kldro.graphs import build_layered, decision_from_nodes, path_cost, path_nodes, route_costs
+from kldro.graphs import build_layered, route_costs
 from kldro.marginals import (
     DataSet,
     Marginal,
@@ -25,7 +25,7 @@ from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
 from kldro import rules
 from kldro.rules import JointEmpirical, calibrate_ambiguity, split_alpha
 from kldro.worstcase import solve_dual_batch
-from oracles import joint_atoms_reference, primal_oracle
+from oracles import joint_atoms_reference, path_cost, primal_oracle
 
 radii = st.floats(1e-14, 1e3).map(float)
 
@@ -486,7 +486,7 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
 @given(st.integers(1, 9), st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_gathered_route_costs_equal_path_cost(h, w, rows, seed):
     """The achieved cost of a route, one gather and h + 1 additions in path
-    order, equals ``path_cost`` of its decision bit for bit."""
+    order, equals the arc-by-arc ``path_cost`` oracle bit for bit."""
     g = build_layered(h, w)
     rng = np.random.default_rng(seed)
     costs = rng.uniform(0.5, 50.0, size=(rows, g.num_arcs)) * rng.choice([1.0, 1e-7, 1e7],
@@ -494,5 +494,4 @@ def test_gathered_route_costs_equal_path_cost(h, w, rows, seed):
     choices = rng.integers(0, w, size=(rows, h))
     got = route_costs(g, choices, costs.T)  # every route under every row of costs
     for k in range(rows):
-        decision = decision_from_nodes(g, path_nodes(g, choices[k]).tolist())
-        assert got[k, k] == path_cost(decision, costs[k])
+        assert got[k, k] == path_cost(g, choices[k], costs[k])

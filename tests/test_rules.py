@@ -1,11 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from kldro import rules
-from kldro.datagen import draw_dataset, nominal_marginals, substream
-from kldro.graphs import build_layered, enumerate_paths, path_cost, shortest_path
+from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substream
+from kldro.graphs import build_layered, enumerate_paths, path_nodes, route_costs, shortest_path
 from kldro.marginals import DataSet, Support
 from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
 from kldro.rules import (
@@ -20,7 +21,7 @@ from kldro.rules import (
     split_alpha,
     truncate_dataset,
 )
-from oracles import dataset_from_costs
+from oracles import dataset_from_costs, path_cost
 
 VALUE_R01 = 1.7128786314558240  # worked worst case: {1,2}, q=(1/2,1/2), r=0.1
 
@@ -69,8 +70,8 @@ class TestDroRules:
         data = integer_dataset([[1, 2], [2, 2], [1, 1], [1, 3]], d=3)
         radii = np.zeros(4)
         for x in enumerate_paths(g):
-            expected = path_cost(x, [data.empirical(a).mean() for a in range(4)])
-            assert dro_predict(x, data, radii) == expected
+            expected = path_cost(g, x, [data.empirical(a).mean() for a in range(4)])
+            assert dro_predict(g, x, data, radii) == expected
 
     def test_saturated_radius_predicts_top_cost_per_arc(self):
         g = build_layered(2, 2)
@@ -78,22 +79,22 @@ class TestDroRules:
         data = integer_dataset([[1, 2]] * g.num_arcs, d)
         radii = np.full(g.num_arcs, 50.0)
         x = enumerate_paths(g)[0]
-        assert dro_predict(x, data, radii) == pytest.approx((g.h + 1) * d, rel=1e-9)
+        assert dro_predict(g, x, data, radii) == pytest.approx((g.h + 1) * d, rel=1e-9)
 
     def test_two_arc_worked_values(self):
         g = build_layered(1, 1)
         data = integer_dataset([[1, 1], [1, 2]], d=2)
         radii = np.array([math.log(2), 0.1])
         x = enumerate_paths(g)[0]
-        assert dro_predict(x, data, radii) == pytest.approx(1.5 + VALUE_R01, abs=1e-9)
+        assert dro_predict(g, x, data, radii) == pytest.approx(1.5 + VALUE_R01, abs=1e-9)
 
     def test_zero_radius_prescribe_equals_saa(self):
         g = build_layered(2, 3)
         data, _ = random_dataset(g, 6, seed=31)
         robust = dro_prescribe(data, np.zeros(g.num_arcs), g)
         means = [data.empirical(a).mean() for a in range(g.num_arcs)]
-        saa_decision, saa_value = shortest_path(g, means)
-        assert robust.decision == saa_decision
+        saa_path, saa_value = shortest_path(g, means)
+        assert robust.path == saa_path
         assert robust.predicted_loss == saa_value
 
     def test_prescribe_matches_enumeration(self):
@@ -102,9 +103,9 @@ class TestDroRules:
             data, _ = random_dataset(g, 5, seed=seed)
             radii = calibrate_ambiguity(data, 0.05)
             pres = dro_prescribe(data, radii, g)
-            values = [dro_predict(x, data, radii) for x in enumerate_paths(g)]
+            values = [dro_predict(g, x, data, radii) for x in enumerate_paths(g)]
             best = int(np.argmin(values))
-            assert pres.decision == enumerate_paths(g)[best]
+            assert pres.path == tuple(enumerate_paths(g)[best].tolist())
             assert pres.predicted_loss == values[best]
 
     def test_worst_case_costs_dominate_means_and_stay_below_top(self):
@@ -204,13 +205,23 @@ class TestJointEmpirical:
             JointEmpirical(np.array([[1.0], [2.0]]), probs)
 
 
+def path_atom_sums(g, x, atoms):
+    """The cost of path ``x`` at each joint atom, by one gather, checked
+    against the atom columns of its arcs looked up in ``g.arcs``."""
+    sums = route_costs(g, x, atoms.T)
+    nodes = path_nodes(g, x).tolist()
+    lookup = [atoms[:, g.arcs.index(arc)] for arc in zip(nodes, nodes[1:])]
+    assert np.array_equal(sums, functools.reduce(np.add, lookup))
+    return sums
+
+
 def dro1_grid_oracle(data, r, d, g, step=1e-4):
     """Independent re-implementation: dense beta grid on the raw product."""
     joint = JointEmpirical.from_dataset(truncate_dataset(data))
     best_value, best_path = math.inf, None
     for x in enumerate_paths(g):
-        s = joint.atoms @ x.incidence.astype(float)
-        lo = d * float(np.sum(x.incidence))
+        s = path_atom_sums(g, x, joint.atoms)
+        lo = d * g.path_length
         span = 2.0 * lo
         while True:
             betas = np.arange(lo, lo + span, step)
@@ -222,7 +233,7 @@ def dro1_grid_oracle(data, r, d, g, step=1e-4):
                 break
             span *= 2
         if obj[k] < best_value:
-            best_value, best_path = float(obj[k]), x
+            best_value, best_path = float(obj[k]), tuple(x.tolist())
     return best_value, best_path
 
 
@@ -232,7 +243,7 @@ class TestDro1:
         data, _ = random_dataset(g, 4, seed=39, t_lo=6, t_hi=6)
         pres = dro1_prescribe(data, 0.0, g)
         joint = JointEmpirical.from_dataset(data)
-        values = [float(np.dot(joint.probs, joint.atoms @ x.incidence.astype(float)))
+        values = [float(np.dot(joint.probs, path_atom_sums(g, x, joint.atoms)))
                   for x in enumerate_paths(g)]
         assert pres.predicted_loss == pytest.approx(min(values), rel=1e-12)
 
@@ -242,20 +253,19 @@ class TestDro1:
         expected = dro_prescribe(truncate_dataset(data), np.zeros(g.num_arcs), g)
 
         def refuse(*args):
-            raise AssertionError("paths were enumerated or summed one by one")
+            raise AssertionError("paths were enumerated")
 
         monkeypatch.setattr(rules, "enumerate_paths", refuse)
-        monkeypatch.setattr(rules, "path_cost", refuse)
         pres = dro1_prescribe(data, 0.0, g)
-        assert pres.decision == expected.decision
+        assert pres.path == expected.path
         assert pres.predicted_loss == expected.predicted_loss
 
     def test_single_path_graph(self):
         g = build_layered(2, 1)
         data = integer_dataset([[1, 2], [2, 1], [1, 1]], d=2)
         pres = dro1_prescribe(data, joint_radius(data, 0.05), g)
-        assert pres.decision == enumerate_paths(g)[0]
-        assert pres.predicted_loss >= path_cost(pres.decision, [1.5, 1.5, 1.0]) - 1e-9
+        assert pres.path == (0, 0)
+        assert pres.predicted_loss >= path_cost(g, pres.path, [1.5, 1.5, 1.0]) - 1e-9
 
     def test_matches_dense_beta_grid_oracle(self):
         g = build_layered(2, 2)
@@ -265,7 +275,7 @@ class TestDro1:
             pres = dro1_prescribe(data, r, g)
             oracle_value, oracle_path = dro1_grid_oracle(data, r, 4, g)
             assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
-            assert pres.decision == oracle_path
+            assert pres.path == oracle_path
 
     def test_beta_bound_is_the_top_support_point(self):
         # Three support points, the top one 7: beta >= 7 per arc on the path.
@@ -277,7 +287,18 @@ class TestDro1:
         pres = dro1_prescribe(data, 0.3, g)
         oracle_value, oracle_path = dro1_grid_oracle(data, 0.3, 7.0, g)
         assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
-        assert pres.decision == oracle_path
+        assert pres.path == oracle_path
+
+    def test_block_routes_are_rows_of_the_one_enumeration(self):
+        g = build_layered(3, 3)
+        rngs = [substream(48, k) for k in range(6)]
+        marg = nominal_marginals("shifted-binomial", g.num_arcs, 4, rngs)
+        sizes = sample_sizes("uniform", np.full(6, 3), np.full(6, 6), marg, rngs)
+        block = draw_dataset(marg, sizes, rngs)
+        routes = rules.joint_worst_case_paths(g, truncate_dataset(block), joint_radius(block, 0.05))
+        paths = enumerate_paths(g)
+        assert routes.choices.shape == (6, g.h)
+        assert ((routes.choices[:, None, :] == paths).all(axis=-1).sum(axis=1) == 1).all()
 
     def test_exact_ties_go_to_the_path_shortest_path_picks(self):
         # Arcs with equal data columns give paths equal cost vectors at
@@ -296,9 +317,9 @@ class TestDro1:
         for k, row in enumerate(columns):
             data = integer_dataset(row, d=3)
             tie_rule, _ = shortest_path(g, data.means)  # equal costs on the tied paths
-            assert tie_rule.nodes == ((0, 1, 3, 5), (0, 2, 3, 5))[k]
+            assert path_nodes(g, tie_rule).tolist() == ([0, 1, 3, 5], [0, 2, 3, 5])[k]
             pres = dro1_prescribe(data, 0.2, g)
-            assert pres.decision == tie_rule
+            assert pres.path == tie_rule
             assert routes[k][0] == tie_rule
             assert routes.values[k] == pres.predicted_loss
 
@@ -328,8 +349,7 @@ class TestDro1:
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=43)
         joint = JointEmpirical.from_dataset(truncate_dataset(data))
-        x = enumerate_paths(g)[1]
-        s = joint.atoms @ x.incidence.astype(float)
+        s = path_atom_sums(g, enumerate_paths(g)[1], joint.atoms)
         lo = 4.0 * (g.h + 1)
         rng = np.random.default_rng(44)
         for _ in range(100):
@@ -350,7 +370,7 @@ class TestDro2:
         truncated = truncate_dataset(data)
         assert truncated is data
         trunc = dro_prescribe(truncated, calibrate_ambiguity(truncated, 0.05), g)
-        assert base.decision == trunc.decision
+        assert base.path == trunc.path
         assert base.predicted_loss == trunc.predicted_loss
 
     def test_duplicated_prefix_costs_dominate(self):
@@ -378,6 +398,6 @@ class TestDro2:
         zero = np.zeros(4)
         base = dro_prescribe(data, zero, g)
         trunc = dro_prescribe(truncate_dataset(data), zero, g)
-        assert base.decision != trunc.decision
-        assert trunc.decision.nodes == (0, 2, 3)
-        assert base.decision.nodes == (0, 1, 3)
+        assert base.path != trunc.path
+        assert path_nodes(g, trunc.path).tolist() == [0, 2, 3]
+        assert path_nodes(g, base.path).tolist() == [0, 1, 3]
