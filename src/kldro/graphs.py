@@ -151,8 +151,9 @@ def enumerate_paths(g: LayeredGraph) -> np.ndarray:
     """
     total = g.w**g.h
     if total > ENUMERATION_CAP:
+        # a power, since str() of a count above 4,300 digits raises
         raise ValueError(
-            f"{total} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
+            f"{g.w}**{g.h} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
         )
     choices = np.stack(np.unravel_index(np.arange(total), (g.w,) * g.h), axis=-1)
     choices.setflags(write=False)

@@ -15,6 +15,16 @@ the bracket or stalls, finds the root even far closer to the boundary than
 one ulp of beta.  The boundary minimum at ``beta = top`` and the zero radius
 are masks.  :func:`solve_dual` and :func:`minimize_dual` are one-row calls
 of the kernel; the maximizing pmf follows from stationarity.
+
+The factors with q_i = 0 drop out of f, and an arc seen T times has at most
+T observed points, so the kernel's elementwise work (the gaps, their logs,
+the tilt's logaddexp and exp, every q-weighted product) runs on the
+observed (q > 0) entries only, found once per call.  A row sum writes its
+products into one zeroed (rows, k) buffer and reduces it along the rows.
+The dense products at zero weights are +0.0, so each row's pairwise sum
+sees the same values in the same places as a sum over the dense row, and
+every output bit is the dense kernel's (``tests/oracles.py`` keeps it as
+the reference).  Zero-weight padding costs only its share of a row sum.
 """
 
 from __future__ import annotations
@@ -58,24 +68,50 @@ class DualSolution:
 _rowsum = np.add.reduce  # called with axis=1: one pairwise sum per contiguous row
 
 
-def _tilt(log_gaps: np.ndarray, q: np.ndarray, u: np.ndarray):
+def _rowsums(buf: np.ndarray, at: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row sums of ``buf`` after writing ``x`` at its flat places ``at``.
+
+    ``buf`` is C-contiguous (so ``reshape`` is a view) and +0.0 outside
+    ``at``, where the dense kernel's q-weighted products are +0.0 too, so
+    each row's pairwise sum adds the same values in the same order as a
+    sum over the dense row.
+    """
+    buf.reshape(-1)[at] = x
+    return _rowsum(buf, axis=1)
+
+
+def _tilt(log_gaps, q, u, row, buf, at):
     """Row sums of the tilted pmf at log offsets ``u``.
 
+    Elementwise work runs on the observed entries only: ``log_gaps`` and
+    ``q`` are theirs, ``row`` their rows and ``at`` their places in the row
+    sum buffer ``buf``, through which every sum goes (see :func:`_rowsums`).
     With t_i = g_i / e^u: L = sum q ln(1 + t) and the two complementary
     masses A = sum q t/(1 + t), B = sum q/(1 + t), each free of
     cancellation, so that K = L + ln(1 - A) is the relative entropy of the
     tilt; V, the q-variance of t/(1 + t), gives dK/du = -V / B.
     """
-    y = log_gaps - u[:, None]
+    y = log_gaps - u[row]
     soft = np.logaddexp(0.0, y)
     share = np.exp(y - soft)
-    big_l = _rowsum(q * soft, axis=1)
-    big_a = _rowsum(q * share, axis=1)
-    big_b = _rowsum(q * np.exp(-soft), axis=1)
+    big_l = _rowsums(buf, at, q * soft)
+    big_a = _rowsums(buf, at, q * share)
+    big_b = _rowsums(buf, at, q * np.exp(-soft))
     log_b = np.where(big_a < 0.5, np.log1p(-big_a), np.log(big_b))
-    share -= big_a[:, None]
-    var = _rowsum(q * share * share, axis=1)
+    share -= big_a[row]
+    var = _rowsums(buf, at, q * share * share)
     return big_l, big_l + log_b, big_b, var
+
+
+def _compact(keep, row, buf, at, *entries):
+    """The entries of the rows where ``keep`` holds, renumbered onto the
+    first ``keep.sum()`` rows of ``buf``: their rows, places and
+    ``entries``.  Every old place of ``buf`` is reset to +0.0."""
+    buf.reshape(-1)[at] = 0.0
+    kept = keep[row]
+    old, k = row[kept], buf.shape[1]
+    row = (np.cumsum(keep) - 1)[old]
+    return (row, at[kept] + (row - old) * k, *(x[kept] for x in entries))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -88,7 +124,15 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     row's largest value.  Rows are solved independently: a row's result is
     bit-identical whatever other rows share the batch and whatever the
     memory layout of the input.  Values are clipped to [row mean, lower] to
-    absorb rounding.  Raises RuntimeError when a row fails to converge.
+    absorb rounding.  Raises ValueError on a negative weight or a row
+    without a positive one, RuntimeError when a row fails to converge.
+
+    Every log, exp and product runs on the observed (q > 0) entries only,
+    so zero-weight padding costs only its share of a row sum.  The sums go
+    through one zeroed (rows, k) buffer per call (see :func:`_rowsums`),
+    which keeps every bit of a sum over the dense rows; the row means stay
+    dense, since z * 0 can be -0.0.  Rows that converge leave the observed
+    entries, and the rest move onto the buffer's first rows.
     """
     z = np.asarray(values, dtype=float)
     q = np.asarray(weights, dtype=float)
@@ -97,42 +141,54 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     n = z.shape[0]
     if z.ndim != 2 or q.shape != z.shape or r.shape != (n,) or top.shape != (n,):
         raise ValueError("values/weights must be (rows, k) with one radius and bound per row")
-    # Row sums are pairwise only along rows whose elements are adjacent in
+    # The means are pairwise only along rows whose elements are adjacent in
     # memory; rows already laid out so (broadcast ones too) are not copied.
     z, q = (x if x.strides[1] == x.itemsize else np.ascontiguousarray(x) for x in (z, q))
     if not (r >= 0.0).all():
         raise ValueError("radius must be nonnegative")
+    if not (q >= 0.0).all():
+        raise ValueError("weights must be nonnegative")
+    k = z.shape[1]
+    at = np.flatnonzero(q > 0.0)  # places of the observed entries in row-major order
+    row = at // k
+    if not np.bincount(row, minlength=n).all():
+        raise ValueError("every row of weights needs a positive weight")
     if (top < z.max(axis=1) - 1e-12).any():
         raise ValueError("beta_lower must not be below the largest value")
     mean = pmf_means(z, q)
-    gaps = np.maximum(top[:, None] - z, 0.0)
+    qs = q.reshape(-1)[at]
+    gaps = np.maximum(top[row] - z[row, at - row * k], 0.0)
     log_gaps = np.log(gaps)
+    buf = np.zeros((n, k))
     # As u -> -inf, K tends to ln GM(g) - ln HM(g) when the top carries no
     # weight (+inf otherwise); at or below r the minimum is beta = top.
-    seen_lg = np.where(q > 0.0, log_gaps, 0.0)
-    log_geo = _rowsum(q * seen_lg, axis=1)
-    k_inf = log_geo + np.log(_rowsum(q * np.exp(-seen_lg), axis=1))
-    spread = _rowsum(q * gaps * gaps, axis=1)
+    log_geo = _rowsums(buf, at, qs * log_gaps)
+    k_inf = log_geo + np.log(_rowsums(buf, at, qs * np.exp(-log_gaps)))
+    spread = _rowsums(buf, at, qs * gaps * gaps)
     zero = r == 0.0
     boundary = ~zero & ((k_inf <= r) | (spread == 0.0))
 
     u = np.where(boundary, -np.inf, np.inf)
     at_u = np.zeros(n)  # L at the final offset
     iterations = np.zeros(n, dtype=int)
-    rows = np.flatnonzero(~zero & ~boundary)
+    newton_rows = ~zero & ~boundary
+    rows = np.flatnonzero(newton_rows)
     if rows.size:
-        lg, qs, rs = log_gaps[rows], q[rows], r[rows]
-        lo = np.log(gaps[rows].max(axis=1)) - _LOG_SPAN
+        row, at, lg, qs, gaps = _compact(newton_rows, row, buf, at, log_gaps, qs, gaps)
+        rs, view = r[rows], buf[:rows.size]
+        # The largest gap of a whole row, unobserved points too, is
+        # max(top - min z, 0), since rounding is monotone.
+        lo = np.log(np.maximum(top[rows] - z[rows].min(axis=1), 0.0)) - _LOG_SPAN
         # K(u) <= E[g^2] e^{-2u}, so K < r/4 above hi.
         hi = np.maximum(0.5 * (np.log(spread[rows]) - np.log(rs)) + math.log(2.0), lo)
         # First guess: the small-radius asymptote K ~ Var(g) e^{-2u} / 2.
-        g_mean = _rowsum(qs * gaps[rows], axis=1)
+        g_mean = _rowsums(view, at, qs * gaps)
         var_g = np.maximum(spread[rows] - g_mean * g_mean, 0.0)
         us = np.clip(0.5 * (np.log(var_g) - np.log(2.0 * rs)), lo, hi)
         step = hi - lo
         step_old = step.copy()
         for it in range(1, _MAX_ITERATIONS + 1):
-            big_l, k_val, big_b, var = _tilt(lg, qs, us)
+            big_l, k_val, big_b, var = _tilt(lg, qs, us, row, view, at)
             above = k_val > rs
             lo = np.where(above, us, lo)
             hi = np.where(above, hi, us)
@@ -150,11 +206,13 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
                 at_u[fin] = big_l[done]
                 iterations[fin] = it
                 keep = ~done
-                rows, lg, qs, rs = rows[keep], lg[keep], qs[keep], rs[keep]
+                rows, rs = rows[keep], rs[keep]
                 us, lo, hi, newton = us[keep], lo[keep], hi[keep], newton[keep]
                 step, step_old = step[keep], step_old[keep]
                 if not rows.size:
                     break
+                row, at, lg, qs = _compact(keep, row, view, at, lg, qs)
+                view = buf[:rows.size]
             nxt = us + newton
             take = (nxt > lo) & (nxt < hi) & (np.abs(newton) <= 0.5 * step_old)
             half = 0.5 * (hi - lo)

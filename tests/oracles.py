@@ -1,6 +1,7 @@
 """Reference implementations the tests check the package against.
 
 * ``dual_objective`` evaluates the scalar KL dual at one beta;
+* ``dense_dual_batch`` is the dual kernel over all columns, zero weights too;
 * ``primal_oracle`` searches the simplex for the worst-case mean directly;
 * ``joint_atoms_reference`` builds the joint empirical with ``np.unique``;
 * ``dataset_from_costs`` turns per-action cost vectors into a ``DataSet``;
@@ -13,7 +14,8 @@ import math
 import numpy as np
 
 from kldro.graphs import path_nodes
-from kldro.marginals import DataSet, Marginal, Support, _absorb_rounding
+from kldro.marginals import DataSet, Marginal, Support, _absorb_rounding, pmf_means
+from kldro.worstcase import _EPS, _LOG_SPAN, _MAX_ITERATIONS, DualBatch, _rowsum
 
 
 def dataset_from_costs(support: Support, samples) -> DataSet:
@@ -54,6 +56,127 @@ def dual_objective(beta: float, empirical: Marginal, r_a: float) -> float:
     return beta - math.exp(-r_a + float(np.sum(empirical.probs[seen] * np.log(diffs))))
 
 
+def _dense_tilt(log_gaps: np.ndarray, q: np.ndarray, u: np.ndarray):
+    """Row sums of the tilted pmf at log offsets ``u``.
+
+    With t_i = g_i / e^u: L = sum q ln(1 + t) and the two complementary
+    masses A = sum q t/(1 + t), B = sum q/(1 + t), each free of
+    cancellation, so that K = L + ln(1 - A) is the relative entropy of the
+    tilt; V, the q-variance of t/(1 + t), gives dK/du = -V / B.
+    """
+    y = log_gaps - u[:, None]
+    soft = np.logaddexp(0.0, y)
+    share = np.exp(y - soft)
+    big_l = _rowsum(q * soft, axis=1)
+    big_a = _rowsum(q * share, axis=1)
+    big_b = _rowsum(q * np.exp(-soft), axis=1)
+    log_b = np.where(big_a < 0.5, np.log1p(-big_a), np.log(big_b))
+    share -= big_a[:, None]
+    var = _rowsum(q * share * share, axis=1)
+    return big_l, big_l + log_b, big_b, var
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def dense_dual_batch(values, weights, radii, lower) -> DualBatch:
+    """Reference for ``worstcase.solve_dual_batch``, which must match it bit
+    for bit: the dense kernel, every log, exp and product over all k columns
+    of every row, zero-weight padding too.
+
+    Minimize the dual for every row of ``values``/``weights`` at once.
+
+    Each row of ``weights`` is a pmf on the matching row of ``values``
+    (zero-weight entries are padding), ``radii`` holds one ball radius per
+    row and ``lower`` the bound beta >= lower, which must not be below the
+    row's largest value.  Rows are solved independently: a row's result is
+    bit-identical whatever other rows share the batch and whatever the
+    memory layout of the input.  Values are clipped to [row mean, lower] to
+    absorb rounding.  Raises RuntimeError when a row fails to converge.
+    """
+    z = np.asarray(values, dtype=float)
+    q = np.asarray(weights, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    top = np.asarray(lower, dtype=float)
+    n = z.shape[0]
+    if z.ndim != 2 or q.shape != z.shape or r.shape != (n,) or top.shape != (n,):
+        raise ValueError("values/weights must be (rows, k) with one radius and bound per row")
+    # Row sums are pairwise only along rows whose elements are adjacent in
+    # memory; rows already laid out so (broadcast ones too) are not copied.
+    z, q = (x if x.strides[1] == x.itemsize else np.ascontiguousarray(x) for x in (z, q))
+    if not (r >= 0.0).all():
+        raise ValueError("radius must be nonnegative")
+    if (top < z.max(axis=1) - 1e-12).any():
+        raise ValueError("beta_lower must not be below the largest value")
+    mean = pmf_means(z, q)
+    gaps = np.maximum(top[:, None] - z, 0.0)
+    log_gaps = np.log(gaps)
+    # As u -> -inf, K tends to ln GM(g) - ln HM(g) when the top carries no
+    # weight (+inf otherwise); at or below r the minimum is beta = top.
+    seen_lg = np.where(q > 0.0, log_gaps, 0.0)
+    log_geo = _rowsum(q * seen_lg, axis=1)
+    k_inf = log_geo + np.log(_rowsum(q * np.exp(-seen_lg), axis=1))
+    spread = _rowsum(q * gaps * gaps, axis=1)
+    zero = r == 0.0
+    boundary = ~zero & ((k_inf <= r) | (spread == 0.0))
+
+    u = np.where(boundary, -np.inf, np.inf)
+    at_u = np.zeros(n)  # L at the final offset
+    iterations = np.zeros(n, dtype=int)
+    rows = np.flatnonzero(~zero & ~boundary)
+    if rows.size:
+        lg, qs, rs = log_gaps[rows], q[rows], r[rows]
+        lo = np.log(gaps[rows].max(axis=1)) - _LOG_SPAN
+        # K(u) <= E[g^2] e^{-2u}, so K < r/4 above hi.
+        hi = np.maximum(0.5 * (np.log(spread[rows]) - np.log(rs)) + math.log(2.0), lo)
+        # First guess: the small-radius asymptote K ~ Var(g) e^{-2u} / 2.
+        g_mean = _rowsum(qs * gaps[rows], axis=1)
+        var_g = np.maximum(spread[rows] - g_mean * g_mean, 0.0)
+        us = np.clip(0.5 * (np.log(var_g) - np.log(2.0 * rs)), lo, hi)
+        step = hi - lo
+        step_old = step.copy()
+        for it in range(1, _MAX_ITERATIONS + 1):
+            big_l, k_val, big_b, var = _dense_tilt(lg, qs, us)
+            above = k_val > rs
+            lo = np.where(above, us, lo)
+            hi = np.where(above, hi, us)
+            # Newton on ln K - ln r, whose derivative is -V / (B K).
+            newton = (np.log(k_val) - np.log(rs)) * k_val * big_b / var
+            tol = 4.0 * _EPS * np.maximum(1.0, np.abs(us))
+            done = (
+                (np.abs(k_val - rs) <= 64.0 * _EPS * (2.0 * big_l - k_val + rs))
+                | (hi - lo <= tol)
+                | (np.abs(newton) <= tol)
+            )
+            if done.any():
+                fin = rows[done]
+                u[fin] = us[done]
+                at_u[fin] = big_l[done]
+                iterations[fin] = it
+                keep = ~done
+                rows, lg, qs, rs = rows[keep], lg[keep], qs[keep], rs[keep]
+                us, lo, hi, newton = us[keep], lo[keep], hi[keep], newton[keep]
+                step, step_old = step[keep], step_old[keep]
+                if not rows.size:
+                    break
+            nxt = us + newton
+            take = (nxt > lo) & (nxt < hi) & (np.abs(newton) <= 0.5 * step_old)
+            half = 0.5 * (hi - lo)
+            step_old = step
+            step = np.where(take, np.abs(newton), half)
+            us = np.where(take, nxt, lo + half)
+        else:
+            row = int(rows[0])
+            raise RuntimeError(
+                f"dual solve did not converge in {_MAX_ITERATIONS} iterations "
+                f"(row {row}, r={float(r[row])!r}, top={float(top[row])!r})"
+            )
+
+    offset = np.exp(u)
+    # f at beta = top + e^u, written as top - e^u (e^{L - r} - 1) so that
+    # large offsets (small radii) keep full precision.
+    interior = top - offset * np.expm1(at_u - r)
+    value = np.where(zero, mean, np.where(boundary, top - np.exp(log_geo - r), interior))
+    value = np.minimum(np.maximum(value, mean), top)
+    return DualBatch(top + offset, value, iterations, u)
 
 
 def _kl_to_rows(qhat: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -107,8 +107,14 @@ def test_enumeration_is_one_read_only_array_in_product_order(h, w):
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError, match="^1048576 paths exceed the enumeration cap 100000"):
+    with pytest.raises(ValueError, match=r"^4\*\*10 paths exceed the enumeration cap 100000"):
         enumerate_paths(build_layered(10, 4))
+
+
+def test_enumeration_cap_message_for_a_count_of_over_4300_digits():
+    # 4**7200 has 4,335 decimal digits, more than str() of an int may write
+    with pytest.raises(ValueError, match=r"^4\*\*7200 paths exceed the enumeration cap"):
+        enumerate_paths(build_layered(7200, 4))
 
 
 def test_paths_and_incidence_built_once_per_graph():

@@ -25,7 +25,7 @@ from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
 from kldro import rules
 from kldro.rules import JointEmpirical, calibrate_ambiguity, split_alpha
 from kldro.worstcase import solve_dual_batch
-from oracles import joint_atoms_reference, path_cost, primal_oracle
+from oracles import dense_dual_batch, joint_atoms_reference, path_cost, primal_oracle
 
 radii = st.floats(1e-14, 1e3).map(float)
 
@@ -95,6 +95,69 @@ def test_value_matches_primal_oracle(pmf, r):
     oracle = primal_oracle(Marginal(Support(points), probs), r, grid=1e-3)
     assert oracle <= dual + 1e-9 * points[-1]
     assert dual - oracle <= 5e-3 * points[-1]
+
+
+# Which entries of a padded row carry weight: any, only the last k mod 8
+# (the pairwise sum's unrolled remainder; the last one when k mod 8 = 0),
+# one, or any plus the top point, whose log gap is -inf.
+OBSERVED = ("any", "tail", "single", "top")
+PAD_RADII = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-14, 1e3, 1e6]), st.floats(1e-6, 10.0))
+
+
+@st.composite
+def padded_rows(draw, k):
+    """One row of k values, mostly zero weights, its radius and bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(OBSERVED))
+    z = rng.choice(np.arange(1.0, 30.0), k) if draw(st.booleans()) else rng.uniform(0.5, 50.0, k)
+    if kind == "single":
+        seen = np.arange(k) == rng.integers(k)
+    elif kind == "tail":
+        tail = max(k % 8, 1)
+        seen = (np.arange(k) >= k - tail) & (rng.random(k) < 0.5)
+        seen[k - 1 - rng.integers(tail)] = True
+    else:
+        seen = rng.random(k) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+        seen[rng.integers(k)] = True
+    if kind == "top":
+        seen[np.argmax(z)] = True
+    q = np.where(seen, rng.uniform(0.01, 1.0, k), 0.0)
+    extra = 0.0 if kind == "top" or draw(st.booleans()) else rng.uniform(0.0, 5.0)
+    return z, q / q.sum(), draw(PAD_RADII), z.max() + extra
+
+
+def laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """The same (rows, k) values in another memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "wide":  # a column slice of a wider array
+        wide = np.zeros((x.shape[0], x.shape[1] + 3))
+        wide[:, 1:-2] = x
+        return wide[:, 1:-2]
+    if layout == "reversed":  # rows in reverse memory order
+        return x[::-1].copy()[::-1]
+    return x
+
+
+@settings(max_examples=20)
+@pytest.mark.parametrize("k", [1, 7, 8, 50, 129])
+@pytest.mark.parametrize("layout", ["c", "fortran", "wide", "reversed"])
+@given(data=st.data())
+def test_observed_entry_kernel_equals_dense_reference_bit_for_bit(k, layout, data):
+    """The kernel works on the observed entries only and matches the dense
+    reference bit for bit on zero-padded rows: for k across numpy's
+    pairwise-sum unroll (8) and block (128) sizes, a weighted top point, a
+    lone observed point, r = 0, tiny and huge radii, entries only in the
+    last k mod 8 columns, and inputs that are not C-contiguous."""
+    rows = data.draw(st.lists(padded_rows(k), min_size=1, max_size=6))
+    z, q, r, top = (np.array(x) for x in zip(*rows))
+    if layout == "c" and data.draw(st.booleans()):
+        z = np.broadcast_to(z[0], z.shape)  # one support for all rows
+        top = np.maximum(top, z[0].max())
+    want = dense_dual_batch(z, q, r, top)
+    got = solve_dual_batch(laid_out(z, layout), laid_out(q, layout), r, top)
+    for field in ("beta", "value", "iterations", "log_offset"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 @settings(max_examples=60)

@@ -138,6 +138,16 @@ class TestSolveDual:
             assert np.array_equal(worstcase.solve_dual_batch(shared, q, r, top).value,
                                   worstcase.solve_dual_batch(shared.copy(), q, r, top).value)
 
+    def test_rejects_weights_that_are_not_a_pmf(self):
+        z, r, top = [[1.0, 2.0, 3.0]] * 2, [0.5, 0.5], [3.0, 3.0]
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            worstcase.solve_dual_batch(z, [[0.5, 0.5, 0.0], [0.7, 0.5, -0.2]], r, top)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            worstcase.solve_dual_batch(z, [[0.5, 0.5, 0.0], [0.5, math.nan, 0.5]], r, top)
+        # a row without weight is no pmf, though its dual would read top - e^{-r}
+        with pytest.raises(ValueError, match="every row of weights needs a positive weight"):
+            worstcase.solve_dual_batch(z, [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]], r, top)
+
     def test_non_convergence_raises_with_row_context(self, monkeypatch):
         monkeypatch.setattr(worstcase, "_MAX_ITERATIONS", 1)
         with pytest.raises(RuntimeError, match=r"row 0, r=0\.1, top=2\.0"):
