@@ -24,7 +24,7 @@ import numpy as np
 
 from .experiments import ExperimentConfig, emit_results, run_sweep
 from .graphs import build_layered, to_edgelist
-from .marginals import Marginal, Support
+from .marginals import PmfMatrix, Support
 from .radius import (RadiusInputs, radius_agrawal, radius_baseline, radius_best, radius_mardia,
                      rate_from_alpha)
 from .worstcase import solve_dual
@@ -96,7 +96,7 @@ def cmd_worstcase(args) -> int:
     probs = _parse_floats(args.q, "--q")
     if not args.r >= 0:  # NaN too
         raise ValueError("--r must be nonnegative")
-    sol = solve_dual(Marginal(Support(points), probs), args.r)
+    sol = solve_dual(PmfMatrix(Support(points), probs), args.r)
     print(f"worst-case expected cost: {sol.value!r}")
     print(f"beta: {sol.beta!r}")
     pmf = ", ".join(f"{z:g}: {float(p)!r}" for z, p in zip(points, sol.primal.probs))
@@ -115,6 +115,8 @@ def cmd_radius(args) -> int:
         print(f"agrawal:  {radius_agrawal(inputs)!r}")
         if inputs.T_a >= 2:
             print(f"mardia:   {radius_mardia(inputs)!r}")
+        else:
+            print("mardia:   n/a (needs T >= 2)")
     else:
         print("agrawal:  n/a (needs d >= 2)")
         print("mardia:   n/a (needs d >= 2)")

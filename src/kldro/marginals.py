@@ -6,6 +6,9 @@ each observation as its index on that grid, all actions in one flat array;
 observation counts may differ across actions, which is the whole point of
 the library.  A block of R replicates is one data set with (R, actions)
 counts over one flat index (:meth:`DataSet.stacked`).
+
+A pmf is an array with the support on its last axis, one row (d,) or any
+stack of rows; :class:`PmfMatrix` is the one validated pmf container.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Support",
-    "Marginal",
     "PmfMatrix",
     "DataSet",
     "kl_divergence",
@@ -68,32 +70,13 @@ class Support:
             raise ValueError("d must be >= 1")
         return cls(np.arange(1, d + 1, dtype=float))
 
-    def same_as(self, other: "Support") -> bool:
-        return self.points.shape == other.points.shape and bool(
-            np.array_equal(self.points, other.points)
-        )
 
-
-@dataclass(frozen=True)
-class Marginal:
-    """A pmf over a :class:`Support`."""
-
-    support: Support
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _checked_pmfs(self.probs, self.support, False))
-
-    def mean(self) -> float:
-        return float(pmf_means(self.support.points, self.probs))
-
-
-def _checked_pmfs(probs, support: Support, stacked: bool) -> np.ndarray:
-    """``probs`` as a read-only array of one row, or of rows ``stacked`` on
-    two or more axes, that are pmfs on ``support``: entries in [0, 1] (so
-    not NaN), each row summing to 1 within 1e-12."""
+def _checked_pmfs(probs, support: Support) -> np.ndarray:
+    """``probs`` as a read-only array of one row or a stack of rows that
+    are pmfs on ``support``: entries in [0, 1] (so not NaN), each row
+    summing to 1 within 1e-12."""
     p = _readonly(probs)
-    if (p.ndim >= 2) != stacked or p.shape[-1:] != support.points.shape:
+    if p.shape[-1:] != support.points.shape:
         raise ValueError("probs length must match support size")
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
@@ -106,30 +89,21 @@ def _checked_pmfs(probs, support: Support, stacked: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PmfMatrix:
-    """One pmf per action on a shared :class:`Support`, as an
-    (actions x d) matrix validated once, with every row's mean; a block of
-    replicates stacks its matrices into one (replicates x actions x d).
-
-    Indexing a matrix builds the per-action :class:`Marginal` on demand;
-    ``means[a]`` equals ``self[a].mean()`` bit for bit.
-    """
+    """Pmfs on a shared :class:`Support`, validated once, with every row's
+    mean: one row (d,), one per action (actions x d), or a block's
+    (replicates x actions x d) stack.  ``means`` has the shape of the rows,
+    () for one row, and a row's mean is bit-identical alone or stacked."""
 
     support: Support
     probs: np.ndarray
     means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = _checked_pmfs(self.probs, self.support, True)
-        means = pmf_means(self.support.points, p)
+        p = _checked_pmfs(self.probs, self.support)
+        means = np.asarray(pmf_means(self.support.points, p))
         means.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "means", means)
-
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
-    def __getitem__(self, action: int) -> Marginal:
-        return Marginal(self.support, self.probs[action])
 
 
 def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
@@ -178,15 +152,12 @@ def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
     raise RuntimeError(f"no value at index {index} makes the sum exactly {target!r}")
 
 
-def kl_divergence(p: Marginal, q: Marginal) -> float:
-    """Relative entropy D(p || q) with the 0 ln 0 = 0 and ln(x/0) = inf conventions."""
-    if not p.support.same_as(q.support):
-        raise ValueError("marginals must share the same support")
-    pa, qa = p.probs, q.probs
-    active = pa > 0.0
-    if np.any(qa[active] == 0.0):
-        return float("inf")
-    return float(np.sum(pa[active] * np.log(pa[active] / qa[active])))
+@np.errstate(divide="ignore", invalid="ignore")
+def kl_divergence(p, q) -> np.ndarray:
+    """Relative entropy D(p || q) of pmf rows along the last axis (rows
+    broadcast), with the 0 ln 0 = 0 and ln(x/0) = inf conventions."""
+    p = np.asarray(p, dtype=float)
+    return np.sum(np.where(p > 0.0, p * np.log(p / q), 0.0), axis=-1)
 
 
 def _fsum_is_one(pmf: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -223,8 +194,8 @@ class DataSet:
     A block (:meth:`stacked`) has (R, actions) ``sizes`` and an (R,
     actions, d) ``pmf``; each row equals the data set of its replicate.
 
-    ``cache`` holds what the rules derive from a data set (its truncation,
-    its confidence splits), so each is computed once per data set.
+    ``cache`` holds the confidence splits the rules derive from a data
+    set, so each is computed once per (data set, alpha).
     """
 
     support: Support
@@ -280,8 +251,9 @@ class DataSet:
 
     @property
     def means(self) -> np.ndarray:
-        """Empirical mean of every action (equal to ``empirical(a).mean()``)."""
+        """Empirical mean of every action (equal to ``empirical(a).means``)."""
         return pmf_means(self.support.points, self.pmf)
 
-    def empirical(self, action: int) -> Marginal:
-        return Marginal(self.support, self.pmf[action])
+    # bench/trace_layers.py wraps this method by name.
+    def empirical(self, action: int) -> PmfMatrix:
+        return PmfMatrix(self.support, self.pmf[action])

@@ -195,18 +195,14 @@ def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
 
 def truncate_dataset(data: DataSet) -> DataSet:
     """Keep each row's first T_min observations of every action: the data
-    itself when every count is its row's T_min, else a data set gathered
-    once and cached, so dro1 and dro2 share it."""
+    itself when every count is its row's T_min, else a gathered data set."""
     sizes = data.sizes.reshape(-1, data.num_actions)
     keep = np.broadcast_to(sizes.min(axis=1, keepdims=True), sizes.shape)
     if (sizes == keep).all():
         return data
-    if "truncated" not in data.cache:
-        kept, drop = keep.ravel(), (sizes - keep).ravel()
-        at = np.arange(kept.sum()) + np.repeat(np.cumsum(drop) - drop, kept)  # skip earlier drops
-        data.cache["truncated"] = DataSet.stacked(data.support, data.index[at],
-                                                  keep.reshape(data.sizes.shape))
-    return data.cache["truncated"]
+    kept, drop = keep.ravel(), (sizes - keep).ravel()
+    at = np.arange(kept.sum()) + np.repeat(np.cumsum(drop) - drop, kept)  # skip earlier drops
+    return DataSet.stacked(data.support, data.index[at], keep.reshape(data.sizes.shape))
 
 
 def _joint_atoms(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,25 +231,12 @@ def _joint_atoms(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class JointEmpirical:
     """Distinct observed cost vectors with their frequencies, built from
-    sample-index-aligned observations."""
+    sample-index-aligned observations by :meth:`from_dataset` only."""
 
     atoms: np.ndarray  # (k, num_actions)
     probs: np.ndarray
 
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        atoms.setflags(write=False)
-        probs.setflags(write=False)
-        if atoms.ndim != 2 or probs.shape != (atoms.shape[0],):
-            raise ValueError("atoms must be (k, m) with one probability per atom")
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError("atom probabilities must sum to 1")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
-
+    # bench/trace_layers.py wraps this method by name.
     @classmethod
     def from_dataset(cls, data: DataSet) -> "JointEmpirical":
         """One atom per distinct column of the first T_min observations, in

@@ -14,7 +14,8 @@ safeguarded Newton step on ln K(u) - ln r, bisecting whenever Newton leaves
 the bracket or stalls, finds the root even far closer to the boundary than
 one ulp of beta.  The boundary minimum at ``beta = top`` and the zero radius
 are masks.  :func:`solve_dual` and :func:`minimize_dual` are one-row calls
-of the kernel; the maximizing pmf follows from stationarity.
+of the kernel; :func:`worst_case_pmfs` builds the maximizing pmfs of rows
+from stationarity.
 
 The factors with q_i = 0 drop out of f, and an arc seen T times has at most
 T observed points, so the kernel's elementwise work (the gaps, their logs,
@@ -34,13 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import Marginal, pmf_means
+from .marginals import PmfMatrix, pmf_means
 
-__all__ = ["DualBatch", "DualSolution", "solve_dual_batch", "minimize_dual", "solve_dual"]
+__all__ = ["DualBatch", "DualSolution", "solve_dual_batch", "worst_case_pmfs", "minimize_dual",
+           "solve_dual"]
 
 # Offsets beta - top below e^-700 of the largest gap are beneath float
 # resolution for any cost scale, so the root search starts there.
 _LOG_SPAN = 700.0
+# A tiny Newton step ends a row only where |ln K - ln r| <= this (true stops
+# read ~1e-12); far below the root V is rounding noise and the step ~1e-121.
+_NEWTON_STOP = 1e-6
 _MAX_ITERATIONS = 200
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -62,7 +67,7 @@ class DualSolution:
     beta: float
     value: float
     iterations: int
-    primal: Marginal
+    primal: PmfMatrix
 
 
 _rowsum = np.add.reduce  # called with axis=1: one pairwise sum per contiguous row
@@ -193,12 +198,13 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
             lo = np.where(above, us, lo)
             hi = np.where(above, hi, us)
             # Newton on ln K - ln r, whose derivative is -V / (B K).
-            newton = (np.log(k_val) - np.log(rs)) * k_val * big_b / var
+            residual = np.log(k_val) - np.log(rs)
+            newton = residual * k_val * big_b / var
             tol = 4.0 * _EPS * np.maximum(1.0, np.abs(us))
             done = (
                 (np.abs(k_val - rs) <= 64.0 * _EPS * (2.0 * big_l - k_val + rs))
                 | (hi - lo <= tol)
-                | (np.abs(newton) <= tol)
+                | ((np.abs(newton) <= tol) & (np.abs(residual) <= _NEWTON_STOP))
             )
             if done.any():
                 fin = rows[done]
@@ -235,6 +241,7 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     return DualBatch(top + offset, value, iterations, u)
 
 
+# bench/trace_layers.py wraps this function by name (as rules.minimize_dual).
 def minimize_dual(values, weights, r: float, beta_lower: float | None = None):
     """Minimize the scalar dual objective over [beta_lower, inf).
 
@@ -248,48 +255,39 @@ def minimize_dual(values, weights, r: float, beta_lower: float | None = None):
     return float(sol.beta[0]), float(sol.value[0]), int(sol.iterations[0])
 
 
-def _worst_case_pmf(empirical: Marginal, r: float, log_offset: float) -> Marginal:
-    """Maximizing pmf from stationarity: observed points get mass
-    proportional to q_i / (beta - z_i), evaluated in logs; masses below the
-    float range are floored at the smallest normal float so the pmf stays
-    inside the ball.  On the boundary with an unobserved top point the
-    leftover mass rides on the top."""
-    if log_offset == math.inf:
-        return empirical
-    qhat = empirical.probs
-    gaps = empirical.support.max - empirical.support.points
-    probs = np.zeros_like(qhat)
-    if log_offset > -math.inf:
-        seen = qhat > 0.0
-        with np.errstate(divide="ignore"):
-            log_gaps = np.log(gaps[seen])
-        logw = np.log(qhat[seen]) - np.logaddexp(0.0, log_gaps - log_offset)
-        w = np.exp(logw - logw.max())
-        probs[seen] = np.maximum(w / np.sum(w), _TINY)
-        return Marginal(empirical.support, probs)
-    seen = (qhat > 0.0) & (gaps > 0.0)
-    log_gaps = np.log(gaps[seen])
-    w = np.exp(-r + float(np.sum(qhat[seen] * log_gaps)) + np.log(qhat[seen]) - log_gaps)
-    s = float(np.sum(w))
-    if s > 1.0:
-        w = w / s
-        s = 1.0
-    probs[seen] = w
-    probs[-1] += 1.0 - s
-    return Marginal(empirical.support, probs)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def worst_case_pmfs(values, weights, radii, log_offset) -> np.ndarray:
+    """Maximizing pmfs of rows solved with beta bounded below by each row's
+    largest value, from the kernel's ``log_offset``: the weights at radius
+    zero (+inf); inside, mass proportional to q_i / (beta - z_i), in logs;
+    on the boundary (-inf), e^{-r} GM(g) q_i / g_i, with the leftover mass
+    on the top.  Observed masses are floored at the smallest normal float,
+    so a pmf stays inside the ball when they fall below the float range."""
+    z, q = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    r, u = (np.asarray(x, dtype=float)[:, None] for x in (radii, log_offset))
+    seen, log_q = q > 0.0, np.log(q)
+    log_gaps = np.log(z.max(axis=1, keepdims=True) - z)
+    logw = np.where(seen, log_q - np.logaddexp(0.0, log_gaps - u), -np.inf)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    interior = np.where(seen, np.maximum(w / np.sum(w, axis=1, keepdims=True), _TINY), 0.0)
+    below = seen & (log_gaps > -np.inf)
+    lg = np.where(below, log_gaps, 0.0)
+    w = np.exp(-r + np.sum(q * lg, axis=1, keepdims=True) + log_q - lg)
+    w = np.where(below, np.maximum(w, _TINY), 0.0)
+    mass = np.sum(w, axis=1, keepdims=True)
+    boundary = w / np.maximum(mass, 1.0)
+    boundary[np.arange(len(z)), z.argmax(axis=1)] += 1.0 - np.minimum(mass[:, 0], 1.0)
+    return np.where(u == np.inf, q, np.where(u == -np.inf, boundary, interior))
 
 
-def solve_dual(empirical: Marginal, r_a: float) -> DualSolution:
-    """Worst-case expected cost of one action over its KL ball.
+# bench/trace_layers.py wraps this function by name (as rules.solve_dual).
+def solve_dual(empirical: PmfMatrix, r_a: float) -> DualSolution:
+    """Worst-case expected cost of one pmf row over its KL ball.
 
     Returns the dual minimizer, the worst-case mean, the kernel's iteration
-    count and the maximizing pmf.
+    count and the maximizing pmf as a one-row :class:`PmfMatrix`.
     """
-    z = empirical.support.points
-    sol = solve_dual_batch([z], [empirical.probs], [r_a], [z[-1]])
-    return DualSolution(
-        float(sol.beta[0]),
-        float(sol.value[0]),
-        int(sol.iterations[0]),
-        _worst_case_pmf(empirical, r_a, float(sol.log_offset[0])),
-    )
+    z, q = [empirical.support.points], [empirical.probs]
+    sol = solve_dual_batch(z, q, [r_a], [z[0][-1]])
+    primal = PmfMatrix(empirical.support, worst_case_pmfs(z, q, [r_a], sol.log_offset)[0])
+    return DualSolution(float(sol.beta[0]), float(sol.value[0]), int(sol.iterations[0]), primal)

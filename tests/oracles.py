@@ -2,7 +2,11 @@
 
 * ``dual_objective`` evaluates the scalar KL dual at one beta;
 * ``dense_dual_batch`` is the dual kernel over all columns, zero weights too;
+* ``worst_case_pmf_reference`` is the maximizing pmf of one row, by cases;
 * ``primal_oracle`` searches the simplex for the worst-case mean directly;
+* ``type_probabilities`` enumerates the types of T draws from a pmf, and
+  ``one_sided_miss_probability`` sums those whose worst case falls below
+  the true mean;
 * ``joint_atoms_reference`` builds the joint empirical with ``np.unique``;
 * ``dataset_from_costs`` turns per-action cost vectors into a ``DataSet``;
 * ``shortest_path_reference`` is a forward pass over the arcs one by one;
@@ -12,10 +16,12 @@
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from kldro.graphs import path_nodes
-from kldro.marginals import DataSet, Marginal, Support, _absorb_rounding, pmf_means
-from kldro.worstcase import _EPS, _LOG_SPAN, _MAX_ITERATIONS, DualBatch, _rowsum
+from kldro.marginals import DataSet, PmfMatrix, Support, _absorb_rounding, pmf_means
+from kldro.worstcase import (_EPS, _LOG_SPAN, _MAX_ITERATIONS, _NEWTON_STOP, _TINY, DualBatch,
+                             _rowsum, solve_dual_batch)
 
 
 def dataset_from_costs(support: Support, samples) -> DataSet:
@@ -42,7 +48,7 @@ def joint_atoms_reference(data: DataSet) -> tuple[np.ndarray, np.ndarray]:
     return atoms, probs
 
 
-def dual_objective(beta: float, empirical: Marginal, r_a: float) -> float:
+def dual_objective(beta: float, empirical: PmfMatrix, r_a: float) -> float:
     """beta - e^{-r} prod_i (beta - z_i)^{q_i}; factors with q_i = 0 drop out."""
     if r_a < 0.0:
         raise ValueError("radius must be nonnegative")
@@ -139,12 +145,13 @@ def dense_dual_batch(values, weights, radii, lower) -> DualBatch:
             lo = np.where(above, us, lo)
             hi = np.where(above, hi, us)
             # Newton on ln K - ln r, whose derivative is -V / (B K).
-            newton = (np.log(k_val) - np.log(rs)) * k_val * big_b / var
+            residual = np.log(k_val) - np.log(rs)
+            newton = residual * k_val * big_b / var
             tol = 4.0 * _EPS * np.maximum(1.0, np.abs(us))
             done = (
                 (np.abs(k_val - rs) <= 64.0 * _EPS * (2.0 * big_l - k_val + rs))
                 | (hi - lo <= tol)
-                | (np.abs(newton) <= tol)
+                | ((np.abs(newton) <= tol) & (np.abs(residual) <= _NEWTON_STOP))
             )
             if done.any():
                 fin = rows[done]
@@ -190,7 +197,66 @@ def _kl_to_rows(qhat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def primal_oracle(empirical: Marginal, r_a: float, grid: float = 1e-3) -> float:
+def worst_case_pmf_reference(points, probs, r: float, log_offset: float) -> np.ndarray:
+    """Maximizing pmf of one row from the kernel's ``log_offset``, one case
+    at a time, over the observed points only: the row itself at radius
+    zero; inside, mass proportional to q_i / (beta - z_i) in logs, floored
+    at the smallest normal float; on the boundary with an unobserved top
+    point, e^{-r} GM(g) q_i / g_i with the leftover mass on the top."""
+    qhat = np.asarray(probs, dtype=float)
+    if log_offset == math.inf:
+        return qhat
+    points = np.asarray(points, dtype=float)
+    gaps = points.max() - points
+    probs = np.zeros_like(qhat)
+    if log_offset > -math.inf:
+        seen = qhat > 0.0
+        with np.errstate(divide="ignore"):
+            log_gaps = np.log(gaps[seen])
+        logw = np.log(qhat[seen]) - np.logaddexp(0.0, log_gaps - log_offset)
+        w = np.exp(logw - logw.max())
+        probs[seen] = np.maximum(w / np.sum(w), _TINY)
+        return probs
+    seen = (qhat > 0.0) & (gaps > 0.0)
+    log_gaps = np.log(gaps[seen])
+    w = np.exp(-r + float(np.sum(qhat[seen] * log_gaps)) + np.log(qhat[seen]) - log_gaps)
+    s = float(np.sum(w))
+    if s > 1.0:
+        w = w / s
+        s = 1.0
+    probs[seen] = w
+    probs[np.argmax(points)] += 1.0 - s
+    return probs
+
+
+def type_probabilities(pmf, draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every type (count vector) of ``draws`` i.i.d. draws from ``pmf``, as
+    (types x d) counts, one composition of ``draws`` into d parts each,
+    and its multinomial probability, with 0 ln 0 = 0."""
+    pmf = np.asarray(pmf, dtype=float)
+    d = pmf.size
+    grid = np.indices((draws + 1,) * (d - 1)).reshape(d - 1, -1).T
+    grid = grid[grid.sum(axis=1) <= draws]
+    counts = np.column_stack([grid, draws - grid.sum(axis=1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = np.where(counts > 0, counts * np.log(pmf), 0.0)
+    log_prob = gammaln(draws + 1) - gammaln(counts + 1).sum(axis=1) + log_terms.sum(axis=1)
+    return counts, np.exp(log_prob)
+
+
+def one_sided_miss_probability(points, pmf, draws: int, r: float) -> float:
+    """Exact P(U < mu): U is the worst-case mean over the KL ball of radius
+    ``r`` around the empirical pmf of ``draws`` draws from ``pmf`` on
+    ``points``, and mu the mean of ``pmf``.  Every type's U comes from one
+    kernel call; U == mu counts as held."""
+    counts, probs = type_probabilities(pmf, draws)
+    points = np.broadcast_to(np.asarray(points, dtype=float), counts.shape)
+    upper = solve_dual_batch(points, counts / draws, np.full(len(counts), r),
+                             np.full(len(counts), points[0, -1])).value
+    return math.fsum(probs[upper < pmf_means(points[0], pmf)])
+
+
+def primal_oracle(empirical: PmfMatrix, r_a: float, grid: float = 1e-3) -> float:
     """Feasible-point grid search for the worst-case mean (d <= 4).
 
     Searches the simplex on a mesh that is repeatedly recentered on the best
@@ -206,13 +272,13 @@ def primal_oracle(empirical: Marginal, r_a: float, grid: float = 1e-3) -> float:
     z = empirical.support.points
     qhat = empirical.probs
     if r_a == 0.0 or d == 1:
-        return empirical.mean()
+        return float(empirical.means)
 
     npts = 17
     lo = np.zeros(d - 1)
     hi = np.ones(d - 1)
     best_q = qhat.copy()
-    best_val = empirical.mean()
+    best_val = float(empirical.means)
     while True:
         axes = [np.linspace(lo[k], hi[k], npts) for k in range(d - 1)]
         mesh = np.meshgrid(*axes, indexing="ij")

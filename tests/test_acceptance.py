@@ -17,7 +17,7 @@ from kldro.cli import main as cli_main
 from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from kldro.experiments import ExperimentConfig, run_sweep
 from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_path
-from kldro.marginals import Marginal, Support, kl_divergence
+from kldro.marginals import PmfMatrix, Support, kl_divergence
 from kldro.radius import (
     RadiusInputs,
     mardia_constant,
@@ -61,7 +61,7 @@ def test_criterion_1_duality_suite():
         floor = 0.05
         probs = floor + rng.dirichlet(np.ones(d)) * (1.0 - floor * d)
         probs = probs / probs.sum()
-        m = Marginal(Support(points), probs)
+        m = PmfMatrix(Support(points), probs)
         r = float(rng.uniform(0.01, 2.0))
         sol = solve_dual(m, r)
         oracle = primal_oracle(m, r, grid=1e-3)
@@ -71,7 +71,7 @@ def test_criterion_1_duality_suite():
         rec = sol.primal
         assert np.all(rec.probs >= 0.0)
         assert float(np.sum(rec.probs)) == pytest.approx(1.0, abs=1e-12)
-        assert kl_divergence(m, rec) <= r + 1e-8
+        assert kl_divergence(m.probs, rec.probs) <= r + 1e-8
     elapsed = time.time() - start
     assert elapsed < 30.0
     report(f"ACCEPTANCE 1 duality: 1000 instances, worst gap {worst_gap:.2e} of top cost, "
@@ -195,7 +195,7 @@ def test_criterion_5_degeneration_to_saa():
             dro_prescribe(truncate_dataset(data), zero, g),
         ]
         # independent SAA: the shortest path on plain empirical means
-        means = [data.empirical(a).mean() for a in range(g.num_arcs)]
+        means = [float(data.empirical(a).means) for a in range(g.num_arcs)]
         saa_path, _ = shortest_path(g, means)
         assert [pres.path for pres in prescriptions] == [saa_path] * 4
     report("ACCEPTANCE 5 degeneration: zero radius and zero slack reproduce the "

@@ -151,6 +151,12 @@ class TestRadius:
         assert "n/a" in out
         assert "(baseline)" in out
 
+    def test_single_sample_notes_mardia_inapplicable(self, capsys):
+        assert main(["radius", "--T", "1", "--d", "2", "--A", "1",
+                     "--T-min", "1", "--alpha-a", "0.05"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("agrawal:  ") and lines[2] == "mardia:   n/a (needs T >= 2)"
+
     def test_zero_t_min_is_a_validation_error(self, capsys):
         assert main(["radius", "--T", "25", "--d", "5", "--A", "10",
                      "--T-min", "0", "--alpha-a", "0.05"]) == 1

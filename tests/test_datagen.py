@@ -41,30 +41,30 @@ class TestNominalMarginals:
         p = np.zeros(G33.num_arcs)
         p[0] = 1.0
         marg = binomial_pmfs(p, 5)
-        assert marg[0].probs[-1] == pytest.approx(1.0, abs=1e-15)
-        assert marg[1].probs[0] == pytest.approx(1.0, abs=1e-15)
+        assert marg.probs[0, -1] == pytest.approx(1.0, abs=1e-15)
+        assert marg.probs[1, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_binomial_mean_formula(self):
         rng = substream(100, 0)
         p = rng.uniform(0.0, 1.0, G33.num_arcs)
         marg = binomial_pmfs(p, 11)
-        for q, p_a in zip(marg, p):
-            assert q.mean() == pytest.approx((11 - 1) * p_a + 1, rel=1e-10)
+        for mean, p_a in zip(marg.means, p):
+            assert mean == pytest.approx((11 - 1) * p_a + 1, rel=1e-10)
 
     def test_binomial_pmf_matches_scipy(self):
         marg = binomial_pmfs(np.full(G33.num_arcs, 0.3), 6)
         expected = stats.binom.pmf(np.arange(6), 5, 0.3)
-        assert marg[0].probs == pytest.approx(expected, rel=1e-12)
+        assert marg.probs[0] == pytest.approx(expected, rel=1e-12)
 
     def test_normal_symmetry(self):
         marg = normal_pmfs(np.full(G33.num_arcs, 2.0), 0.9, 3)
-        assert marg[0].probs[0] == pytest.approx(marg[0].probs[2], abs=1e-12)
+        assert marg.probs[0, 0] == pytest.approx(marg.probs[0, 2], abs=1e-12)
 
     def test_normal_cells_match_cdf_differences(self):
-        q = normal_pmfs(np.full(G33.num_arcs, 3.7), 1.8, 8)[0]
+        q = normal_pmfs(np.full(G33.num_arcs, 3.7), 1.8, 8).probs[0]
         edges = np.arange(0.5, 9.0)
         cells = np.diff(stats.norm.cdf(edges, loc=3.7, scale=1.8))
-        assert q.probs == pytest.approx(cells / cells.sum(), abs=1e-10)
+        assert q == pytest.approx(cells / cells.sum(), abs=1e-10)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="p must lie in"):
@@ -154,9 +154,9 @@ class TestDrawDataset:
         data = draw_dataset(marg, np.full(G33.num_arcs, 10_000), substream(10, 0))
         costs = data.support.points[data.index.reshape(G33.num_arcs, -1)]
         for a in (0, 11, 23):
-            q = marg[a]
-            sd = np.sqrt(np.dot(q.support.points**2, q.probs) - q.mean() ** 2)
-            assert abs(float(np.mean(costs[a])) - q.mean()) <= 3 * sd / 100.0
+            mean = marg.means[a]
+            sd = np.sqrt(np.dot(marg.support.points**2, marg.probs[a]) - mean**2)
+            assert abs(float(np.mean(costs[a])) - mean) <= 3 * sd / 100.0
 
     def test_joint_draws_satisfy_support_sum_constraint(self):
         marg = nominal_marginals("multinomial", G33.num_arcs, 9, substream(11, 0))

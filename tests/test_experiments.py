@@ -19,7 +19,7 @@ from kldro.experiments import (
     run_sweep,
 )
 from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_path
-from kldro.marginals import DataSet, Marginal
+from kldro.marginals import DataSet, PmfMatrix, Support
 from kldro.radius import RadiusInputs, rate_from_alpha
 from oracles import path_cost
 
@@ -52,8 +52,6 @@ class TestLosses:
         g = build_layered(3, 2)
         d = 5
         sup_probs = np.full(d, 1.0 / d)
-        from kldro.marginals import PmfMatrix, Support
-
         marg = PmfMatrix(Support.integers(d), np.tile(sup_probs, (g.num_arcs, 1)))
         for path in enumerate_paths(g):
             assert path_cost(g, path, marg.means) == pytest.approx((g.h + 1) * (d + 1) / 2,
@@ -64,10 +62,7 @@ class TestLosses:
         marg = binomial_marginals(g, [0.3, 0.6, 0.8, 0.2], d=6)
         rng = substream(99, 0)
         n = 100_000
-        draws = sum(
-            marg[a].support.points[rng.choice(6, size=n, p=marg[a].probs)]
-            for a in (1, 3)
-        )
+        draws = sum(marg.support.points[rng.choice(6, size=n, p=marg.probs[a])] for a in (1, 3))
         sd = float(np.std(draws))
         assert path_cost(g, (1,), marg.means) == pytest.approx(
             float(np.mean(draws)), abs=3 * sd / math.sqrt(n)
@@ -276,21 +271,34 @@ class TestRunSweep:
         ("discretized-normal", "binomial2", 2.0),
     ])
     def test_no_marginal_built_per_replicate(self, monkeypatch, nominal, sizes, sigma):
+        """A replicate with all four rules builds one PmfMatrix, the nominal,
+        and calls none of the one-row names the bench tracer wraps."""
         cfg = small_config(nominal=nominal, sample_sizes=sizes, sigma=sigma,
                            rules=("dro", "hoeffding", "dro1", "dro2"))
         g = build_layered(cfg.h, cfg.w)
-        built = []
-        post_init = Marginal.__post_init__
+        built, calls = [], []
+        post_init = PmfMatrix.__post_init__
 
         def counting(self):
             built.append(self)
             post_init(self)
 
-        monkeypatch.setattr(Marginal, "__post_init__", counting)
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(PmfMatrix, "__post_init__", counting)
+        for owner, name in ((DataSet, "empirical"), (rules, "solve_dual"),
+                            (rules, "minimize_dual"), (rules.JointEmpirical, "from_dataset")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         run_replicate(cfg, g, 1, 0)
-        assert built == []
-        binomial_marginals(g, np.full(g.num_arcs, 0.5))[0]  # the counter works
-        assert len(built) == 1
+        assert calls == [] and len(built) == 1
+        # the counters work: a one-row pmf and the worst case on it
+        one = DataSet(Support.integers(2), np.array([0, 1]), np.array([2])).empirical(0)
+        rules.solve_dual(one, 0.1)
+        assert calls == ["empirical", "solve_dual"] and len(built) == 3
 
     def test_fig7_replicate_builds_data_and_one_truncation(self, monkeypatch):
         raw = json.loads((CONFIGS / "fig7.json").read_text())

@@ -1,5 +1,5 @@
-"""Property tests for the batched dual kernel, per-count calibration, the
-array-first data path and the block data set."""
+"""Property tests for the batched dual kernel and its worst-case pmfs,
+per-count calibration, the array-first data path and the block data set."""
 
 import math
 from fractions import Fraction
@@ -14,18 +14,19 @@ from kldro.datagen import _inverse_cdf, draw_dataset, substream
 from kldro.graphs import build_layered, route_costs
 from kldro.marginals import (
     DataSet,
-    Marginal,
     PmfMatrix,
     Support,
     _absorb_rounding,
     _fsum_is_one,
+    kl_divergence,
     pmf_means,
 )
 from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
 from kldro import rules
 from kldro.rules import JointEmpirical, calibrate_ambiguity, split_alpha
-from kldro.worstcase import solve_dual_batch
-from oracles import dense_dual_batch, joint_atoms_reference, path_cost, primal_oracle
+from kldro.worstcase import solve_dual_batch, worst_case_pmfs
+from oracles import (dense_dual_batch, joint_atoms_reference, path_cost, primal_oracle,
+                     worst_case_pmf_reference)
 
 radii = st.floats(1e-14, 1e3).map(float)
 
@@ -92,7 +93,7 @@ def test_value_affine_equivariant(pmf, r, scale, shift):
 def test_value_matches_primal_oracle(pmf, r):
     points, probs = pmf
     dual = solve(points, probs, r).value[0]
-    oracle = primal_oracle(Marginal(Support(points), probs), r, grid=1e-3)
+    oracle = primal_oracle(PmfMatrix(Support(points), probs), r, grid=1e-3)
     assert oracle <= dual + 1e-9 * points[-1]
     assert dual - oracle <= 5e-3 * points[-1]
 
@@ -158,6 +159,47 @@ def test_observed_entry_kernel_equals_dense_reference_bit_for_bit(k, layout, dat
     got = solve_dual_batch(laid_out(z, layout), laid_out(q, layout), r, top)
     for field in ("beta", "value", "iterations", "log_offset"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+@st.composite
+def pmf_rows(draw, k):
+    """One row of k distinct values in random order, mostly zero weights,
+    and its radius: a point mass on the top (the boundary with a weighted
+    top), or weights on any points with the top weighted or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.permutation(np.arange(1.0, k + 1.0)) * draw(st.sampled_from([1.0, 0.37, 1e3]))
+    top = int(np.argmax(z))
+    kind = draw(st.sampled_from(["point on top", "weighted top", "unweighted top"]))
+    seen = rng.random(k) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+    seen[rng.integers(k)] = True
+    if kind == "point on top" or k == 1:
+        seen = np.arange(k) == top
+    else:
+        seen[top] = kind == "weighted top"
+        seen[(top + 1) % k] = True
+    q = np.where(seen, rng.uniform(0.01, 1.0, k), 0.0)
+    return z, q / q.sum(), draw(PAD_RADII)
+
+
+@settings(max_examples=20)
+@pytest.mark.parametrize("k", [1, 7, 8, 50, 129])
+@given(data=st.data())
+def test_worst_case_pmfs_are_pmfs_in_the_ball_with_the_dual_mean(k, data):
+    """On zero-padded batches mixing r = 0, interior and boundary rows
+    (with the top weighted or not): every row is a pmf, inside the ball,
+    with the kernel's value as its mean, and equals the one-row reference
+    of the cases to 1e-15."""
+    rows = data.draw(st.lists(pmf_rows(k), min_size=1, max_size=6))
+    z, q, r = (np.array(x) for x in zip(*rows))
+    sol = solve_dual_batch(z, q, r, z.max(axis=1))
+    got = worst_case_pmfs(z, q, r, sol.log_offset)
+    for i, p in enumerate(got):
+        assert p.min() >= 0.0 and abs(math.fsum(p) - 1.0) <= 1e-12
+        assert kl_divergence(q[i], p) <= r[i] * (1 + 1e-9) + 1e-14
+        value = sol.value[i]
+        assert abs(pmf_means(z[i], p) - value) <= 1e-9 * max(1.0, abs(value))
+        want = worst_case_pmf_reference(z[i], q[i], r[i], sol.log_offset[i])
+        assert np.abs(p - want).max() <= 1e-15
 
 
 @settings(max_examples=60)
@@ -381,11 +423,15 @@ def test_keyed_inverse_cdf_equals_per_row_searchsorted(probs, rows, data):
 @settings(max_examples=60)
 @given(pmf_matrices())
 def test_pmf_matrix_means_equal_marginal_means(probs):
-    nominal = PmfMatrix(Support.integers(probs.shape[1]), probs)
-    assert len(nominal) == probs.shape[0]
-    for a in range(len(nominal)):
-        q = nominal[a]
-        assert nominal.means[a] == q.mean()
+    """Each row's mean in a matrix, and in a block stacking it twice, equals
+    the mean of the row alone (an action's marginal) bit for bit."""
+    sup = Support.integers(probs.shape[1])
+    nominal = PmfMatrix(sup, probs)
+    block = PmfMatrix(sup, np.stack([probs, probs]))
+    assert nominal.means.shape == probs.shape[:1] and block.means.shape == (2, len(probs))
+    for a, row in enumerate(probs):
+        q = PmfMatrix(sup, row)
+        assert nominal.means[a] == block.means[1, a] == q.means
         assert np.array_equal(q.probs, probs[a])
 
 
@@ -397,8 +443,10 @@ def rejection(make):
 
 @settings(max_examples=60)
 @given(pmf_matrices(), st.data(),
-       st.sampled_from(["negative", "above one", "sum off", "extra column", "one row"]))
+       st.sampled_from(["negative", "above one", "NaN", "sum off", "extra column"]))
 def test_pmf_matrix_rejects_what_marginal_rejects(probs, data, defect):
+    """A matrix and a block holding a defective row are rejected with the
+    message the row alone (an action's marginal) gets."""
     m, d = probs.shape
     a = data.draw(st.integers(0, m - 1))
     k = data.draw(st.integers(0, d - 1))
@@ -407,17 +455,16 @@ def test_pmf_matrix_rejects_what_marginal_rejects(probs, data, defect):
         bad[a, k] = -1e-3
     elif defect == "above one":
         bad[a, k] = 1.5
+    elif defect == "NaN":
+        bad[a, k] = math.nan
     elif defect == "sum off":
         bad[a, np.argmin(bad[a])] += 1e-11
     elif defect == "extra column":
         bad = np.hstack([bad, np.zeros((m, 1))])
     sup = Support.integers(d)
-    if defect == "one row":
-        message = rejection(lambda: PmfMatrix(sup, bad[a]))
-        assert message == rejection(lambda: Marginal(sup, bad[a:a + 1]))
-    else:
-        message = rejection(lambda: PmfMatrix(sup, bad))
-        assert message == rejection(lambda: Marginal(sup, bad[a]))
+    message = rejection(lambda: PmfMatrix(sup, bad[a]))
+    assert message == rejection(lambda: PmfMatrix(sup, bad))
+    assert message == rejection(lambda: PmfMatrix(sup, np.stack([bad, bad])))
 
 
 def count_rows(seed, rows):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy import stats
+from scipy.special import logsumexp
 
 import kldro.radius
 from kldro.graphs import build_layered
@@ -20,7 +21,7 @@ from kldro.radius import (
     rate_from_alpha,
 )
 from kldro.rules import dro_prescribe
-from oracles import dataset_from_costs
+from oracles import dataset_from_costs, one_sided_miss_probability, type_probabilities
 
 
 def inputs(T_a, d_a, A=1, T_min=None, alpha_a=0.5, rate=1.0):
@@ -387,16 +388,48 @@ def test_radii_nonincreasing_in_T(d, alpha_a, m, t_min, extra):
 def kl_tail_exact(q, T, radius):
     """P(KL(q_hat || q) > radius) for q_hat the empirical pmf of T i.i.d.
     draws from q, summed exactly over every type (count vector) of T."""
-    d = len(q)
-    grid = np.indices((T + 1,) * (d - 1)).reshape(d - 1, -1).T
-    grid = grid[grid.sum(axis=1) <= T]
-    counts = np.column_stack([grid, T - grid.sum(axis=1)])
-    log_prob = (gammaln(T + 1) - gammaln(counts + 1).sum(axis=1)
-                + (counts * np.log(q)).sum(axis=1))
+    counts, probs = type_probabilities(q, T)
     share = counts / T
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.where(counts > 0, share * np.log(share / q), 0.0).sum(axis=1)
-    return float(np.exp(log_prob[kl > radius]).sum())
+    return float(probs[kl > radius].sum())
+
+
+def test_type_enumeration_is_the_multinomial():
+    """Every composition of T into d parts once, with probabilities that
+    fsum to 1 (exact zeros in the pmf too); for d = 2 the binomial pmf."""
+    for q, T in (([0.3, 0.7], 1), ([0.2, 0.0, 0.8], 6), (np.full(5, 0.2), 20)):
+        counts, probs = type_probabilities(q, T)
+        assert (counts.sum(axis=1) == T).all() and counts.min() >= 0
+        assert len(np.unique(counts, axis=0)) == len(counts) == math.comb(T + len(q) - 1, T)
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+    counts, probs = type_probabilities([0.3, 0.7], 9)
+    assert probs == pytest.approx(stats.binom.pmf(counts[:, 1], 9, 0.7), rel=1e-12)
+
+
+def one_sided_pmfs(d):
+    """Uniform, 0.9 at the bottom, 0.9 at the top, one with an exact zero,
+    and three Dirichlet(0.3) draws from a fixed seed."""
+    rest = np.full(d - 1, 0.1 / (d - 1))
+    return [np.full(d, 1.0 / d), np.r_[0.9, rest], np.r_[rest, 0.9],
+            np.r_[0.0, np.full(d - 1, 1.0 / (d - 1))],
+            *np.random.default_rng(21).dirichlet(np.full(d, 0.3), size=3)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_best_radius_bounds_the_one_sided_miss_exactly(d):
+    """dro disappoints on an arc only if its worst-case mean U falls below
+    the true mean mu.  At today's radius for one action seen T times, the
+    exact P(U < mu), summed over every type of T draws, is at most alpha_a."""
+    worst = 0.0
+    for q in one_sided_pmfs(d):
+        for T in (1, 2, 3, 5, 10, 20):
+            for alpha_a in (0.05, 0.2, 0.5):
+                r, _ = radius_best(RadiusInputs(T, d, 1, T, alpha_a, rate_from_alpha(alpha_a, T)))
+                miss = one_sided_miss_probability(np.arange(1.0, d + 1.0), q, T, r)
+                assert miss <= alpha_a, (q.tolist(), T, alpha_a, miss)
+                worst = max(worst, miss / alpha_a)
+    assert worst > 0.0  # some type misses: the check is not vacuous
 
 
 EXACT_TAIL_ALPHAS = (0.05, 0.2)

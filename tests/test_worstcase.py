@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from kldro import worstcase
-from kldro.marginals import Marginal, Support, kl_divergence
+from kldro.marginals import PmfMatrix, Support, kl_divergence
 from kldro.worstcase import minimize_dual, solve_dual
 from oracles import dual_objective, primal_oracle
 
 
 def marginal(points, probs):
-    return Marginal(Support(np.array(points, dtype=float)), np.array(probs, dtype=float))
+    return PmfMatrix(Support(np.array(points, dtype=float)), np.array(probs, dtype=float))
 
 
 def random_marginal(rng, d, floor=0.05):
     z = np.sort(rng.uniform(0.5, 8.0, d)) + np.arange(d) * 1e-2
     q = floor + rng.dirichlet(np.ones(d)) * (1 - floor * d)
     q = q / q.sum()
-    return Marginal(Support(z), q)
+    return PmfMatrix(Support(z), q)
 
 
 M5050 = marginal([1, 2], [0.5, 0.5])
@@ -57,8 +57,8 @@ class TestSolveDual:
         sol = solve_dual(M5050, 0.1)
         assert sol.value == pytest.approx(VALUE_R01, abs=1e-10)
         assert sol.beta == pytest.approx(BETA_R01, abs=1e-7)
-        assert kl_divergence(M5050, sol.primal) == pytest.approx(0.1, abs=1e-10)
-        assert sol.primal.mean() == pytest.approx(sol.value, abs=1e-10)
+        assert kl_divergence(M5050.probs, sol.primal.probs) == pytest.approx(0.1, abs=1e-10)
+        assert float(sol.primal.means) == pytest.approx(sol.value, abs=1e-10)
 
     def test_mass_constraint_with_unobserved_top(self):
         # KL forces q1 >= 1/2, worst value is 2 - 1/2
@@ -75,7 +75,7 @@ class TestSolveDual:
             for lo, hi in zip(values, values[1:]):
                 assert hi >= lo - 1e-12
             for v in values:
-                assert m.mean() - 1e-12 <= v <= m.support.max + 1e-12
+                assert m.means - 1e-12 <= v <= m.support.max + 1e-12
 
     def test_saturates_at_top_for_large_radius(self):
         m = marginal([1, 2, 3], [0.0, 0.0, 1.0])
@@ -90,8 +90,8 @@ class TestSolveDual:
             probs = sol.primal.probs
             assert np.all(probs >= 0.0)
             assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
-            assert kl_divergence(m, sol.primal) <= r + 1e-8
-            assert sol.primal.mean() == pytest.approx(sol.value, abs=1e-6)
+            assert kl_divergence(m.probs, probs) <= r + 1e-8
+            assert float(sol.primal.means) == pytest.approx(sol.value, abs=1e-6)
 
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
@@ -106,17 +106,33 @@ class TestSolveDual:
             r = float(rng.uniform(0.01, 3.0))
             base = solve_dual(m, r)
             for shift in (0.0, 123.0):
-                big = solve_dual(Marginal(Support(1e9 * m.support.points + shift), m.probs), r)
+                big = solve_dual(PmfMatrix(Support(1e9 * m.support.points + shift), m.probs), r)
                 assert big.value == pytest.approx(1e9 * base.value + shift, rel=1e-12)
                 assert big.iterations < 50
 
     @pytest.mark.parametrize("r", [300.0, 800.0, 1e3])
     def test_primal_stays_in_ball_at_large_radius(self, r):
-        # at the larger radii the second pmf's bottom mass underflows unless floored
-        for m in (marginal([1, 2, 3, 4, 5], [0.2] * 5), marginal([1, 2, 3], [1e-25, 0.5, 0.5])):
+        # at the larger radii the second pmf's bottom mass underflows unless
+        # floored, and so do the third's masses on the boundary
+        for m in (marginal([1, 2, 3, 4, 5], [0.2] * 5), marginal([1, 2, 3], [1e-25, 0.5, 0.5]),
+                  marginal([1, 2, 3], [0.5, 0.5, 0.0])):
             sol = solve_dual(m, r)
-            assert kl_divergence(m, sol.primal) <= r * (1 + 1e-9)
-            assert sol.primal.mean() == pytest.approx(sol.value, rel=1e-15)
+            assert kl_divergence(m.probs, sol.primal.probs) <= r * (1 + 1e-9)
+            assert float(sol.primal.means) == pytest.approx(sol.value, rel=1e-15)
+
+    def test_tiny_newton_step_far_below_the_root_does_not_stop(self):
+        # With the top unobserved and r a few % below K_inf = 0.0976, a
+        # bisection lands near u = -350, where every share rounds to 1 and
+        # the Newton step reads ~1e-121: stopping there returned f(top),
+        # 1.8725316, with a pmf at KL 0.0976 outside the ball.
+        m = marginal([1, 2, 3, 4], [4 / 6, 1 / 6, 1 / 6, 0.0])
+        sol = solve_dual(m, 0.093)
+        assert math.log(sol.beta - 4.0) > -10.0
+        assert sol.value == pytest.approx(1.8724441819347275, rel=1e-12)
+        assert kl_divergence(m.probs, sol.primal.probs) == pytest.approx(0.093, rel=1e-9)
+        assert float(sol.primal.means) == pytest.approx(sol.value, rel=1e-12)
+        for beta in sol.beta + np.array([-1e-3, 1e-3, 1.0]):
+            assert sol.value <= dual_objective(beta, m, 0.093)
 
     def test_row_values_do_not_depend_on_memory_layout(self):
         # a dro1-sized batch (27 paths) passed C-ordered, Fortran-ordered,
