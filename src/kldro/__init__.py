@@ -15,8 +15,7 @@ from .datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from .experiments import ExperimentConfig, run_sweep
 from .graphs import build_layered, path_nodes, route_costs, shortest_path
 from .marginals import PmfMatrix, Support, kl_divergence
-from .radius import (RadiusInputs, radius_agrawal, radius_baseline, radius_best, radius_mardia,
-                     rate_from_alpha)
+from .radius import radius_agrawal, radius_baseline, radius_best, radius_mardia
 from .rules import (
     calibrate_ambiguity,
     dro1_prescribe,

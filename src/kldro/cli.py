@@ -25,8 +25,7 @@ import numpy as np
 from .experiments import ExperimentConfig, emit_results, run_sweep
 from .graphs import build_layered, to_edgelist
 from .marginals import PmfMatrix, Support
-from .radius import (RadiusInputs, radius_agrawal, radius_baseline, radius_best, radius_mardia,
-                     rate_from_alpha)
+from .radius import radius_agrawal, radius_baseline, radius_best, radius_mardia
 from .worstcase import solve_dual
 
 
@@ -105,23 +104,19 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    inputs = RadiusInputs(
-        T_a=args.T, d_a=args.d, num_actions=args.A,
-        T_min=args.T_min, alpha_a=args.alpha_a,
-        rate=rate_from_alpha(args.alpha_a, args.T_min),
-    )
-    print(f"baseline: {radius_baseline(inputs)!r}")
-    if inputs.d_a >= 2:
-        print(f"agrawal:  {radius_agrawal(inputs)!r}")
-        if inputs.T_a >= 2:
-            print(f"mardia:   {radius_mardia(inputs)!r}")
+    T, d, alpha_a = args.T, args.d, args.alpha_a
+    value, label = radius_best(T, d, args.A, alpha_a, alpha_a)  # checks the inputs
+    print(f"baseline: {float(radius_baseline(T, d, args.A, alpha_a))!r}")
+    if d >= 2:
+        print(f"agrawal:  {float(radius_agrawal(T, d, alpha_a))!r}")
+        if T >= 2:
+            print(f"mardia:   {float(radius_mardia(T, d, alpha_a))!r}")
         else:
             print("mardia:   n/a (needs T >= 2)")
     else:
         print("agrawal:  n/a (needs d >= 2)")
         print("mardia:   n/a (needs d >= 2)")
-    value, label = radius_best(inputs)
-    print(f"minimum:  {value!r} ({label})")
+    print(f"minimum:  {float(value)!r} ({label})")
     return 0
 
 
@@ -163,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rad.add_argument("--T", type=int, required=True, help="sample count of the action")
     p_rad.add_argument("--d", type=int, required=True, help="support size of the action")
     p_rad.add_argument("--A", type=int, required=True, help="number of actions")
-    p_rad.add_argument("--T-min", dest="T_min", type=int, required=True,
-                       help="minimum sample count over actions")
     p_rad.add_argument("--alpha-a", dest="alpha_a", type=float, required=True,
                        help="per-action confidence in (0, 1)")
     p_rad.set_defaults(func=cmd_radius)

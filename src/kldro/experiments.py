@@ -14,7 +14,8 @@ A sweep runs as blocks of up to ``BLOCK_SIZE`` consecutive replicates,
 which may span grid values.  Each replicate owns a Philox substream, but
 data is drawn per block: one pmf tensor, one inverse-cdf search and one
 data set stacking the block's rows.  The rules run as array code over
-those rows: one calibration call and one dual-kernel call for all dro and
+those rows: one calibration call per data set (the block's, and its
+truncation's when a row is cut), one dual-kernel call for all dro and
 dro2 rows, one dro1 call per joint-atom count, and one batched
 shortest-path DP over every cost row, whose layer choices give each
 rule's nodes and, by one gather, its achieved cost; dro1 returns routes
@@ -38,7 +39,7 @@ from .datagen import (NOMINAL_KINDS, SIZE_KINDS, draw_dataset, nominal_marginals
 from .graphs import (ENUMERATION_CAP, LayeredGraph, build_layered, path_nodes, route_costs,
                      shortest_path)
 from .rules import (
-    calibrate_ambiguities,
+    calibrate_ambiguity,
     hoeffding_costs,
     hoeffding_slack,
     joint_radius,
@@ -46,9 +47,9 @@ from .rules import (
     truncate_dataset,
     worst_case_costs,
 )
-# Blocks call the rules' shared helpers; calibrate_ambiguity and the
-# prescriptions stay importable here because bench/trace_layers.py wraps them.
-from .rules import calibrate_ambiguity, dro1_prescribe, dro_prescribe, hoeffding_prescribe  # noqa: F401
+# Blocks call the rules' shared helpers; the prescriptions stay importable
+# here because bench/trace_layers.py wraps them.
+from .rules import dro1_prescribe, dro_prescribe, hoeffding_prescribe  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -211,10 +212,11 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     """The replicates ``keys``, (grid index, replicate) pairs, as one block.
 
     Each replicate draws its data from its own substream, one call per stage
-    for the whole block.  Then the block makes one calibration call and one
-    dual-kernel call for the dro and dro2 rows of all its replicates, one
-    dro1 kernel call per joint-atom count, and one dynamic program over
-    every cost row to route.  Rows are solved independently, so a
+    for the whole block.  Then the block makes one calibration call for the
+    data and one for its truncation when a row is cut, one dual-kernel call
+    for the dro and dro2 rows of all its replicates, one dro1 kernel call
+    per joint-atom count, and one dynamic program over every cost row to
+    route.  Rows are solved independently, so a
     replicate's result does not depend on the block it runs in.
     """
     rngs = [substream(cfg.seed, _stream_index(cfg, *key)) for key in keys]
@@ -232,7 +234,8 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
         truncated = truncate_dataset(data) if "dro2" in cfg.rules else data
         cut = (truncated.sizes != data.sizes).any(axis=1)
         whole = ~cut | ("dro" in cfg.rules)
-        (r_whole, _), (r_cut, _) = calibrate_ambiguities([data, truncated], cfg.alpha)
+        r_whole = calibrate_ambiguity(data, cfg.alpha)
+        r_cut = calibrate_ambiguity(truncated, cfg.alpha) if cut.any() else r_whole
         robust = np.zeros((2, *data.sizes.shape))  # the data's rows, then the truncation's
         robust[0][whole], robust[1][cut] = np.split(worst_case_costs(
             data.support, np.concatenate([data.pmf[whole], truncated.pmf[cut]]),

@@ -7,53 +7,25 @@ closed form to one scalar root per support size and confidence, divided by
 the count, and a partial-sum bound with Wallis-product coefficients.  The
 smallest applicable estimate wins.
 
-Every formula also takes arrays of inputs (see :class:`RadiusInputs`); its
-logarithms stay ``math`` calls per input, which ``np.log`` may miss by an
-ulp, so a radius is the same alone or in an array.  The rules take radii
-as a plain array, one per action.
+Every bound takes counts T_a and budgets alpha_a as scalars or arrays and
+returns radii of their broadcast shape; its logarithms stay ``math`` calls
+per input, which ``np.log`` may miss by an ulp, so a radius is the same
+alone or in an array.  ``radius_best`` checks its inputs once and runs the
+bounds once per distinct (T_a, alpha_a).  The rules take radii as a plain
+array, one per action.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RadiusInputs", "rate_from_alpha", "radius_baseline", "radius_agrawal",
-           "radius_mardia", "radius_best", "mardia_constant"]
+__all__ = ["radius_baseline", "radius_agrawal", "radius_mardia", "radius_best",
+           "mardia_constant"]
 
 _LABELS = ("baseline", "agrawal", "mardia")
-_PER_ACTION = ("T_a", "T_min", "alpha_a", "rate")  # the fields that may be arrays
-
-
-@dataclass(frozen=True)
-class RadiusInputs:
-    """Everything the calibration formulas need for one action, or for
-    many: the ``_PER_ACTION`` fields may be arrays, broadcast to one shape."""
-
-    T_a: int
-    d_a: int
-    num_actions: int
-    T_min: int
-    alpha_a: float
-    rate: float
-
-    def __post_init__(self):
-        values = np.broadcast_arrays(*(getattr(self, f) for f in _PER_ACTION))
-        if values[0].ndim:  # all-scalar inputs stay scalars, so radii stay floats
-            for name, value in zip(_PER_ACTION, values):
-                object.__setattr__(self, name, value)
-        T_a, T_min, alpha_a, rate = values
-        if (T_a < 1).any() or self.d_a < 1 or self.num_actions < 1:
-            raise ValueError("T_a, d_a and num_actions must be >= 1")
-        if not ((1 <= T_min) & (T_min <= T_a)).all():
-            raise ValueError("T_min must satisfy 1 <= T_min <= T_a")
-        if not ((0.0 < alpha_a) & (alpha_a < 1.0)).all():
-            raise ValueError("alpha_a must lie in (0, 1)")
-        if not (rate > 0.0).all():
-            raise ValueError("rate must be positive")
 
 
 def _each(fn, values) -> np.ndarray:
@@ -61,29 +33,16 @@ def _each(fn, values) -> np.ndarray:
     return np.array(list(map(fn, np.ravel(values).tolist()))).reshape(np.shape(values))
 
 
-def _scalar_or_array(values):
-    return float(values) if np.ndim(values) == 0 else values
-
-
-def rate_from_alpha(alpha: float, T_min):
-    """Exponential decay rate matching confidence level ``alpha``, for one
-    ``T_min`` or an array of them."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if (np.asarray(T_min) < 1).any():
-        raise ValueError("T_min must be >= 1")
-    return -math.log(alpha) / T_min
-
-
-def radius_baseline(inputs: RadiusInputs):
-    """Method-of-types radius; applicable for any support size."""
+def radius_baseline(T_a, d_a: int, num_actions: int, alpha: float):
+    """Method-of-types radius, applicable for any support size, with the
+    budget ``alpha`` split by a union bound over ``num_actions`` actions:
+    (ln |A| + d_a ln(T_a + 1) + ln(1/alpha)) / T_a."""
     try:
-        d = float(inputs.d_a)
+        d = float(d_a)
     except OverflowError:
-        return _scalar_or_array(np.full(np.shape(inputs.T_a), math.inf))
-    d_term = d * _each(math.log, np.add(inputs.T_a, 1))
-    return _scalar_or_array(
-        (math.log(inputs.num_actions) + d_term + inputs.T_min * inputs.rate) / inputs.T_a)
+        return np.full(np.shape(T_a), math.inf)
+    d_term = d * _each(math.log, np.add(T_a, 1))
+    return (math.log(num_actions) + d_term - math.log(alpha)) / T_a
 
 
 # (x - log1p(x)) / x^2 = sum_k (-x)^k / (k + 2), in Horner order
@@ -122,7 +81,7 @@ def _agrawal_x(d_a: int, alpha_a: float) -> float:
                        f"(d_a={d_a}, alpha_a={alpha_a})")
 
 
-def radius_agrawal(inputs: RadiusInputs):
+def radius_agrawal(T_a, d_a: int, alpha_a):
     """Radius from the mgf bound: the root above (d-1)/T of the tail
     equation ((e/(d-1)) r T)^(d-1) e^{-rT} = alpha_a.
 
@@ -130,17 +89,16 @@ def radius_agrawal(inputs: RadiusInputs):
     ln(1/alpha_a)/(d-1), free of T, so r = (d-1)(1 + x)/T_a for one root
     x per distinct alpha_a (:func:`_agrawal_x`).
     """
-    d, alpha_a = inputs.d_a, inputs.alpha_a
     try:
-        d_m1 = float(d - 1)
+        d_m1 = float(d_a - 1)
     except OverflowError:  # a support too large for floats: never the minimum
         d_m1 = math.inf
     if d_m1 in (0.0, math.inf):  # radius 0 at d = 1: the marginal is known exactly
-        return _scalar_or_array(np.full(np.shape(alpha_a), d_m1))
+        return np.full(np.broadcast_shapes(np.shape(T_a), np.shape(alpha_a)), d_m1)
     alphas = np.ravel(alpha_a).tolist()
-    roots = {a: _agrawal_x(d, a) for a in set(alphas)}
+    roots = {a: _agrawal_x(d_a, a) for a in set(alphas)}
     x = np.array([roots[a] for a in alphas]).reshape(np.shape(alpha_a))
-    return _scalar_or_array(d_m1 * (1.0 + x) / inputs.T_a)
+    return d_m1 * (1.0 + x) / T_a
 
 
 @functools.cache
@@ -184,29 +142,42 @@ def mardia_constant(d_a: int, T_a: int) -> float:
     return math.exp(math.log(12.0 / math.pi) + _log_mardia_sum(d_a, T_a))
 
 
-def _mardia(d_a: int, T_a, alpha_a) -> np.ndarray:
+def radius_mardia(T_a, d_a: int, alpha_a):
+    """Radius from the Wallis-product partial-sum bound (d_a, T_a >= 2)."""
+    if d_a < 2 or (np.asarray(T_a) < 2).any():
+        raise ValueError("mardia bound requires d_a >= 2 and T_a >= 2")
     log_c = math.log(12.0 / math.pi) + _each(functools.partial(_log_mardia_sum, d_a), T_a)
     return (log_c - _each(math.log, alpha_a)) / T_a
 
 
-def radius_mardia(inputs: RadiusInputs):
-    """Radius from the Wallis-product partial-sum bound (d_a, T_a >= 2)."""
-    if inputs.d_a < 2 or (np.asarray(inputs.T_a) < 2).any():
-        raise ValueError("mardia bound requires d_a >= 2 and T_a >= 2")
-    return _scalar_or_array(_mardia(inputs.d_a, inputs.T_a, inputs.alpha_a))
+def radius_best(T_a, d_a: int, num_actions: int, alpha_a, alpha: float):
+    """Minimum of the applicable bounds and the winner's label, two arrays
+    shaped like the broadcast T_a and alpha_a; ties go to the earlier of
+    baseline, agrawal, mardia.  ``alpha_a`` is each action's budget and
+    ``alpha`` the one the baseline splits over ``num_actions``.
 
-
-def radius_best(inputs: RadiusInputs):
-    """Minimum of the applicable estimates, with the winner's label; ties go
-    to the earlier of baseline, agrawal, mardia.  Array inputs give an
-    array of radii and one of labels; one input is a block of one."""
-    d, T, alpha_a = inputs.d_a, np.atleast_1d(inputs.T_a), np.atleast_1d(inputs.alpha_a)
-    candidates = [radius_baseline(inputs)]
-    if d >= 2:
-        r_m = np.where(T >= 2, _mardia(d, np.maximum(T, 2), alpha_a), math.inf)
-        candidates += [radius_agrawal(inputs), r_m]
+    The inputs are checked here, since the command line passes them on
+    unchecked.  One lexsort finds the distinct (T_a, alpha_a), and each
+    bound runs once on those.
+    """
+    T_a, alpha_a = np.broadcast_arrays(T_a, alpha_a)
+    if (T_a < 1).any() or d_a < 1 or num_actions < 1:
+        raise ValueError("T_a, d_a and num_actions must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not ((0.0 < alpha_a) & (alpha_a < 1.0)).all():
+        raise ValueError("alpha_a must lie in (0, 1)")
+    T, alphas = T_a.ravel(), alpha_a.ravel()
+    order = np.lexsort((alphas, T))
+    new = np.ones(order.size, dtype=bool)  # where a distinct input starts, in sorted order
+    new[1:] = (T[order[1:]] != T[order[:-1]]) | (alphas[order[1:]] != alphas[order[:-1]])
+    T, alphas = T[order[new]], alphas[order[new]]
+    candidates = [radius_baseline(T, d_a, num_actions, alpha)]
+    if d_a >= 2:
+        candidates += [radius_agrawal(T, d_a, alphas),
+                       np.where(T >= 2, radius_mardia(np.maximum(T, 2), d_a, alphas), math.inf)]
+    distinct = np.empty(order.size, dtype=np.intp)
+    distinct[order] = np.cumsum(new) - 1
     # argmin takes the first least radius: ties go to the earlier label
-    stacked = np.stack([np.atleast_1d(c) for c in candidates])
-    radius, labels = stacked.min(axis=0), np.array(_LABELS)[stacked.argmin(axis=0)]
-    return (float(radius[0]), str(labels[0])) if np.ndim(inputs.T_a) == 0 else (radius, labels)
-
+    stacked = np.stack(candidates)[:, distinct].reshape(-1, *T_a.shape)
+    return stacked.min(axis=0), np.array(_LABELS)[stacked.argmin(axis=0)]

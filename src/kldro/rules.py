@@ -16,11 +16,12 @@ its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``
 
 Every step also takes a block of replicates stacked into one data set
 (``DataSet.stacked``) and runs as array code over its rows; one data set
-is a block of one.  Calibration evaluates the bounds once per distinct
-(T_min, T_a, alpha_a) of all rows, ``worst_case_costs`` solves any stack of
-pmf rows in one kernel call, and ``joint_worst_case_paths`` makes one
-kernel call per joint-atom count and returns dro1's paths as
-``graphs.Routes``, as ``shortest_path`` routes a cost matrix.
+is a block of one.  Calibration is one ``radius_best`` call per data set,
+which evaluates the bounds once per distinct (T_a, alpha_a) of all its
+rows, ``worst_case_costs`` solves any stack of pmf rows in one kernel
+call, and ``joint_worst_case_paths`` makes one kernel call per joint-atom
+count and returns dro1's paths as ``graphs.Routes``, as ``shortest_path``
+routes a cost matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .graphs import LayeredGraph, Routes, enumerate_paths, route_costs, shortest_path
 from .marginals import DataSet, Support, _absorb_rounding
-from .radius import RadiusInputs, radius_best, rate_from_alpha
+from .radius import radius_best
 # The rules solve all arcs or paths in one solve_dual_batch call; the one-row
 # solvers stay importable from here because bench/trace_layers.py wraps them.
 from .worstcase import minimize_dual, solve_dual, solve_dual_batch  # noqa: F401
@@ -43,7 +44,6 @@ __all__ = [
     "Prescription",
     "JointEmpirical",
     "split_alpha",
-    "calibrate_ambiguities",
     "calibrate_ambiguity",
     "hoeffding_slack",
     "joint_radius",
@@ -115,37 +115,12 @@ def _split_once(data: DataSet, alpha: float) -> np.ndarray:
     return data.cache[key]
 
 
-def calibrate_ambiguities(datas, alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-action radii and labels, shaped as ``sizes``, of every data set
-    in ``datas`` (one support size and action count): split the budget,
-    then take the best of the three finite-sample bounds, with d_a the
-    support size.  One ``radius_best`` call evaluates each distinct
-    (T_min, T_a, alpha_a) of all rows once."""
-    datas = list(datas)
-    d, m = datas[0].support.size, datas[0].num_actions
-    if any(x.support.size != d or x.num_actions != m for x in datas):
-        raise ValueError("data sets must share one support size and action count")
-    sizes = np.concatenate([x.sizes.ravel() for x in datas])
-    alphas = np.concatenate([_split_once(x, alpha).ravel() for x in datas])
-    t_min = np.repeat(sizes.reshape(-1, m).min(axis=1), m)
-    order = np.lexsort((alphas, sizes, t_min))
-    new = np.arange(order.size) == 0  # where a distinct input starts, in sorted order
-    for key in (alphas, sizes, t_min):
-        new[1:] |= key[order[1:]] != key[order[:-1]]
-    first = order[new]
-    radii, labels = radius_best(RadiusInputs(sizes[first], d, m, t_min[first], alphas[first],
-                                             rate_from_alpha(alpha, t_min[first])))
-    distinct = np.empty(order.size, dtype=np.intp)
-    distinct[order] = np.cumsum(new) - 1
-    ends = np.cumsum([x.sizes.size for x in datas])[:-1]
-    return [(r.reshape(x.sizes.shape), lab.reshape(x.sizes.shape)) for x, r, lab in
-            zip(datas, np.split(radii[distinct], ends), np.split(labels[distinct], ends))]
-
-
 def calibrate_ambiguity(data: DataSet, alpha: float) -> np.ndarray:
-    """Per-action radii of one data set: :func:`calibrate_ambiguities` on
-    a block of one."""
-    return calibrate_ambiguities([data], alpha)[0][0]
+    """Per-action radii, shaped as ``data.sizes``: split the budget, then
+    take the best of the three finite-sample bounds, with d_a the support
+    size, in one ``radius_best`` call over all rows of the data set."""
+    alphas = _split_once(data, alpha)
+    return radius_best(data.sizes, data.support.size, data.num_actions, alphas, alpha)[0]
 
 
 def worst_case_costs(support: Support, pmf: np.ndarray, radii) -> np.ndarray:
@@ -257,9 +232,7 @@ def joint_radius(data: DataSet, alpha: float):
 
 @functools.cache  # a pure function of four numbers, of which a sweep meets few
 def _joint_radius(t_min: int, d: int, m: int, alpha: float) -> float:
-    inputs = RadiusInputs(T_a=t_min, d_a=d**m, num_actions=1, T_min=t_min, alpha_a=alpha,
-                          rate=rate_from_alpha(alpha, t_min))
-    return radius_best(inputs)[0]
+    return float(radius_best(t_min, d**m, 1, alpha, alpha)[0])
 
 
 def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:

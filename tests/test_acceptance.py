@@ -18,15 +18,7 @@ from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substre
 from kldro.experiments import ExperimentConfig, run_sweep
 from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_path
 from kldro.marginals import PmfMatrix, Support, kl_divergence
-from kldro.radius import (
-    RadiusInputs,
-    mardia_constant,
-    radius_agrawal,
-    radius_baseline,
-    radius_best,
-    radius_mardia,
-    rate_from_alpha,
-)
+from kldro.radius import mardia_constant, radius_agrawal, radius_baseline, radius_best, radius_mardia
 from kldro.rules import (calibrate_ambiguity, dro1_prescribe, dro_predict, dro_prescribe,
                          hoeffding_prescribe, truncate_dataset)
 from kldro.worstcase import solve_dual
@@ -145,8 +137,7 @@ def test_criterion_4_radius_calibrations():
     # root bound re-substitutes to the confidence within 1e-8 relative
     for T in range(2, 201, 6):
         for d in (2, 5, 17, 50):
-            inp = RadiusInputs(T, d, 1, T, 0.05, 1.0)
-            r = radius_agrawal(inp)
+            r = radius_agrawal(T, d, 0.05)
             log_lhs = (d - 1) * (1 + math.log(r * T) - math.log(d - 1)) - r * T
             assert abs(math.exp(log_lhs) - 0.05) <= 1e-8 * 0.05
     # partial-sum constant at d=2 is 12/pi to full precision
@@ -154,20 +145,15 @@ def test_criterion_4_radius_calibrations():
     # the combined estimate never exceeds the always-applicable baseline
     rng = np.random.default_rng(1004)
     for _ in range(200):
-        inp = RadiusInputs(
-            T_a=int(rng.integers(2, 150)), d_a=int(rng.integers(1, 60)),
-            num_actions=int(rng.integers(1, 40)), T_min=1,
-            alpha_a=float(rng.uniform(1e-5, 0.99)), rate=float(rng.uniform(0.01, 2.0)),
-        )
-        value, _ = radius_best(inp)
-        assert value <= radius_baseline(inp) + 1e-15
+        T, d, m = int(rng.integers(2, 150)), int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        alpha_a, alpha = float(rng.uniform(1e-5, 0.99)), math.exp(-float(rng.uniform(0.01, 2.0)))
+        value, _ = radius_best(T, d, m, alpha_a, alpha)
+        assert value <= radius_baseline(T, d, m, alpha) + 1e-15
     # strict decay in the sample count for every bound
+    T = np.arange(2, 201)
     for d in (2, 7, 50):
-        for fn in (radius_baseline, radius_agrawal, radius_mardia):
-            values = [
-                fn(RadiusInputs(T, d, 24, T, 0.002, rate_from_alpha(0.05, T)))
-                for T in range(2, 201)
-            ]
+        for values in (radius_baseline(T, d, 24, 0.05), radius_agrawal(T, d, 0.002),
+                       radius_mardia(T, d, 0.002)):
             assert np.all(np.diff(values) < 0.0)
     report("ACCEPTANCE 4 radius calibrations: resubstitution, 12/pi constant, "
            "min dominance, strict decay -- PASS")

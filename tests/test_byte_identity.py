@@ -4,7 +4,11 @@ each).  Together they cover the binomial, multinomial (joint draw) and
 discretized-normal nominals, uniform and both mean-tilted sample sizes
 (binomial1, binomial2), and all four rules, dro1 and dro2 on binomial2
 sizes included, and dro2 without dro (fig8a).  One more pin runs a sweep
-as two blocks of unequal size."""
+as two blocks of unequal size.
+
+The tiny sweeps miss rare rows, such as a dual-kernel stop that moves one
+replicate in a few thousand, so every figure config is also pinned at
+full size, run on two workers."""
 
 import hashlib
 import json
@@ -48,12 +52,37 @@ PINNED = {
 }
 
 
-def output_sha256(name: str, grid, out_dir, n0=2) -> tuple[str, str]:
-    """sha256 of results.csv and of aggregates.csv."""
+# config -> (sha256 of results.csv, sha256 of aggregates.csv) of the full sweep
+FULL = {
+    "fig2a.json": ("ebe20730564a7db931776030803df1a7e00dec70f660c51b7424ac527ccdb957",
+                   "a8b60c6b2251969e2a51563ca5b996137a513d55d6149aeb621a9e75d33250f5"),
+    "fig2b.json": ("6c549c547d4360ccce0bdfff9465cef411dd3594b3fcefed06381652d59dcace",
+                   "6bdba757997b7cf59c6cc3040269e3c7e8634bad0f344719c79dc31858dc4431"),
+    "fig4.json": ("851a6bd7053dfd4deadc3efc05ae7a6e7fdfa6cf89b0a6635d06ee21c7c979ad",
+                  "4bdb207501504f855574a57cbf88362b6e35291ce80af7fda19887052a84e5b1"),
+    "fig5.json": ("66549ed7a9cc6b88e4ec6965f8c8ca48cf17d6ed92cd935e5860846b9446c215",
+                  "08e18f8577356cf878be05caedd1b32aba1aa449d4d944f35b2899407d1fb874"),
+    "fig6a.json": ("cb14fb9dea1d13fb4031e0f18b5cfc29d8e5c8db8d2ed5bd07f6875b8adb1c94",
+                   "3d634b7b0244b5eb393a1d7b69edb7ea773a2c415da586f8b0848043282a5f2d"),
+    "fig6b.json": ("150e6bae21e71d887d302b1b079298b797f62e28824c9b8b56fa251d3fa0b56c",
+                   "b5bc5b2c0ef09c71c062fc74eb568a83318d3ebf021b8a66de35dceee5f966ee"),
+    "fig7.json": ("e31c7747bfe0df4948af2c13b0733042b2147ccfb07d70a5cab32fce93bffa87",
+                  "7046e8d2dbcfecadebb72982539ca78a87e8b1b13c4a4249499b2238975c1dde"),
+    "fig8a.json": ("a1146188536886378cb7bebfb9b1f50f17d412a3d263a0866200d8bd9e3a6416",
+                   "73be6fd7dbc1a8415c99153296ce341487de34e42aad803c7418caacf9b1d203"),
+    "fig8b.json": ("7fd53db51a5fd39b565c016b5dc04db1f9bc77164d1f5cef1432843eac787907",
+                   "2906e82d294b69971efd7159169c32e214ae083323a12346ee0a7f677f3274fb"),
+}
+
+
+def output_sha256(name: str, grid, out_dir, n0=2, workers=1) -> tuple[str, str]:
+    """sha256 of results.csv and of aggregates.csv; a ``grid`` of None keeps
+    the config's own grid and n0."""
     raw = json.loads((CONFIGS / name).read_text())
-    raw.update(grid=list(grid), n0=n0)
+    if grid is not None:
+        raw.update(grid=list(grid), n0=n0)
     cfg = ExperimentConfig.from_dict(raw)
-    paths = emit_results(run_sweep(cfg), str(out_dir), cfg.sweep, cfg.rules)
+    paths = emit_results(run_sweep(cfg, workers), str(out_dir), cfg.sweep, cfg.rules)
     return tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths)
 
 
@@ -75,3 +104,12 @@ def test_a_two_block_sweep_is_byte_identical(tmp_path):
     assert output_sha256("fig2a.json", (5, 35), tmp_path, n0=9) == (
         "bb4015b4dbe04f0226f9d288f5d53a55de7049f99e17c1e3f381e1f08a7982c6",
         "0984293a766ab994e98aff4e49a4d2b1d1e9f910b8a3514a686ba94c77fa4218")
+
+
+def test_every_figure_config_is_pinned():
+    assert sorted(FULL) == sorted(path.name for path in CONFIGS.glob("fig*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(FULL))
+def test_full_figure_output_is_byte_identical(name, tmp_path):
+    assert output_sha256(name, None, tmp_path, workers=2) == FULL[name]

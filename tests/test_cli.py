@@ -135,37 +135,46 @@ class TestWorstcase:
 
 class TestRadius:
     def test_paper_scale_inputs(self, capsys):
-        code = main([
-            "radius", "--T", "25", "--d", "50", "--A", "104",
-            "--T-min", "20", "--alpha-a", "0.0005",
-        ])
+        code = main(["radius", "--T", "25", "--d", "50", "--A", "104", "--alpha-a", "0.0005"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "baseline:" in out and "agrawal:" in out and "mardia:" in out
-        assert "minimum:" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "baseline: 7.006004810390302",
+            "agrawal:  3.2631329333628076",
+            "mardia:   1.049465428843896",
+            "minimum:  1.049465428843896 (mardia)",
+        ]
 
     def test_degenerate_support_notes_inapplicable_bounds(self, capsys):
-        assert main(["radius", "--T", "25", "--d", "1", "--A", "10",
-                     "--T-min", "20", "--alpha-a", "0.01"]) == 0
+        assert main(["radius", "--T", "25", "--d", "1", "--A", "10", "--alpha-a", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "n/a" in out
         assert "(baseline)" in out
 
     def test_single_sample_notes_mardia_inapplicable(self, capsys):
-        assert main(["radius", "--T", "1", "--d", "2", "--A", "1",
-                     "--T-min", "1", "--alpha-a", "0.05"]) == 0
+        assert main(["radius", "--T", "1", "--d", "2", "--A", "1", "--alpha-a", "0.05"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("agrawal:  ") and lines[2] == "mardia:   n/a (needs T >= 2)"
 
-    def test_zero_t_min_is_a_validation_error(self, capsys):
-        assert main(["radius", "--T", "25", "--d", "5", "--A", "10",
-                     "--T-min", "0", "--alpha-a", "0.05"]) == 1
-        assert capsys.readouterr().err == "error: T_min must be >= 1\n"
+    @pytest.mark.parametrize("flag, value", [
+        ("--T", "0"), ("--d", "0"), ("--A", "0"),
+        ("--alpha-a", "0"), ("--alpha-a", "1.5"), ("--alpha-a", "nan"),
+    ])
+    def test_invalid_input_is_a_one_line_validation_error(self, capsys, flag, value):
+        args = {"--T": "25", "--d": "5", "--A": "10", "--alpha-a": "0.05", flag: value}
+        assert main(["radius", *(x for item in args.items() for x in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_alpha_out_of_range(self, capsys):
-        assert main(["radius", "--T", "25", "--d", "5", "--A", "10",
-                     "--T-min", "20", "--alpha-a", "1.5"]) == 1
+        assert main(["radius", "--T", "25", "--d", "5", "--A", "10", "--alpha-a", "1.5"]) == 1
         assert capsys.readouterr().err == "error: alpha must lie in (0, 1)\n"
+
+    def test_help_lists_no_t_min(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["radius", "--help"])
+        assert exit_info.value.code == 0
+        assert "--T-min" not in capsys.readouterr().out
 
 
 class TestGraph:

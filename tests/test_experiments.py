@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kldro.radius
 from kldro import datagen, experiments, graphs, rules
 from kldro.datagen import binomial_pmfs, nominal_marginals, substream
 from kldro.experiments import (
@@ -20,7 +21,7 @@ from kldro.experiments import (
 )
 from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_path
 from kldro.marginals import DataSet, PmfMatrix, Support
-from kldro.radius import RadiusInputs, rate_from_alpha
+from kldro.radius import radius_best
 from oracles import path_cost
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -377,53 +378,61 @@ class TestRunSweep:
         assert {width for _, width in calls[1:]} == widths
         assert sum(rows for rows, _ in calls[1:]) == 6 * 27
 
-    def test_fig7_block_makes_one_calibration_call_and_one_solve_per_input(self, monkeypatch):
+    def test_fig7_block_calibrates_each_data_set_and_each_input_once(self, monkeypatch):
         raw = json.loads((CONFIGS / "fig7.json").read_text())
         cfg = ExperimentConfig.from_dict({**raw, "grid": [0, 14], "n0": 3})
         g = build_layered(cfg.h, cfg.w)
         keys = [(grid_index, i) for grid_index in range(2) for i in range(cfg.n0)]
-        calibrated, solved = [], []
-        calibrate_ambiguities, radius_best = experiments.calibrate_ambiguities, rules.radius_best
+        calibrated, solved, agrawal = [], [], []
+        calibrate_ambiguity = experiments.calibrate_ambiguity
+        radius_agrawal = kldro.radius.radius_agrawal
 
-        def calibrating(datas, alpha):
-            datas = list(datas)
-            found = calibrate_ambiguities(datas, alpha)
-            calibrated.append((datas, found))
+        def calibrating(data, alpha):
+            found = calibrate_ambiguity(data, alpha)
+            calibrated.append((data, found))
             return found
 
-        def solving(inputs):
-            solved.append(inputs)
-            return radius_best(inputs)
+        def solving(*args):
+            solved.append(args)
+            return radius_best(*args)
 
-        monkeypatch.setattr(experiments, "calibrate_ambiguities", calibrating)
+        def bounding(T, d, alpha_a):
+            agrawal.append(np.size(T))
+            return radius_agrawal(T, d, alpha_a)
+
+        monkeypatch.setattr(experiments, "calibrate_ambiguity", calibrating)
         monkeypatch.setattr(rules, "radius_best", solving)
+        monkeypatch.setattr(kldro.radius, "radius_agrawal", bounding)
         rules._joint_radius.cache_clear()
         experiments._run_block(cfg, g, keys)
-        [(datas, found)] = calibrated
-        # the block's data and its truncation, six replicates each
-        assert [data.sizes.shape for data in datas] == [(6, 24), (6, 24)]
-        inputs = [(min(row), t, alpha_a)
-                  for data in datas
-                  for row, alphas in zip(data.sizes.tolist(),
-                                         rules.split_alpha(cfg.alpha, data.sizes).tolist())
-                  for t, alpha_a in zip(row, alphas)]
-        # one call evaluates every distinct (T_min, T_a, alpha_a) once
-        [per_arc] = [i for i in solved if i.num_actions > 1]
-        assert (per_arc.d_a, per_arc.num_actions) == (cfg.d, g.num_arcs)
-        assert sorted(zip(per_arc.T_min.tolist(), per_arc.T_a.tolist(),
-                          per_arc.alpha_a.tolist())) == sorted(set(inputs))
-        # and every radius and label is that of radius_best on its input
-        radii = np.concatenate([r.ravel() for r, _ in found])
-        labels = np.concatenate([lab.ravel() for _, lab in found])
-        for (t_min, t, alpha_a), radius, label in zip(inputs, radii.tolist(), labels.tolist()):
-            rate = rate_from_alpha(cfg.alpha, t_min)
-            assert (radius, label) == radius_best(
-                RadiusInputs(t, cfg.d, g.num_arcs, t_min, alpha_a, rate))
+        # one call for the block's data and one for its truncation, six
+        # replicates each: the delta = 14 rows are cut
+        [(data, r_data), (truncated, _)] = calibrated
+        assert data.sizes.shape == truncated.sizes.shape == (6, 24)
+        assert (truncated.sizes != data.sizes).any()
+        # one radius_best call per data set, over all its rows, whose bounds
+        # run once per distinct (T_a, alpha_a)
+        per_arc = [args for args in solved if args[2] > 1]
+        assert [(np.shape(args[0]), args[1:3]) for args in per_arc] == [
+            ((6, 24), (cfg.d, g.num_arcs))] * 2
+        for (found, _), (sizes, _, _, alphas, _), count in zip(calibrated, per_arc, agrawal):
+            assert sizes is found.sizes
+            assert count == len(set(zip(sizes.ravel().tolist(), alphas.ravel().tolist())))
+        # and every radius is that of radius_best on its input alone
+        for found, radii in calibrated:
+            alphas = rules.split_alpha(cfg.alpha, found.sizes)
+            for t, alpha_a, radius in zip(found.sizes.ravel().tolist(), alphas.ravel().tolist(),
+                                          radii.ravel().tolist()):
+                assert radius == radius_best(t, cfg.d, g.num_arcs, alpha_a, cfg.alpha)[0]
         # the three delta = 0 replicates have equal counts, so equal radii
-        assert np.array_equal(found[0][0][0], found[0][0][1])
-        assert np.array_equal(found[0][0][0], found[0][0][2])
+        assert np.array_equal(r_data[0], r_data[1])
+        assert np.array_equal(r_data[0], r_data[2])
         # dro1's joint radius, once per distinct T_min
-        assert len(solved) - 1 == len({t for data in datas for t in data.t_min.tolist()})
+        assert len(solved) - 2 == len(set(data.t_min.tolist()))
+        # with no row cut, the data is calibrated alone
+        calibrated.clear()
+        experiments._run_block(cfg, g, keys[:cfg.n0])
+        assert [found.sizes.shape for found, _ in calibrated] == [(3, 24)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_inside_a_block_names_its_replicate(self, monkeypatch, workers):

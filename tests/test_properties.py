@@ -1,6 +1,7 @@
 """Property tests for the batched dual kernel and its worst-case pmfs,
 per-count calibration, the array-first data path and the block data set."""
 
+import contextlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -21,7 +22,8 @@ from kldro.marginals import (
     kl_divergence,
     pmf_means,
 )
-from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
+import kldro.radius
+from kldro.radius import radius_best
 from kldro import rules
 from kldro.rules import JointEmpirical, calibrate_ambiguity, split_alpha
 from kldro.worstcase import solve_dual_batch, worst_case_pmfs
@@ -202,20 +204,32 @@ def test_worst_case_pmfs_are_pmfs_in_the_ball_with_the_dual_mean(k, data):
         assert np.abs(p - want).max() <= 1e-15
 
 
+def calibrated_labels(data, alpha):
+    """The radii ``calibrate_ambiguity`` returns, and the labels of the one
+    ``radius_best`` call that gave them."""
+    found = []
+
+    def recording(*args):
+        found.append(radius_best(*args))
+        return found[-1]
+
+    with mock.patch.object(rules, "radius_best", side_effect=recording):
+        radii = calibrate_ambiguity(data, alpha)
+    [(returned, labels)] = found
+    assert returned is radii
+    return radii, labels
+
+
 @settings(max_examples=60)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=120), st.integers(1, 50),
        st.floats(1e-4, 0.99))
 def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
     sup = Support.integers(d)
     data = DataSet(sup, np.zeros(sum(sizes), dtype=int), np.array(sizes))
-    radii = calibrate_ambiguity(data, alpha)
-    [(_, labels)] = rules.calibrate_ambiguities([data], alpha)
+    radii, labels = calibrated_labels(data, alpha)
     alphas = split_alpha(alpha, sizes)
-    t_min = min(sizes)
-    rate = rate_from_alpha(alpha, t_min)
     for a, t in enumerate(sizes):
-        inputs = RadiusInputs(t, d, len(sizes), t_min, float(alphas[a]), rate)
-        radius, label = radius_best(inputs)
+        radius, label = radius_best(t, d, len(sizes), float(alphas[a]), alpha)
         assert radii[a] == radius
         assert labels[a] == label
 
@@ -225,61 +239,66 @@ def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
        st.lists(st.integers(1, 50), min_size=3, max_size=3), st.floats(1e-4, 0.99))
 def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
     """The same counts on supports of different sizes get each support's own
-    radii, and one ``radius_best`` call evaluates each distinct (T_a,
-    alpha_a) once: the arc whose share absorbed the rounding counts apart."""
+    radii, and one calibration evaluates the baseline once per distinct
+    (T_a, alpha_a): the arc whose share absorbed the rounding counts apart."""
     alphas = split_alpha(alpha, sizes)
-    t_min = min(sizes)
-    rate = rate_from_alpha(alpha, t_min)
     for d in dims:
         data = DataSet(Support.integers(d), np.zeros(sum(sizes), dtype=int), np.array(sizes))
-        with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
-            [(radii, labels)] = rules.calibrate_ambiguities([data], alpha)
+        baseline = kldro.radius.radius_baseline
+        with mock.patch.object(kldro.radius, "radius_baseline", side_effect=baseline) as calls:
+            radii, labels = calibrated_labels(data, alpha)
         assert calls.call_count == 1
-        assert np.size(calls.call_args.args[0].T_a) == len(set(zip(sizes, alphas.tolist())))
+        assert np.size(calls.call_args.args[0]) == len(set(zip(sizes, alphas.tolist())))
         for a, t in enumerate(sizes):
-            radius, label = radius_best(RadiusInputs(t, d, len(sizes), t_min, float(alphas[a]), rate))
+            radius, label = radius_best(t, d, len(sizes), float(alphas[a]), alpha)
             assert radii[a] == radius
             assert labels[a] == label
 
 
+BOUNDS = ("radius_baseline", "radius_agrawal", "radius_mardia")
+
+
 @st.composite
-def calibration_blocks(draw):
-    """Blocks of count rows on one support, the rows repeating within and
-    across blocks, some blocks truncated; and the support size."""
-    d = draw(st.integers(1, 50))
-    m = draw(st.integers(1, 30))
-    vectors = draw(st.lists(st.lists(st.integers(1, 30), min_size=m, max_size=m),
-                            min_size=1, max_size=4))
-    picks = st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=4)
-    datas = []
-    for rows, truncated in draw(st.lists(st.tuples(picks, st.booleans()), min_size=1, max_size=4)):
-        sizes = np.array([vectors[k] for k in rows])
-        data = DataSet.stacked(Support.integers(d), np.zeros(sizes.sum(), dtype=int), sizes)
-        datas.append(rules.truncate_dataset(data) if truncated else data)
-    return datas, d
+def repeated_radius_inputs(draw):
+    """Counts T_a in [1, 80] and budgets alpha_a in (0, 1), each drawn from
+    a pool of up to four, so that pairs repeat in any order and some pairs
+    share a count or a budget; as one row or two."""
+    pool_t = draw(st.lists(st.integers(1, 80), min_size=1, max_size=4))
+    pool_alpha = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                               min_size=1, max_size=4))
+    n = draw(st.integers(1, 40))
+    T = np.array(draw(st.lists(st.sampled_from(pool_t), min_size=n, max_size=n)))
+    alphas = np.array(draw(st.lists(st.sampled_from(pool_alpha), min_size=n, max_size=n)))
+    if n % 2 == 0 and draw(st.booleans()):
+        T, alphas = T.reshape(2, -1), alphas.reshape(2, -1)
+    return T, alphas
 
 
-@settings(max_examples=60)
-@given(calibration_blocks(), st.floats(1e-4, 0.99))
-def test_block_calibration_shares_specs_and_solves_each_input_once(blocks, alpha):
-    """``calibrate_ambiguities`` equals ``calibrate_ambiguity`` on every
-    row alone, bit for bit, so equal rows share their radii, and one
-    ``radius_best`` call evaluates each distinct (T_min, T_a, alpha_a) of
-    all rows once."""
-    datas, d = blocks
-    with mock.patch.object(rules, "radius_best", side_effect=radius_best) as calls:
-        found = rules.calibrate_ambiguities(datas, alpha)
-    rows = [row for data in datas for row in data.sizes.tolist()]
-    inputs = {(min(row), t, alpha_a)
-              for row in rows for t, alpha_a in zip(row, split_alpha(alpha, row).tolist())}
-    assert calls.call_count == 1
-    assert np.size(calls.call_args.args[0].T_a) == len(inputs)
-    radii = np.concatenate([r for r, _ in found])
-    labels = np.concatenate([lab for _, lab in found])
-    for row, row_radii, row_labels in zip(rows, radii, labels):
-        one = DataSet(Support.integers(d), np.zeros(sum(row), dtype=int), np.array(row))
-        assert np.array_equal(row_radii, calibrate_ambiguity(one, alpha))
-        assert row_labels.tolist() == rules.calibrate_ambiguities([one], alpha)[0][1].tolist()
+@settings(max_examples=80)
+@given(repeated_radius_inputs(), st.sampled_from([1, 2, 3, 50, 50**24]), st.integers(1, 200),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example((np.array([[3, 1, 3], [1, 3, 3]]), np.array([[0.5, 0.5, 0.25], [0.5, 0.5, 0.25]])),
+         3, 24, 0.05)
+def test_radius_best_runs_each_bound_once_per_distinct_input(inputs, d, m, alpha):
+    """``radius_best`` on arrays whose (T_a, alpha_a) repeat equals its
+    one-entry calls bit for bit, labels included, and runs each applicable
+    bound once, on the distinct (T_a, alpha_a) only."""
+    T, alphas = inputs
+    distinct = len(set(zip(T.ravel().tolist(), alphas.ravel().tolist())))
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(
+                     kldro.radius, name, side_effect=getattr(kldro.radius, name)))
+                 for name in BOUNDS}
+        radii, labels = radius_best(T, d, m, alphas, alpha)
+    assert radii.shape == labels.shape == T.shape
+    for name, spy in spies.items():
+        assert spy.call_count == int(d >= 2 or name == "radius_baseline"), name
+        if spy.call_count:
+            assert np.size(spy.call_args.args[0]) == distinct, name
+    for k in np.ndindex(T.shape):
+        radius, label = radius_best(int(T[k]), d, m, float(alphas[k]), alpha)
+        assert float(radii[k]).hex() == float(radius).hex()
+        assert labels[k] == label
 
 
 @settings(max_examples=100)
@@ -572,7 +591,7 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
     trunc_ends = np.cumsum(truncated.sizes.sum(axis=1))
     atoms, probs, counts = rules._joint_atoms(block)
     owner = np.repeat(np.arange(len(counts)), counts)
-    [(radii, labels)] = rules.calibrate_ambiguities([block], alpha)
+    radii, labels = calibrated_labels(block, alpha)
     slack = rules.hoeffding_slack(block, alpha)
     for k, index in enumerate(np.split(block.index, ends[:-1])):
         one = DataSet(support, index, block.sizes[k])
@@ -588,8 +607,9 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
         assert np.array_equal(support.points[atoms[owner == k]], joint.atoms)
         assert np.array_equal(probs[owner == k], joint.probs)
         assert np.array_equal(probs[owner == k], joint_atoms_reference(one)[1])
-        assert np.array_equal(radii[k], calibrate_ambiguity(one, alpha))
-        assert labels[k].tolist() == rules.calibrate_ambiguities([one], alpha)[0][1].tolist()
+        one_radii, one_labels = calibrated_labels(one, alpha)
+        assert np.array_equal(radii[k], one_radii)
+        assert labels[k].tolist() == one_labels.tolist()
 
 
 @settings(max_examples=60)

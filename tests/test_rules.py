@@ -8,7 +8,7 @@ from kldro import rules
 from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from kldro.graphs import build_layered, enumerate_paths, path_nodes, route_costs, shortest_path
 from kldro.marginals import DataSet, Support
-from kldro.radius import RadiusInputs, radius_best, rate_from_alpha
+from kldro.radius import radius_best
 from kldro.rules import (
     JointEmpirical,
     calibrate_ambiguity,
@@ -322,8 +322,7 @@ class TestDro1:
     def test_joint_radius_is_one_ball_at_t_min_with_the_whole_budget(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=42)
-        expected, _ = radius_best(RadiusInputs(data.t_min, 4**g.num_arcs, 1, data.t_min, 0.05,
-                                               rate_from_alpha(0.05, data.t_min)))
+        expected, _ = radius_best(data.t_min, 4**g.num_arcs, 1, 0.05, 0.05)
         assert joint_radius(data, 0.05) == expected
         assert joint_radius(truncate_dataset(data), 0.05) == expected
 

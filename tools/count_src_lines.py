@@ -1,4 +1,5 @@
-"""Count the lines of the package source: total, and code-only.
+"""Count the lines of the package source: total, and code-only, for each
+module and for the package.
 
 Code-only lines hold at least one token that is not a comment, a
 docstring (a string standing as a statement of its own) or layout (blank
@@ -46,8 +47,10 @@ def main(argv: list[str]) -> int:
     total = code = 0
     for path in sorted(root.rglob("*.py")):
         source = path.read_text()
-        total += len(source.splitlines())
-        code += code_lines(source)
+        lines, code_only = len(source.splitlines()), code_lines(source)
+        print(f"{path.relative_to(root)}: {lines} lines, {code_only} code-only")
+        total += lines
+        code += code_only
     print(f"{root}: {total} lines, {code} code-only")
     return 0
 
