@@ -14,11 +14,12 @@ stacked (replicates x actions x d) :class:`~kldro.marginals.PmfMatrix`,
 actions) counts over one flat index, validated once.  One generator is a
 block of one.
 
-Randomness comes from numpy's counter-based Philox generator; the
-substream for replicate ``i`` of an experiment uses key ``seed XOR i``, so
-any replicate can be regenerated in isolation, byte for byte.  In any
-block, each stream makes its replicate's calls in order: ``uniform``, then
-``integers`` or ``binomial``, then ``random`` (or ``multinomial``).
+Randomness comes from numpy's counter-based Philox generator: a sweep keys
+replicate r at grid index g by ``(seed << 64) ^ (g (n0 + 1) + 1 + r)``
+(:func:`substream`, ``experiments._stream_index``), so any replicate can be
+regenerated in isolation, byte for byte.  In any block, each stream makes
+its replicate's calls in order: ``uniform``, then ``integers`` or
+``binomial``, then ``random`` (or ``multinomial``).
 
 Draws equal ``Generator.choice`` draw for draw.  ``rng.choice(d, size=T,
 p=row)`` takes T uniforms from ``random``, sets ``cdf = cumsum(row); cdf /=
@@ -59,7 +60,7 @@ SIZE_KINDS = ("uniform", "binomial1", "binomial2")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent deterministic stream: Philox keyed by seed XOR index.
+    """Independent deterministic stream: Philox keyed by (seed << 64) ^ index.
 
     The seed occupies the high limb of the 128-bit key, so streams never
     collide across (seed, index) pairs with index below 2**64.

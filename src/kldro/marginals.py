@@ -8,12 +8,14 @@ the library.  A block of R replicates is one data set with (R, actions)
 counts over one flat index (:meth:`DataSet.stacked`).
 
 A pmf is an array with the support on its last axis, one row (d,) or any
-stack of rows; :class:`PmfMatrix` is the one validated pmf container.
+stack of rows; :class:`PmfMatrix` is the one validated pmf container.  An
+estimated probability is its exact ratio rounded once, never moved to make
+a sum exact: c / T_a in a :class:`DataSet`, as are the rules' joint
+probabilities and budget shares; an empirical row fsums to 1 or 1 - 2**-53.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +43,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Support:
-    """Ordered, strictly positive cost grid shared by the actions."""
+    """Ordered, finite, strictly positive cost grid shared by the actions."""
 
     points: np.ndarray
 
@@ -49,6 +51,8 @@ class Support:
         pts = _readonly(self.points)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("support must be a nonempty 1-d array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("support points must be finite")
         if not np.all(pts > 0.0):
             raise ValueError("support points must be strictly positive")
         if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
@@ -106,76 +110,12 @@ class PmfMatrix:
         object.__setattr__(self, "means", means)
 
 
-def _absorb_rounding(probs: np.ndarray, target: float, index: int) -> None:
-    """Adjust ``probs[index]`` until math.fsum(probs) equals ``target``.
-
-    fsum computes the exact sum rounded once, so it is monotone in any
-    single entry; stepping an entry whose ulp is finer than the total's
-    walks the rounded sum through every representable value, so bisection
-    reaches the target exactly.  Callers pass the index of the smallest
-    positive entry for exactly that reason; the adjustment stays within a
-    few of its ulps.  Raises ``RuntimeError`` when no value of the entry
-    hits the target, leaving the entry unchanged.
-    """
-
-    def total(t: float) -> float:
-        probs[index] = t
-        return math.fsum(probs)
-
-    base = probs[index]
-    current = total(base)
-    if current == target:
-        return
-    pad = 4.0 * max(abs(target - current), np.finfo(float).eps * max(abs(base), 1.0))
-    lo, hi = base - pad, base + pad
-    while total(lo) > target:
-        lo -= pad
-        pad *= 2.0
-    while total(hi) < target:
-        hi += pad
-        pad *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        got = total(mid)
-        if got < target:
-            lo = mid
-        elif got > target:
-            hi = mid
-        else:
-            return
-    for candidate in (lo, hi):
-        if total(candidate) == target:
-            return
-    probs[index] = base
-    raise RuntimeError(f"no value at index {index} makes the sum exactly {target!r}")
-
-
 @np.errstate(divide="ignore", invalid="ignore")
 def kl_divergence(p, q) -> np.ndarray:
     """Relative entropy D(p || q) of pmf rows along the last axis (rows
     broadcast), with the 0 ln 0 = 0 and ln(x/0) = inf conventions."""
     p = np.asarray(p, dtype=float)
     return np.sum(np.where(p > 0.0, p * np.log(p / q), 0.0), axis=-1)
-
-
-def _fsum_is_one(pmf: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``math.fsum(pmf[a]) == 1.0`` for every row a of entries c / sizes[a].
-
-    For T_a <= 1024 every entry is a multiple of 2**-62 (c / T_a >= 2**-10
-    has an ulp >= 2**-62), so the int64 sum of ``pmf * 2**62`` is the row's
-    exact sum, and fsum rounds it to 1.0 exactly when it lies in
-    [2**62 - 2**8, 2**62 + 2**9]: both half-way points round to even, that
-    is to 1.0.  Rows with T_a > 1024 are summed by fsum.
-    """
-    # One int64 temporary, truncated as astype does: for a block's pmf a
-    # float temporary as well costs more than the arithmetic.
-    total = np.multiply(pmf, 2.0**62, out=np.empty(pmf.shape, np.int64), casting="unsafe").sum(1)
-    one = (total >= 2**62 - 2**8) & (total <= 2**62 + 2**9)
-    for a in np.flatnonzero(sizes > 1024):
-        one[a] = math.fsum(pmf[a]) == 1.0
-    return one
 
 
 @dataclass(frozen=True)
@@ -185,11 +125,9 @@ class DataSet:
     then action 1's, and so on.  Counts may differ across actions.
 
     Validation checks every index against the support and builds the
-    empirical pmfs once, as the (actions x d) matrix ``pmf``, with one
-    bincount.  Each row whose ``math.fsum`` is not exactly 1.0 is fixed up,
-    the smallest observed entry absorbing the rounding; ``_fsum_is_one``
-    finds those rows with one exact integer sum per row instead of an fsum.
-    ``index`` and ``sizes`` become read-only.
+    empirical pmfs once, as the (actions x d) matrix ``pmf`` of counts over
+    ``sizes``, with one bincount.  ``index``, ``sizes`` and ``pmf`` are
+    read-only.
 
     A block (:meth:`stacked`) has (R, actions) ``sizes`` and an (R,
     actions, d) ``pmf``; each row equals the data set of its replicate.
@@ -223,9 +161,6 @@ class DataSet:
             raise ValueError(f"action {owner[k]}: support index {int(index[k])} outside [0, {d})")
         counts = np.bincount(owner * d + index, minlength=m * d).reshape(m, d)
         pmf = counts / sizes[:, None]
-        for a in np.flatnonzero(~_fsum_is_one(pmf, sizes)):
-            seen = np.flatnonzero(counts[a])
-            _absorb_rounding(pmf[a], 1.0, int(seen[np.argmin(pmf[a, seen])]))
         for name, value in (("index", index), ("sizes", sizes), ("pmf", pmf)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

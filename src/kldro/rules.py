@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import LayeredGraph, Routes, enumerate_paths, route_costs, shortest_path
-from .marginals import DataSet, Support, _absorb_rounding
+from .marginals import DataSet, Support
 from .radius import radius_best
 # The rules solve all arcs or paths in one solve_dual_batch call; the one-row
 # solvers stay importable from here because bench/trace_layers.py wraps them.
@@ -75,10 +75,8 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
 
     alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed once per distinct
     row and count in exact integers (weights lcm // T_a) with one correctly
-    rounded division, and the smallest share absorbs the rounding so the
-    float budget sums to exactly ``alpha``.  It runs once per (data set,
-    alpha): the radius calibration and the Hoeffding slack share that one
-    result.
+    rounded division per share.  It runs once per (data set, alpha): the
+    radius calibration and the Hoeffding slack share that one result.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -99,7 +97,6 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
             share = np.zeros(max(mult) + 1)
             share[list(weight)] = [num * w / total for w in weight.values()]
             done[key] = share[row]
-            _absorb_rounding(done[key], alpha, int(np.argmin(done[key])))
         out[i] = done[key]
     return out.reshape(sizes.shape)
 
@@ -184,8 +181,8 @@ def _joint_atoms(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The joint empirical of each row's first T_min observations: atoms as
     (atoms x actions) support indices, row by row, their probabilities and
     each row's atom count.  One lexsort orders all columns by row, then
-    lexicographically; each run of equal columns is one atom, and each
-    row's probabilities fsum to 1."""
+    lexicographically; each run of equal columns is one atom, of
+    probability its multiplicity over T_min."""
     sizes = data.sizes.reshape(-1, data.num_actions)
     t_min = sizes.min(axis=1)
     row = np.repeat(np.arange(len(t_min)), t_min)  # the row of each column
@@ -197,10 +194,7 @@ def _joint_atoms(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0) | (row[1:] != row[:-1])
     at = np.flatnonzero(first)
     probs = np.diff(at, append=row.size) / t_min[row[at]]
-    counts = np.bincount(row[at])
-    for hi, k in zip(np.cumsum(counts).tolist(), counts.tolist()):
-        _absorb_rounding(probs[hi - k:hi], 1.0, int(np.argmin(probs[hi - k:hi])))
-    return columns[:, at].T, probs, counts
+    return columns[:, at].T, probs, np.bincount(row[at])
 
 
 @dataclass(frozen=True)

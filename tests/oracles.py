@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from kldro.graphs import path_nodes
-from kldro.marginals import DataSet, PmfMatrix, Support, _absorb_rounding, pmf_means
+from kldro.marginals import DataSet, PmfMatrix, Support, pmf_means
 from kldro.worstcase import (_EPS, _LOG_SPAN, _MAX_ITERATIONS, _NEWTON_STOP, _TINY, DualBatch,
                              _rowsum, solve_dual_batch)
 
@@ -37,15 +37,14 @@ def dataset_from_costs(support: Support, samples) -> DataSet:
 
 
 def joint_atoms_reference(data: DataSet) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and probabilities of the joint empirical of the first T_min
-    observations, from ``np.unique(rows, axis=0)`` over the cost rows."""
+    """Atoms of the joint empirical of the first T_min observations, from
+    ``np.unique(rows, axis=0)`` over the cost rows, each with probability
+    its multiplicity over T_min."""
     t_min = data.t_min
     starts = (np.cumsum(data.sizes) - data.sizes).tolist()
     rows = np.stack([data.support.points[data.index[s:s + t_min]] for s in starts], axis=1)
     atoms, counts = np.unique(rows, axis=0, return_counts=True)
-    probs = counts.astype(float) / t_min
-    _absorb_rounding(probs, 1.0, int(np.argmin(probs)))
-    return atoms, probs
+    return atoms, counts / t_min
 
 
 def dual_objective(beta: float, empirical: PmfMatrix, r_a: float) -> float:

@@ -47,7 +47,7 @@ PINNED = {
         "eaee8d889db513be8227f50d694554ef1ade2ae4874016e3fc4e55c797368197",
         "b08564462c946323a339edf8d4a028eb8893bf2784f04a0846ef9de43f35b5cb"),
     "fig8b.json": ((0, 40),
-        "a85ead89bcfedb7331938db57aed55c5a2a316df7d8f6682d280512e2c619477",
+        "c1269e6775059d793a4f99adb9b1e475ee42ae1e614b301154ff4c9338bdbd64",
         "5b1239636dd73f60c6d0703c2c3628c2ed29c78a891719e23e7de0c421527026"),
 }
 
@@ -56,21 +56,21 @@ PINNED = {
 FULL = {
     "fig2a.json": ("ebe20730564a7db931776030803df1a7e00dec70f660c51b7424ac527ccdb957",
                    "a8b60c6b2251969e2a51563ca5b996137a513d55d6149aeb621a9e75d33250f5"),
-    "fig2b.json": ("6c549c547d4360ccce0bdfff9465cef411dd3594b3fcefed06381652d59dcace",
+    "fig2b.json": ("ea8503a8135b27afc5a1f7b88c0f7a4527053e8f88038468a1a9df303fa9c8a3",
                    "6bdba757997b7cf59c6cc3040269e3c7e8634bad0f344719c79dc31858dc4431"),
-    "fig4.json": ("851a6bd7053dfd4deadc3efc05ae7a6e7fdfa6cf89b0a6635d06ee21c7c979ad",
+    "fig4.json": ("2cfd07a269c3d2300ec1fa7c42061f5e91f09ef9c8ed4a22540a359626d5cbee",
                   "4bdb207501504f855574a57cbf88362b6e35291ce80af7fda19887052a84e5b1"),
     "fig5.json": ("66549ed7a9cc6b88e4ec6965f8c8ca48cf17d6ed92cd935e5860846b9446c215",
                   "08e18f8577356cf878be05caedd1b32aba1aa449d4d944f35b2899407d1fb874"),
-    "fig6a.json": ("cb14fb9dea1d13fb4031e0f18b5cfc29d8e5c8db8d2ed5bd07f6875b8adb1c94",
+    "fig6a.json": ("13964f8feda41ee2bf6ada0cbd2ba1454ec21aa68f80631b834cb8a81269d58f",
                    "3d634b7b0244b5eb393a1d7b69edb7ea773a2c415da586f8b0848043282a5f2d"),
-    "fig6b.json": ("150e6bae21e71d887d302b1b079298b797f62e28824c9b8b56fa251d3fa0b56c",
+    "fig6b.json": ("cc744525b4a92101069c391e6d083f05708f60b1224a22862918adee81be41d7",
                    "b5bc5b2c0ef09c71c062fc74eb568a83318d3ebf021b8a66de35dceee5f966ee"),
-    "fig7.json": ("e31c7747bfe0df4948af2c13b0733042b2147ccfb07d70a5cab32fce93bffa87",
+    "fig7.json": ("6650d3548b82f201941d161497d256092a6634c4e5574ce1e4107bb7da616030",
                   "7046e8d2dbcfecadebb72982539ca78a87e8b1b13c4a4249499b2238975c1dde"),
     "fig8a.json": ("a1146188536886378cb7bebfb9b1f50f17d412a3d263a0866200d8bd9e3a6416",
                    "73be6fd7dbc1a8415c99153296ce341487de34e42aad803c7418caacf9b1d203"),
-    "fig8b.json": ("7fd53db51a5fd39b565c016b5dc04db1f9bc77164d1f5cef1432843eac787907",
+    "fig8b.json": ("b3855a77458bac65a916d58c7e135f0a1581bf1563fec867d455f36b14f53768",
                    "2906e82d294b69971efd7159169c32e214ae083323a12346ee0a7f677f3274fb"),
 }
 

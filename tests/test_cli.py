@@ -132,6 +132,11 @@ class TestWorstcase:
         assert main(["worstcase", "--z", "1,2", "--q", "0.5,0.5", "--r", "nan"]) == 1
         assert capsys.readouterr().err == "error: --r must be nonnegative\n"
 
+    @pytest.mark.parametrize("z", ["1,inf", "-inf,1", "1,nan"])
+    def test_non_finite_support_point(self, capsys, z):
+        assert main(["worstcase", f"--z={z}", "--q", "0.5,0.5", "--r", "0.1"]) == 1
+        assert capsys.readouterr().err == "error: support points must be finite\n"
+
 
 class TestRadius:
     def test_paper_scale_inputs(self, capsys):

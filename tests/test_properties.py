@@ -3,6 +3,7 @@ per-count calibration, the array-first data path and the block data set."""
 
 import contextlib
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -17,8 +18,6 @@ from kldro.marginals import (
     DataSet,
     PmfMatrix,
     Support,
-    _absorb_rounding,
-    _fsum_is_one,
     kl_divergence,
     pmf_means,
 )
@@ -240,7 +239,7 @@ def test_calibration_per_distinct_count_equals_per_arc_loop(sizes, d, alpha):
 def test_calibration_keys_separate_support_sizes(sizes, dims, alpha):
     """The same counts on supports of different sizes get each support's own
     radii, and one calibration evaluates the baseline once per distinct
-    (T_a, alpha_a): the arc whose share absorbed the rounding counts apart."""
+    (T_a, alpha_a)."""
     alphas = split_alpha(alpha, sizes)
     for d in dims:
         data = DataSet(Support.integers(d), np.zeros(sum(sizes), dtype=int), np.array(sizes))
@@ -315,23 +314,24 @@ def test_joint_radius_is_positive(d, m, t_min, alpha):
 
 
 def split_alpha_with_fractions(alpha, sizes):
-    """The rational-arithmetic split: exact weights 1/T per distinct count,
-    one float() rounding per share, then the same rounding absorption."""
-    distinct, inverse, mult = np.unique(sizes, return_inverse=True, return_counts=True)
-    weights = [Fraction(1, int(t)) for t in distinct]
-    total = sum(int(k) * w for k, w in zip(mult, weights))
-    out = np.array([float(Fraction(alpha) * w / total) for w in weights])[inverse.reshape(-1)]
-    _absorb_rounding(out, alpha, int(np.argmin(out)))
-    return out
+    """The rational-arithmetic split of one row of counts: each share
+    alpha / (T_a sum_b 1/T_b) in exact fractions, rounded once by float()."""
+    total = sum(Fraction(1, int(t)) for t in sizes)
+    return np.array([float(Fraction(alpha) / (int(t) * total)) for t in sizes])
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=120),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_split_alpha_equals_rational_reference_and_sums_to_alpha(sizes, alpha):
+    """Each share is its exact ratio rounded once.  A share that is a normal
+    float then errs by at most 2**-53 of itself, so the exact sum of the
+    shares is within 2**-53 alpha of alpha and their fsum within one ulp;
+    below the normal range a share's rounding error is absolute instead."""
     got = split_alpha(alpha, sizes)
     assert np.array_equal(got, split_alpha_with_fractions(alpha, sizes))
-    assert math.fsum(got) == alpha
+    if got.min() >= sys.float_info.min:
+        assert abs(math.fsum(got) - alpha) <= math.ulp(alpha)
 
 
 @st.composite
@@ -486,34 +486,6 @@ def test_pmf_matrix_rejects_what_marginal_rejects(probs, data, defect):
     assert message == rejection(lambda: PmfMatrix(sup, np.stack([bad, bad])))
 
 
-def count_rows(seed, rows):
-    """Random count rows over supports of 1 to 50 points, T from 1 to 1024
-    (and a few above, where fsum decides), as c / T pmf rows."""
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 51))
-    sizes = rng.integers(1, 1025, size=rows)
-    sizes[rng.random(rows) < 0.02] = 1025 + rng.integers(0, 5000)
-    counts = np.array([rng.multinomial(t, rng.dirichlet(np.full(d, 0.3))) for t in sizes])
-    return counts / sizes[:, None], sizes
-
-
-@settings(max_examples=40)
-@given(st.integers(0, 2**32 - 1))
-def test_exact_row_sum_test_equals_fsum(seed):
-    pmf, sizes = count_rows(seed, 100)
-    assert _fsum_is_one(pmf, sizes).tolist() == [math.fsum(row) == 1.0 for row in pmf.tolist()]
-
-
-def test_exact_row_sum_test_sees_rows_off_one():
-    off = 0
-    for seed in range(40):
-        pmf, sizes = count_rows(seed, 100)
-        expected = [math.fsum(row) == 1.0 for row in pmf.tolist()]
-        assert _fsum_is_one(pmf, sizes).tolist() == expected
-        off += expected.count(False)
-    assert off >= 5
-
-
 @st.composite
 def index_datasets(draw):
     """Index data with heavy ties: a support of 1 to 4 points, 1 to 6
@@ -545,8 +517,7 @@ def test_joint_atoms_equal_the_unique_reference(data):
     assert np.array_equal(joint.probs, probs)
 
 
-# Counts on 5 points whose pmf row c / 22 does not fsum to 1, so the
-# smallest observed entry must absorb the rounding.
+# Counts on 5 points whose pmf row c / 22 does not fsum to 1.
 OFF_ONE_COUNTS = (0, 0, 1, 6, 15)
 
 
@@ -554,8 +525,8 @@ OFF_ONE_COUNTS = (0, 0, 1, 6, 15)
 def ragged_blocks(draw):
     """A block of 1 to 6 replicates on one support of 1, 2, 5 or 50 points:
     rows of unequal counts, rows whose counts are all equal (truncation is
-    the identity there), rows with counts above 1024 (where fsum decides
-    the row sum) and, on 5 points, rows whose pmf needs the fix-up."""
+    the identity there), rows with counts above 1024 and, on 5 points, rows
+    whose pmf does not fsum to 1."""
     d = draw(st.sampled_from([1, 2, 5, 50]))
     m = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -610,6 +581,33 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
         one_radii, one_labels = calibrated_labels(one, alpha)
         assert np.array_equal(radii[k], one_radii)
         assert labels[k].tolist() == one_labels.tolist()
+
+
+@settings(max_examples=60)
+@given(ragged_blocks(), st.floats(1e-4, 0.99))
+def test_block_probabilities_are_ratios_rounded_once(block, alpha):
+    """In every row of a block, each pmf entry is its count over T_a, each
+    joint probability its multiplicity over T_min and each budget share its
+    exact ratio, each rounded once: pmf rows and joint rows fsum to within
+    2**-53 of 1, and the shares to within one ulp of alpha."""
+    sizes = block.sizes.reshape(-1, block.num_actions)
+    ends = np.cumsum(sizes.sum(axis=1))
+    _, probs, counts = rules._joint_atoms(block)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    shares = split_alpha(alpha, block.sizes)
+    for k, index in enumerate(np.split(block.index, ends[:-1])):
+        starts = (np.cumsum(sizes[k]) - sizes[k]).tolist()
+        for a, (start, t) in enumerate(zip(starts, sizes[k].tolist())):
+            seen = np.bincount(index[start:start + t], minlength=block.support.size).tolist()
+            assert block.pmf[k, a].tolist() == [c / t for c in seen]
+            assert abs(math.fsum(block.pmf[k, a]) - 1.0) <= 2**-53
+        t_min = min(sizes[k].tolist())
+        columns = np.stack([index[start:start + t_min] for start in starts], axis=1)
+        _, mult = np.unique(columns, axis=0, return_counts=True)
+        assert probs[owner == k].tolist() == [c / t_min for c in mult.tolist()]
+        assert abs(math.fsum(probs[owner == k]) - 1.0) <= 2**-53
+        assert np.array_equal(shares[k], split_alpha_with_fractions(alpha, sizes[k]))
+        assert abs(math.fsum(shares[k]) - alpha) <= math.ulp(alpha)
 
 
 @settings(max_examples=60)

@@ -8,8 +8,8 @@ from scipy import stats
 from scipy.special import logsumexp
 
 import kldro.radius
-from kldro.graphs import build_layered
-from kldro.marginals import Support
+from kldro.graphs import build_layered, route_costs, shortest_path
+from kldro.marginals import DataSet, PmfMatrix, Support
 from kldro.radius import (
     _log_mardia_sum,
     mardia_constant,
@@ -18,7 +18,8 @@ from kldro.radius import (
     radius_best,
     radius_mardia,
 )
-from kldro.rules import dro_prescribe
+from kldro.rules import (calibrate_ambiguity, dro_prescribe, hoeffding_costs, hoeffding_slack,
+                         truncate_dataset, worst_case_costs)
 from oracles import dataset_from_costs, one_sided_miss_probability, type_probabilities
 
 
@@ -421,6 +422,67 @@ def test_best_radius_bounds_the_one_sided_miss_exactly(d):
                 assert miss <= alpha_a, (q.tolist(), T, alpha_a, miss)
                 worst = max(worst, miss / alpha_a)
     assert worst > 0.0  # some type misses: the check is not vacuous
+
+
+def type_block(support, draws, pmf):
+    """Every type of ``draws`` draws from ``pmf`` as a block of one-action
+    data sets, one row per type, and each type's probability."""
+    counts, probs = type_probabilities(pmf, draws)
+    index = np.repeat(np.tile(np.arange(support.size), len(counts)), counts.ravel())
+    block = DataSet.stacked(support, index, np.full((len(counts), 1), draws))
+    assert block.pmf[:, 0].tolist() == (counts / draws).tolist()  # the enumerated pmfs
+    return block, probs
+
+
+def worst_case_rows(arcs, radii):
+    """Each arc's worst-case cost per type, at the arc's radius."""
+    return [worst_case_costs(block.support, block.pmf, np.full(block.sizes.shape, r))[:, 0]
+            for (block, _), r in zip(arcs, radii)]
+
+
+def exact_disappointment(g, arc_costs, arcs, means) -> float:
+    """Exact P(predicted loss < nominal loss) on the one-path graph ``g``
+    of two arcs, from each arc's cost per type and the arcs' types and
+    probabilities: every pair of types routed as the sweep routes one."""
+    (c1, c2), ((_, p1), (_, p2)) = arc_costs, arcs
+    predicted = shortest_path(g, np.column_stack([np.repeat(c1, len(c2)), np.tile(c2, len(c1))]))
+    nominal = route_costs(g, (0,), means)
+    return math.fsum(np.outer(p1, p2).ravel()[predicted.values < nominal])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_one_path_disappointment_is_at_most_alpha_exactly(d):
+    """On the one-path graph, two arcs seen T_1 != T_2 times, summed exactly
+    over every pair of the arcs' types at the radii and slacks the rules
+    calibrate: dro, dro2 and hoeffding predict below the nominal loss with
+    probability at most alpha, and dro does so with probability at most
+    the sum of the arcs' one-sided misses P(U_a < mu_a)."""
+    g, support = build_layered(1, 1), Support.integers(d)
+    pmfs = one_sided_pmfs(d)
+    worst = dict.fromkeys(("dro", "dro2", "hoeffding"), 0.0)
+    for k, q in enumerate(pmfs):
+        nominal = PmfMatrix(support, np.stack([q, pmfs[(k + 1) % len(pmfs)]]))
+        means = nominal.means
+        for sizes in ((1, 4), (3, 2), (5, 9)):
+            data = DataSet(support, np.zeros(sum(sizes), dtype=int), np.array(sizes))
+            cut = truncate_dataset(data)  # dro2's data: T_min draws of each arc
+            whole = [type_block(support, t, row) for t, row in zip(sizes, nominal.probs)]
+            short = [type_block(support, t, row) for t, row in zip(cut.sizes, nominal.probs)]
+            for alpha in (0.05, 0.2, 0.5):
+                slack = hoeffding_slack(data, alpha)
+                hoeffding = [hoeffding_costs(block, e)[:, 0] for (block, _), e in zip(whole, slack)]
+                dro = worst_case_rows(whole, calibrate_ambiguity(data, alpha))
+                dro2 = worst_case_rows(short, calibrate_ambiguity(cut, alpha))
+                found = {"dro": exact_disappointment(g, dro, whole, means),
+                         "dro2": exact_disappointment(g, dro2, short, means),
+                         "hoeffding": exact_disappointment(g, hoeffding, whole, means)}
+                misses = [math.fsum(p[u < mu]) for (_, p), u, mu in zip(whole, dro, means)]
+                case = (q.tolist(), sizes, alpha, found, misses)
+                assert max(found.values()) <= alpha, case
+                assert found["dro"] <= math.fsum(misses) * (1 + 1e-12), case
+                for rule, value in found.items():
+                    worst[rule] = max(worst[rule], value / alpha)
+    assert worst["dro"] > 0.0 and worst["hoeffding"] > 0.0  # the check is not vacuous
 
 
 EXACT_TAIL_ALPHAS = (0.05, 0.2)
