@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .experiments import ExperimentConfig, emit_results, run_sweep
+from .experiments import BLOCK_SIZE, ExperimentConfig, emit_results, run_sweep
 from .graphs import build_layered, to_edgelist
 from .marginals import PmfMatrix, Support
 from .radius import radius_agrawal, radius_baseline, radius_best, radius_mardia
@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable)")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker processes (at most one per CPU)")
+                       help="worker processes (at most one per CPU and per block of "
+                            f"{BLOCK_SIZE} replicates; one block runs in this process)")
     p_run.set_defaults(func=cmd_run)
 
     p_wc = sub.add_parser("worstcase", help="worst-case mean over a KL ball")

@@ -20,8 +20,10 @@ dro2 rows, one dro1 call per joint-atom count, and one batched
 shortest-path DP over every cost row, whose layer choices give each
 rule's nodes and, by one gather, its achieved cost; dro1 returns routes
 too.  Kernel and DP rows are solved independently, so output is identical
-whatever the block size or the worker count.  ``run_replicate`` is a block
-of one.  The aggregates are one reduction of a (grid, rule, replicate) array.
+whatever the block size or the worker count.  A sweep takes at most one
+process per CPU and per block, and a sweep of one block runs in the
+calling process.  ``run_replicate`` is a block of one.  The aggregates are
+one reduction of a (grid, rule, replicate) array.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .rules import (
     hoeffding_slack,
     joint_radius,
     joint_worst_case_paths,
+    split_alpha,
     truncate_dataset,
     worst_case_costs,
 )
@@ -137,6 +140,13 @@ class ExperimentConfig:
         if "dro1" in self.rules and self.w**self.h > ENUMERATION_CAP:
             raise ValueError(f"dro1 enumerates {self.w}**{self.h} paths, above the enumeration "
                              f"cap {ENUMERATION_CAP}")
+        if set(self.rules) - {"dro1"}:
+            # The smallest share of alpha goes to one action at t_min + delta
+            # with every other action at t_min; split_alpha refuses it if it
+            # is not a normal float.
+            arcs = build_layered(self.h, self.w).num_arcs
+            for t_min, delta in {_resolved(self, value)[:2] for value in self.grid}:
+                split_alpha(self.alpha, [t_min + delta] + [t_min] * (arcs - 1))
         if self.nominal == "discretized-normal" and self.sigma is None and self.sweep != "sigma":
             raise ValueError("discretized-normal needs sigma unless sigma is swept")
         if self.sweep == "sigma" and self.nominal != "discretized-normal":
@@ -304,18 +314,27 @@ def aggregate_rows(rhos: np.ndarray, disappointed: np.ndarray):
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
+    """Every replicate of the sweep, one ``GridPointResult`` per grid value.
+
+    The sweep runs on at most ``workers`` processes, and at most one per
+    CPU and per block of ``BLOCK_SIZE`` replicates: a sweep of one block
+    runs in this process whatever ``workers`` is.  Output does not depend
+    on the process count or on the block size it leads to.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     g = build_layered(cfg.h, cfg.w)
     keys = [(grid_index, i) for grid_index in range(len(cfg.grid)) for i in range(cfg.n0)]
-    size = min(BLOCK_SIZE, -(-len(keys) // workers))
+    processes = min(workers, -(-len(keys) // BLOCK_SIZE), os.cpu_count() or 1)
+    size = min(BLOCK_SIZE, -(-len(keys) // processes))
     tasks = [(cfg, g, keys[k:k + size]) for k in range(0, len(keys), size)]
-    if workers > 1:
+    if processes > 1:
         # One ordered map over the whole sweep, one task per block, so no
-        # grid value waits for the previous one; at most one process per
-        # CPU.  Leaving the block shuts the pool down.
+        # grid value waits for the previous one.  A worker costs about a
+        # block's compute to start, so less than a block per process
+        # cannot pay for it.  Leaving the block shuts the pool down.
         try:
-            with ProcessPoolExecutor(min(workers, len(tasks), os.cpu_count() or 1)) as pool:
+            with ProcessPoolExecutor(processes) as pool:
                 blocks = list(pool.map(_block_task, tasks))
         except ReplicateError:
             raise

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -76,7 +77,8 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
     alpha_a = (alpha / T_a) / sum_b (1 / T_b); computed once per distinct
     row and count in exact integers (weights lcm // T_a) with one correctly
     rounded division per share.  It runs once per (data set, alpha): the
-    radius calibration and the Hoeffding slack share that one result.
+    radius calibration and the Hoeffding slack share that one result.  An
+    alpha so small that a share is not a normal float raises ``ValueError``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -94,8 +96,13 @@ def split_alpha(alpha: float, sizes) -> np.ndarray:
             weight = {t: lcm // t for t in mult}
             total = den * sum(k * weight[t] for t, k in mult.items())
             # int / int true division rounds correctly, as float(Fraction) does.
+            shares = [num * w / total for w in weight.values()]
+            if min(shares) < sys.float_info.min:  # where 1 / alpha_a can overflow
+                raise ValueError(f"alpha {alpha!r} is too small to split over {row.size} "
+                                 f"actions with counts {min(mult)} to {max(mult)}: a share "
+                                 f"falls below the smallest normal float")
             share = np.zeros(max(mult) + 1)
-            share[list(weight)] = [num * w / total for w in weight.values()]
+            share[list(weight)] = shares
             done[key] = share[row]
         out[i] = done[key]
     return out.reshape(sizes.shape)

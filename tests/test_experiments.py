@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,7 @@ class TestConfig:
          r"^dro1 enumerates 4\*\*10 paths, above the enumeration cap 100000$"),
         (dict(h=10**5, w=4, rules=("dro1",)),
          r"^dro1 enumerates 4\*\*100000 paths, above the enumeration cap 100000$"),
+        (dict(alpha=5e-324), r"^alpha 5e-324 is too small to split over 8 actions"),
     ])
     def test_rejects_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -194,6 +196,18 @@ class TestConfig:
         # 4**10 paths are legal without dro1, and 10**5, exactly the cap, with it
         assert small_config(h=10, w=4, rules=("dro", "hoeffding", "dro2")).h == 10
         assert small_config(h=5, w=10, rules=("dro1",)).w == 10
+
+    def test_alpha_is_refused_exactly_when_a_share_can_leave_the_normal_floats(self):
+        """The smallest share goes to one action at t_min + delta with the
+        other three at t_min: alpha / 7 at t_min 4 and delta 4 on four arcs.
+        At 7 times the smallest normal float every rule runs, with warnings
+        as errors; one float lower is refused.  dro1 splits no alpha."""
+        edge = 7.0 * sys.float_info.min
+        cfg = small_config(h=1, t_min=4, grid=(0, 4), alpha=edge, rules=experiments.RULE_NAMES)
+        assert len(run_sweep(cfg)) == 2
+        with pytest.raises(ValueError, match=r"over 4 actions with counts 4 to 8: a share falls"):
+            dataclasses.replace(cfg, alpha=math.nextafter(edge, 0.0))
+        assert len(run_sweep(small_config(alpha=5e-324, rules=("dro1",)))) == 2
 
     def test_integral_float_counts_are_accepted(self):
         assert small_config(sweep="t_min", grid=(5.0, 7)).grid == (5.0, 7)
@@ -248,7 +262,7 @@ class TestRunSweep:
 
         # workers are forked after the patch, so they run ``failing``
         monkeypatch.setattr(experiments, "sample_sizes", failing)
-        cfg = small_config(n0=1, rules=("dro",))
+        cfg = small_config(n0=9, rules=("dro",))  # 18 replicates: two blocks
         for workers in (1, 2):
             with pytest.raises(RuntimeError, match=r"^replicate failed at sweep value 0 .*replicate 0, seed 17"):
                 run_sweep(cfg, workers=workers)
@@ -261,10 +275,12 @@ class TestRunSweep:
                 raise AssertionError("the block ran in the parent process")
             os._exit(1)
 
-        # workers are forked after the patch, so they run ``die``
+        # workers are forked after the patch, so they run ``die``; 18
+        # replicates are two blocks, so two CPUs open a pool of two
         monkeypatch.setattr(experiments, "_run_block", die)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match=r"pool failed in the delta sweep .*seed 17"):
-            run_sweep(small_config(n0=1), workers=2)
+            run_sweep(small_config(n0=9), workers=2)
 
     @pytest.mark.parametrize("nominal, sizes, sigma", [
         ("shifted-binomial", "uniform", None),
@@ -436,7 +452,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_inside_a_block_names_its_replicate(self, monkeypatch, workers):
-        cfg = small_config(n0=4, grid=(0, 3))  # one block of 8, or two of 4
+        cfg = small_config(n0=9, grid=(0, 3))  # blocks of 16 and 2, or two of 9
         stream = experiments._stream_index(cfg, 1, 2)
         substream = experiments.substream
 
@@ -465,7 +481,7 @@ class TestRunSweep:
         assert len(run_sweep(small_config(n0=1, grid=(0,)))) == 1
 
     def test_parallel_matches_sequential(self, tmp_path):
-        cfg = small_config(n0=4, grid=(0, 3))
+        cfg = small_config(n0=9, grid=(0, 3))  # 18 replicates: two blocks
         seq = run_sweep(cfg, workers=1)
         par = run_sweep(cfg, workers=2)
         a = emit_results(seq, str(tmp_path / "seq"), cfg.sweep, cfg.rules)
@@ -475,8 +491,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("cpus, processes", [(3, 3), (None, 1)])
     def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, cpus, processes):
-        """10,000 workers cut the 8 replicates into 8 blocks, as before, but
-        open a pool of one process per CPU; the stand-in pool maps in this
+        """10,000 workers on 34 replicates, three blocks' worth, run on a
+        pool of three processes at three CPUs, and in this process, with no
+        pool, when the CPU count is unknown; the stand-in pool maps in this
         process, so no process starts."""
         opened = []
 
@@ -495,11 +512,24 @@ class TestRunSweep:
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cfg = small_config(n0=4, grid=(0, 3))
+        cfg = small_config(n0=17, grid=(0, 3))
         many, one = run_sweep(cfg, workers=10_000), run_sweep(cfg, workers=1)
-        assert opened == [processes]
+        assert opened == ([processes] if processes > 1 else [])
         assert many == one
         assert [p.aggregates for p in many] == [p.aggregates for p in one]
+
+    def test_one_block_runs_in_this_process(self, monkeypatch):
+        """A sweep of at most BLOCK_SIZE replicates opens no pool, whatever
+        the worker and CPU counts."""
+        def refuse(*args):
+            raise AssertionError("a pool was opened")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = small_config(n0=8, grid=(0, 3))  # 16 replicates
+        one = run_sweep(cfg, workers=1)
+        for workers in (2, 10_000):
+            assert run_sweep(cfg, workers=workers) == one
 
 
 class TestAggregatesAndEmit:
@@ -642,9 +672,9 @@ class TestBlocks:
 
     @pytest.mark.parametrize("name", sorted(REDUCED))
     def test_worker_count_does_not_change_the_csvs(self, name, tmp_path):
-        cfg = reduced_config(name, n0=4)
+        cfg = reduced_config(name, n0=9)  # 18 or 27 replicates: two blocks
         written = {}
-        for workers in (1, 2, 3):  # one block of 8, blocks of 4, blocks of 3, 3 and 2
+        for workers in (1, 2, 3):  # blocks of 16 and the rest, or one block per process
             paths = emit_results(run_sweep(cfg, workers=workers), str(tmp_path / str(workers)),
                                  cfg.sweep, cfg.rules)
             written[workers] = [Path(path).read_bytes() for path in paths]

@@ -323,15 +323,20 @@ def split_alpha_with_fractions(alpha, sizes):
 @settings(max_examples=200)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=120),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example([3, 5, 7], 5e-324)
 def test_split_alpha_equals_rational_reference_and_sums_to_alpha(sizes, alpha):
     """Each share is its exact ratio rounded once.  A share that is a normal
     float then errs by at most 2**-53 of itself, so the exact sum of the
-    shares is within 2**-53 alpha of alpha and their fsum within one ulp;
-    below the normal range a share's rounding error is absolute instead."""
+    shares is within 2**-53 alpha of alpha and their fsum within one ulp.
+    An alpha that would make a share subnormal or 0 is refused."""
+    expected = split_alpha_with_fractions(alpha, sizes)
+    if expected.min() < sys.float_info.min:
+        with pytest.raises(ValueError, match="too small to split"):
+            split_alpha(alpha, sizes)
+        return
     got = split_alpha(alpha, sizes)
-    assert np.array_equal(got, split_alpha_with_fractions(alpha, sizes))
-    if got.min() >= sys.float_info.min:
-        assert abs(math.fsum(got) - alpha) <= math.ulp(alpha)
+    assert np.array_equal(got, expected)
+    assert abs(math.fsum(got) - alpha) <= math.ulp(alpha)
 
 
 @st.composite

@@ -424,6 +424,22 @@ def test_best_radius_bounds_the_one_sided_miss_exactly(d):
     assert worst > 0.0  # some type misses: the check is not vacuous
 
 
+def test_one_sided_miss_obeys_the_mixture_bound_up_to_a_thousand_draws():
+    """The one-sided bound P(U < mu) <= 2 (T + 1) e^{-T r}, for any radius
+    r, checked exactly: at d = 2 the types of T draws are binomial, so the
+    enumeration reaches T = 1000."""
+    worst = 0.0
+    for q in one_sided_pmfs(2):
+        for T in (10, 100, 1000):
+            for r in (0.01, 0.05, 0.2, 0.5):
+                assert T * r <= 500  # e^{-T r} stays a normal float
+                miss = one_sided_miss_probability([1.0, 2.0], q, T, r)
+                bound = 2 * (T + 1) * math.exp(-T * r)
+                assert miss <= bound, (q.tolist(), T, r, miss, bound)
+                worst = max(worst, miss / bound)
+    assert worst > 0.0  # some type misses: the check is not vacuous
+
+
 def type_block(support, draws, pmf):
     """Every type of ``draws`` draws from ``pmf`` as a block of one-action
     data sets, one row per type, and each type's probability."""

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ class TestSplitAlpha:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             split_alpha(1.0, [1, 2])
+
+    def test_rejects_an_alpha_whose_share_is_not_a_normal_float(self):
+        """Each exact share of 5e-324 over counts 3, 5 and 7 rounds to 0, and
+        half the smallest normal float is subnormal, where 1 / alpha_a can
+        overflow: both are refused, naming alpha."""
+        tiny = sys.float_info.min
+        with pytest.raises(ValueError, match=r"^alpha 5e-324 is too small to split over 3 "):
+            split_alpha(5e-324, [3, 5, 7])
+        with pytest.raises(ValueError, match=rf"^alpha {tiny!r} is too small to split"):
+            split_alpha(tiny, [1, 1])
+        assert split_alpha(2.0 * tiny, [1, 1]).tolist() == [tiny, tiny]
 
 
 class TestDroRules:
