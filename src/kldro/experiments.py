@@ -29,15 +29,14 @@ one reduction of a (grid, rule, replicate) array.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .datagen import (NOMINAL_KINDS, SIZE_KINDS, draw_dataset, nominal_marginals, sample_sizes,
-                      substream)
+from .datagen import (NOMINAL_KINDS, SIGMA_MAX, SIZE_KINDS, draw_dataset, nominal_marginals,
+                      sample_sizes, substream)
 from .graphs import (ENUMERATION_CAP, LayeredGraph, build_layered, path_nodes, route_costs,
                      shortest_path)
 from .rules import (
@@ -111,8 +110,8 @@ class ExperimentConfig:
             raise ValueError("seed must lie in [0, 2**64)")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
-        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        if self.sigma is not None and not 0.0 < self.sigma <= SIGMA_MAX:
+            raise ValueError(f"sigma must be positive and at most {SIGMA_MAX:g}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.nominal not in NOMINAL_KINDS:
@@ -130,8 +129,9 @@ class ExperimentConfig:
         for value in self.grid:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"sweep value {value!r} is not a number")
-            if low is None and not 0.0 < value < math.inf:
-                raise ValueError(f"sigma sweep value {value!r} must be positive and finite")
+            if low is None and not 0.0 < value <= SIGMA_MAX:
+                raise ValueError(f"sigma sweep value {value!r} must be positive and at most "
+                                 f"{SIGMA_MAX:g}")
             if low is not None and not (float(value).is_integer() and value >= low):
                 raise ValueError(f"{self.sweep} sweep value {value!r} must be an integer >= {low}")
         if (len(self.rules) == 0 or any(r not in RULE_NAMES for r in self.rules)

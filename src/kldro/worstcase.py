@@ -10,22 +10,43 @@ vectorized kernel, :func:`solve_dual_batch`, minimizes it for every row of a
 value/weight matrix at once.  In the log offset u = ln(beta - top),
 stationarity reads K(u) = r, where K(u), decreasing in u, is the relative
 entropy from ``q`` of the tilted pmf proportional to q_i / (beta - z_i).  A
-safeguarded Newton step on ln K(u) - ln r, bisecting whenever Newton leaves
-the bracket or stalls, finds the root even far closer to the boundary than
-one ulp of beta.  The boundary minimum at ``beta = top`` and the zero radius
-are masks.  :func:`solve_dual` and :func:`minimize_dual` are one-row calls
-of the kernel; :func:`worst_case_pmfs` builds the maximizing pmfs of rows
-from stationarity.
+safeguarded Halley step on ln K(u) - ln r, bisecting whenever the step
+leaves the bracket or stalls, finds the root in a few passes, even far
+closer to the boundary than one ulp of beta.  The boundary minimum at
+``beta = top`` and the zero radius are masks.  :func:`solve_dual` and
+:func:`minimize_dual` are one-row calls of the kernel;
+:func:`worst_case_pmfs` builds the maximizing pmfs of rows from
+stationarity.
+
+Each row starts from the expansion of K that fits it.  With gaps
+g_i = top - z_i and t_i = g_i / e^u, K = L + ln B for L = sum q ln(1 + t)
+and B = sum q / (1 + t); H_j = sum_{g>0} q / g^j.
+
+* The top weighted, with q_top its weight, w = sum_{g>0} q the rest and
+  S = sum_{g>0} q ln g: since ln(1 + t) >= ln t and B >= q_top,
+  K(u) >= S + ln q_top - w u at every u, so u_deep = (S + ln q_top - r) / w
+  is a proven lower end of the bracket.  Since ln(1 + t) <= ln t + 1/t and
+  B <= q_top + e^u H1, K exceeds that line by at most e^u H1 (1 + 1/q_top),
+  and the search starts at u_deep where that is at most r.
+* The top unweighted: K rises to K_inf = S + ln H1 as u -> -inf, and
+  K ~ K_inf - e^u (H2/H1 - H1) gives the start where its root has
+  e^u H2/H1 <= 1/4.
+* Otherwise the small-radius asymptote K ~ Var(g) e^{-2u} / 2.
+
+Each pass takes the Halley step on ln K - ln r: the Newton step divided by
+1 + step (ln K)'' / (2 (ln K)'), floored at 1/2 so that the step at most
+doubles and never turns back.  The second derivative costs one more row
+sum, the third q-moment of t/(1 + t) about its mean (see :func:`_tilt`).
 
 The factors with q_i = 0 drop out of f, and an arc seen T times has at most
 T observed points, so the kernel's elementwise work (the gaps, their logs,
-the tilt's logaddexp and exp, every q-weighted product) runs on the
-observed (q > 0) entries only, found once per call.  A row sum writes its
-products into one zeroed (rows, k) buffer and reduces it along the rows.
-The dense products at zero weights are +0.0, so each row's pairwise sum
-sees the same values in the same places as a sum over the dense row, and
-every output bit is the dense kernel's (``tests/oracles.py`` keeps it as
-the reference).  Zero-weight padding costs only its share of a row sum.
+the tilt, every q-weighted product) runs on the observed (q > 0) entries
+only, found once per call in row-major order.  Each row sum adds a row's
+observed products one after another in column order (``np.bincount``),
+which is the sequential sum over the dense row from +0.0: adding a
+zero-weight product, +0.0 or -0.0, changes no partial sum.  So every
+output bit is the dense kernel's (``tests/oracles.py`` keeps it as the
+reference), and zero-weight padding costs nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +62,7 @@ __all__ = ["DualBatch", "DualSolution", "solve_dual_batch", "worst_case_pmfs", "
            "solve_dual"]
 
 # Offsets beta - top below e^-700 of the largest gap are beneath float
-# resolution for any cost scale, so the root search starts there.
+# resolution for any cost scale, so the root search looks no lower.
 _LOG_SPAN = 700.0
 # A tiny Newton step ends a row only where |ln K - ln r| <= this (true stops
 # read ~1e-12); far below the root V is rounding noise and the step ~1e-121.
@@ -70,53 +91,41 @@ class DualSolution:
     primal: PmfMatrix
 
 
-_rowsum = np.add.reduce  # called with axis=1: one pairwise sum per contiguous row
-
-
-def _rowsums(buf: np.ndarray, at: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row sums of ``buf`` after writing ``x`` at its flat places ``at``.
-
-    ``buf`` is C-contiguous (so ``reshape`` is a view) and +0.0 outside
-    ``at``, where the dense kernel's q-weighted products are +0.0 too, so
-    each row's pairwise sum adds the same values in the same order as a
-    sum over the dense row.
-    """
-    buf.reshape(-1)[at] = x
-    return _rowsum(buf, axis=1)
-
-
-def _tilt(log_gaps, q, u, row, buf, at):
+def _tilt(log_gaps, q, u, row):
     """Row sums of the tilted pmf at log offsets ``u``.
 
     Elementwise work runs on the observed entries only: ``log_gaps`` and
-    ``q`` are theirs, ``row`` their rows and ``at`` their places in the row
-    sum buffer ``buf``, through which every sum goes (see :func:`_rowsums`).
-    With t_i = g_i / e^u: L = sum q ln(1 + t) and the two complementary
-    masses A = sum q t/(1 + t), B = sum q/(1 + t), each free of
-    cancellation, so that K = L + ln(1 - A) is the relative entropy of the
-    tilt; V, the q-variance of t/(1 + t), gives dK/du = -V / B.
+    ``q`` are theirs and ``row`` their rows, in row-major order.  With
+    t_i = g_i / e^u, one exp gives t and one division 1/(1 + t), whose
+    product is t/(1 + t); one log1p gives the softplus ln(1 + t).  Offsets
+    stay above the largest gap less 700 in logs, so t is finite.
+    L = sum q ln(1 + t) and the complementary masses A = sum q t/(1 + t),
+    B = sum q/(1 + t) are each free of cancellation, and K = L + ln B
+    (ln B as log1p(-A) while A < 1/2) is the relative entropy of the tilt.
+    Since ln(1 + t) >= ln t and B is at least the weight on gap 0, K lies
+    above the deep-side line of the module docstring.  V and M, the second
+    and third q-moments of t/(1 + t) about A, give dK/du = -V / B and
+    d2K/du2 = (V (2B - A) - 2M - V^2 / B) / B, from which the Halley step.
     """
-    y = log_gaps - u[row]
-    soft = np.logaddexp(0.0, y)
-    share = np.exp(y - soft)
-    big_l = _rowsums(buf, at, q * soft)
-    big_a = _rowsums(buf, at, q * share)
-    big_b = _rowsums(buf, at, q * np.exp(-soft))
+    m = u.size
+    t = np.exp(log_gaps - u[row])
+    rest = 1.0 / (1.0 + t)
+    share = t * rest
+    big_l = np.bincount(row, q * np.log1p(t), m)
+    big_a = np.bincount(row, q * share, m)
+    big_b = np.bincount(row, q * rest, m)
     log_b = np.where(big_a < 0.5, np.log1p(-big_a), np.log(big_b))
     share -= big_a[row]
-    var = _rowsums(buf, at, q * share * share)
-    return big_l, big_l + log_b, big_b, var
+    qc2 = q * share * share
+    return (big_l, big_l + log_b, big_a, big_b, np.bincount(row, qc2, m),
+            np.bincount(row, qc2 * share, m))
 
 
-def _compact(keep, row, buf, at, *entries):
-    """The entries of the rows where ``keep`` holds, renumbered onto the
-    first ``keep.sum()`` rows of ``buf``: their rows, places and
-    ``entries``.  Every old place of ``buf`` is reset to +0.0."""
-    buf.reshape(-1)[at] = 0.0
+def _renumbered(keep, row):
+    """Which entries lie in the rows where ``keep`` holds, and their rows
+    renumbered 0, 1, ... in order."""
     kept = keep[row]
-    old, k = row[kept], buf.shape[1]
-    row = (np.cumsum(keep) - 1)[old]
-    return (row, at[kept] + (row - old) * k, *(x[kept] for x in entries))
+    return kept, (np.cumsum(keep) - 1)[row[kept]]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -132,12 +141,10 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     absorb rounding.  Raises ValueError on a negative weight or a row
     without a positive one, RuntimeError when a row fails to converge.
 
-    Every log, exp and product runs on the observed (q > 0) entries only,
-    so zero-weight padding costs only its share of a row sum.  The sums go
-    through one zeroed (rows, k) buffer per call (see :func:`_rowsums`),
-    which keeps every bit of a sum over the dense rows; the row means stay
-    dense, since z * 0 can be -0.0.  Rows that converge leave the observed
-    entries, and the rest move onto the buffer's first rows.
+    Every log, exp, product and sum runs on the observed (q > 0) entries
+    only, so zero-weight padding costs nothing there; the row means stay
+    dense pairwise sums, since z * 0 can be -0.0.  Rows that converge leave
+    the observed entries, and the rest are renumbered onto rows 0, 1, ....
     """
     z = np.asarray(values, dtype=float)
     q = np.asarray(weights, dtype=float)
@@ -164,12 +171,11 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     qs = q.reshape(-1)[at]
     gaps = np.maximum(top[row] - z[row, at - row * k], 0.0)
     log_gaps = np.log(gaps)
-    buf = np.zeros((n, k))
     # As u -> -inf, K tends to ln GM(g) - ln HM(g) when the top carries no
     # weight (+inf otherwise); at or below r the minimum is beta = top.
-    log_geo = _rowsums(buf, at, qs * log_gaps)
-    k_inf = log_geo + np.log(_rowsums(buf, at, qs * np.exp(-log_gaps)))
-    spread = _rowsums(buf, at, qs * gaps * gaps)
+    log_geo = np.bincount(row, qs * log_gaps, n)
+    k_inf = log_geo + np.log(np.bincount(row, qs * np.exp(-log_gaps), n))
+    spread = np.bincount(row, qs * gaps * gaps, n)
     zero = r == 0.0
     boundary = ~zero & ((k_inf <= r) | (spread == 0.0))
 
@@ -179,31 +185,55 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     newton_rows = ~zero & ~boundary
     rows = np.flatnonzero(newton_rows)
     if rows.size:
-        row, at, lg, qs, gaps = _compact(newton_rows, row, buf, at, log_gaps, qs, gaps)
-        rs, view = r[rows], buf[:rows.size]
-        # The largest gap of a whole row, unobserved points too, is
+        kept, row = _renumbered(newton_rows, row)
+        lg, qs, gaps = log_gaps[kept], qs[kept], gaps[kept]
+        m = rows.size
+        rs, spread = r[rows], spread[rows]
+        log_r = np.log(rs)
+        # Deep side (see the module docstring): q_top is the weight on gap 0,
+        # and S, w and H_j sum q ln g, q and q / g^j over the positive gaps.
+        seen = gaps > 0.0
+        qg, lgs = np.where(seen, qs, 0.0), np.where(seen, lg, 0.0)
+        inv = np.exp(-lgs)
+        q_top = np.bincount(row, qs - qg, m)
+        h1 = np.bincount(row, qg * inv, m)
+        h2 = np.bincount(row, qg * inv * inv, m)
+        deep = (np.bincount(row, qg * lgs, m) + np.log(q_top) - rs) / np.bincount(row, qg, m)
+        # K(u) >= S + ln q_top - w u, so K >= r at and below u_deep.  The
+        # largest gap of a whole row, unobserved points too, is
         # max(top - min z, 0), since rounding is monotone.
-        lo = np.log(np.maximum(top[rows] - z[rows].min(axis=1), 0.0)) - _LOG_SPAN
+        widest = np.log(np.maximum(top[rows] - z[rows].min(axis=1), 0.0))
+        lo = np.maximum(widest - _LOG_SPAN, deep)
         # K(u) <= E[g^2] e^{-2u}, so K < r/4 above hi.
-        hi = np.maximum(0.5 * (np.log(spread[rows]) - np.log(rs)) + math.log(2.0), lo)
-        # First guess: the small-radius asymptote K ~ Var(g) e^{-2u} / 2.
-        g_mean = _rowsums(view, at, qs * gaps)
-        var_g = np.maximum(spread[rows] - g_mean * g_mean, 0.0)
-        us = np.clip(0.5 * (np.log(var_g) - np.log(2.0 * rs)), lo, hi)
+        hi = np.maximum(0.5 * (np.log(spread) - log_r) + math.log(2.0), lo)
+        # Small radius: K ~ Var(g) e^{-2u} / 2.
+        g_mean = np.bincount(row, qs * gaps, m)
+        us = 0.5 * (np.log(np.maximum(spread - g_mean * g_mean, 0.0)) - np.log(2.0 * rs))
+        # Top unweighted: K ~ K_inf - e^u (H2/H1 - H1), for e^u H2/H1 <= 1/4.
+        near = np.log((k_inf[rows] - rs) / (h2 / h1 - h1))
+        us = np.where(np.exp(near) * h2 <= 0.25 * h1, near, us)
+        # Top weighted: K(u_deep) <= r + e^u_deep H1 (1 + 1/q_top) <= 2r.
+        us = np.where(np.exp(deep) * h1 * (1.0 + 1.0 / q_top) <= rs, deep, us)
+        us = np.clip(us, lo, hi)
         step = hi - lo
-        step_old = step.copy()
+        step_old = step
         for it in range(1, _MAX_ITERATIONS + 1):
-            big_l, k_val, big_b, var = _tilt(lg, qs, us, row, view, at)
+            big_l, k_val, big_a, big_b, var, m3 = _tilt(lg, qs, us, row)
             above = k_val > rs
             lo = np.where(above, us, lo)
             hi = np.where(above, hi, us)
-            # Newton on ln K - ln r, whose derivative is -V / (B K).
-            residual = np.log(k_val) - np.log(rs)
+            # Newton on ln K - ln r, whose derivative is -V / (B K); Halley
+            # divides its step by 1 + step * (ln K)'' / (2 (ln K)'), floored at
+            # 1/2 so that the step at most doubles and never turns back.
+            residual = np.log(k_val) - log_r
             newton = residual * k_val * big_b / var
+            curve = big_a - 2.0 * big_b + 2.0 * m3 / var + var / big_b * (1.0 + 1.0 / k_val)
+            halley = newton / np.maximum(1.0 + 0.5 * newton * curve, 0.5)
             tol = 4.0 * _EPS * np.maximum(1.0, np.abs(us))
+            width = hi - lo
             done = (
                 (np.abs(k_val - rs) <= 64.0 * _EPS * (2.0 * big_l - k_val + rs))
-                | (hi - lo <= tol)
+                | (width <= tol)
                 | ((np.abs(newton) <= tol) & (np.abs(residual) <= _NEWTON_STOP))
             )
             if done.any():
@@ -212,18 +242,19 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
                 at_u[fin] = big_l[done]
                 iterations[fin] = it
                 keep = ~done
-                rows, rs = rows[keep], rs[keep]
-                us, lo, hi, newton = us[keep], lo[keep], hi[keep], newton[keep]
-                step, step_old = step[keep], step_old[keep]
+                rows = rows[keep]
                 if not rows.size:
                     break
-                row, at, lg, qs = _compact(keep, row, view, at, lg, qs)
-                view = buf[:rows.size]
-            nxt = us + newton
-            take = (nxt > lo) & (nxt < hi) & (np.abs(newton) <= 0.5 * step_old)
-            half = 0.5 * (hi - lo)
+                us, lo, hi, width, halley, step, step_old, rs, log_r = np.array(
+                    (us, lo, hi, width, halley, step, step_old, rs, log_r))[:, keep]
+                kept, row = _renumbered(keep, row)
+                lg, qs = lg[kept], qs[kept]
+            nxt = us + halley
+            size = np.abs(halley)
+            take = (nxt > lo) & (nxt < hi) & (size <= 0.5 * step_old)
+            half = 0.5 * width
             step_old = step
-            step = np.where(take, np.abs(newton), half)
+            step = np.where(take, size, half)
             us = np.where(take, nxt, lo + half)
         else:
             row = int(rows[0])

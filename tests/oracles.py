@@ -1,7 +1,9 @@
 """Reference implementations the tests check the package against.
 
 * ``dual_objective`` evaluates the scalar KL dual at one beta;
-* ``dense_dual_batch`` is the dual kernel over all columns, zero weights too;
+* ``dense_dual_batch`` is the dual kernel over all columns, zero weights too,
+  from the kernel's start and by its Halley step, each row sum a sequential
+  sum over the whole row;
 * ``worst_case_pmf_reference`` is the maximizing pmf of one row, by cases;
 * ``primal_oracle`` searches the simplex for the worst-case mean directly;
 * ``type_probabilities`` enumerates the types of T draws from a pmf, and
@@ -21,7 +23,7 @@ from scipy.special import gammaln
 from kldro.graphs import path_nodes
 from kldro.marginals import DataSet, PmfMatrix, Support, pmf_means
 from kldro.worstcase import (_EPS, _LOG_SPAN, _MAX_ITERATIONS, _NEWTON_STOP, _TINY, DualBatch,
-                             _rowsum, solve_dual_batch)
+                             solve_dual_batch)
 
 
 def dataset_from_costs(support: Support, samples) -> DataSet:
@@ -61,31 +63,40 @@ def dual_objective(beta: float, empirical: PmfMatrix, r_a: float) -> float:
     return beta - math.exp(-r_a + float(np.sum(empirical.probs[seen] * np.log(diffs))))
 
 
+def _rowsum(x: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` added up one entry after another, from +0.0."""
+    return np.cumsum(np.column_stack([np.zeros(len(x)), x]), axis=1)[:, -1]
+
+
 def _dense_tilt(log_gaps: np.ndarray, q: np.ndarray, u: np.ndarray):
     """Row sums of the tilted pmf at log offsets ``u``.
 
     With t_i = g_i / e^u: L = sum q ln(1 + t) and the two complementary
     masses A = sum q t/(1 + t), B = sum q/(1 + t), each free of
-    cancellation, so that K = L + ln(1 - A) is the relative entropy of the
-    tilt; V, the q-variance of t/(1 + t), gives dK/du = -V / B.
+    cancellation, so that K = L + ln B is the relative entropy of the
+    tilt; V and M, the second and third q-moments of t/(1 + t) about A,
+    give dK/du = -V / B and d2K/du2 = (V (2B - A) - 2M - V^2 / B) / B.
     """
-    y = log_gaps - u[:, None]
-    soft = np.logaddexp(0.0, y)
-    share = np.exp(y - soft)
-    big_l = _rowsum(q * soft, axis=1)
-    big_a = _rowsum(q * share, axis=1)
-    big_b = _rowsum(q * np.exp(-soft), axis=1)
+    t = np.exp(log_gaps - u[:, None])
+    rest = 1.0 / (1.0 + t)
+    share = t * rest
+    big_l = _rowsum(q * np.log1p(t))
+    big_a = _rowsum(q * share)
+    big_b = _rowsum(q * rest)
     log_b = np.where(big_a < 0.5, np.log1p(-big_a), np.log(big_b))
     share -= big_a[:, None]
-    var = _rowsum(q * share * share, axis=1)
-    return big_l, big_l + log_b, big_b, var
+    qc2 = q * share * share
+    return big_l, big_l + log_b, big_a, big_b, _rowsum(qc2), _rowsum(qc2 * share)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def dense_dual_batch(values, weights, radii, lower) -> DualBatch:
     """Reference for ``worstcase.solve_dual_batch``, which must match it bit
     for bit: the dense kernel, every log, exp and product over all k columns
-    of every row, zero-weight padding too.
+    of every row, zero-weight padding too, and every row sum a sequential
+    sum over the whole row.  It takes the kernel's start (the small-radius,
+    deep-side and near-K_inf expansions, and the deep-side bracket end) and
+    its safeguarded Halley step.
 
     Minimize the dual for every row of ``values``/``weights`` at once.
 
@@ -104,7 +115,7 @@ def dense_dual_batch(values, weights, radii, lower) -> DualBatch:
     n = z.shape[0]
     if z.ndim != 2 or q.shape != z.shape or r.shape != (n,) or top.shape != (n,):
         raise ValueError("values/weights must be (rows, k) with one radius and bound per row")
-    # Row sums are pairwise only along rows whose elements are adjacent in
+    # The means are pairwise only along rows whose elements are adjacent in
     # memory; rows already laid out so (broadcast ones too) are not copied.
     z, q = (x if x.strides[1] == x.itemsize else np.ascontiguousarray(x) for x in (z, q))
     if not (r >= 0.0).all():
@@ -117,9 +128,9 @@ def dense_dual_batch(values, weights, radii, lower) -> DualBatch:
     # As u -> -inf, K tends to ln GM(g) - ln HM(g) when the top carries no
     # weight (+inf otherwise); at or below r the minimum is beta = top.
     seen_lg = np.where(q > 0.0, log_gaps, 0.0)
-    log_geo = _rowsum(q * seen_lg, axis=1)
-    k_inf = log_geo + np.log(_rowsum(q * np.exp(-seen_lg), axis=1))
-    spread = _rowsum(q * gaps * gaps, axis=1)
+    log_geo = _rowsum(q * seen_lg)
+    k_inf = log_geo + np.log(_rowsum(q * np.exp(-seen_lg)))
+    spread = _rowsum(q * gaps * gaps)
     zero = r == 0.0
     boundary = ~zero & ((k_inf <= r) | (spread == 0.0))
 
@@ -128,24 +139,42 @@ def dense_dual_batch(values, weights, radii, lower) -> DualBatch:
     iterations = np.zeros(n, dtype=int)
     rows = np.flatnonzero(~zero & ~boundary)
     if rows.size:
-        lg, qs, rs = log_gaps[rows], q[rows], r[rows]
-        lo = np.log(gaps[rows].max(axis=1)) - _LOG_SPAN
+        lg, qs, rs, g = log_gaps[rows], q[rows], r[rows], gaps[rows]
+        log_r = np.log(rs)
+        # Deep side: q_top is the weight on gap 0, and S, w and H_j sum
+        # q ln g, q and q / g^j over the positive gaps.
+        seen = (qs > 0.0) & (g > 0.0)
+        qg, lgs = np.where(seen, qs, 0.0), np.where(seen, lg, 0.0)
+        inv = np.exp(-lgs)
+        q_top, h1, h2 = _rowsum(qs - qg), _rowsum(qg * inv), _rowsum(qg * inv * inv)
+        deep = (_rowsum(qg * lgs) + np.log(q_top) - rs) / _rowsum(qg)
+        # K(u) >= S + ln q_top - w u, so K >= r at and below u_deep.
+        lo = np.maximum(np.log(g.max(axis=1)) - _LOG_SPAN, deep)
         # K(u) <= E[g^2] e^{-2u}, so K < r/4 above hi.
-        hi = np.maximum(0.5 * (np.log(spread[rows]) - np.log(rs)) + math.log(2.0), lo)
-        # First guess: the small-radius asymptote K ~ Var(g) e^{-2u} / 2.
-        g_mean = _rowsum(qs * gaps[rows], axis=1)
-        var_g = np.maximum(spread[rows] - g_mean * g_mean, 0.0)
-        us = np.clip(0.5 * (np.log(var_g) - np.log(2.0 * rs)), lo, hi)
+        hi = np.maximum(0.5 * (np.log(spread[rows]) - log_r) + math.log(2.0), lo)
+        # Small radius: K ~ Var(g) e^{-2u} / 2.
+        g_mean = _rowsum(qs * g)
+        us = 0.5 * (np.log(np.maximum(spread[rows] - g_mean * g_mean, 0.0)) - np.log(2.0 * rs))
+        # Top unweighted: K ~ K_inf - e^u (H2/H1 - H1), for e^u H2/H1 <= 1/4.
+        near = np.log((k_inf[rows] - rs) / (h2 / h1 - h1))
+        us = np.where(np.exp(near) * h2 <= 0.25 * h1, near, us)
+        # Top weighted: K(u_deep) <= r + e^u_deep H1 (1 + 1/q_top) <= 2r.
+        us = np.where(np.exp(deep) * h1 * (1.0 + 1.0 / q_top) <= rs, deep, us)
+        us = np.clip(us, lo, hi)
         step = hi - lo
-        step_old = step.copy()
+        step_old = step
         for it in range(1, _MAX_ITERATIONS + 1):
-            big_l, k_val, big_b, var = _dense_tilt(lg, qs, us)
+            big_l, k_val, big_a, big_b, var, m3 = _dense_tilt(lg, qs, us)
             above = k_val > rs
             lo = np.where(above, us, lo)
             hi = np.where(above, hi, us)
-            # Newton on ln K - ln r, whose derivative is -V / (B K).
-            residual = np.log(k_val) - np.log(rs)
+            # Newton on ln K - ln r, whose derivative is -V / (B K); Halley
+            # divides its step by 1 + step * (ln K)'' / (2 (ln K)'), floored at
+            # 1/2 so that the step at most doubles and never turns back.
+            residual = np.log(k_val) - log_r
             newton = residual * k_val * big_b / var
+            curve = big_a - 2.0 * big_b + 2.0 * m3 / var + var / big_b * (1.0 + 1.0 / k_val)
+            halley = newton / np.maximum(1.0 + 0.5 * newton * curve, 0.5)
             tol = 4.0 * _EPS * np.maximum(1.0, np.abs(us))
             done = (
                 (np.abs(k_val - rs) <= 64.0 * _EPS * (2.0 * big_l - k_val + rs))
@@ -158,16 +187,16 @@ def dense_dual_batch(values, weights, radii, lower) -> DualBatch:
                 at_u[fin] = big_l[done]
                 iterations[fin] = it
                 keep = ~done
-                rows, lg, qs, rs = rows[keep], lg[keep], qs[keep], rs[keep]
-                us, lo, hi, newton = us[keep], lo[keep], hi[keep], newton[keep]
+                rows, lg, qs, rs, log_r = rows[keep], lg[keep], qs[keep], rs[keep], log_r[keep]
+                us, lo, hi, halley = us[keep], lo[keep], hi[keep], halley[keep]
                 step, step_old = step[keep], step_old[keep]
                 if not rows.size:
                     break
-            nxt = us + newton
-            take = (nxt > lo) & (nxt < hi) & (np.abs(newton) <= 0.5 * step_old)
+            nxt = us + halley
+            take = (nxt > lo) & (nxt < hi) & (np.abs(halley) <= 0.5 * step_old)
             half = 0.5 * (hi - lo)
             step_old = step
-            step = np.where(take, np.abs(newton), half)
+            step = np.where(take, np.abs(halley), half)
             us = np.where(take, nxt, lo + half)
         else:
             row = int(rows[0])

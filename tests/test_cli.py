@@ -81,6 +81,7 @@ class TestRun:
         ["seed=-1"], ["seed=18446744073709551616"], ["rules=dro,dro"],
         ["sample_sizes=binomial1", "d=1"], ["sample_sizes=binomial2", "d=1"],
         ["rules=dro,dro1", "h=10", "w=4"], ["alpha=5e-324"],
+        ["sigma=1e20"], ["nominal=discretized-normal", "sweep=sigma", "grid=1e20"],
     ])
     def test_bad_sweep_inputs_fail_before_any_replicate(self, tmp_path, capsys, monkeypatch,
                                                         overrides):

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from kldro.datagen import (
+    SIGMA_MAX,
     binomial_pmfs,
     draw_dataset,
     nominal_marginals,
@@ -75,6 +76,11 @@ class TestNominalMarginals:
             binomial_pmfs([0.5], 0)
         with pytest.raises(ValueError, match="sigma must be positive"):
             normal_pmfs([2.0], 0.0, 5)
+        # past SIGMA_MAX the cells cancel: 2.6% off at 1e14, empty from 1e16
+        for sigma in (SIGMA_MAX * (1 + 2**-52), 1e14, [1.0, 1e20]):
+            with pytest.raises(ValueError, match=r"sigma must be positive and at most 1e\+06"):
+                normal_pmfs([2.0], sigma, 5)
+        assert normal_pmfs([2.0], SIGMA_MAX, 5).probs.min() > 0.0
         with pytest.raises(ValueError, match="mu must lie in"):
             normal_pmfs([6.0], 1.0, 5)
         with pytest.raises(ValueError, match="unknown nominal kind"):

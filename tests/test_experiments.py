@@ -187,6 +187,9 @@ class TestConfig:
         (dict(h=10**5, w=4, rules=("dro1",)),
          r"^dro1 enumerates 4\*\*100000 paths, above the enumeration cap 100000$"),
         (dict(alpha=5e-324), r"^alpha 5e-324 is too small to split over 8 actions"),
+        (dict(sigma=1e20), r"^sigma must be positive and at most 1e\+06$"),
+        (dict(nominal="discretized-normal", sweep="sigma", grid=(49.0, 1e20)),
+         r"^sigma sweep value 1e\+20 must be positive and at most 1e\+06$"),
     ])
     def test_rejects_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=message):

@@ -134,6 +134,19 @@ class TestSolveDual:
         for beta in sol.beta + np.array([-1e-3, 1e-3, 1.0]):
             assert sol.value <= dual_objective(beta, m, 0.093)
 
+    @pytest.mark.parametrize("points, probs, r", [
+        # top weighted, root u ~ -34 far below the small-radius start (12 passes before
+        # the deep-side start)
+        ([49.0, 50.0], [1 / 38, 37 / 38], 0.8781),
+        # top unweighted, r a few % below K_inf (20 passes before the near-K_inf start)
+        ([1.0, 2.0, 3.0, 4.0], [4 / 6, 1 / 6, 1 / 6, 0.0], 0.093),
+    ])
+    def test_deep_and_near_k_inf_roots_take_at_most_four_passes(self, points, probs, r):
+        m = marginal(points, probs)
+        sol = solve_dual(m, r)
+        assert 1 <= sol.iterations <= 4
+        assert sol.value == pytest.approx(dual_objective(sol.beta, m, r), rel=1e-12, abs=0.0)
+
     def test_row_values_do_not_depend_on_memory_layout(self):
         # a dro1-sized batch (27 paths) passed C-ordered, Fortran-ordered,
         # as a column slice of a wider array and with broadcast values
