@@ -16,11 +16,11 @@ from kldro import (
     build_layered,
     calibrate_ambiguity,
     draw_dataset,
-    dro_prescribe,
     nominal_marginals,
     sample_sizes,
     substream,
     truncate_dataset,
+    worst_case_costs,
 )
 
 D, ALPHA, SEED = 50, 0.05, 12
@@ -31,9 +31,9 @@ marginals = nominal_marginals("discretized-normal", graph.num_arcs, D, rng, sigm
 sizes = sample_sizes("uniform", 10, 20, marginals, rng)
 data = draw_dataset(marginals, sizes, rng)
 
-full = dro_prescribe(data, calibrate_ambiguity(data, ALPHA), graph)
+full = worst_case_costs(data.support, data.pmf, calibrate_ambiguity(data, ALPHA))
 truncated = truncate_dataset(data)
-trunc = dro_prescribe(truncated, calibrate_ambiguity(truncated, ALPHA), graph)
+trunc = worst_case_costs(truncated.support, truncated.pmf, calibrate_ambiguity(truncated, ALPHA))
 
 means = marginals.means
 order = np.argsort(means)
@@ -52,8 +52,8 @@ def pairwise_order_errors(estimates):
 print(f"{'arc':>4} {'T_a':>4} {'true mean':>10} {'full-data':>10} {'truncated':>10}")
 for a in order:
     print(f"{a:>4} {int(data.sizes[a]):>4} {means[a]:>10.3f} "
-          f"{full.arc_costs[a]:>10.3f} {trunc.arc_costs[a]:>10.3f}")
+          f"{full[a]:>10.3f} {trunc[a]:>10.3f}")
 
-print(f"\npairwise order errors vs the truth: full-data {pairwise_order_errors(full.arc_costs)}, "
-      f"truncated {pairwise_order_errors(trunc.arc_costs)} "
+print(f"\npairwise order errors vs the truth: full-data {pairwise_order_errors(full)}, "
+      f"truncated {pairwise_order_errors(trunc)} "
       f"(out of {graph.num_arcs * (graph.num_arcs - 1) // 2} pairs)")

@@ -54,11 +54,11 @@ prescriptions = {
 }
 
 print(f"{'rule':<22} {'predicted':>10} {'true cost':>10} {'rel. loss':>10}  path")
-for name, pres in prescriptions.items():
-    true_cost = float(route_costs(graph, pres.path, means))
+for name, (path, predicted_loss) in prescriptions.items():
+    true_cost = float(route_costs(graph, path, means))
     rho = true_cost / oracle_value
-    print(f"{name:<22} {pres.predicted_loss:>10.4f} {true_cost:>10.4f} {rho:>10.4f}  "
-          f"{path_nodes(graph, pres.path).tolist()}")
+    print(f"{name:<22} {predicted_loss:>10.4f} {true_cost:>10.4f} {rho:>10.4f}  "
+          f"{path_nodes(graph, path).tolist()}")
 
 print("\nPredicted losses sit above the realized expected costs by design:")
 print("each rule hedges so that underestimating the loss is the rare event.")

@@ -24,6 +24,7 @@ from .rules import (
     hoeffding_slack,
     joint_radius,
     truncate_dataset,
+    worst_case_costs,
 )
 from .worstcase import solve_dual
 

@@ -9,10 +9,9 @@ expensive) actions more often.
 Every function takes plain arguments, for one data set or for a block of
 replicates given one generator each: then ``nominal_marginals`` builds one
 stacked (replicates x actions x d) :class:`~kldro.marginals.PmfMatrix`,
-``sample_sizes`` one row per replicate and ``draw_dataset`` one block
-:class:`~kldro.marginals.DataSet` (``DataSet.stacked``): (replicates x
-actions) counts over one flat index, validated once.  One generator is a
-block of one.
+``sample_sizes`` one row per replicate and ``draw_dataset`` one
+:class:`~kldro.marginals.DataSet` with (replicates x actions) counts over
+one flat index, validated once.  One generator is a block of one.
 
 Randomness comes from numpy's counter-based Philox generator: a sweep keys
 replicate r at grid index g by ``(seed << 64) ^ (g (n0 + 1) + 1 + r)``
@@ -144,8 +143,10 @@ def nominal_marginals(kind: str, num_actions: int, d: int, rng, sigma=None) -> P
 def sample_sizes(kind: str, t_min, delta, nominal: PmfMatrix, rng) -> np.ndarray:
     """Realized per-action observation counts in [t_min, t_min + delta]:
     uniform, or binomial with a success share that rises (binomial1) or
-    falls (binomial2) with the action's nominal mean.  For a block, every
-    argument but ``kind`` runs along its replicates."""
+    falls (binomial2) with the action's nominal mean, normalized over the
+    row's means; a row of equal means, as every row is at d = 1, gives
+    every action the share 1/2.  For a block, every argument but ``kind``
+    runs along its replicates."""
     if kind not in SIZE_KINDS:
         raise ValueError(f"unknown sample-size kind {kind!r}")
     if np.any(np.less(t_min, 1)):
@@ -157,9 +158,7 @@ def sample_sizes(kind: str, t_min, delta, nominal: PmfMatrix, rng) -> np.ndarray
         return _per_stream(rng, lambda r, low, spread: r.integers(
             low, low + spread + 1, size=means.shape[-1]), t_min, delta)
     lo, hi = means.min(axis=-1, keepdims=True), means.max(axis=-1, keepdims=True)
-    if np.any(hi == lo):
-        raise ValueError(f"{kind} sizes need unequal nominal means to normalize")
-    share = (means - lo) / (hi - lo)
+    share = np.divide(means - lo, hi - lo, out=np.full(means.shape, 0.5), where=hi > lo)
     if kind == "binomial2":
         share = 1.0 - share
     return _per_stream(rng, lambda r, low, spread, s: low + r.binomial(spread, s),
@@ -218,4 +217,4 @@ def draw_dataset(nominal: PmfMatrix, sizes, rng, joint: bool = False):
         counts = [r.multinomial(d - 1, q / q.sum(), size=t.max())
                   for r, q, t in zip(streams, p, rows)]
         index = np.concatenate([c.T[np.arange(len(c)) < t[:, None]] for c, t in zip(counts, rows)])
-    return DataSet.stacked(support, index, sizes)
+    return DataSet(support, index, sizes)

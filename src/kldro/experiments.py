@@ -118,9 +118,6 @@ class ExperimentConfig:
             raise ValueError(f"nominal must be one of {NOMINAL_KINDS}")
         if self.sample_sizes not in SIZE_KINDS:
             raise ValueError(f"sample_sizes must be one of {SIZE_KINDS}")
-        if self.sample_sizes != "uniform" and self.d < 2:
-            # at d = 1 every nominal mean is 1, so the tilt cannot normalize
-            raise ValueError(f"{self.sample_sizes} sample sizes need d >= 2")
         if self.sweep not in SWEEP_VARIABLES:
             raise ValueError(f"sweep must be one of {SWEEP_VARIABLES}")
         if len(self.grid) == 0:

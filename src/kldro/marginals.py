@@ -5,7 +5,7 @@ positive, strictly increasing grid of support points.  A data set stores
 each observation as its index on that grid, all actions in one flat array;
 observation counts may differ across actions, which is the whole point of
 the library.  A block of R replicates is one data set with (R, actions)
-counts over one flat index (:meth:`DataSet.stacked`).
+counts over one flat index; one constructor builds either.
 
 A pmf is an array with the support on its last axis, one row (d,) or any
 stack of rows; :class:`PmfMatrix` is the one validated pmf container.  An
@@ -124,13 +124,13 @@ class DataSet:
     as support indices: ``index`` holds action 0's ``sizes[0]`` indices,
     then action 1's, and so on.  Counts may differ across actions.
 
-    Validation checks every index against the support and builds the
-    empirical pmfs once, as the (actions x d) matrix ``pmf`` of counts over
-    ``sizes``, with one bincount.  ``index``, ``sizes`` and ``pmf`` are
-    read-only.
-
-    A block (:meth:`stacked`) has (R, actions) ``sizes`` and an (R,
-    actions, d) ``pmf``; each row equals the data set of its replicate.
+    ``sizes`` is (actions,) for one data set or (R, actions) for a block
+    of R replicates, whose flat index holds row 0's observations, then row
+    1's.  Validation runs once over the flat counts: it checks every index
+    against the support and builds the empirical pmfs, counts over
+    ``sizes``, with one bincount, shaped (..., d) like ``sizes``; each row
+    of a block equals the data set of its replicate.  ``index``, ``sizes``
+    and ``pmf`` are read-only.
 
     ``cache`` holds the confidence splits the rules derive from a data
     set, so each is computed once per (data set, alpha).
@@ -144,35 +144,28 @@ class DataSet:
 
     def __post_init__(self):
         index, sizes = np.asarray(self.index), np.asarray(self.sizes)
-        for name, arr in (("index", index), ("sizes", sizes)):
-            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-                raise ValueError(f"{name} must be a 1-d integer array")
+        if index.ndim != 1 or (index.size and index.dtype.kind not in "iu"):
+            raise ValueError("index must be a 1-d integer array")
+        if sizes.ndim not in (1, 2) or (sizes.size and sizes.dtype.kind not in "iu"):
+            raise ValueError("sizes must be an (actions,) or (R, actions) integer array")
         index, sizes = index.astype(np.intp, copy=False), sizes.astype(np.intp, copy=False)
         if not sizes.size:
             raise ValueError("data set must cover at least one action")
-        if sizes.min() < 1:
-            raise ValueError(f"action {int(np.argmin(sizes))}: at least one observation required")
-        if int(sizes.sum()) != index.size:
-            raise ValueError(f"sizes sum to {int(sizes.sum())} but index holds {index.size}")
-        m, d = sizes.size, self.support.size
-        owner = np.repeat(np.arange(m), sizes)
+        flat = sizes.ravel()
+        if flat.min() < 1:
+            raise ValueError(f"action {int(np.argmin(flat))}: at least one observation required")
+        if int(flat.sum()) != index.size:
+            raise ValueError(f"sizes sum to {int(flat.sum())} but index holds {index.size}")
+        m, d = flat.size, self.support.size
+        owner = np.repeat(np.arange(m), flat)
         if index.min() < 0 or index.max() >= d:
             k = int(np.argmax((index < 0) | (index >= d)))
             raise ValueError(f"action {owner[k]}: support index {int(index[k])} outside [0, {d})")
-        counts = np.bincount(owner * d + index, minlength=m * d).reshape(m, d)
-        pmf = counts / sizes[:, None]
+        counts = np.bincount(owner * d + index, minlength=m * d).reshape(*sizes.shape, d)
+        pmf = counts / sizes[..., None]
         for name, value in (("index", index), ("sizes", sizes), ("pmf", pmf)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def stacked(cls, support: Support, index, sizes) -> "DataSet":
-        """The data set of counts ``sizes`` of any shape, (R, actions) for a
-        block, validated once over all its rows."""
-        data, shape = cls(support, index, np.ravel(sizes)), np.shape(sizes)
-        object.__setattr__(data, "sizes", data.sizes.reshape(shape))
-        object.__setattr__(data, "pmf", data.pmf.reshape(*shape, -1))
-        return data
 
     @property
     def num_actions(self) -> int:

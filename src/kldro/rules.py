@@ -1,8 +1,9 @@
 """Prediction and prescription rules for the data-driven path problem.
 
-Each rule prescribes at given parameters and returns a path, its node
-choices (one per layer, as ``graphs`` defines a path), with its predicted
-loss:
+Each rule prescribes at given parameters and returns what
+``shortest_path`` returns for one cost row: ``(path, predicted_loss)``,
+the path as its node choices (one per layer, as ``graphs`` defines a
+path):
 
 * ``dro_prescribe(data, radii, g)``: per-action worst case over KL balls
   of the given radii, one per action, then a deterministic shortest path;
@@ -14,19 +15,19 @@ loss:
 its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``
 (the radii array), ``hoeffding_slack`` and ``joint_radius``.
 
-Every step also takes a block of replicates stacked into one data set
-(``DataSet.stacked``) and runs as array code over its rows; one data set
-is a block of one.  Calibration is one ``radius_best`` call per data set,
-which evaluates the bounds once per distinct (T_a, alpha_a) of all its
-rows, ``worst_case_costs`` solves any stack of pmf rows in one kernel
-call, and ``joint_worst_case_paths`` makes one kernel call per joint-atom
-count and returns dro1's paths as ``graphs.Routes``, as ``shortest_path``
-routes a cost matrix.
+Every step also takes a block of replicates, one data set with (R,
+actions) counts, and runs as array code over its rows; one data set is a
+block of one.  Calibration is one ``radius_best`` call per data set and
+step, the joint radius included, which evaluates the bounds once per
+distinct input of all its rows; nothing is cached across calls.
+``worst_case_costs`` solves any stack of pmf rows in one kernel call, and
+``joint_worst_case_paths`` makes one kernel call per joint-atom count and
+returns dro1's paths as ``graphs.Routes``, as ``shortest_path`` routes a
+cost matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections import Counter
@@ -42,7 +43,6 @@ from .radius import radius_best
 from .worstcase import minimize_dual, solve_dual, solve_dual_batch  # noqa: F401
 
 __all__ = [
-    "Prescription",
     "JointEmpirical",
     "split_alpha",
     "calibrate_ambiguity",
@@ -57,17 +57,6 @@ __all__ = [
     "joint_worst_case_paths",
     "dro1_prescribe",
 ]
-
-
-@dataclass(frozen=True)
-class Prescription:
-    """A path (a tuple of h node choices), the rule's predicted loss at it,
-    and (when the rule decomposes per action) the per-arc costs that
-    produced it."""
-
-    path: tuple
-    predicted_loss: float
-    arc_costs: np.ndarray | None = None
 
 
 def split_alpha(alpha: float, sizes) -> np.ndarray:
@@ -144,10 +133,9 @@ def dro_predict(g: LayeredGraph, path, data: DataSet, radii) -> float:
     return float(route_costs(g, path, worst_case_costs(data.support, data.pmf, radii)))
 
 
-def dro_prescribe(data: DataSet, radii, g: LayeredGraph) -> Prescription:
+def dro_prescribe(data: DataSet, radii, g: LayeredGraph) -> tuple[tuple, float]:
     """Worst-case costs at ``radii``, once per action, then one shortest path."""
-    costs = worst_case_costs(data.support, data.pmf, radii)
-    return Prescription(*shortest_path(g, costs), costs)
+    return shortest_path(g, worst_case_costs(data.support, data.pmf, radii))
 
 
 def hoeffding_slack(data: DataSet, alpha: float) -> np.ndarray:
@@ -166,10 +154,9 @@ def hoeffding_costs(data: DataSet, epsilon: float | np.ndarray) -> np.ndarray:
 
 
 def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
-                        g: LayeredGraph) -> Prescription:
+                        g: LayeredGraph) -> tuple[tuple, float]:
     """The shortest path under :func:`hoeffding_costs`."""
-    costs = hoeffding_costs(data, epsilon)
-    return Prescription(*shortest_path(g, costs), costs)
+    return shortest_path(g, hoeffding_costs(data, epsilon))
 
 
 def truncate_dataset(data: DataSet) -> DataSet:
@@ -181,7 +168,7 @@ def truncate_dataset(data: DataSet) -> DataSet:
         return data
     kept, drop = keep.ravel(), (sizes - keep).ravel()
     at = np.arange(kept.sum()) + np.repeat(np.cumsum(drop) - drop, kept)  # skip earlier drops
-    return DataSet.stacked(data.support, data.index[at], keep.reshape(data.sizes.shape))
+    return DataSet(data.support, data.index[at], keep.reshape(data.sizes.shape))
 
 
 def _joint_atoms(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,15 +212,10 @@ class JointEmpirical:
 def joint_radius(data: DataSet, alpha: float):
     """Radius of one ball around the joint empirical of the first T_min
     observations: support size d^m, T_min samples, and the whole confidence
-    budget (no union bound over actions); one per row of a block."""
-    radii = np.array([_joint_radius(t, data.support.size, data.num_actions, alpha)
-                      for t in np.ravel(data.t_min).tolist()])
-    return radii if data.sizes.ndim == 2 else float(radii[0])
-
-
-@functools.cache  # a pure function of four numbers, of which a sweep meets few
-def _joint_radius(t_min: int, d: int, m: int, alpha: float) -> float:
-    return float(radius_best(t_min, d**m, 1, alpha, alpha)[0])
+    budget (no union bound over actions); one per row of a block, in one
+    ``radius_best`` call."""
+    radii = radius_best(data.t_min, data.support.size**data.num_actions, 1, alpha, alpha)[0]
+    return radii if radii.ndim else float(radii)
 
 
 def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
@@ -270,7 +252,7 @@ def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
     return Routes(choices[best], value)
 
 
-def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
+def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> tuple[tuple, float]:
     """Joint-ball rule of radius ``r`` on the truncated data: enumerate
     paths and take the one of least worst-case cost over the ball
     (:func:`joint_worst_case_paths`).
@@ -281,5 +263,5 @@ def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> Prescription:
     """
     truncated = truncate_dataset(data)
     if r == 0.0:
-        return Prescription(*shortest_path(g, truncated.means))
-    return Prescription(*joint_worst_case_paths(g, truncated, r)[0], None)
+        return shortest_path(g, truncated.means)
+    return joint_worst_case_paths(g, truncated, r)[0]

@@ -20,7 +20,7 @@ from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_pa
 from kldro.marginals import PmfMatrix, Support, kl_divergence
 from kldro.radius import mardia_constant, radius_agrawal, radius_baseline, radius_best, radius_mardia
 from kldro.rules import (calibrate_ambiguity, dro1_prescribe, dro_predict, dro_prescribe,
-                         hoeffding_prescribe, truncate_dataset)
+                         hoeffding_prescribe, truncate_dataset, worst_case_costs)
 from kldro.worstcase import solve_dual
 from oracles import path_cost, primal_oracle
 
@@ -85,7 +85,7 @@ def test_criterion_2_decomposition_suite():
         sizes = rng.integers(3, 11, size=g.num_arcs)
         data = draw_dataset(marg, sizes, rng)
         amb = calibrate_ambiguity(data, 0.05)
-        pres = dro_prescribe(data, amb, g)
+        path, predicted_loss = dro_prescribe(data, amb, g)
         paths = enumerate_paths(g)
         # the predictor decomposes per arc, so its enumeration reduces to
         # path sums of per-arc worst cases; spot-check the identity exactly,
@@ -97,8 +97,8 @@ def test_criterion_2_decomposition_suite():
         values = [path_cost(g, x, costs) for x in paths]
         nodes = path_nodes(g, paths).tolist()
         best = min(range(len(paths)), key=lambda i: (values[i], nodes[i][::-1]))
-        assert pres.predicted_loss == values[best]
-        assert pres.path == tuple(paths[best].tolist())
+        assert predicted_loss == values[best]
+        assert path == tuple(paths[best].tolist())
     elapsed = time.time() - start
     assert elapsed < 10.0
     report(f"ACCEPTANCE 2 decomposition: 200 instances, exact argmin match, "
@@ -118,11 +118,12 @@ def test_criterion_3_finite_sample_guarantee():
         marg = nominal_marginals("shifted-binomial", g.num_arcs, d, rng)
         sizes = sample_sizes("uniform", 5, 10, marg, rng)
         data = draw_dataset(marg, sizes, rng)
-        pres = dro_prescribe(data, calibrate_ambiguity(data, alpha), g)
+        costs = worst_case_costs(data.support, data.pmf, calibrate_ambiguity(data, alpha))
+        path, predicted_loss = shortest_path(g, costs)
         means = marg.means
-        if path_cost(g, fixed_path, means) > path_cost(g, fixed_path, pres.arc_costs):
+        if path_cost(g, fixed_path, means) > path_cost(g, fixed_path, costs):
             disappoint_fixed += 1
-        if path_cost(g, pres.path, means) > pres.predicted_loss:
+        if path_cost(g, path, means) > predicted_loss:
             disappoint_prescribed += 1
     elapsed = time.time() - start
     assert disappoint_fixed / n <= alpha
@@ -183,7 +184,7 @@ def test_criterion_5_degeneration_to_saa():
         # independent SAA: the shortest path on plain empirical means
         means = [float(data.empirical(a).means) for a in range(g.num_arcs)]
         saa_path, _ = shortest_path(g, means)
-        assert [pres.path for pres in prescriptions] == [saa_path] * 4
+        assert [path for path, _ in prescriptions] == [saa_path] * 4
     report("ACCEPTANCE 5 degeneration: zero radius and zero slack reproduce the "
            "sample-average path for all four rules on 100 replicates -- PASS")
 

@@ -79,7 +79,7 @@ class TestRun:
         ["radius_override=-1"], ["redraw_nominal=true"], ["epsilon_override=nan"],
         ["--threads=0"], ["--threads=-5"],
         ["seed=-1"], ["seed=18446744073709551616"], ["rules=dro,dro"],
-        ["sample_sizes=binomial1", "d=1"], ["sample_sizes=binomial2", "d=1"],
+        ["alpha=1"], ["n0=0"],
         ["rules=dro,dro1", "h=10", "w=4"], ["alpha=5e-324"],
         ["sigma=1e20"], ["nominal=discretized-normal", "sweep=sigma", "grid=1e20"],
     ])
@@ -101,6 +101,19 @@ class TestRun:
         else:
             assert err.startswith("error: invalid config: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        # nominal means all equal in some rows: tiny sigma on two points
+        # puts each arc's mass on one point, and both arcs often agree
+        ["h=1", "w=1", "d=2", "nominal=discretized-normal", "sigma=0.01",
+         "sample_sizes=binomial2"],
+        ["sample_sizes=binomial1", "d=1"], ["sample_sizes=binomial2", "d=1"],
+    ])
+    def test_edge_inputs_run(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "cfg.json")
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(args + [f"--set={item}" for item in overrides]) == 0
+        assert (tmp_path / "out" / "results.csv").exists()
 
     def test_same_seed_reproduces_files_byte_for_byte(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -128,10 +128,12 @@ class TestSampleSizes:
                 sizes = sample_sizes(kind, 4, 9, marg, substream(6, seed))
                 assert np.all((4 <= sizes) & (sizes <= 13))
 
-    def test_equal_means_rejected_for_tilted_kinds(self):
+    def test_equal_means_give_every_action_share_one_half(self):
+        # nothing to normalize over, so neither tilt favors an action
         marg = binomial_pmfs(np.full(G33.num_arcs, 0.4), 6)
-        with pytest.raises(ValueError):
-            sample_sizes("binomial1", 5, 3, marg, substream(7, 0))
+        expected = 5 + substream(7, 0).binomial(3, np.full(G33.num_arcs, 0.5))
+        for kind in ("binomial1", "binomial2"):
+            assert np.array_equal(sample_sizes(kind, 5, 3, marg, substream(7, 0)), expected)
 
     def test_spec_validation(self):
         marg = binomial_pmfs(np.linspace(0.1, 0.9, G33.num_arcs), 6)

@@ -180,8 +180,8 @@ class TestConfig:
         (dict(seed=-1), r"^seed must lie in \[0, 2\*\*64\)$"),
         (dict(seed=2**64), r"^seed must lie in \[0, 2\*\*64\)$"),
         (dict(rules=("dro", "hoeffding", "dro")), "^rules must be a nonempty subset"),
-        (dict(sample_sizes="binomial1", d=1), "^binomial1 sample sizes need d >= 2$"),
-        (dict(sample_sizes="binomial2", d=1), "^binomial2 sample sizes need d >= 2$"),
+        (dict(alpha=1.0), r"^alpha must lie in \(0, 1\)$"),
+        (dict(n0=0), "^n0 must be >= 1$"),
         (dict(h=10, w=4, rules=("dro", "dro1")),
          r"^dro1 enumerates 4\*\*10 paths, above the enumeration cap 100000$"),
         (dict(h=10**5, w=4, rules=("dro1",)),
@@ -194,6 +194,16 @@ class TestConfig:
     def test_rejects_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_config(**overrides)
+
+    @pytest.mark.parametrize("kind", ["binomial1", "binomial2"])
+    def test_binomial_sizes_run_at_d_1(self, kind):
+        # At d = 1 every nominal mean is 1, so every action's share is 1/2;
+        # every path costs 1 per arc, so every rule is exact.
+        cfg = small_config(sample_sizes=kind, d=1, rules=experiments.RULE_NAMES)
+        for point in run_sweep(cfg):
+            for rep in point.replicates:
+                assert all(4 <= t <= 4 + point.sweep_value for t in rep.sizes)
+                assert [o.rho for o in rep.outcomes] == [1.0] * len(cfg.rules)
 
     def test_path_cap_binds_only_dro1(self):
         # 4**10 paths are legal without dro1, and 10**5, exactly the cap, with it
@@ -247,8 +257,8 @@ class TestRunSweep:
         from kldro.rules import calibrate_ambiguity, dro_prescribe
 
         data = draw_dataset(marg, np.full(g.num_arcs, 30), substream(5, 5))
-        pres = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
-        assert path_cost(g, pres.path, marg.means) == shortest_path(g, marg.means)[1]
+        path, _ = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
+        assert path_cost(g, path, marg.means) == shortest_path(g, marg.means)[1]
         assert results  # the sweep itself ran
 
     def test_sweep_variable_is_applied(self):
@@ -422,32 +432,40 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "calibrate_ambiguity", calibrating)
         monkeypatch.setattr(rules, "radius_best", solving)
         monkeypatch.setattr(kldro.radius, "radius_agrawal", bounding)
-        rules._joint_radius.cache_clear()
-        experiments._run_block(cfg, g, keys)
-        # one call for the block's data and one for its truncation, six
-        # replicates each: the delta = 14 rows are cut
-        [(data, r_data), (truncated, _)] = calibrated
-        assert data.sizes.shape == truncated.sizes.shape == (6, 24)
-        assert (truncated.sizes != data.sizes).any()
-        # one radius_best call per data set, over all its rows, whose bounds
-        # run once per distinct (T_a, alpha_a)
-        per_arc = [args for args in solved if args[2] > 1]
-        assert [(np.shape(args[0]), args[1:3]) for args in per_arc] == [
-            ((6, 24), (cfg.d, g.num_arcs))] * 2
-        for (found, _), (sizes, _, _, alphas, _), count in zip(calibrated, per_arc, agrawal):
-            assert sizes is found.sizes
-            assert count == len(set(zip(sizes.ravel().tolist(), alphas.ravel().tolist())))
-        # and every radius is that of radius_best on its input alone
-        for found, radii in calibrated:
-            alphas = rules.split_alpha(cfg.alpha, found.sizes)
-            for t, alpha_a, radius in zip(found.sizes.ravel().tolist(), alphas.ravel().tolist(),
-                                          radii.ravel().tolist()):
-                assert radius == radius_best(t, cfg.d, g.num_arcs, alpha_a, cfg.alpha)[0]
-        # the three delta = 0 replicates have equal counts, so equal radii
-        assert np.array_equal(r_data[0], r_data[1])
-        assert np.array_equal(r_data[0], r_data[2])
-        # dro1's joint radius, once per distinct T_min
-        assert len(solved) - 2 == len(set(data.t_min.tolist()))
+        # nothing is cached across blocks: a second block on the same
+        # inputs makes the same calls
+        for _ in range(2):
+            for calls in (calibrated, solved, agrawal):
+                calls.clear()
+            experiments._run_block(cfg, g, keys)
+            # one call for the block's data and one for its truncation, six
+            # replicates each: the delta = 14 rows are cut
+            [(data, r_data), (truncated, _)] = calibrated
+            assert data.sizes.shape == truncated.sizes.shape == (6, 24)
+            assert (truncated.sizes != data.sizes).any()
+            # one radius_best call per data set, over all its rows, whose
+            # bounds run once per distinct (T_a, alpha_a)
+            per_arc = [args for args in solved if args[2] > 1]
+            assert [(np.shape(args[0]), args[1:3]) for args in per_arc] == [
+                ((6, 24), (cfg.d, g.num_arcs))] * 2
+            for (found, _), (sizes, _, _, alphas, _), count in zip(calibrated, per_arc,
+                                                                   agrawal):
+                assert sizes is found.sizes
+                assert count == len(set(zip(sizes.ravel().tolist(), alphas.ravel().tolist())))
+            # and every radius is that of radius_best on its input alone
+            for found, radii in calibrated:
+                alphas = rules.split_alpha(cfg.alpha, found.sizes)
+                for t, alpha_a, radius in zip(found.sizes.ravel().tolist(),
+                                              alphas.ravel().tolist(), radii.ravel().tolist()):
+                    assert radius == radius_best(t, cfg.d, g.num_arcs, alpha_a, cfg.alpha)[0]
+            # the three delta = 0 replicates have equal counts, so equal radii
+            assert np.array_equal(r_data[0], r_data[1])
+            assert np.array_equal(r_data[0], r_data[2])
+            # dro1's joint radius: one radius_best call over all six rows
+            [joint] = [args for args in solved if args[2] == 1]
+            assert len(solved) == 3
+            assert np.array_equal(joint[0], data.t_min) and np.shape(joint[0]) == (6,)
+            assert joint[1:] == (cfg.d**g.num_arcs, 1, cfg.alpha, cfg.alpha)
         # with no row cut, the data is calibrated alone
         calibrated.clear()
         experiments._run_block(cfg, g, keys[:cfg.n0])
@@ -671,7 +689,7 @@ class TestBlocks:
 
         monkeypatch.setattr(DataSet, "__post_init__", counting)
         experiments._run_block(cfg, g, keys[:8])
-        assert validated == [(8 * g.num_arcs,)] * validations
+        assert validated == [(8, g.num_arcs)] * validations
 
     @pytest.mark.parametrize("name", sorted(REDUCED))
     def test_worker_count_does_not_change_the_csvs(self, name, tmp_path):

@@ -149,8 +149,10 @@ def test_dataset_rejects_a_sample_matrix():
         DataSet(sup, np.array([[0, 1]]), np.array([2]))
     with pytest.raises(ValueError, match=r"^index must be a 1-d integer array"):
         DataSet(sup, np.array([0.0, 1.0]), np.array([2]))
-    with pytest.raises(ValueError, match=r"^sizes must be a 1-d integer array"):
-        DataSet(sup, np.array([0, 1]), np.array([[1, 1]]))
+    for sizes in (np.array([[[1, 1]]]), np.array([1.0, 1.0])):
+        with pytest.raises(ValueError,
+                           match=r"^sizes must be an \(actions,\) or \(R, actions\) integer array"):
+            DataSet(sup, np.array([0, 1]), sizes)
     with pytest.raises(ValueError, match="^action 1: at least one observation"):
         DataSet(sup, np.array([0]), np.array([1, 0]))
     with pytest.raises(ValueError, match="at least one action"):
@@ -166,6 +168,16 @@ def test_dataset_off_support_error_names_the_owning_action(bad):
                np.array([bad]))
     with pytest.raises(ValueError, match=r"^action 2: support index -1 outside \[0, 3\)$"):
         dataset_from_costs(sup, samples)
+
+
+def test_a_block_is_one_data_set_with_a_row_of_counts_per_replicate():
+    sup = Support.integers(3)
+    block = DataSet(sup, np.array([0, 1, 1, 2, 2, 2, 0]), np.array([[3, 1], [2, 1]]))
+    assert block.num_actions == 2 and block.t_min.tolist() == [1, 1]
+    assert block.pmf.shape == (2, 2, 3)
+    assert np.array_equal(block.pmf[1], DataSet(sup, np.array([2, 2, 0]), np.array([2, 1])).pmf)
+    with pytest.raises(ValueError, match="^action 3: at least one observation"):
+        DataSet(sup, np.array([0, 1, 2]), np.array([[1, 1], [1, 0]]))
 
 
 def test_dataset_counts_every_action_on_the_shared_support():

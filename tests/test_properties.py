@@ -1,5 +1,6 @@
 """Property tests for the batched dual kernel and its worst-case pmfs,
-per-count calibration, the array-first data path and the block data set."""
+per-count calibration, the array-first data path, the block data set, and
+small configs that either fail validation or run."""
 
 import contextlib
 import math
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kldro.datagen import _inverse_cdf, draw_dataset, substream
+from kldro.datagen import (NOMINAL_KINDS, SIGMA_MAX, SIZE_KINDS, _inverse_cdf, draw_dataset,
+                           substream)
+from kldro.experiments import RULE_NAMES, SWEEP_VARIABLES, ExperimentConfig, run_sweep
 from kldro.graphs import build_layered, route_costs
 from kldro.marginals import (
     DataSet,
@@ -565,8 +568,7 @@ def ragged_blocks(draw):
         sizes.append(row)
         index.append(rng.choice(d, size=sum(row), p=p))
     steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=d, max_size=d))
-    return DataSet.stacked(Support(0.5 + np.cumsum(steps)), np.concatenate(index),
-                           np.array(sizes))
+    return DataSet(Support(0.5 + np.cumsum(steps)), np.concatenate(index), np.array(sizes))
 
 
 @settings(max_examples=60)
@@ -574,7 +576,7 @@ def ragged_blocks(draw):
 def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
     """Every block step equals the one-replicate call on each row: pmf,
     means, split, Hoeffding slack, truncation, joint atoms and probabilities,
-    and calibrated radii and labels."""
+    calibrated radii and labels, and the joint radius."""
     support = block.support
     ends = np.cumsum(block.sizes.sum(axis=1))
     truncated = rules.truncate_dataset(block)
@@ -583,6 +585,7 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
     owner = np.repeat(np.arange(len(counts)), counts)
     radii, labels = calibrated_labels(block, alpha)
     slack = rules.hoeffding_slack(block, alpha)
+    joint_radii = rules.joint_radius(block, alpha)
     for k, index in enumerate(np.split(block.index, ends[:-1])):
         one = DataSet(support, index, block.sizes[k])
         assert np.array_equal(block.pmf[k], one.pmf)
@@ -600,6 +603,7 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
         one_radii, one_labels = calibrated_labels(one, alpha)
         assert np.array_equal(radii[k], one_radii)
         assert labels[k].tolist() == one_labels.tolist()
+        assert joint_radii[k] == rules.joint_radius(one, alpha)
 
 
 @settings(max_examples=60)
@@ -642,3 +646,65 @@ def test_gathered_route_costs_equal_path_cost(h, w, rows, seed):
     got = route_costs(g, choices, costs.T)  # every route under every row of costs
     for k in range(rows):
         assert got[k, k] == path_cost(g, choices[k], costs[k])
+
+
+# One value per key that from_dict must reject; a config breaks at most one.
+BROKEN = [("h", 0), ("w", 0), ("d", 0), ("n0", 0), ("seed", -1), ("seed", 2**64),
+          ("t_min", 0), ("delta", -1), ("alpha", 0.0), ("alpha", 1.0), ("sigma", 0.0),
+          ("sigma", 2 * SIGMA_MAX), ("sigma", math.nan), ("grid", []), ("grid", [math.nan]),
+          ("rules", [])]
+
+
+@st.composite
+def small_configs(draw):
+    """A config dict as ``from_dict`` reads it, on graphs of at most 3 x 3,
+    supports of at most 60 points and at most 2 replicates per grid value,
+    with edge values of alpha, sigma, t_min, delta and seed; about half
+    of them break one key, and alphas too small to split are rejected."""
+    sweep = draw(st.sampled_from(SWEEP_VARIABLES))
+    nominal = "discretized-normal" if sweep == "sigma" else draw(st.sampled_from(NOMINAL_KINDS))
+    t_mins = st.sampled_from([1, 2, 7, 150])
+    deltas = st.sampled_from([0, 1, 40])
+    sigmas = st.sampled_from([1e-300, 0.01, 1.0, 12.5, SIGMA_MAX])
+    grid_values = {"t_min": t_mins, "delta": deltas, "sigma": sigmas}[sweep]
+    raw = {
+        "h": draw(st.integers(1, 3)),
+        "w": draw(st.integers(1, 3)),
+        "d": draw(st.integers(1, 60)),
+        "alpha": draw(st.sampled_from([5e-324, 1e-300, 1e-12, 0.05, 0.5, 1.0 - 2.0**-53])
+                      | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "n0": draw(st.integers(1, 2)),
+        "seed": draw(st.sampled_from([0, 1, 2**64 - 1])),
+        "nominal": nominal,
+        "sample_sizes": draw(st.sampled_from(SIZE_KINDS)),
+        "t_min": draw(t_mins),
+        "delta": draw(deltas),
+        "sigma": draw(sigmas if nominal == "discretized-normal" else st.none() | sigmas),
+        "sweep": sweep,
+        "grid": draw(st.lists(grid_values, min_size=1, max_size=2)),
+        "rules": draw(st.lists(st.sampled_from(RULE_NAMES), min_size=1, max_size=4, unique=True)),
+    }
+    broken = draw(st.none() | st.sampled_from(BROKEN))
+    return raw if broken is None else {**raw, broken[0]: broken[1]}
+
+
+@settings(max_examples=300)
+@given(small_configs())
+# Equal nominal means in a row: sigma = 0.01 on two points puts each arc's
+# mass on one point, and both arcs of the one path agree.
+@example({"h": 1, "w": 1, "d": 2, "alpha": 0.05, "n0": 2, "seed": 5,
+          "nominal": "discretized-normal", "sample_sizes": "binomial2", "t_min": 4,
+          "delta": 2, "sigma": 0.01, "sweep": "delta", "grid": [0, 2],
+          "rules": ["dro", "hoeffding"]})
+def test_every_config_that_validates_runs(raw):
+    """A config is either rejected by ``from_dict`` with ``ValueError`` or
+    runs to the end, with finite losses and rho >= 1 - 1e-12."""
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ValueError:
+        return
+    for point in run_sweep(cfg):
+        for rep in point.replicates:
+            for outcome in rep.outcomes:
+                assert math.isfinite(outcome.predicted) and math.isfinite(outcome.nominal)
+                assert outcome.rho >= 1.0 - 1e-12

@@ -234,7 +234,8 @@ def test_ambiguity_spec_validation():
     for bad in (-0.1, math.nan):
         with pytest.raises(ValueError, match="radius must be nonnegative"):
             dro_prescribe(data, np.array([0.1, bad, 0.1, 0.1]), g)
-    assert dro_prescribe(data, np.full(g.num_arcs, math.inf), g).arc_costs.tolist() == [3.0] * 4
+    top = worst_case_costs(data.support, data.pmf, np.full(g.num_arcs, math.inf))
+    assert top.tolist() == [3.0] * 4
     for wrong in ([0.1], np.full(g.num_arcs + 1, 0.1)):
         with pytest.raises(ValueError, match="one radius per action is required"):
             dro_prescribe(data, wrong, g)
@@ -445,7 +446,7 @@ def type_block(support, draws, pmf):
     data sets, one row per type, and each type's probability."""
     counts, probs = type_probabilities(pmf, draws)
     index = np.repeat(np.tile(np.arange(support.size), len(counts)), counts.ravel())
-    block = DataSet.stacked(support, index, np.full((len(counts), 1), draws))
+    block = DataSet(support, index, np.full((len(counts), 1), draws))
     assert block.pmf[:, 0].tolist() == (counts / draws).tolist()  # the enumerated pmfs
     return block, probs
 

@@ -16,11 +16,13 @@ from kldro.rules import (
     dro1_prescribe,
     dro_predict,
     dro_prescribe,
+    hoeffding_costs,
     hoeffding_prescribe,
     hoeffding_slack,
     joint_radius,
     split_alpha,
     truncate_dataset,
+    worst_case_costs,
 )
 from oracles import dataset_from_costs, path_cost
 
@@ -105,30 +107,30 @@ class TestDroRules:
     def test_zero_radius_prescribe_equals_saa(self):
         g = build_layered(2, 3)
         data, _ = random_dataset(g, 6, seed=31)
-        robust = dro_prescribe(data, np.zeros(g.num_arcs), g)
+        path, predicted_loss = dro_prescribe(data, np.zeros(g.num_arcs), g)
         means = [float(data.empirical(a).means) for a in range(g.num_arcs)]
         saa_path, saa_value = shortest_path(g, means)
-        assert robust.path == saa_path
-        assert robust.predicted_loss == saa_value
+        assert path == saa_path
+        assert predicted_loss == saa_value
 
     def test_prescribe_matches_enumeration(self):
         for h, w, seed in [(2, 2, 32), (3, 2, 33), (2, 3, 34), (4, 2, 35)]:
             g = build_layered(h, w)
             data, _ = random_dataset(g, 5, seed=seed)
             radii = calibrate_ambiguity(data, 0.05)
-            pres = dro_prescribe(data, radii, g)
+            path, predicted_loss = dro_prescribe(data, radii, g)
             values = [dro_predict(g, x, data, radii) for x in enumerate_paths(g)]
             best = int(np.argmin(values))
-            assert pres.path == tuple(enumerate_paths(g)[best].tolist())
-            assert pres.predicted_loss == values[best]
+            assert path == tuple(enumerate_paths(g)[best].tolist())
+            assert predicted_loss == values[best]
 
     def test_worst_case_costs_dominate_means_and_stay_below_top(self):
         g = build_layered(3, 3)
         data, _ = random_dataset(g, 8, seed=36)
-        pres = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
+        costs = worst_case_costs(data.support, data.pmf, calibrate_ambiguity(data, 0.05))
         for a in range(g.num_arcs):
-            assert pres.arc_costs[a] >= float(data.empirical(a).means) - 1e-12
-            assert pres.arc_costs[a] <= 8.0 + 1e-12
+            assert costs[a] >= float(data.empirical(a).means) - 1e-12
+            assert costs[a] <= 8.0 + 1e-12
 
     def test_spec_size_mismatch_rejected(self):
         g = build_layered(1, 2)
@@ -141,17 +143,14 @@ class TestHoeffding:
     def test_epsilon_inversion(self):
         # two arcs, T=(2,2), alpha = 2/e so each arc gets alpha_a = 1/e and
         # eps = (d-1) sqrt(ln(e)/4) = 0.5 on the d=2 grid
-        g = build_layered(1, 1)
         data = integer_dataset([[1, 1], [1, 2]], d=2)
-        pres = hoeffding_prescribe(data, hoeffding_slack(data, 2 / math.e), g)
-        assert pres.arc_costs[0] == pytest.approx(1.0 + 0.5, rel=1e-12)
-        assert pres.arc_costs[1] == pytest.approx(1.5 + 0.5, rel=1e-12)
+        costs = hoeffding_costs(data, hoeffding_slack(data, 2 / math.e))
+        assert costs[0] == pytest.approx(1.0 + 0.5, rel=1e-12)
+        assert costs[1] == pytest.approx(1.5 + 0.5, rel=1e-12)
 
     def test_clipping_at_top_cost(self):
-        g = build_layered(1, 1)
         data = integer_dataset([[2, 2], [2, 2]], d=2)
-        pres = hoeffding_prescribe(data, hoeffding_slack(data, 0.05), g)
-        assert np.all(pres.arc_costs == 2.0)
+        assert np.all(hoeffding_costs(data, hoeffding_slack(data, 0.05)) == 2.0)
 
     def test_costs_follow_the_tail_inversion_formula(self):
         g = build_layered(2, 2)
@@ -160,8 +159,10 @@ class TestHoeffding:
         sizes = data.sizes
         alphas = split_alpha(0.4, sizes)
         eps = (5 - 1) * np.sqrt(np.log(1.0 / alphas) / (2.0 * sizes))
-        pres = hoeffding_prescribe(data, hoeffding_slack(data, 0.4), g)
-        assert pres.arc_costs == pytest.approx(np.minimum(means + eps, 5.0), rel=1e-12)
+        costs = hoeffding_costs(data, hoeffding_slack(data, 0.4))
+        assert costs == pytest.approx(np.minimum(means + eps, 5.0), rel=1e-12)
+        path, predicted_loss = hoeffding_prescribe(data, hoeffding_slack(data, 0.4), g)
+        assert (path, predicted_loss) == shortest_path(g, costs)
         # slack vanishes as the per-action confidence approaches one
         assert (5 - 1) * math.sqrt(math.log(1.0 / (1 - 1e-12)) / 2.0) < 1e-5
 
@@ -169,10 +170,9 @@ class TestHoeffding:
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 5, seed=38)
         means = np.array([float(data.empirical(a).means) for a in range(g.num_arcs)])
-        pres = hoeffding_prescribe(data, 0.0, g)
-        assert np.array_equal(pres.arc_costs, np.minimum(means, 5.0))
-        pres1 = hoeffding_prescribe(data, 1.0, g)
-        assert np.array_equal(pres1.arc_costs, np.minimum(means + 1.0, 5.0))
+        assert np.array_equal(hoeffding_costs(data, 0.0), np.minimum(means, 5.0))
+        assert np.array_equal(hoeffding_costs(data, 1.0), np.minimum(means + 1.0, 5.0))
+        assert hoeffding_prescribe(data, 0.0, g) == shortest_path(g, np.minimum(means, 5.0))
 
     def test_slack_scales_with_the_support_range(self):
         # Hoeffding's range form on {1, 3}: eps_a = (3 - 1) sqrt(ln(1/alpha_a) / (2 T_a))
@@ -181,8 +181,7 @@ class TestHoeffding:
         eps = hoeffding_slack(data, 0.05)
         expected = 2.0 * np.sqrt(np.log(1.0 / split_alpha(0.05, sizes)) / (2.0 * sizes))
         assert eps.tolist() == expected.tolist()
-        pres = hoeffding_prescribe(data, eps, build_layered(1, 1))
-        assert pres.arc_costs.tolist() == [1.25 + eps[0], 3.0]
+        assert hoeffding_costs(data, eps).tolist() == [1.25 + eps[0], 3.0]
 
 
 class TestTruncate:
@@ -251,11 +250,11 @@ class TestDro1:
     def test_zero_radius_matches_joint_sample_average(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=39, t_lo=6, t_hi=6)
-        pres = dro1_prescribe(data, 0.0, g)
+        _, predicted_loss = dro1_prescribe(data, 0.0, g)
         joint = JointEmpirical.from_dataset(data)
         values = [float(np.dot(joint.probs, path_atom_sums(g, x, joint.atoms)))
                   for x in enumerate_paths(g)]
-        assert pres.predicted_loss == pytest.approx(min(values), rel=1e-12)
+        assert predicted_loss == pytest.approx(min(values), rel=1e-12)
 
     def test_zero_radius_is_dro2_at_zero_without_enumerating(self, monkeypatch):
         g = build_layered(3, 3)
@@ -266,26 +265,26 @@ class TestDro1:
             raise AssertionError("paths were enumerated")
 
         monkeypatch.setattr(rules, "enumerate_paths", refuse)
-        pres = dro1_prescribe(data, 0.0, g)
-        assert pres.path == expected.path
-        assert pres.predicted_loss == expected.predicted_loss
+        path, predicted_loss = dro1_prescribe(data, 0.0, g)
+        assert path == expected[0]
+        assert predicted_loss == expected[1]
 
     def test_single_path_graph(self):
         g = build_layered(2, 1)
         data = integer_dataset([[1, 2], [2, 1], [1, 1]], d=2)
-        pres = dro1_prescribe(data, joint_radius(data, 0.05), g)
-        assert pres.path == (0, 0)
-        assert pres.predicted_loss >= path_cost(g, pres.path, [1.5, 1.5, 1.0]) - 1e-9
+        path, predicted_loss = dro1_prescribe(data, joint_radius(data, 0.05), g)
+        assert path == (0, 0)
+        assert predicted_loss >= path_cost(g, path, [1.5, 1.5, 1.0]) - 1e-9
 
     def test_matches_dense_beta_grid_oracle(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=40, t_lo=5, t_hi=9)
         rng = np.random.default_rng(41)
         for r in (0.05, 0.3, 1.0):
-            pres = dro1_prescribe(data, r, g)
+            path, predicted_loss = dro1_prescribe(data, r, g)
             oracle_value, oracle_path = dro1_grid_oracle(data, r, 4, g)
-            assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
-            assert pres.path == oracle_path
+            assert predicted_loss == pytest.approx(oracle_value, abs=2e-4)
+            assert path == oracle_path
 
     def test_beta_bound_is_the_top_support_point(self):
         # Three support points, the top one 7: beta >= 7 per arc on the path.
@@ -294,10 +293,10 @@ class TestDro1:
         rng = np.random.default_rng(45)
         index = np.concatenate([rng.integers(0, 3, size=6) for _ in range(g.num_arcs)])
         data = DataSet(Support(points), index, np.full(g.num_arcs, 6))
-        pres = dro1_prescribe(data, 0.3, g)
+        path, predicted_loss = dro1_prescribe(data, 0.3, g)
         oracle_value, oracle_path = dro1_grid_oracle(data, 0.3, 7.0, g)
-        assert pres.predicted_loss == pytest.approx(oracle_value, abs=2e-4)
-        assert pres.path == oracle_path
+        assert predicted_loss == pytest.approx(oracle_value, abs=2e-4)
+        assert path == oracle_path
 
     def test_block_routes_are_rows_of_the_one_enumeration(self):
         g = build_layered(3, 3)
@@ -321,17 +320,17 @@ class TestDro1:
         cheap, dear = [1, 2, 2, 1, 3], [3, 3, 2, 3, 3]
         columns = [[cheap] * g.num_arcs,
                    [dear if arc in ((1, 3), (2, 4)) else cheap for arc in g.arcs]]
-        block = DataSet.stacked(Support.integers(3), np.concatenate(
+        block = DataSet(Support.integers(3), np.concatenate(
             [integer_dataset(row, d=3).index for row in columns]), np.full((2, g.num_arcs), 5))
         routes = rules.joint_worst_case_paths(g, block, np.array([0.2, 0.2]))
         for k, row in enumerate(columns):
             data = integer_dataset(row, d=3)
             tie_rule, _ = shortest_path(g, data.means)  # equal costs on the tied paths
             assert path_nodes(g, tie_rule).tolist() == ([0, 1, 3, 5], [0, 2, 3, 5])[k]
-            pres = dro1_prescribe(data, 0.2, g)
-            assert pres.path == tie_rule
+            path, predicted_loss = dro1_prescribe(data, 0.2, g)
+            assert path == tie_rule
             assert routes[k][0] == tie_rule
-            assert routes.values[k] == pres.predicted_loss
+            assert routes.values[k] == predicted_loss
 
     def test_joint_radius_is_one_ball_at_t_min_with_the_whole_budget(self):
         g = build_layered(2, 2)
@@ -343,9 +342,9 @@ class TestDro1:
     def test_calibrated_radius_runs(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 4, seed=42)
-        pres = dro1_prescribe(data, joint_radius(data, 0.05), g)
-        assert pres.arc_costs is None
-        assert pres.predicted_loss <= 4 * (g.h + 1) + 1e-9
+        path, predicted_loss = dro1_prescribe(data, joint_radius(data, 0.05), g)
+        assert len(path) == g.h
+        assert predicted_loss <= 4 * (g.h + 1) + 1e-9
 
     def test_enumeration_cap_propagates(self):
         g = build_layered(10, 4)
@@ -375,23 +374,23 @@ class TestDro2:
     def test_equal_sizes_identical_to_baseline(self):
         g = build_layered(2, 2)
         data, _ = random_dataset(g, 5, seed=45, t_lo=7, t_hi=7)
-        base = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
+        base_path, base_loss = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
         truncated = truncate_dataset(data)
         assert truncated is data
-        trunc = dro_prescribe(truncated, calibrate_ambiguity(truncated, 0.05), g)
-        assert base.path == trunc.path
-        assert base.predicted_loss == trunc.predicted_loss
+        trunc_path, trunc_loss = dro_prescribe(truncated, calibrate_ambiguity(truncated, 0.05), g)
+        assert base_path == trunc_path
+        assert base_loss == trunc_loss
 
     def test_duplicated_prefix_costs_dominate(self):
         # duplicated samples keep the empirical pmf fixed while halving T,
         # so every truncated worst-case cost must dominate the baseline one
-        g = build_layered(1, 1)
         data = integer_dataset([[1, 2, 1, 2], [1, 2]], d=2)
-        base = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
+        base = worst_case_costs(data.support, data.pmf, calibrate_ambiguity(data, 0.05))
         truncated = truncate_dataset(data)
-        trunc = dro_prescribe(truncated, calibrate_ambiguity(truncated, 0.05), g)
-        assert np.all(trunc.arc_costs >= base.arc_costs - 1e-12)
-        assert trunc.arc_costs[0] > base.arc_costs[0]
+        trunc = worst_case_costs(truncated.support, truncated.pmf,
+                                 calibrate_ambiguity(truncated, 0.05))
+        assert np.all(trunc >= base - 1e-12)
+        assert trunc[0] > base[0]
 
     def test_extreme_tail_changes_decision(self):
         # second branch looks cheap on the prefix but expensive later; the
@@ -405,8 +404,8 @@ class TestDro2:
         ]
         data = integer_dataset(samples, d=5)
         zero = np.zeros(4)
-        base = dro_prescribe(data, zero, g)
-        trunc = dro_prescribe(truncate_dataset(data), zero, g)
-        assert base.path != trunc.path
-        assert path_nodes(g, trunc.path).tolist() == [0, 2, 3]
-        assert path_nodes(g, base.path).tolist() == [0, 1, 3]
+        base_path, _ = dro_prescribe(data, zero, g)
+        trunc_path, _ = dro_prescribe(truncate_dataset(data), zero, g)
+        assert base_path != trunc_path
+        assert path_nodes(g, trunc_path).tolist() == [0, 2, 3]
+        assert path_nodes(g, base_path).tolist() == [0, 1, 3]
