@@ -38,7 +38,6 @@ equals the ``searchsorted`` count for any u, on or off the 2**-53 grid of
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -80,11 +79,6 @@ def _per_stream(rng, draw, *args):
     return np.array([draw(r, *a) for r, *a in zip(rng, *args)])
 
 
-@functools.cache
-def _binomial_coefficients(n: int) -> tuple:
-    return tuple(float(math.comb(n, k)) for k in range(n + 1))
-
-
 def binomial_pmfs(p, d: int) -> PmfMatrix:
     """Shifted binomials on {1, ..., d}: cost 1 + Bin(d - 1, p) for each
     success probability in ``p``, (actions,) or (replicates, actions), from
@@ -97,7 +91,7 @@ def binomial_pmfs(p, d: int) -> PmfMatrix:
     ks = np.arange(d)
     # In place, one temporary fewer; the products commute, so the bits stay.
     cells = p**ks
-    cells *= np.array(_binomial_coefficients(n))
+    cells *= np.array([float(math.comb(n, k)) for k in range(d)])
     cells *= (1.0 - p) ** (n - ks)
     cells /= cells.sum(axis=-1, keepdims=True)
     return PmfMatrix(support, cells)

@@ -16,14 +16,14 @@ data is drawn per block: one pmf tensor, one inverse-cdf search and one
 data set stacking the block's rows.  The rules run as array code over
 those rows: one calibration call per data set (the block's, and its
 truncation's when a row is cut), one dual-kernel call for all dro and
-dro2 rows, one dro1 call per joint-atom count, and one batched
-shortest-path DP over every cost row, whose layer choices give each
-rule's nodes and, by one gather, its achieved cost; dro1 returns routes
-too.  Kernel and DP rows are solved independently, so output is identical
-whatever the block size or the worker count.  A sweep takes at most one
-process per CPU and per block, and a sweep of one block runs in the
-calling process.  ``run_replicate`` is a block of one.  The aggregates are
-one reduction of a (grid, rule, replicate) array.
+dro2 rows, one dro1 kernel call for every path of every row, and one
+batched shortest-path DP over every cost row, whose layer choices give
+each rule's nodes and, by one gather, its achieved cost; dro1 returns
+routes too.  Kernel and DP rows are solved independently, so output is
+identical whatever the block size or the worker count.  A sweep takes at
+most one process per CPU and per block, and a sweep of one block runs in
+the calling process.  ``run_replicate`` is a block of one.  The aggregates
+are one reduction of a (grid, rule, replicate) array.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     for the whole block.  Then the block makes one calibration call for the
     data and one for its truncation when a row is cut, one dual-kernel call
     for the dro and dro2 rows of all its replicates, one dro1 kernel call
-    per joint-atom count, and one dynamic program over every cost row to
-    route.  Rows are solved independently, so a
-    replicate's result does not depend on the block it runs in.
+    for every path of every replicate, and one dynamic program over every
+    cost row to route.  Rows are solved independently, so a replicate's
+    result does not depend on the block it runs in.
     """
     rngs = [substream(cfg.seed, _stream_index(cfg, *key)) for key in keys]
     t_min, delta, sigma = zip(*(_resolved(cfg, cfg.grid[grid_index]) for grid_index, _ in keys))

@@ -94,9 +94,6 @@ class Routes:
     choices: np.ndarray
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def __getitem__(self, k: int) -> tuple[tuple, float]:
         return tuple(self.choices[k].tolist()), float(self.values[k])
 
@@ -141,13 +138,11 @@ def shortest_path(g: LayeredGraph, costs):
     return routes[0] if costs.ndim == 1 else routes
 
 
-@functools.lru_cache(maxsize=4)
 def enumerate_paths(g: LayeredGraph) -> np.ndarray:
-    """The node choices (w**h, h) of all source-sink paths, read-only, in
-    lexicographic layer order (the order of ``itertools.product``).
-
-    Built once per graph (a small LRU cache keyed by the graph); a graph
-    with more than ``ENUMERATION_CAP`` paths raises before any is built.
+    """The node choices (w**h, h) of all source-sink paths, in lexicographic
+    layer order (the order of ``itertools.product``), built afresh on each
+    call; a graph with more than ``ENUMERATION_CAP`` paths raises before
+    any is built.
     """
     total = g.w**g.h
     if total > ENUMERATION_CAP:
@@ -155,9 +150,7 @@ def enumerate_paths(g: LayeredGraph) -> np.ndarray:
         raise ValueError(
             f"{g.w}**{g.h} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
         )
-    choices = np.stack(np.unravel_index(np.arange(total), (g.w,) * g.h), axis=-1)
-    choices.setflags(write=False)
-    return choices
+    return np.stack(np.unravel_index(np.arange(total), (g.w,) * g.h), axis=-1)
 
 
 def to_edgelist(g: LayeredGraph) -> str:

@@ -21,9 +21,9 @@ block of one.  Calibration is one ``radius_best`` call per data set and
 step, the joint radius included, which evaluates the bounds once per
 distinct input of all its rows; nothing is cached across calls.
 ``worst_case_costs`` solves any stack of pmf rows in one kernel call, and
-``joint_worst_case_paths`` makes one kernel call per joint-atom count and
-returns dro1's paths as ``graphs.Routes``, as ``shortest_path`` routes a
-cost matrix.
+``joint_worst_case_paths`` makes one kernel call for every path of every
+row and returns dro1's paths as ``graphs.Routes``, as ``shortest_path``
+routes a cost matrix.
 """
 
 from __future__ import annotations
@@ -171,26 +171,6 @@ def truncate_dataset(data: DataSet) -> DataSet:
     return DataSet(data.support, data.index[at], keep.reshape(data.sizes.shape))
 
 
-def _joint_atoms(data: DataSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The joint empirical of each row's first T_min observations: atoms as
-    (atoms x actions) support indices, row by row, their probabilities and
-    each row's atom count.  One lexsort orders all columns by row, then
-    lexicographically; each run of equal columns is one atom, of
-    probability its multiplicity over T_min."""
-    sizes = data.sizes.reshape(-1, data.num_actions)
-    t_min = sizes.min(axis=1)
-    row = np.repeat(np.arange(len(t_min)), t_min)  # the row of each column
-    starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)[row].T
-    columns = data.index[starts + np.arange(row.size) - np.repeat(np.cumsum(t_min) - t_min, t_min)]
-    order = np.lexsort((*columns[::-1], row))
-    columns, row = columns[:, order], row[order]
-    first = np.ones(row.size, dtype=bool)
-    first[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0) | (row[1:] != row[:-1])
-    at = np.flatnonzero(first)
-    probs = np.diff(at, append=row.size) / t_min[row[at]]
-    return columns[:, at].T, probs, np.bincount(row[at])
-
-
 @dataclass(frozen=True)
 class JointEmpirical:
     """Distinct observed cost vectors with their frequencies, built from
@@ -202,11 +182,13 @@ class JointEmpirical:
     # bench/trace_layers.py wraps this method by name.
     @classmethod
     def from_dataset(cls, data: DataSet) -> "JointEmpirical":
-        """One atom per distinct column of the first T_min observations, in
-        lexicographic order of the cost vectors: ``_joint_atoms`` on a block
-        of one."""
-        atoms, probs, _ = _joint_atoms(data)
-        return cls(data.support.points[atoms], probs)
+        """One atom per distinct vector of the first T_min observations of
+        each action, in lexicographic order, of probability its multiplicity
+        over T_min; ``data`` is one data set, not a block."""
+        starts = np.cumsum(data.sizes) - data.sizes
+        columns = data.index[starts + np.arange(data.t_min)[:, None]]  # (T_min, actions)
+        atoms, counts = np.unique(columns, axis=0, return_counts=True)
+        return cls(data.support.points[atoms], counts / data.t_min)
 
 
 def joint_radius(data: DataSet, alpha: float):
@@ -220,36 +202,35 @@ def joint_radius(data: DataSet, alpha: float):
 
 def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
     """dro1's path and predicted loss for every row of ``data``, from each
-    row's first T_min observations and its radius r > 0 in ``radii``: the
-    scalar dual of every path, with beta bounded below by the top support
-    point times the path length.  Rows with the same number of joint atoms
-    share one kernel call, since rows are bit-identical only at equal
-    width.  Exact value ties go to the path whose nodes come first read
-    from the sink, as in :func:`shortest_path`."""
+    row's first T_min observations, each of mass 1/T_min, and its radius
+    r > 0 in ``radii``: the scalar dual of every path, with beta bounded
+    below by the top support point times the path length, in one kernel
+    call.  Exact value ties go to the path whose nodes come first read from
+    the sink, as in :func:`shortest_path`."""
     choices = enumerate_paths(g)
-    atoms, probs, counts = _joint_atoms(data)
-    radii = np.ravel(radii)
-    # Every path's cost at every atom, (paths x atoms), sorted within each
-    # row's atoms (stable, so ties keep atom order), and the probabilities
-    # in that order.
-    costs = route_costs(g, choices, data.support.points[atoms].T)
-    rows = np.broadcast_to(np.repeat(np.arange(len(counts)), counts), costs.shape)
-    order = np.lexsort((costs, rows))
-    costs, probs = np.take_along_axis(costs, order, -1), probs[order]
-    ends, top = np.cumsum(counts), data.support.max * g.path_length
+    sizes = data.sizes.reshape(-1, data.num_actions)
+    t_min = sizes.min(axis=1, keepdims=True)
+    width = np.arange(t_min.max())
+    # Every row's first T_min observations of each action, (actions, rows,
+    # width); rows below the block's largest T_min repeat their last one.
+    starts = (np.cumsum(sizes).reshape(sizes.shape) - sizes).T[:, :, None]
+    seen = data.index[starts + np.minimum(width, t_min - 1)]
+    probs = np.where(width < t_min, 1.0 / t_min, 0.0)  # the repeats carry no weight
+    # Every path's cost at every observation, (rows, paths, width), sorted
+    # within each path (stable, so ties keep observation order), and the
+    # probabilities in that order.
+    costs = np.moveaxis(route_costs(g, choices, data.support.points[seen]), 0, 1)
+    order = np.argsort(costs, axis=-1, kind="stable")
+    z, q = (np.take_along_axis(x, order, -1).reshape(-1, width.size)
+            for x in (costs, np.broadcast_to(probs[:, None], costs.shape)))
+    found = solve_dual_batch(z, q, np.repeat(np.ravel(radii), len(choices)),
+                             np.full(len(z), data.support.max * g.path_length)).value
+    found = found.reshape(-1, len(choices))
     # argmin takes the first least value, so over the paths in this order a
     # tie goes to the path whose nodes come first read from the sink
     sink_first = np.lexsort(choices.T)
-    best, value = np.empty(len(counts), dtype=np.intp), np.empty(len(counts))
-    for k in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == k)
-        cols = (ends[rows] - k)[:, None] + np.arange(k)
-        z, q = (np.moveaxis(x[:, cols], 0, 1).reshape(-1, k) for x in (costs, probs))
-        found = solve_dual_batch(z, q, np.repeat(radii[rows], len(choices)),
-                                 np.full(len(z), top)).value.reshape(len(rows), -1)
-        best[rows] = sink_first[found[:, sink_first].argmin(axis=1)]
-        value[rows] = found[np.arange(len(rows)), best[rows]]
-    return Routes(choices[best], value)
+    best = sink_first[found[:, sink_first].argmin(axis=1)]
+    return Routes(choices[best], found[np.arange(len(found)), best])
 
 
 def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> tuple[tuple, float]:
@@ -261,7 +242,6 @@ def dro1_prescribe(data: DataSet, r: float, g: LayeredGraph) -> tuple[tuple, flo
     the sum of the per-arc means on the path, so the rule is the SAA
     shortest path on the truncated data, as dro at radius zero is there.
     """
-    truncated = truncate_dataset(data)
     if r == 0.0:
-        return shortest_path(g, truncated.means)
-    return joint_worst_case_paths(g, truncated, r)[0]
+        return shortest_path(g, truncate_dataset(data).means)
+    return joint_worst_case_paths(g, data, r)[0]

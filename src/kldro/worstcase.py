@@ -46,7 +46,14 @@ observed products one after another in column order (``np.bincount``),
 which is the sequential sum over the dense row from +0.0: adding a
 zero-weight product, +0.0 or -0.0, changes no partial sum.  So every
 output bit is the dense kernel's (``tests/oracles.py`` keeps it as the
-reference), and zero-weight padding costs nothing.
+reference), and zero-weight padding costs nothing.  It changes no bit of a
+row's result either, as long as it does not lower the row's least value
+(which bounds the root bracket), except where the dense row mean decides
+the value: at r = 0, or where the value is clipped to the mean.
+
+Converged rows stay in place: every pass runs over all Newton rows, and a
+row's beta, value, iterations and log offset are those of the pass where
+it first stops.
 """
 
 from __future__ import annotations
@@ -121,13 +128,6 @@ def _tilt(log_gaps, q, u, row):
             np.bincount(row, qc2 * share, m))
 
 
-def _renumbered(keep, row):
-    """Which entries lie in the rows where ``keep`` holds, and their rows
-    renumbered 0, 1, ... in order."""
-    kept = keep[row]
-    return kept, (np.cumsum(keep) - 1)[row[kept]]
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     """Minimize the dual for every row of ``values``/``weights`` at once.
@@ -143,8 +143,9 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
 
     Every log, exp, product and sum runs on the observed (q > 0) entries
     only, so zero-weight padding costs nothing there; the row means stay
-    dense pairwise sums, since z * 0 can be -0.0.  Rows that converge leave
-    the observed entries, and the rest are renumbered onto rows 0, 1, ....
+    dense pairwise sums, since z * 0 can be -0.0.  Rows that converge stay
+    in place under a ``live`` mask, and their results are those of the pass
+    where they first stop.
     """
     z = np.asarray(values, dtype=float)
     q = np.asarray(weights, dtype=float)
@@ -185,9 +186,11 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     newton_rows = ~zero & ~boundary
     rows = np.flatnonzero(newton_rows)
     if rows.size:
-        kept, row = _renumbered(newton_rows, row)
+        kept = newton_rows[row]  # the Newton rows' entries, on rows renumbered 0, 1, ...
+        row = (np.cumsum(newton_rows) - 1)[row[kept]]
         lg, qs, gaps = log_gaps[kept], qs[kept], gaps[kept]
         m = rows.size
+        live = np.ones(m, dtype=bool)
         rs, spread = r[rows], spread[rows]
         log_r = np.log(rs)
         # Deep side (see the module docstring): q_top is the weight on gap 0,
@@ -236,19 +239,15 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
                 | (width <= tol)
                 | ((np.abs(newton) <= tol) & (np.abs(residual) <= _NEWTON_STOP))
             )
-            if done.any():
-                fin = rows[done]
-                u[fin] = us[done]
-                at_u[fin] = big_l[done]
+            stops = done & live
+            if stops.any():
+                fin = rows[stops]
+                u[fin] = us[stops]
+                at_u[fin] = big_l[stops]
                 iterations[fin] = it
-                keep = ~done
-                rows = rows[keep]
-                if not rows.size:
+                live &= ~done
+                if not live.any():
                     break
-                us, lo, hi, width, halley, step, step_old, rs, log_r = np.array(
-                    (us, lo, hi, width, halley, step, step_old, rs, log_r))[:, keep]
-                kept, row = _renumbered(keep, row)
-                lg, qs = lg[kept], qs[kept]
             nxt = us + halley
             size = np.abs(halley)
             take = (nxt > lo) & (nxt < hi) & (size <= 0.5 * step_old)
@@ -257,7 +256,7 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
             step = np.where(take, size, half)
             us = np.where(take, nxt, lo + half)
         else:
-            row = int(rows[0])
+            row = int(rows[live][0])
             raise RuntimeError(
                 f"dual solve did not converge in {_MAX_ITERATIONS} iterations "
                 f"(row {row}, r={float(r[row])!r}, top={float(top[row])!r})"

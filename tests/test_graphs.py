@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kldro import rules
 from kldro.graphs import (
     build_layered,
     enumerate_paths,
@@ -14,6 +15,7 @@ from kldro.graphs import (
     shortest_path,
     to_edgelist,
 )
+from kldro.marginals import DataSet, Support
 from oracles import path_cost, shortest_path_reference
 
 
@@ -97,13 +99,11 @@ def test_enumeration_counts_and_lexicographic_order():
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)])
-def test_enumeration_is_one_read_only_array_in_product_order(h, w):
+def test_enumeration_is_one_array_in_product_order(h, w):
     g = build_layered(h, w)
     paths = enumerate_paths(g)
     assert paths.shape == (w**h, h) and paths.dtype == np.intp
     assert paths.tolist() == [list(c) for c in itertools.product(range(w), repeat=h)]
-    with pytest.raises(ValueError, match="read-only"):
-        paths[0, 0] = 1
 
 
 def test_enumeration_cap():
@@ -117,12 +117,19 @@ def test_enumeration_cap_message_for_a_count_of_over_4300_digits():
         enumerate_paths(build_layered(7200, 4))
 
 
-def test_paths_and_incidence_built_once_per_graph():
-    enumerate_paths.cache_clear()
+def test_paths_and_incidence_built_once_per_graph(monkeypatch):
+    """No cache: dro1 enumerates the paths once per call, for every row of
+    a block, and each call builds a fresh array."""
     g = build_layered(3, 3)
-    paths = enumerate_paths(g)
-    assert enumerate_paths(build_layered(3, 3)) is paths  # an equal graph hits too
-    assert enumerate_paths.cache_info().misses == 1
+    calls = []
+    monkeypatch.setattr(rules, "enumerate_paths",
+                        lambda graph: calls.append(graph) or enumerate_paths(graph))
+    rng = np.random.default_rng(7)
+    block = DataSet(Support.integers(3), rng.integers(0, 3, size=4 * g.num_arcs * 5),
+                    np.full((4, g.num_arcs), 5))
+    routes = rules.joint_worst_case_paths(g, block, np.full(4, 0.2))
+    assert calls == [g] and routes.choices.shape == (4, g.h)
+    assert enumerate_paths(build_layered(3, 3)) is not enumerate_paths(build_layered(3, 3))
     too_many = build_layered(9, 4)  # 4**9 paths, above ENUMERATION_CAP
     with pytest.raises(ValueError, match="cap"):
         enumerate_paths(too_many)
@@ -189,7 +196,7 @@ def test_batched_dp_answers_every_row_as_the_one_row_call(case):
     """h = 1 graphs, which have no inner block, come up too."""
     g, rows = case
     found = shortest_path(g, rows)
-    assert len(found) == len(rows)
+    assert len(found.values) == len(rows)
     for row, (path, value) in zip(rows, found):
         alone, alone_value = shortest_path(g, row)
         assert path == alone

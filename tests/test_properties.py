@@ -58,14 +58,23 @@ def solve(points, probs, r):
 @settings(max_examples=60)
 @given(st.integers(1, 50).flatmap(lambda d: st.lists(st.tuples(pmfs(d=d), radii),
                                                      min_size=1, max_size=8)),
-       st.randoms(use_true_random=False))
-def test_rows_bit_identical_alone_or_in_any_batch(rows, rnd):
+       st.integers(0, 40), st.randoms(use_true_random=False))
+def test_rows_bit_identical_alone_or_in_any_batch(rows, pad, rnd):
+    """A row's result is the same bits alone, in any batch and order, and
+    padded with ``pad`` zero-weight entries at its own points, placed
+    anywhere among its entries (which keep their order)."""
     points = np.array([p for (p, _), _ in rows])
     probs = np.array([q for (_, q), _ in rows])
     r = np.array([r for _, r in rows])
-    order = list(range(len(rows)))
+    n, d = points.shape
+    padded_z, padded_q = np.empty((n, d + pad)), np.zeros((n, d + pad))
+    for k in range(n):
+        at = sorted(rnd.sample(range(d + pad), d))
+        padded_z[k] = points[k, [rnd.randrange(d) for _ in range(d + pad)]]
+        padded_z[k, at], padded_q[k, at] = points[k], probs[k]
+    order = list(range(n))
     rnd.shuffle(order)
-    batch = solve_dual_batch(points[order], probs[order], r[order], points[order, -1])
+    batch = solve_dual_batch(padded_z[order], padded_q[order], r[order], points[order, -1])
     for pos, k in enumerate(order):
         alone = solve_dual_batch(points[k:k + 1], probs[k:k + 1], r[k:k + 1], points[k:k + 1, -1])
         for field in ("beta", "value", "iterations", "log_offset"):
@@ -575,14 +584,13 @@ def ragged_blocks(draw):
 @given(ragged_blocks(), st.floats(1e-4, 0.99))
 def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
     """Every block step equals the one-replicate call on each row: pmf,
-    means, split, Hoeffding slack, truncation, joint atoms and probabilities,
-    calibrated radii and labels, and the joint radius."""
+    means, split, Hoeffding slack, truncation, calibrated radii and labels,
+    and the joint radius; and each row's joint atoms and probabilities are
+    the ``np.unique`` reference's."""
     support = block.support
     ends = np.cumsum(block.sizes.sum(axis=1))
     truncated = rules.truncate_dataset(block)
     trunc_ends = np.cumsum(truncated.sizes.sum(axis=1))
-    atoms, probs, counts = rules._joint_atoms(block)
-    owner = np.repeat(np.arange(len(counts)), counts)
     radii, labels = calibrated_labels(block, alpha)
     slack = rules.hoeffding_slack(block, alpha)
     joint_radii = rules.joint_radius(block, alpha)
@@ -597,9 +605,8 @@ def test_a_block_equals_its_rows_bit_for_bit(block, alpha):
         assert np.array_equal(np.split(truncated.index, trunc_ends[:-1])[k], cut.index)
         assert np.array_equal(truncated.pmf[k], cut.pmf)
         joint = JointEmpirical.from_dataset(one)
-        assert np.array_equal(support.points[atoms[owner == k]], joint.atoms)
-        assert np.array_equal(probs[owner == k], joint.probs)
-        assert np.array_equal(probs[owner == k], joint_atoms_reference(one)[1])
+        atoms, probs = joint_atoms_reference(one)
+        assert np.array_equal(joint.atoms, atoms) and np.array_equal(joint.probs, probs)
         one_radii, one_labels = calibrated_labels(one, alpha)
         assert np.array_equal(radii[k], one_radii)
         assert labels[k].tolist() == one_labels.tolist()
@@ -615,8 +622,6 @@ def test_block_probabilities_are_ratios_rounded_once(block, alpha):
     2**-53 of 1, and the shares to within one ulp of alpha."""
     sizes = block.sizes.reshape(-1, block.num_actions)
     ends = np.cumsum(sizes.sum(axis=1))
-    _, probs, counts = rules._joint_atoms(block)
-    owner = np.repeat(np.arange(len(counts)), counts)
     shares = split_alpha(alpha, block.sizes)
     for k, index in enumerate(np.split(block.index, ends[:-1])):
         starts = (np.cumsum(sizes[k]) - sizes[k]).tolist()
@@ -627,8 +632,9 @@ def test_block_probabilities_are_ratios_rounded_once(block, alpha):
         t_min = min(sizes[k].tolist())
         columns = np.stack([index[start:start + t_min] for start in starts], axis=1)
         _, mult = np.unique(columns, axis=0, return_counts=True)
-        assert probs[owner == k].tolist() == [c / t_min for c in mult.tolist()]
-        assert abs(math.fsum(probs[owner == k]) - 1.0) <= 2**-53
+        probs = JointEmpirical.from_dataset(DataSet(block.support, index, sizes[k])).probs
+        assert probs.tolist() == [c / t_min for c in mult.tolist()]
+        assert abs(math.fsum(probs) - 1.0) <= 2**-53
         assert np.array_equal(shares[k], split_alpha_with_fractions(alpha, sizes[k]))
         assert abs(math.fsum(shares[k]) - alpha) <= math.ulp(alpha)
 

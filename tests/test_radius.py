@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -458,29 +459,34 @@ def worst_case_rows(arcs, radii):
 
 
 def exact_disappointment(g, arc_costs, arcs, means) -> float:
-    """Exact P(predicted loss < nominal loss) on the one-path graph ``g``
-    of two arcs, from each arc's cost per type and the arcs' types and
-    probabilities: every pair of types routed as the sweep routes one."""
-    (c1, c2), ((_, p1), (_, p2)) = arc_costs, arcs
-    predicted = shortest_path(g, np.column_stack([np.repeat(c1, len(c2)), np.tile(c2, len(c1))]))
-    nominal = route_costs(g, (0,), means)
-    return math.fsum(np.outer(p1, p2).ravel()[predicted.values < nominal])
+    """Exact P(predicted loss < nominal loss) on the one-path graph ``g``,
+    from each arc's cost per type and the arcs' types and probabilities:
+    every combination of the arcs' types routed as the sweep routes one."""
+    combos = np.stack(np.meshgrid(*arc_costs, indexing="ij"), axis=-1)
+    predicted = shortest_path(g, combos.reshape(-1, len(arc_costs)))
+    nominal = route_costs(g, (0,) * g.h, means)
+    probs = functools.reduce(np.multiply.outer, [p for _, p in arcs]).ravel()
+    return math.fsum(probs[predicted.values < nominal])
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_one_path_disappointment_is_at_most_alpha_exactly(d):
-    """On the one-path graph, two arcs seen T_1 != T_2 times, summed exactly
-    over every pair of the arcs' types at the radii and slacks the rules
-    calibrate: dro, dro2 and hoeffding predict below the nominal loss with
-    probability at most alpha, and dro does so with probability at most
-    the sum of the arcs' one-sided misses P(U_a < mu_a)."""
-    g, support = build_layered(1, 1), Support.integers(d)
+@pytest.mark.parametrize("d, arcs", [pytest.param(2, 2, id="2"), pytest.param(3, 2, id="3"),
+                                     pytest.param(5, 2, id="5"),
+                                     pytest.param(2, 3, id="2-three-arcs")])
+def test_one_path_disappointment_is_at_most_alpha_exactly(d, arcs):
+    """On the one-path graph, two or three arcs seen unequal numbers of
+    times, summed exactly over every combination of the arcs' types at the
+    radii and slacks the rules calibrate: dro, dro2 and hoeffding predict
+    below the nominal loss with probability at most alpha, and dro does so
+    with probability at most the sum of the arcs' one-sided misses
+    P(U_a < mu_a)."""
+    g, support = build_layered(arcs - 1, 1), Support.integers(d)
     pmfs = one_sided_pmfs(d)
     worst = dict.fromkeys(("dro", "dro2", "hoeffding"), 0.0)
-    for k, q in enumerate(pmfs):
-        nominal = PmfMatrix(support, np.stack([q, pmfs[(k + 1) % len(pmfs)]]))
+    for k in range(len(pmfs)):
+        nominal = PmfMatrix(support, np.stack([pmfs[(k + j) % len(pmfs)] for j in range(arcs)]))
         means = nominal.means
-        for sizes in ((1, 4), (3, 2), (5, 9)):
+        for sizes in ((1, 4, 2), (3, 2, 5), (5, 9, 7)):
+            sizes = sizes[:arcs]
             data = DataSet(support, np.zeros(sum(sizes), dtype=int), np.array(sizes))
             cut = truncate_dataset(data)  # dro2's data: T_min draws of each arc
             whole = [type_block(support, t, row) for t, row in zip(sizes, nominal.probs)]
@@ -494,7 +500,7 @@ def test_one_path_disappointment_is_at_most_alpha_exactly(d):
                          "dro2": exact_disappointment(g, dro2, short, means),
                          "hoeffding": exact_disappointment(g, hoeffding, whole, means)}
                 misses = [math.fsum(p[u < mu]) for (_, p), u, mu in zip(whole, dro, means)]
-                case = (q.tolist(), sizes, alpha, found, misses)
+                case = (nominal.probs.tolist(), sizes, alpha, found, misses)
                 assert max(found.values()) <= alpha, case
                 assert found["dro"] <= math.fsum(misses) * (1 + 1e-12), case
                 for rule, value in found.items():
