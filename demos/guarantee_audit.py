@@ -9,6 +9,12 @@ can only do so when some arc's worst-case mean U_a falls below its true
 mean, so the union of those one-sided misses bounds it; the gap between
 the two columns is what the union over arcs costs.
 
+The second table is the rate check.  Van Parys, Mohajerin Esfahani & Kuhn
+(2021) tie the KL radius to the decay rate of the disappointment.  On two
+arcs seen T and 2T times, every arc's ball has one fixed radius r, and as
+T grows it prints -(1/T) ln P for each arc's one-sided miss, next to
+r T_a / T, and for dro's exact disappointment on the path.
+
 Run:  python demos/guarantee_audit.py
 """
 
@@ -31,9 +37,15 @@ def types(draws: int, pmf) -> tuple[DataSet, np.ndarray]:
     sets, c draws of 2 in row c, and its binomial probability."""
     tops = np.arange(draws + 1)
     index = np.repeat(np.tile([0, 1], draws + 1), np.column_stack([draws - tops, tops]).ravel())
-    binomial = np.array([math.comb(draws, c) for c in tops])
-    probs = binomial * pmf[1] ** tops * pmf[0] ** (draws - tops)
+    log_binomial = np.array([math.log(math.comb(draws, c)) for c in tops.tolist()])
+    probs = np.exp(log_binomial + tops * math.log(pmf[1]) + (draws - tops) * math.log(pmf[0]))
     return DataSet(SUPPORT, index, np.full((draws + 1, 1), draws)), probs
+
+
+def worst_case(arcs, radii) -> list[np.ndarray]:
+    """Each arc's worst-case mean U per type, at the arc's radius."""
+    return [worst_case_costs(SUPPORT, block.pmf, np.full(block.sizes.shape, r))[:, 0]
+            for (block, _), r in zip(arcs, radii)]
 
 
 def below(costs, probs, bound) -> float:
@@ -52,11 +64,27 @@ for k in (1, 2, 3):
     means = PmfMatrix(SUPPORT, PMFS[:k]).means
     arcs = [types(t, pmf) for t, pmf in zip(sizes.tolist(), PMFS)]
     probs = [p for _, p in arcs]
-    dro = [worst_case_costs(SUPPORT, block.pmf, np.full(block.sizes.shape, r))[:, 0]
-           for (block, _), r in zip(arcs, radii)]
+    dro = worst_case(arcs, radii)
     hoeffding = [hoeffding_costs(block, e)[:, 0] for (block, _), e in zip(arcs, slack)]
     misses = [math.fsum(p[u < mu]) for p, u, mu in zip(probs, dro, means)]
     union = 1.0 - math.prod(1.0 - m for m in misses)  # the arcs' data are independent
     nominal = functools.reduce(np.add, means)
     print(f"{k:>4} {below(dro, probs, nominal) / ALPHA:>12.3e} {union / ALPHA:>24.3e} "
           f"{below(hoeffding, probs, nominal) / ALPHA:>18.3e}")
+
+print("\ndecay rates -(1/T) ln P on two arcs seen T and 2T times, pmfs (0.5, 0.5) and "
+      "(0.9, 0.1),\nevery arc at one fixed radius r\n")
+print(f"{'r':>5} {'T':>5} {'arc 0 miss':>11} {'r T_0 / T':>10} {'arc 1 miss':>11} "
+      f"{'r T_1 / T':>10} {'dro':>7}")
+means = PmfMatrix(SUPPORT, PMFS[:2]).means
+nominal = functools.reduce(np.add, means)
+for base in (10, 30, 100, 300, 1000):
+    sizes = (base, 2 * base)
+    arcs = [types(t, pmf) for t, pmf in zip(sizes, PMFS)]
+    probs = [p for _, p in arcs]
+    for r in (0.02, 0.05):
+        dro = worst_case(arcs, (r, r))
+        misses = [math.fsum(p[u < mu]) for p, u, mu in zip(probs, dro, means)]
+        rates = [-math.log(p) / base for p in (*misses, below(dro, probs, nominal))]
+        print(f"{r:>5} {base:>5} {rates[0]:>11.3f} {r * sizes[0] / base:>10.3f} "
+              f"{rates[1]:>11.3f} {r * sizes[1] / base:>10.3f} {rates[2]:>7.3f}")

@@ -15,8 +15,8 @@ which may span grid values.  Each replicate owns a Philox substream, but
 data is drawn per block: one pmf tensor, one inverse-cdf search and one
 data set stacking the block's rows.  The rules run as array code over
 those rows: one calibration call per data set (the block's, and its
-truncation's when a row is cut), one dual-kernel call for all dro and
-dro2 rows, one dro1 kernel call for every path of every row, and one
+truncation when dro2 runs), one dual-kernel call for all dro and dro2
+rows, one dro1 kernel call for every path of every row, and one
 batched shortest-path DP over every cost row, whose layer choices give
 each rule's nodes and, by one gather, its achieved cost; dro1 returns
 routes too.  Kernel and DP rows are solved independently, so output is
@@ -220,7 +220,7 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
 
     Each replicate draws its data from its own substream, one call per stage
     for the whole block.  Then the block makes one calibration call for the
-    data and one for its truncation when a row is cut, one dual-kernel call
+    data and one for its truncation when dro2 runs, one dual-kernel call
     for the dro and dro2 rows of all its replicates, one dro1 kernel call
     for every path of every replicate, and one dynamic program over every
     cost row to route.  Rows are solved independently, so a replicate's
@@ -235,23 +235,17 @@ def _run_block(cfg: ExperimentConfig, g: LayeredGraph, keys) -> list[ReplicateRe
     costs = {None: nominal.means}  # rule -> (replicates x arcs) cost rows to route; None: nominal
     if "hoeffding" in cfg.rules:
         costs["hoeffding"] = hoeffding_costs(data, hoeffding_slack(data, cfg.alpha))
-    if "dro" in cfg.rules or "dro2" in cfg.rules:
-        # dro runs on the data and dro2 on its truncation, which is the data
-        # itself in the rows where every count is equal: there dro2 is dro.
-        truncated = truncate_dataset(data) if "dro2" in cfg.rules else data
-        cut = (truncated.sizes != data.sizes).any(axis=1)
-        whole = ~cut | ("dro" in cfg.rules)
-        r_whole = calibrate_ambiguity(data, cfg.alpha)
-        r_cut = calibrate_ambiguity(truncated, cfg.alpha) if cut.any() else r_whole
-        robust = np.zeros((2, *data.sizes.shape))  # the data's rows, then the truncation's
-        robust[0][whole], robust[1][cut] = np.split(worst_case_costs(
-            data.support, np.concatenate([data.pmf[whole], truncated.pmf[cut]]),
-            np.concatenate([r_whole[whole], r_cut[cut]])), [whole.sum()])
-        costs["dro"], costs["dro2"] = robust[0], np.where(cut[:, None], robust[1], robust[0])
-    routed = [None, *(rule for rule in costs if rule in cfg.rules)]
-    routes = shortest_path(g, np.concatenate([costs[rule] for rule in routed]))
-    choices = dict(zip(routed, np.split(routes.choices, len(routed))))
-    predicted = dict(zip(routed, np.split(routes.values, len(routed))))
+    # dro runs on the data and dro2 on its truncation, all rows in one kernel call
+    robust = {rule: truncate_dataset(data) if rule == "dro2" else data
+              for rule in ("dro", "dro2") if rule in cfg.rules}
+    if robust:
+        found = worst_case_costs(data.support, np.concatenate([s.pmf for s in robust.values()]),
+                                 np.concatenate([calibrate_ambiguity(s, cfg.alpha)
+                                                 for s in robust.values()]))
+        costs.update(zip(robust, np.split(found, len(robust))))
+    routes = shortest_path(g, np.concatenate(list(costs.values())))
+    choices = dict(zip(costs, np.split(routes.choices, len(costs))))
+    predicted = dict(zip(costs, np.split(routes.values, len(costs))))
     if "dro1" in cfg.rules:
         dro1 = joint_worst_case_paths(g, data, joint_radius(data, cfg.alpha))
         choices["dro1"], predicted["dro1"] = dro1.choices, dro1.values

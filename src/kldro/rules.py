@@ -160,12 +160,10 @@ def hoeffding_prescribe(data: DataSet, epsilon: float | np.ndarray,
 
 
 def truncate_dataset(data: DataSet) -> DataSet:
-    """Keep each row's first T_min observations of every action: the data
-    itself when every count is its row's T_min, else a gathered data set."""
+    """Keep each row's first T_min observations of every action, always as
+    a new, gathered data set; a row whose counts are equal keeps them all."""
     sizes = data.sizes.reshape(-1, data.num_actions)
     keep = np.broadcast_to(sizes.min(axis=1, keepdims=True), sizes.shape)
-    if (sizes == keep).all():
-        return data
     kept, drop = keep.ravel(), (sizes - keep).ravel()
     at = np.arange(kept.sum()) + np.repeat(np.cumsum(drop) - drop, kept)  # skip earlier drops
     return DataSet(data.support, data.index[at], keep.reshape(data.sizes.shape))

@@ -9,19 +9,25 @@
 * ``type_probabilities`` enumerates the types of T draws from a pmf, and
   ``one_sided_miss_probability`` sums those whose worst case falls below
   the true mean;
+* ``type_block`` holds those types as a block of one-action data sets,
+  ``worst_case_rows`` takes each arc's worst-case cost per type, and
+  ``exact_disappointment`` sums the probability of every combination of the
+  arcs' types whose routed loss falls below the nominal one on one path;
 * ``joint_atoms_reference`` builds the joint empirical with ``np.unique``;
 * ``dataset_from_costs`` turns per-action cost vectors into a ``DataSet``;
 * ``shortest_path_reference`` is a forward pass over the arcs one by one;
 * ``path_cost`` sums a path's arc costs one at a time, in path order.
 """
 
+import functools
 import math
 
 import numpy as np
 from scipy.special import gammaln
 
-from kldro.graphs import path_nodes
+from kldro.graphs import path_nodes, route_costs, shortest_path
 from kldro.marginals import DataSet, PmfMatrix, Support, pmf_means
+from kldro.rules import worst_case_costs
 from kldro.worstcase import (_EPS, _LOG_SPAN, _MAX_ITERATIONS, _NEWTON_STOP, _TINY, DualBatch,
                              solve_dual_batch)
 
@@ -282,6 +288,33 @@ def one_sided_miss_probability(points, pmf, draws: int, r: float) -> float:
     upper = solve_dual_batch(points, counts / draws, np.full(len(counts), r),
                              np.full(len(counts), points[0, -1])).value
     return math.fsum(probs[upper < pmf_means(points[0], pmf)])
+
+
+def type_block(support, draws, pmf):
+    """Every type of ``draws`` draws from ``pmf`` as a block of one-action
+    data sets, one row per type, and each type's probability."""
+    counts, probs = type_probabilities(pmf, draws)
+    index = np.repeat(np.tile(np.arange(support.size), len(counts)), counts.ravel())
+    block = DataSet(support, index, np.full((len(counts), 1), draws))
+    assert block.pmf[:, 0].tolist() == (counts / draws).tolist()  # the enumerated pmfs
+    return block, probs
+
+
+def worst_case_rows(arcs, radii):
+    """Each arc's worst-case cost per type, at the arc's radius."""
+    return [worst_case_costs(block.support, block.pmf, np.full(block.sizes.shape, r))[:, 0]
+            for (block, _), r in zip(arcs, radii)]
+
+
+def exact_disappointment(g, arc_costs, arcs, means) -> float:
+    """Exact P(predicted loss < nominal loss) on the one-path graph ``g``,
+    from each arc's cost per type and the arcs' types and probabilities:
+    every combination of the arcs' types routed as the sweep routes one."""
+    combos = np.stack(np.meshgrid(*arc_costs, indexing="ij"), axis=-1)
+    predicted = shortest_path(g, combos.reshape(-1, len(arc_costs)))
+    nominal = route_costs(g, (0,) * g.h, means)
+    probs = functools.reduce(np.multiply.outer, [p for _, p in arcs]).ravel()
+    return math.fsum(probs[predicted.values < nominal])
 
 
 def primal_oracle(empirical: PmfMatrix, r_a: float, grid: float = 1e-3) -> float:

@@ -355,7 +355,7 @@ class TestRunSweep:
             # once for the data (dro and hoeffding), once for the truncation (dro2)
             assert len(splits) == 2 * (replicate + 1)
 
-    def test_fig7_dro2_reuses_dro_when_counts_are_equal(self, monkeypatch):
+    def test_fig7_dro2_equals_dro_when_counts_are_equal(self, monkeypatch):
         raw = json.loads((CONFIGS / "fig7.json").read_text())
         cfg = ExperimentConfig.from_dict({**raw, "grid": [0, 14], "n0": 2})
         g = build_layered(cfg.h, cfg.w)
@@ -367,13 +367,13 @@ class TestRunSweep:
             return solve_dual_batch(*args)
 
         monkeypatch.setattr(rules, "solve_dual_batch", counting)
-        # one call for the rows of dro and dro2 (one per arc each, unless the
-        # truncation is the data), then one with a row per path for dro1
-        for grid_index, rows in ((0, [24, 27]), (1, [48, 27])):
+        # one call for the rows of dro and dro2 (one per arc each, equal
+        # counts or not), then one with a row per path for dro1
+        for grid_index in range(2):
             for replicate in range(cfg.n0):
                 calls.clear()
                 result = run_replicate(cfg, g, grid_index, replicate)
-                assert calls == rows
+                assert calls == [48, 27]
                 dro, dro2 = result.outcomes[0], result.outcomes[3]
                 if grid_index == 0:
                     assert (dro.nodes, dro.predicted) == (dro2.nodes, dro2.predicted)
@@ -383,12 +383,14 @@ class TestRunSweep:
         cfg = ExperimentConfig.from_dict({**raw, "grid": [0, 14], "n0": 3})
         g = build_layered(cfg.h, cfg.w)
         keys = [(grid_index, i) for grid_index in range(2) for i in range(cfg.n0)]
-        calls = []
+        calls, values = [], []
         solve_dual_batch = rules.solve_dual_batch
 
         def counting(*args):
+            found = solve_dual_batch(*args)
             calls.append(np.shape(args[0]))
-            return solve_dual_batch(*args)
+            values.append(found.value)
+            return found
 
         monkeypatch.setattr(rules, "solve_dual_batch", counting)
         widths = []
@@ -398,10 +400,18 @@ class TestRunSweep:
             widths.append(calls[-1][1])  # dro1's call comes last; its width is the T_min
         assert len(set(widths)) > 1  # uniform sizes lift one replicate's T_min to 11
         calls.clear()
-        experiments._run_block(cfg, g, keys)
-        # dro on all six data sets, dro2 on the three delta = 14 truncations,
-        # then dro1 on every path of all six, padded to the largest T_min
-        assert calls == [(9 * 24, cfg.d), (6 * 27, max(widths))]
+        values.clear()
+        results = experiments._run_block(cfg, g, keys)
+        # dro on all six data sets, dro2 on all six truncations, then dro1
+        # on every path of all six, padded to the largest T_min
+        assert calls == [(12 * 24, cfg.d), (6 * 27, max(widths))]
+        # dro2's cost rows equal dro's bit for bit on every row it keeps whole
+        dro, dro2 = np.split(values[0].reshape(12, 24), 2)
+        sizes = np.array([result.sizes for result in results])
+        whole = (sizes == sizes.min(axis=1, keepdims=True)).all(axis=1)
+        assert whole.tolist() == [True] * 3 + [False] * 3  # a mixed block
+        assert dro2[whole].tobytes() == dro[whole].tobytes()
+        assert (dro2[~whole] != dro[~whole]).any()
 
     def test_fig7_block_calibrates_each_data_set_and_each_input_once(self, monkeypatch):
         raw = json.loads((CONFIGS / "fig7.json").read_text())
@@ -462,10 +472,13 @@ class TestRunSweep:
             assert len(solved) == 3
             assert np.array_equal(joint[0], data.t_min) and np.shape(joint[0]) == (6,)
             assert joint[1:] == (cfg.d**g.num_arcs, 1, cfg.alpha, cfg.alpha)
-        # with no row cut, the data is calibrated alone
+        # with no row cut, the data and its truncation are each calibrated
+        # once, to equal radii
         calibrated.clear()
         experiments._run_block(cfg, g, keys[:cfg.n0])
-        assert [found.sizes.shape for found, _ in calibrated] == [(3, 24)]
+        [(data, r_data), (truncated, r_cut)] = calibrated
+        assert truncated is not data and np.array_equal(truncated.sizes, data.sizes)
+        assert data.sizes.shape == (3, 24) and np.array_equal(r_cut, r_data)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_inside_a_block_names_its_replicate(self, monkeypatch, workers):

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 import kldro.radius
-from kldro.graphs import build_layered, route_costs, shortest_path
+from kldro.graphs import build_layered
 from kldro.marginals import DataSet, PmfMatrix, Support
 from kldro.radius import (
     _log_mardia_sum,
@@ -21,7 +20,8 @@ from kldro.radius import (
 )
 from kldro.rules import (calibrate_ambiguity, dro_prescribe, hoeffding_costs, hoeffding_slack,
                          truncate_dataset, worst_case_costs)
-from oracles import dataset_from_costs, one_sided_miss_probability, type_probabilities
+from oracles import (dataset_from_costs, exact_disappointment, one_sided_miss_probability,
+                     type_block, type_probabilities, worst_case_rows)
 
 
 def best(T_a, d_a, num_actions, alpha_a, alpha):
@@ -442,31 +442,25 @@ def test_one_sided_miss_obeys_the_mixture_bound_up_to_a_thousand_draws():
     assert worst > 0.0  # some type misses: the check is not vacuous
 
 
-def type_block(support, draws, pmf):
-    """Every type of ``draws`` draws from ``pmf`` as a block of one-action
-    data sets, one row per type, and each type's probability."""
-    counts, probs = type_probabilities(pmf, draws)
-    index = np.repeat(np.tile(np.arange(support.size), len(counts)), counts.ravel())
-    block = DataSet(support, index, np.full((len(counts), 1), draws))
-    assert block.pmf[:, 0].tolist() == (counts / draws).tolist()  # the enumerated pmfs
-    return block, probs
-
-
-def worst_case_rows(arcs, radii):
-    """Each arc's worst-case cost per type, at the arc's radius."""
-    return [worst_case_costs(block.support, block.pmf, np.full(block.sizes.shape, r))[:, 0]
-            for (block, _), r in zip(arcs, radii)]
-
-
-def exact_disappointment(g, arc_costs, arcs, means) -> float:
-    """Exact P(predicted loss < nominal loss) on the one-path graph ``g``,
-    from each arc's cost per type and the arcs' types and probabilities:
-    every combination of the arcs' types routed as the sweep routes one."""
-    combos = np.stack(np.meshgrid(*arc_costs, indexing="ij"), axis=-1)
-    predicted = shortest_path(g, combos.reshape(-1, len(arc_costs)))
-    nominal = route_costs(g, (0,) * g.h, means)
-    probs = functools.reduce(np.multiply.outer, [p for _, p in arcs]).ravel()
-    return math.fsum(probs[predicted.values < nominal])
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_arc_rule_miss_equals_the_one_sided_miss_exactly(d):
+    """On one arc the rule path's P(U < mu), with every type of T draws a
+    row of a one-action block solved by ``worst_case_costs`` at today's
+    radius, equals the oracle's exact one-sided miss, to the bit."""
+    support = Support.integers(d)
+    missed = 0
+    for q in one_sided_pmfs(d):
+        mu = PmfMatrix(support, q).means
+        for T in (1, 2, 3, 5, 10, 20):
+            arc = type_block(support, T, q)
+            for alpha_a in (0.05, 0.2, 0.5):
+                r, _ = best(T, d, 1, alpha_a, alpha_a)
+                [upper] = worst_case_rows([arc], [r])
+                miss = math.fsum(arc[1][upper < mu])
+                assert miss == one_sided_miss_probability(support.points, q, T, r), (
+                    q.tolist(), T, alpha_a)
+                missed += miss > 0.0
+    assert missed  # some type misses: the check is not vacuous
 
 
 @pytest.mark.parametrize("d, arcs", [pytest.param(2, 2, id="2"), pytest.param(3, 2, id="3"),

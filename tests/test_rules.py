@@ -186,8 +186,12 @@ class TestHoeffding:
 
 class TestTruncate:
     def test_identity_when_equal(self):
+        # equal counts keep every observation, in a new, gathered data set
         data = integer_dataset([[1, 2], [2, 1]], d=2)
-        assert truncate_dataset(data) is data
+        got = truncate_dataset(data)
+        assert got is not data
+        for name in ("index", "sizes", "pmf"):
+            assert np.array_equal(getattr(got, name), getattr(data, name)), name
 
     def test_prefix_and_t_min(self):
         data = integer_dataset([[1, 2, 1], [2, 1, 1, 2, 2]], d=2)
@@ -376,7 +380,6 @@ class TestDro2:
         data, _ = random_dataset(g, 5, seed=45, t_lo=7, t_hi=7)
         base_path, base_loss = dro_prescribe(data, calibrate_ambiguity(data, 0.05), g)
         truncated = truncate_dataset(data)
-        assert truncated is data
         trunc_path, trunc_loss = dro_prescribe(truncated, calibrate_ambiguity(truncated, 0.05), g)
         assert base_path == trunc_path
         assert base_loss == trunc_loss
