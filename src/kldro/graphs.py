@@ -139,10 +139,11 @@ def shortest_path(g: LayeredGraph, costs):
 
 
 def enumerate_paths(g: LayeredGraph) -> np.ndarray:
-    """The node choices (w**h, h) of all source-sink paths, in lexicographic
-    layer order (the order of ``itertools.product``), built afresh on each
-    call; a graph with more than ``ENUMERATION_CAP`` paths raises before
-    any is built.
+    """The node choices (w**h, h) of all source-sink paths in the order in
+    which :func:`shortest_path` breaks exact ties: by the node of the last
+    layer first, then of the layer before it, and so on (``itertools.product``
+    over the layers read from the sink).  Built afresh on each call; a graph
+    with more than ``ENUMERATION_CAP`` paths raises before any is built.
     """
     total = g.w**g.h
     if total > ENUMERATION_CAP:
@@ -150,7 +151,7 @@ def enumerate_paths(g: LayeredGraph) -> np.ndarray:
         raise ValueError(
             f"{g.w}**{g.h} paths exceed the enumeration cap {ENUMERATION_CAP}; use a smaller instance"
         )
-    return np.stack(np.unravel_index(np.arange(total), (g.w,) * g.h), axis=-1)
+    return np.stack(np.unravel_index(np.arange(total), (g.w,) * g.h)[::-1], axis=-1)
 
 
 def to_edgelist(g: LayeredGraph) -> str:

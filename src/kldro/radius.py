@@ -22,8 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["radius_baseline", "radius_agrawal", "radius_mardia", "radius_best",
-           "mardia_constant"]
+__all__ = ["radius_baseline", "radius_agrawal", "radius_mardia", "radius_best"]
 
 _LABELS = ("baseline", "agrawal", "mardia")
 
@@ -87,7 +86,8 @@ def radius_agrawal(T_a, d_a: int, alpha_a):
 
     With r T = (d-1)(1 + x) the equation reduces to x - log1p(x) =
     ln(1/alpha_a)/(d-1), free of T, so r = (d-1)(1 + x)/T_a for one root
-    x per distinct alpha_a (:func:`_agrawal_x`).
+    x per alpha_a (:func:`_agrawal_x`); :func:`radius_best` passes each
+    distinct input once.
     """
     try:
         d_m1 = float(d_a - 1)
@@ -95,10 +95,7 @@ def radius_agrawal(T_a, d_a: int, alpha_a):
         d_m1 = math.inf
     if d_m1 in (0.0, math.inf):  # radius 0 at d = 1: the marginal is known exactly
         return np.full(np.broadcast_shapes(np.shape(T_a), np.shape(alpha_a)), d_m1)
-    alphas = np.ravel(alpha_a).tolist()
-    roots = {a: _agrawal_x(d_a, a) for a in set(alphas)}
-    x = np.array([roots[a] for a in alphas]).reshape(np.shape(alpha_a))
-    return d_m1 * (1.0 + x) / T_a
+    return d_m1 * (1.0 + _each(functools.partial(_agrawal_x, d_a), alpha_a)) / T_a
 
 
 @functools.cache
@@ -113,37 +110,20 @@ def _log_mardia_sum(d_a: int, T_a: int) -> float:
     log_x = 1.0 + 0.5 * math.log(T_a) - math.log(2.0 * math.pi)
     log_total = 0.0  # j = 0 term is K_{-1} = 1
     log_term = 0.0
-    # u_0 = pi, u_1 = 2, u_i = u_{i-2} (i-1)/i
-    u_im2, u_im1 = math.pi, 2.0
+    u, u_next = math.pi, 2.0  # u_0 and u_1; u_{i+2} = u_i (i+1)/(i+2)
     cutoff = math.log(1e-300)
-    j = 1
-    while j <= d_a - 2:
-        i = j - 1  # term j carries the factor u_{j-1}
-        if i == 0:
-            u = math.pi
-        elif i == 1:
-            u = 2.0
-        else:
-            u = u_im2 * (i - 1) / i
-            u_im2, u_im1 = u_im1, u
+    for i in range(d_a - 2):  # term j = i + 1 carries the factor u_i
         log_term += math.log(u) + log_x
         log_total = np.logaddexp(log_total, log_term)
         if log_term - log_total < cutoff:
             break
-        j += 1
+        u, u_next = u_next, u * (i + 1) / (i + 2)
     return float(log_total)
 
 
-def mardia_constant(d_a: int, T_a: int) -> float:
-    """The pre-exponential constant of the partial-sum tail bound."""
-    if d_a < 2 or T_a < 2:
-        raise ValueError("mardia bound requires d_a >= 2 and T_a >= 2")
-    # 3 u_1 / u_2 = 12 / pi
-    return math.exp(math.log(12.0 / math.pi) + _log_mardia_sum(d_a, T_a))
-
-
 def radius_mardia(T_a, d_a: int, alpha_a):
-    """Radius from the Wallis-product partial-sum bound (d_a, T_a >= 2)."""
+    """Radius from the Wallis-product partial-sum bound (d_a, T_a >= 2):
+    (ln(12/pi) + :func:`_log_mardia_sum` - ln alpha_a) / T_a; 12/pi = 3 u_1/u_2."""
     if d_a < 2 or (np.asarray(T_a) < 2).any():
         raise ValueError("mardia bound requires d_a >= 2 and T_a >= 2")
     log_c = math.log(12.0 / math.pi) + _each(functools.partial(_log_mardia_sum, d_a), T_a)

@@ -49,7 +49,6 @@ __all__ = [
     "hoeffding_slack",
     "joint_radius",
     "worst_case_costs",
-    "dro_predict",
     "dro_prescribe",
     "hoeffding_costs",
     "hoeffding_prescribe",
@@ -127,12 +126,6 @@ def worst_case_costs(support: Support, pmf: np.ndarray, radii) -> np.ndarray:
     return values.reshape(np.shape(radii))
 
 
-def dro_predict(g: LayeredGraph, path, data: DataSet, radii) -> float:
-    """Predicted loss of ``path`` (node choices): the sum of the per-action
-    worst-case costs on it."""
-    return float(route_costs(g, path, worst_case_costs(data.support, data.pmf, radii)))
-
-
 def dro_prescribe(data: DataSet, radii, g: LayeredGraph) -> tuple[tuple, float]:
     """Worst-case costs at ``radii``, once per action, then one shortest path."""
     return shortest_path(g, worst_case_costs(data.support, data.pmf, radii))
@@ -203,8 +196,8 @@ def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
     row's first T_min observations, each of mass 1/T_min, and its radius
     r > 0 in ``radii``: the scalar dual of every path, with beta bounded
     below by the top support point times the path length, in one kernel
-    call.  Exact value ties go to the path whose nodes come first read from
-    the sink, as in :func:`shortest_path`."""
+    call.  Exact value ties go to the first path in the order of
+    :func:`graphs.enumerate_paths`, the tie order of :func:`shortest_path`."""
     choices = enumerate_paths(g)
     sizes = data.sizes.reshape(-1, data.num_actions)
     t_min = sizes.min(axis=1, keepdims=True)
@@ -224,10 +217,7 @@ def joint_worst_case_paths(g: LayeredGraph, data: DataSet, radii) -> Routes:
     found = solve_dual_batch(z, q, np.repeat(np.ravel(radii), len(choices)),
                              np.full(len(z), data.support.max * g.path_length)).value
     found = found.reshape(-1, len(choices))
-    # argmin takes the first least value, so over the paths in this order a
-    # tie goes to the path whose nodes come first read from the sink
-    sink_first = np.lexsort(choices.T)
-    best = sink_first[found[:, sink_first].argmin(axis=1)]
+    best = found.argmin(axis=1)
     return Routes(choices[best], found[np.arange(len(found)), best])
 
 

@@ -16,7 +16,8 @@ closer to the boundary than one ulp of beta.  The boundary minimum at
 ``beta = top`` and the zero radius are masks.  :func:`solve_dual` and
 :func:`minimize_dual` are one-row calls of the kernel;
 :func:`worst_case_pmfs` builds the maximizing pmfs of rows from
-stationarity.
+stationarity.  Envelope lemma: p = e^{-r} q + (1 - e^{-r}) delta_top lies in the
+ball (KL(q || p) <= r), so the value is at least e^{-r} mean(q) + (1 - e^{-r}) top.
 
 Each row starts from the expansion of K that fits it.  With gaps
 g_i = top - z_i and t_i = g_i / e^u, K = L + ln B for L = sum q ln(1 + t)

@@ -16,11 +16,12 @@ import pytest
 from kldro.cli import main as cli_main
 from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from kldro.experiments import ExperimentConfig, run_sweep
-from kldro.graphs import build_layered, enumerate_paths, path_nodes, shortest_path
+from kldro.graphs import build_layered, enumerate_paths, path_nodes, route_costs, shortest_path
 from kldro.marginals import PmfMatrix, Support, kl_divergence
-from kldro.radius import mardia_constant, radius_agrawal, radius_baseline, radius_best, radius_mardia
-from kldro.rules import (calibrate_ambiguity, dro1_prescribe, dro_predict, dro_prescribe,
-                         hoeffding_prescribe, truncate_dataset, worst_case_costs)
+from kldro.radius import (_log_mardia_sum, radius_agrawal, radius_baseline, radius_best,
+                          radius_mardia)
+from kldro.rules import (calibrate_ambiguity, dro1_prescribe, dro_prescribe, hoeffding_prescribe,
+                         truncate_dataset, worst_case_costs)
 from kldro.worstcase import solve_dual
 from oracles import path_cost, primal_oracle
 
@@ -92,8 +93,9 @@ def test_criterion_2_decomposition_suite():
         # then brute-force the argmin over those sums
         costs = np.array([solve_dual(data.empirical(a), float(amb[a])).value
                           for a in range(g.num_arcs)])
-        for x in (paths[0], paths[len(paths) // 2], paths[-1]):
-            assert dro_predict(g, x, data, amb) == path_cost(g, x, costs)
+        predicted = route_costs(g, paths, worst_case_costs(data.support, data.pmf, amb))
+        for k in (0, len(paths) // 2, -1):
+            assert predicted[k] == path_cost(g, paths[k], costs)
         values = [path_cost(g, x, costs) for x in paths]
         nodes = path_nodes(g, paths).tolist()
         best = min(range(len(paths)), key=lambda i: (values[i], nodes[i][::-1]))
@@ -141,8 +143,8 @@ def test_criterion_4_radius_calibrations():
             r = radius_agrawal(T, d, 0.05)
             log_lhs = (d - 1) * (1 + math.log(r * T) - math.log(d - 1)) - r * T
             assert abs(math.exp(log_lhs) - 0.05) <= 1e-8 * 0.05
-    # partial-sum constant at d=2 is 12/pi to full precision
-    assert abs(mardia_constant(2, 10) - 12.0 / math.pi) <= 1e-12 * (12.0 / math.pi)
+    # partial-sum constant at d=2 is 12/pi exactly: the sum is its j = 0 term
+    assert _log_mardia_sum(2, 10) == 0.0
     # the combined estimate never exceeds the always-applicable baseline
     rng = np.random.default_rng(1004)
     for _ in range(200):

@@ -8,17 +8,51 @@ as two blocks of unequal size.
 
 The tiny sweeps miss rare rows, such as a dual-kernel stop that moves one
 replicate in a few thousand, so every figure config is also pinned at
-full size, run on two workers."""
+full size, run on two workers.
+
+The digests hold for the numpy build and the SIMD targets it dispatched to
+where they were made (``PINNED_ON``); another build or CPU may round a few
+last bits differently.  The portable check runs the reduced sweeps with
+every dispatched target switched off and compares them with this process's
+run at a tolerance of a few ulps."""
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x, which pyproject.toml still admits
+    from numpy.core import _multiarray_umath
 
 from kldro.experiments import ExperimentConfig, emit_results, run_sweep
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+
+# (numpy version, dispatched SIMD targets) where the digests below were made
+PINNED_ON = ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+
+
+def running_on() -> tuple[str, tuple]:
+    """This numpy's version and the SIMD targets it dispatches to here."""
+    features = _multiarray_umath.__cpu_features__
+    return np.__version__, tuple(t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t))
+
+
+def pinned_where() -> str:
+    """The assertion message of a failing digest: where the pins were made
+    and where they run."""
+    (made, made_on), (now, now_on) = PINNED_ON, running_on()
+    return (f"digests made on numpy {made} with targets {' '.join(made_on) or 'none'}; "
+            f"running numpy {now} with targets {' '.join(now_on) or 'none'}")
 
 # config -> (reduced grid, sha256 of results.csv, sha256 of aggregates.csv)
 PINNED = {
@@ -89,13 +123,13 @@ def output_sha256(name: str, grid, out_dir, n0=2, workers=1) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_results_csv_is_byte_identical(name, tmp_path):
     grid, expected, _ = PINNED[name]
-    assert output_sha256(name, grid, tmp_path)[0] == expected
+    assert output_sha256(name, grid, tmp_path)[0] == expected, pinned_where()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_aggregates_csv_is_byte_identical(name, tmp_path):
     grid, _, expected = PINNED[name]
-    assert output_sha256(name, grid, tmp_path)[1] == expected
+    assert output_sha256(name, grid, tmp_path)[1] == expected, pinned_where()
 
 
 def test_a_two_block_sweep_is_byte_identical(tmp_path):
@@ -103,7 +137,7 @@ def test_a_two_block_sweep_is_byte_identical(tmp_path):
     and 2, the second block inside the second grid value."""
     assert output_sha256("fig2a.json", (5, 35), tmp_path, n0=9) == (
         "1723eeb84397feefe9dcca18b807b569307af6e28daca95da0d1e8ce1715340b",
-        "0984293a766ab994e98aff4e49a4d2b1d1e9f910b8a3514a686ba94c77fa4218")
+        "0984293a766ab994e98aff4e49a4d2b1d1e9f910b8a3514a686ba94c77fa4218"), pinned_where()
 
 
 def test_every_figure_config_is_pinned():
@@ -112,4 +146,65 @@ def test_every_figure_config_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(FULL))
 def test_full_figure_output_is_byte_identical(name, tmp_path):
-    assert output_sha256(name, None, tmp_path, workers=2) == FULL[name]
+    assert output_sha256(name, None, tmp_path, workers=2) == FULL[name], pinned_where()
+
+
+def reduced_sweeps() -> dict:
+    """The ``PINNED`` reduced sweeps as plain data, per config: one (sweep
+    value, replicate, rule, nodes, rho, predicted, nominal, disappointed)
+    row per outcome, and one (sweep value, rule, mean rho, MAD, frequency)
+    row per aggregate."""
+    found = {}
+    for name, (grid, _, _) in sorted(PINNED.items()):
+        raw = json.loads((CONFIGS / name).read_text())
+        raw.update(grid=list(grid), n0=2)
+        points = run_sweep(ExperimentConfig.from_dict(raw))
+        found[name] = {
+            "outcomes": [[p.sweep_value, rep.replicate, out.rule, list(out.nodes), out.rho,
+                          out.predicted, out.nominal, out.disappointed]
+                         for p in points for rep in p.replicates for out in rep.outcomes],
+            "aggregates": [[p.sweep_value, rule, *p.aggregates[rule]]
+                           for p in points for rule in p.aggregates]}
+    return found
+
+
+ULPS = 4
+
+
+def near(a: float, b: float, scale: float | None = None) -> bool:
+    """Within ``ULPS`` units in the last place of ``scale``, by default the
+    larger magnitude of ``a`` and ``b``."""
+    scale = max(abs(a), abs(b)) if scale is None else abs(scale)
+    return a == b or abs(a - b) <= ULPS * math.ulp(scale)
+
+
+def test_reduced_sweeps_agree_with_every_dispatched_target_switched_off():
+    """The reduced sweeps in a child process whose numpy dispatches to no
+    SIMD target above its baseline: paths, flags and disappointment
+    frequencies are exact, and every other float is within ULPS ulps.  A
+    MAD is a deviation of rho values from their mean, rounded at their
+    scale, so its ulps are the mean's: a 1-ulp move of one rho moves a
+    small MAD by many ulps of its own."""
+    _, targets = running_on()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_byte_identity as t; "
+                               "print(json.dumps([t.running_on(), t.reduced_sweeps()]))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    (_, child_targets), portable = json.loads(child.stdout)
+    assert child_targets == []
+    here = json.loads(json.dumps(reduced_sweeps()))  # tuples read back as lists
+    assert sorted(portable) == sorted(here) == sorted(PINNED)
+    for name in PINNED:
+        for kind in ("outcomes", "aggregates"):
+            assert len(portable[name][kind]) == len(here[name][kind]), (name, kind)
+        for found, expected in zip(portable[name]["outcomes"], here[name]["outcomes"]):
+            assert found[:4] == expected[:4] and found[7] == expected[7], (name, found, expected)
+            assert all(map(near, found[4:7], expected[4:7])), (name, found, expected)
+        for found, expected in zip(portable[name]["aggregates"], here[name]["aggregates"]):
+            assert found[:2] == expected[:2] and found[4] == expected[4], (name, found, expected)
+            mean_rho = found[2]
+            assert near(mean_rho, expected[2]) and near(found[3], expected[3], mean_rho), (
+                name, found, expected)

@@ -87,23 +87,38 @@ def test_shortest_path_rejects_non_finite_costs(bad):
 
 
 def test_enumeration_counts_and_lexicographic_order():
+    """Lexicographic read from the sink: the last layer's node varies slowest."""
     assert len(enumerate_paths(build_layered(3, 3))) == 27
     assert len(enumerate_paths(build_layered(2, 4))) == 16
     g = build_layered(2, 2)
     assert path_nodes(g, enumerate_paths(g)).tolist() == [
         [0, 1, 3, 5],
-        [0, 1, 4, 5],
         [0, 2, 3, 5],
+        [0, 1, 4, 5],
         [0, 2, 4, 5],
     ]
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)])
-def test_enumeration_is_one_array_in_product_order(h, w):
+def test_enumeration_is_one_array_in_tie_order(h, w):
     g = build_layered(h, w)
     paths = enumerate_paths(g)
-    assert paths.shape == (w**h, h) and paths.dtype == np.intp
-    assert paths.tolist() == [list(c) for c in itertools.product(range(w), repeat=h)]
+    assert paths.shape == (w**h, h) and paths.dtype == np.intp and paths.flags.c_contiguous
+    assert paths.tolist() == [list(c[::-1]) for c in itertools.product(range(w), repeat=h)]
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 3), (2, 3), (3, 3), (4, 2), (2, 5)])
+def test_shortest_path_is_the_first_least_path_of_the_enumeration(h, w):
+    """Arc costs of 1 and 2 tie many paths exactly; the DP's path is the
+    first of least cost in the enumeration, so a rule that takes the argmin
+    over enumerated paths breaks ties as the DP does."""
+    g = build_layered(h, w)
+    paths = enumerate_paths(g)
+    rng = np.random.default_rng(100 * h + w)
+    for costs in rng.integers(1, 3, size=(200, g.num_arcs)).astype(float):
+        vals = route_costs(g, paths, costs)
+        k = int(np.argmin(vals))
+        assert shortest_path(g, costs) == (tuple(paths[k].tolist()), float(vals[k]))
 
 
 def test_enumeration_cap():

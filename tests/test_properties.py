@@ -106,6 +106,19 @@ def test_value_between_mean_and_top_and_nondecreasing_in_radius(pmf, rs):
     assert np.all(np.diff(value) >= 0.0)
 
 
+@settings(max_examples=200)
+@given(pmfs(), st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=8))
+def test_value_is_at_least_the_envelope_mean(pmf, exponents):
+    """The envelope lemma: p = e^{-r} q + (1 - e^{-r}) delta_top lies in the
+    ball, so the value is at least its mean, to 4 eps of the top."""
+    points, probs = pmf
+    r = 10.0 ** np.array(exponents)
+    value = solve(np.tile(points, (len(r), 1)), np.tile(probs, (len(r), 1)), r).value
+    top, shrink = points[-1], np.exp(-r)
+    envelope = shrink * float(pmf_means(points, probs)) + (1.0 - shrink) * top
+    assert np.all(value >= envelope - 4 * np.finfo(float).eps * top)
+
+
 @settings(max_examples=60)
 @given(pmfs(), radii, st.floats(1e-3, 1e9), st.floats(0.0, 1e3))
 def test_value_affine_equivariant(pmf, r, scale, shift):

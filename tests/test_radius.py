@@ -12,7 +12,6 @@ from kldro.graphs import build_layered
 from kldro.marginals import DataSet, PmfMatrix, Support
 from kldro.radius import (
     _log_mardia_sum,
-    mardia_constant,
     radius_agrawal,
     radius_baseline,
     radius_best,
@@ -134,11 +133,11 @@ def test_wallis_products():
     # constant: C = (12/pi)(1 + u_0 x + u_0 u_1 x^2) for x = e sqrt(T)/(2 pi)
     x = math.e * math.sqrt(2) / (2 * math.pi)
     expected = (12 / math.pi) * (1 + math.pi * x + 2 * math.pi * x**2)
-    assert mardia_constant(4, 2) == pytest.approx(expected, rel=1e-12)
+    assert _log_mardia_sum(4, 2) == pytest.approx(math.log(expected * math.pi / 12), rel=1e-12)
 
 
 def test_mardia_d2_constant_and_radius():
-    assert mardia_constant(2, 10) == pytest.approx(12 / math.pi, rel=1e-13)
+    assert _log_mardia_sum(2, 10) == 0.0  # C = 12/pi: the sum is its j = 0 term
     got = radius_mardia(10, 2, 0.05)
     # (ln(12/pi) + ln 20)/10, frozen from a 50-digit evaluation
     assert got == pytest.approx(0.4335909037492591, rel=1e-13)
@@ -155,8 +154,6 @@ def test_mardia_rejects_undefined_inputs():
         radius_mardia(1, 3, 0.5)
     with pytest.raises(ValueError):
         radius_mardia(5, 1, 0.5)
-    with pytest.raises(ValueError):
-        mardia_constant(2, 1)
 
 
 def test_mardia_huge_support_truncates():

@@ -14,7 +14,6 @@ from kldro.rules import (
     JointEmpirical,
     calibrate_ambiguity,
     dro1_prescribe,
-    dro_predict,
     dro_prescribe,
     hoeffding_costs,
     hoeffding_prescribe,
@@ -84,25 +83,25 @@ class TestDroRules:
     def test_zero_radius_predict_is_sample_average(self):
         g = build_layered(1, 2)
         data = integer_dataset([[1, 2], [2, 2], [1, 1], [1, 3]], d=3)
-        radii = np.zeros(4)
+        costs = worst_case_costs(data.support, data.pmf, np.zeros(4))
         for x in enumerate_paths(g):
             expected = path_cost(g, x, [float(data.empirical(a).means) for a in range(4)])
-            assert dro_predict(g, x, data, radii) == expected
+            assert route_costs(g, x, costs) == expected
 
     def test_saturated_radius_predicts_top_cost_per_arc(self):
         g = build_layered(2, 2)
         d = 4
         data = integer_dataset([[1, 2]] * g.num_arcs, d)
-        radii = np.full(g.num_arcs, 50.0)
+        costs = worst_case_costs(data.support, data.pmf, np.full(g.num_arcs, 50.0))
         x = enumerate_paths(g)[0]
-        assert dro_predict(g, x, data, radii) == pytest.approx((g.h + 1) * d, rel=1e-9)
+        assert route_costs(g, x, costs) == pytest.approx((g.h + 1) * d, rel=1e-9)
 
     def test_two_arc_worked_values(self):
         g = build_layered(1, 1)
         data = integer_dataset([[1, 1], [1, 2]], d=2)
-        radii = np.array([math.log(2), 0.1])
+        costs = worst_case_costs(data.support, data.pmf, np.array([math.log(2), 0.1]))
         x = enumerate_paths(g)[0]
-        assert dro_predict(g, x, data, radii) == pytest.approx(1.5 + VALUE_R01, abs=1e-9)
+        assert route_costs(g, x, costs) == pytest.approx(1.5 + VALUE_R01, abs=1e-9)
 
     def test_zero_radius_prescribe_equals_saa(self):
         g = build_layered(2, 3)
@@ -119,9 +118,10 @@ class TestDroRules:
             data, _ = random_dataset(g, 5, seed=seed)
             radii = calibrate_ambiguity(data, 0.05)
             path, predicted_loss = dro_prescribe(data, radii, g)
-            values = [dro_predict(g, x, data, radii) for x in enumerate_paths(g)]
+            paths = enumerate_paths(g)
+            values = route_costs(g, paths, worst_case_costs(data.support, data.pmf, radii))
             best = int(np.argmin(values))
-            assert path == tuple(enumerate_paths(g)[best].tolist())
+            assert path == tuple(paths[best].tolist())
             assert predicted_loss == values[best]
 
     def test_worst_case_costs_dominate_means_and_stay_below_top(self):
@@ -318,8 +318,8 @@ class TestDro1:
         # every atom, so their dual values tie exactly.  Row 0: every arc
         # has the same columns, so all w**h paths tie.  Row 1: the arcs from
         # layer-1 node a to layer-2 node a cost more, so only the paths that
-        # switch nodes tie; read from the sink, (1, 0) comes first, where
-        # the first in path order is (0, 1).
+        # switch nodes tie; in the tie order (1, 0) comes first, where the
+        # first in itertools.product order is (0, 1).
         g = build_layered(2, 2)
         cheap, dear = [1, 2, 2, 1, 3], [3, 3, 2, 3, 3]
         columns = [[cheap] * g.num_arcs,

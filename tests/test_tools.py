@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 COUNTER = Path(__file__).resolve().parent.parent / "tools" / "count_src_lines.py"
 
 # Code-only lines: 6 (import), 8-9 (one statement), 10-11 (a string that is
@@ -72,7 +74,12 @@ def test_pair_summary_on_canned_result_lines():
     change = [(90.0, 0.30), (110.0, 0.26), (125.0, 0.28), (140.0, 0.24)]
     pairs = [[bench_pairs.parse_result(result_lines(*run)) for run in pair]
              for pair in zip(parent, change)]
-    lines, flags = bench_pairs.summarize("joint-delta", pairs, END_TO_END)
+    compared = bench_pairs.compare(pairs, END_TO_END)
+    assert compared["replicates_per_s"] == {
+        "parent": (107.5, 115.0, 122.5), "change": (105.0, 117.5, 128.75), "pairs": 4,
+        "change_wins": 2, "worse": False, "bound": 0.2}
+    assert compared["setup_s"]["change_wins"] == 0 and compared["setup_s"]["worse"]
+    lines, flags = bench_pairs.summarize("joint-delta", compared)
     assert lines[0] == "joint-delta"
     rate, setup = lines[2].split(), lines[3].split()
     # medians and inclusive quartiles; the tie in pair 2 counts for neither
@@ -100,10 +107,30 @@ def test_pairs_run_both_trees_and_exit_1_on_an_incorrect_run(tmp_path):
         (tmp_path / name / "bench").mkdir(parents=True)
         (tmp_path / name / "bench" / "run.py").write_text(
             FAKE_RUN.format(rate=rate, correct=correct))
+        (tmp_path / name / "src" / "kldro").mkdir(parents=True)
+        (tmp_path / name / "src" / "kldro" / "__init__.py").write_text('"""Doc."""\nX = 1\n' * rate)
         trees.append(str(tmp_path / name))
+    git = ["git", "-C", trees[0], "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "fake parent"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    commit = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True).stdout
+    (tmp_path / "parent" / "bench" / "run.py").write_text(FAKE_RUN.format(rate=100, correct=True)
+                                                          + "# an uncommitted edit\n")
     done = subprocess.run([sys.executable, str(PAIRS), *trees, "--pairs", "2", "--seconds", "1"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
+    # the last line of stdout is the record a BENCH_<n>.json holds
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert record["parent"] == {"commit": commit.strip(), "uncommitted_changes": True,
+                                "src_lines": 200, "src_code_lines": 100}
+    assert record["change"] == {"commit": None, "uncommitted_changes": None,
+                                "src_lines": 100, "src_code_lines": 50}
+    assert (record["pairs"], record["seconds"], record["first_seed"]) == (2, 1.0, 61)
+    assert record["failed_runs"] == 2 and record["numpy"] == np.__version__
+    assert sorted(record["workloads"]) == ["binomial-t_min", "joint-delta", "normal-sigma"]
+    assert record["workloads"]["normal-sigma"] == {"replicates_per_s": {
+        "parent": [161.25, 161.5, 161.75], "change": [111.25, 111.5, 111.75], "pairs": 2,
+        "change_wins": 0, "worse": True, "bound": 0.2}}
     # seeds 61 and 62: medians 161.5 and 111.5, the change worse in both pairs
     assert done.stdout.count("161.5 [161.2, 161.8]") == 3
     assert "flag: binomial-t_min replicates_per_s: change median 111.5 against 161.5" in done.stdout
