@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -323,7 +322,11 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> list[GridPointResult]:
         # One ordered map over the whole sweep, one task per block, so no
         # grid value waits for the previous one.  A worker costs about a
         # block's compute to start, so less than a block per process
-        # cannot pay for it.  Leaving the block shuts the pool down.
+        # cannot pay for it.  Leaving the block shuts the pool down.  The
+        # pool is imported here, as normal_pmfs imports scipy, so that a
+        # serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(processes) as pool:
                 blocks = list(pool.map(_block_task, tasks))

@@ -10,9 +10,11 @@ smallest applicable estimate wins.
 Every bound takes counts T_a and budgets alpha_a as scalars or arrays and
 returns radii of their broadcast shape; its logarithms stay ``math`` calls
 per input, which ``np.log`` may miss by an ulp, so a radius is the same
-alone or in an array.  ``radius_best`` checks its inputs once and runs the
-bounds once per distinct (T_a, alpha_a).  The rules take radii as a plain
-array, one per action.
+alone or in an array.  ``radius_best`` checks its inputs once and runs
+baseline and Mardia once per distinct (T_a, alpha_a), and the Agrawal
+root only on the distinct inputs where a closed-form floor under it does
+not already lose to them.  The rules take radii as a plain array, one per
+action.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def radius_agrawal(T_a, d_a: int, alpha_a):
     With r T = (d-1)(1 + x) the equation reduces to x - log1p(x) =
     ln(1/alpha_a)/(d-1), free of T, so r = (d-1)(1 + x)/T_a for one root
     x per alpha_a (:func:`_agrawal_x`); :func:`radius_best` passes each
-    distinct input once.
+    distinct input once, and only where the root can win.
     """
     try:
         d_m1 = float(d_a - 1)
@@ -96,6 +98,18 @@ def radius_agrawal(T_a, d_a: int, alpha_a):
     if d_m1 in (0.0, math.inf):  # radius 0 at d = 1: the marginal is known exactly
         return np.full(np.broadcast_shapes(np.shape(T_a), np.shape(alpha_a)), d_m1)
     return d_m1 * (1.0 + _each(functools.partial(_agrawal_x, d_a), alpha_a)) / T_a
+
+
+def _agrawal_floor(T_a, d_a: int, alpha_a):
+    """A lower bound on :func:`radius_agrawal`, up to a factor 1 + 1e-12
+    for rounding: x - log1p(x) <= x^2/2 for x >= 0, so the root x is at
+    least sqrt(2c), c = ln(1/alpha_a)/(d_a - 1), and the radius at least
+    (d_a - 1)(1 + sqrt(2c))/T_a; +inf for a support too large for floats."""
+    try:
+        d_m1 = float(d_a - 1)
+    except OverflowError:
+        return np.full(np.shape(T_a), math.inf)
+    return d_m1 * (1.0 + np.sqrt(-2.0 * np.log(alpha_a) / d_m1)) / T_a
 
 
 @functools.cache
@@ -137,8 +151,12 @@ def radius_best(T_a, d_a: int, num_actions: int, alpha_a, alpha: float):
     ``alpha`` the one the baseline splits over ``num_actions``.
 
     The inputs are checked here, since the command line passes them on
-    unchecked.  One lexsort finds the distinct (T_a, alpha_a), and each
-    bound runs once on those.
+    unchecked.  One lexsort finds the distinct (T_a, alpha_a), and baseline
+    and Mardia run once on those.  Agrawal runs only on the distinct inputs
+    where its floor (:func:`_agrawal_floor`) is at most the lesser of the
+    two times 1 + 1e-9; elsewhere its radius is strictly the larger, so it
+    can neither win nor tie, and is left at +inf.  At the figures' d = 50
+    it runs on none.
     """
     T_a, alpha_a = np.broadcast_arrays(T_a, alpha_a)
     if (T_a < 1).any() or d_a < 1 or num_actions < 1:
@@ -154,8 +172,11 @@ def radius_best(T_a, d_a: int, num_actions: int, alpha_a, alpha: float):
     T, alphas = T[order[new]], alphas[order[new]]
     candidates = [radius_baseline(T, d_a, num_actions, alpha)]
     if d_a >= 2:
-        candidates += [radius_agrawal(T, d_a, alphas),
-                       np.where(T >= 2, radius_mardia(np.maximum(T, 2), d_a, alphas), math.inf)]
+        mardia = np.where(T >= 2, radius_mardia(np.maximum(T, 2), d_a, alphas), math.inf)
+        runs = _agrawal_floor(T, d_a, alphas) <= np.minimum(candidates[0], mardia) * (1.0 + 1e-9)
+        agrawal = np.full(T.shape, math.inf)
+        agrawal[runs] = radius_agrawal(T[runs], d_a, alphas[runs])
+        candidates += [agrawal, mardia]
     distinct = np.empty(order.size, dtype=np.intp)
     distinct[order] = np.cumsum(new) - 1
     # argmin takes the first least radius: ties go to the earlier label

@@ -18,12 +18,12 @@ its own step, a function of ``(data, alpha)``: ``calibrate_ambiguity``
 Every step also takes a block of replicates, one data set with (R,
 actions) counts, and runs as array code over its rows; one data set is a
 block of one.  Calibration is one ``radius_best`` call per data set and
-step, the joint radius included, which evaluates the bounds once per
-distinct input of all its rows; nothing is cached across calls.
-``worst_case_costs`` solves any stack of pmf rows in one kernel call, and
-``joint_worst_case_paths`` makes one kernel call for every path of every
-row and returns dro1's paths as ``graphs.Routes``, as ``shortest_path``
-routes a cost matrix.
+step, the joint radius included, which evaluates the bounds at most once
+per distinct input of all its rows; nothing is cached across calls.
+``worst_case_costs`` solves any stack of pmf rows in one kernel call, on
+the one support row they share, and ``joint_worst_case_paths`` makes one
+kernel call for every path of every row and returns dro1's paths as
+``graphs.Routes``, as ``shortest_path`` routes a cost matrix.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def worst_case_costs(support: Support, pmf: np.ndarray, radii) -> np.ndarray:
     if np.shape(radii) != pmf.shape[:-1]:
         raise ValueError("one radius per action is required")
     rows = pmf.reshape(-1, support.size)
-    points = np.broadcast_to(support.points, rows.shape)
-    values = solve_dual_batch(points, rows, np.ravel(radii), np.full(len(rows), support.max)).value
+    values = solve_dual_batch(support.points[None], rows, np.ravel(radii),
+                              np.full(len(rows), support.max)).value
     return values.reshape(np.shape(radii))
 
 

@@ -7,7 +7,8 @@ The largest mean over pmfs within KL distance ``r`` of a pmf ``q`` on points
 
 (the phi-divergence dual of Ben-Tal et al. 2013 and Hu & Hong 2013).  One
 vectorized kernel, :func:`solve_dual_batch`, minimizes it for every row of a
-value/weight matrix at once.  In the log offset u = ln(beta - top),
+weight matrix at once, on values given one row per weight row or as one
+row that every weight row shares.  In the log offset u = ln(beta - top),
 stationarity reads K(u) = r, where K(u), decreasing in u, is the relative
 entropy from ``q`` of the tilted pmf proportional to q_i / (beta - z_i).  A
 safeguarded Halley step on ln K(u) - ln r, bisecting whenever the step
@@ -134,13 +135,16 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     """Minimize the dual for every row of ``values``/``weights`` at once.
 
     Each row of ``weights`` is a pmf on the matching row of ``values``
-    (zero-weight entries are padding), ``radii`` holds one ball radius per
-    row and ``lower`` the bound beta >= lower, which must not be below the
-    row's largest value.  Rows are solved independently: a row's result is
-    bit-identical whatever other rows share the batch and whatever the
-    memory layout of the input.  Values are clipped to [row mean, lower] to
-    absorb rounding.  Raises ValueError on a negative weight or a row
-    without a positive one, RuntimeError when a row fails to converge.
+    (zero-weight entries are padding), or on the one row of a (1, k)
+    ``values`` that every row shares, as broadcasting reads it; a shared
+    row's largest and least value are taken once.  ``radii`` holds one ball
+    radius per row and ``lower`` the bound beta >= lower, which must not be
+    below the row's largest value.  Rows are solved independently: a row's
+    result is bit-identical whatever other rows share the batch, whether
+    its values are shared, and whatever the memory layout of the input.
+    Values are clipped to [row mean, lower] to absorb rounding.  Raises
+    ValueError on a negative weight or a row without a positive one,
+    RuntimeError when a row fails to converge.
 
     Every log, exp, product and sum runs on the observed (q > 0) entries
     only, so zero-weight padding costs nothing there; the row means stay
@@ -152,9 +156,12 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
     q = np.asarray(weights, dtype=float)
     r = np.asarray(radii, dtype=float)
     top = np.asarray(lower, dtype=float)
-    n = z.shape[0]
-    if z.ndim != 2 or q.shape != z.shape or r.shape != (n,) or top.shape != (n,):
-        raise ValueError("values/weights must be (rows, k) with one radius and bound per row")
+    n = len(q) if q.ndim else 0
+    if (q.ndim != 2 or z.ndim != 2 or z.shape[1:] != q.shape[1:] or len(z) not in (1, n)
+            or r.shape != (n,) or top.shape != (n,)):
+        raise ValueError("weights must be (rows, k) and values (rows, k) or (1, k), with one "
+                         "radius and bound per row")
+    shared = len(z) == 1  # one row of values for every row of weights
     # The means are pairwise only along rows whose elements are adjacent in
     # memory; rows already laid out so (broadcast ones too) are not copied.
     z, q = (x if x.strides[1] == x.itemsize else np.ascontiguousarray(x) for x in (z, q))
@@ -171,7 +178,8 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
         raise ValueError("beta_lower must not be below the largest value")
     mean = pmf_means(z, q)
     qs = q.reshape(-1)[at]
-    gaps = np.maximum(top[row] - z[row, at - row * k], 0.0)
+    col = at - row * k
+    gaps = np.maximum(top[row] - (z[0].take(col) if shared else z[row, col]), 0.0)
     log_gaps = np.log(gaps)
     # As u -> -inf, K tends to ln GM(g) - ln HM(g) when the top carries no
     # weight (+inf otherwise); at or below r the minimum is beta = top.
@@ -206,7 +214,7 @@ def solve_dual_batch(values, weights, radii, lower) -> DualBatch:
         # K(u) >= S + ln q_top - w u, so K >= r at and below u_deep.  The
         # largest gap of a whole row, unobserved points too, is
         # max(top - min z, 0), since rounding is monotone.
-        widest = np.log(np.maximum(top[rows] - z[rows].min(axis=1), 0.0))
+        widest = np.log(np.maximum(top[rows] - (z if shared else z[rows]).min(axis=1), 0.0))
         lo = np.maximum(widest - _LOG_SPAN, deep)
         # K(u) <= E[g^2] e^{-2u}, so K < r/4 above hi.
         hi = np.maximum(0.5 * (np.log(spread) - log_r) + math.log(2.0), lo)

@@ -16,7 +16,9 @@
 * ``joint_atoms_reference`` builds the joint empirical with ``np.unique``;
 * ``dataset_from_costs`` turns per-action cost vectors into a ``DataSet``;
 * ``shortest_path_reference`` is a forward pass over the arcs one by one;
-* ``path_cost`` sums a path's arc costs one at a time, in path order.
+* ``path_cost`` sums a path's arc costs one at a time, in path order;
+* ``radius_candidates`` evaluates every applicable radius bound at one
+  input, and ``radius_best_reference`` takes their least entry by entry.
 """
 
 import functools
@@ -27,6 +29,7 @@ from scipy.special import gammaln
 
 from kldro.graphs import path_nodes, route_costs, shortest_path
 from kldro.marginals import DataSet, PmfMatrix, Support, pmf_means
+from kldro.radius import radius_agrawal, radius_baseline, radius_mardia
 from kldro.rules import worst_case_costs
 from kldro.worstcase import (_EPS, _LOG_SPAN, _MAX_ITERATIONS, _NEWTON_STOP, _TINY, DualBatch,
                              solve_dual_batch)
@@ -399,3 +402,26 @@ def path_cost(g, choices, costs) -> float:
     for arc in zip(nodes, nodes[1:]):
         total += float(costs[g.arcs.index(arc)])
     return total
+
+
+def radius_candidates(T_a: int, d_a: int, num_actions: int, alpha_a: float,
+                      alpha: float) -> list[float]:
+    """Baseline, Agrawal and Mardia at one input, every one evaluated
+    (Mardia +inf below two samples); the baseline alone at d_a = 1."""
+    found = [float(radius_baseline(T_a, d_a, num_actions, alpha))]
+    if d_a >= 2:
+        found += [float(radius_agrawal(T_a, d_a, alpha_a)),
+                  float(radius_mardia(T_a, d_a, alpha_a)) if T_a >= 2 else math.inf]
+    return found
+
+
+def radius_best_reference(T_a, d_a: int, num_actions: int, alpha_a, alpha: float):
+    """The least of :func:`radius_candidates` and its label, one input at a
+    time and with no bound skipped; ties go to the earlier label."""
+    T_a, alpha_a = np.broadcast_arrays(T_a, alpha_a)
+    radii, labels = np.empty(T_a.shape), np.empty(T_a.shape, dtype=object)
+    for k in np.ndindex(T_a.shape):
+        found = radius_candidates(int(T_a[k]), d_a, num_actions, float(alpha_a[k]), alpha)
+        best = min(range(len(found)), key=found.__getitem__)  # the first least
+        radii[k], labels[k] = found[best], ("baseline", "agrawal", "mardia")[best]
+    return radii, labels

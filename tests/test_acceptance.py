@@ -16,7 +16,7 @@ import pytest
 from kldro.cli import main as cli_main
 from kldro.datagen import draw_dataset, nominal_marginals, sample_sizes, substream
 from kldro.experiments import ExperimentConfig, run_sweep
-from kldro.graphs import build_layered, enumerate_paths, path_nodes, route_costs, shortest_path
+from kldro.graphs import build_layered, enumerate_paths, route_costs, shortest_path
 from kldro.marginals import PmfMatrix, Support, kl_divergence
 from kldro.radius import (_log_mardia_sum, radius_agrawal, radius_baseline, radius_best,
                           radius_mardia)
@@ -96,9 +96,10 @@ def test_criterion_2_decomposition_suite():
         predicted = route_costs(g, paths, worst_case_costs(data.support, data.pmf, amb))
         for k in (0, len(paths) // 2, -1):
             assert predicted[k] == path_cost(g, paths[k], costs)
+        # enumerate_paths lists paths in shortest_path's tie order, so the
+        # first least sum is the prescribed path
         values = [path_cost(g, x, costs) for x in paths]
-        nodes = path_nodes(g, paths).tolist()
-        best = min(range(len(paths)), key=lambda i: (values[i], nodes[i][::-1]))
+        best = int(np.argmin(values))
         assert predicted_loss == values[best]
         assert path == tuple(paths[best].tolist())
     elapsed = time.time() - start

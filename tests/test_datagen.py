@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -26,15 +27,26 @@ def sample_bytes(data) -> bytes:
     return data.index.tobytes()
 
 
-def test_importing_the_package_loads_no_scipy():
-    # scipy.special is most of the package's import time; only normal_pmfs needs it
-    code = ("import sys, kldro, kldro.experiments, kldro.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def loaded_on_import(*packages) -> list:
+    """The modules of ``packages``, submodules included, that a fresh
+    interpreter holds after importing the package and its command line."""
+    code = ("import json, sys, kldro, kldro.experiments, kldro.cli; print(json.dumps(sorted("
+            f"m for m in sys.modules if m.split('.')[0] in {packages!r})))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy.special is most of the package's import time; only normal_pmfs needs it
+    assert loaded_on_import("scipy") == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a sweep of several blocks on several workers imports the pool
+    assert loaded_on_import("multiprocessing", "concurrent") == []
 
 
 class TestNominalMarginals:

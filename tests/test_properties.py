@@ -30,7 +30,7 @@ from kldro import rules
 from kldro.rules import JointEmpirical, calibrate_ambiguity, split_alpha
 from kldro.worstcase import solve_dual_batch, worst_case_pmfs
 from oracles import (dense_dual_batch, joint_atoms_reference, path_cost, primal_oracle,
-                     worst_case_pmf_reference)
+                     radius_best_reference, radius_candidates, worst_case_pmf_reference)
 
 radii = st.floats(1e-14, 1e3).map(float)
 
@@ -189,16 +189,21 @@ def test_observed_entry_kernel_equals_dense_reference_bit_for_bit(k, layout, dat
     reference bit for bit on zero-padded rows: for k across numpy's
     pairwise-sum unroll (8) and block (128) sizes, a weighted top point, a
     lone observed point, r = 0, tiny and huge radii, entries only in the
-    last k mod 8 columns, and inputs that are not C-contiguous."""
+    last k mod 8 columns, and inputs that are not C-contiguous; with one
+    support for all rows, also as the one (1, k) row they share."""
     rows = data.draw(st.lists(padded_rows(k), min_size=1, max_size=6))
     z, q, r, top = (np.array(x) for x in zip(*rows))
-    if layout == "c" and data.draw(st.booleans()):
+    shared = data.draw(st.booleans())
+    if shared:
         z = np.broadcast_to(z[0], z.shape)  # one support for all rows
         top = np.maximum(top, z[0].max())
     want = dense_dual_batch(z, q, r, top)
-    got = solve_dual_batch(laid_out(z, layout), laid_out(q, layout), r, top)
-    for field in ("beta", "value", "iterations", "log_offset"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    found = [solve_dual_batch(laid_out(z, layout), laid_out(q, layout), r, top)]
+    if shared:
+        found.append(solve_dual_batch(z[:1], laid_out(q, layout), r, top))
+    for got in found:
+        for field in ("beta", "value", "iterations", "log_offset"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 @st.composite
@@ -317,26 +322,58 @@ def repeated_radius_inputs(draw):
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 @example((np.array([[3, 1, 3], [1, 3, 3]]), np.array([[0.5, 0.5, 0.25], [0.5, 0.5, 0.25]])),
          3, 24, 0.05)
-def test_radius_best_runs_each_bound_once_per_distinct_input(inputs, d, m, alpha):
+@example((np.array([10, 35, 10]), np.array([0.05 / 24, 0.05 / 104, 0.05 / 24])), 50, 24, 0.05)
+def test_radius_best_runs_agrawal_only_where_its_floor_does_not_lose(inputs, d, m, alpha):
     """``radius_best`` on arrays whose (T_a, alpha_a) repeat equals its
-    one-entry calls bit for bit, labels included, and runs each applicable
-    bound once, on the distinct (T_a, alpha_a) only."""
+    one-entry calls and the unpruned three-bound minimum bit for bit, labels
+    included.  It runs baseline, Mardia and the Agrawal floor once each, on
+    the distinct (T_a, alpha_a), and Agrawal once, on exactly the
+    distinct inputs whose floor is at most the lesser of the other two
+    bounds times 1 + 1e-9 (none at d = 50)."""
     T, alphas = inputs
-    distinct = len(set(zip(T.ravel().tolist(), alphas.ravel().tolist())))
+    distinct = sorted(set(zip(T.ravel().tolist(), alphas.ravel().tolist())))
     with contextlib.ExitStack() as stack:
         spies = {name: stack.enter_context(mock.patch.object(
                      kldro.radius, name, side_effect=getattr(kldro.radius, name)))
-                 for name in BOUNDS}
+                 for name in BOUNDS + ("_agrawal_floor",)}
         radii, labels = radius_best(T, d, m, alphas, alpha)
     assert radii.shape == labels.shape == T.shape
-    for name, spy in spies.items():
-        assert spy.call_count == int(d >= 2 or name == "radius_baseline"), name
-        if spy.call_count:
-            assert np.size(spy.call_args.args[0]) == distinct, name
+    for name in ("radius_baseline", "radius_mardia", "_agrawal_floor"):
+        assert spies[name].call_count == int(d >= 2 or name == "radius_baseline"), name
+        if spies[name].call_count:
+            assert np.size(spies[name].call_args.args[0]) == len(distinct), name
+    agrawal = spies["radius_agrawal"]
+    if d >= 2:
+        T_d, _, alpha_d = spies["_agrawal_floor"].call_args.args
+        assert sorted(zip(T_d.tolist(), alpha_d.tolist())) == distinct
+        others = [min(found[0], found[2]) for found in (
+                      radius_candidates(t, d, m, a, alpha)
+                      for t, a in zip(T_d.tolist(), alpha_d.tolist()))]
+        runs = kldro.radius._agrawal_floor(T_d, d, alpha_d) <= np.array(others) * (1.0 + 1e-9)
+        assert agrawal.call_count == 1
+        t_a, _, alpha_a = agrawal.call_args.args
+        assert (t_a.tolist(), alpha_a.tolist()) == (T_d[runs].tolist(), alpha_d[runs].tolist())
+    else:
+        assert agrawal.call_count == 0
+    want, want_labels = radius_best_reference(T, d, m, alphas, alpha)
     for k in np.ndindex(T.shape):
         radius, label = radius_best(int(T[k]), d, m, float(alphas[k]), alpha)
-        assert float(radii[k]).hex() == float(radius).hex()
-        assert labels[k] == label
+        assert float(radii[k]).hex() == float(radius).hex() == float(want[k]).hex()
+        assert labels[k] == label == want_labels[k]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 50, 50**24]),
+       st.floats(-300.0, 0.0, exclude_max=True).map(lambda e: 10.0**e).filter(lambda a: a < 1.0),
+       st.integers(1, 10**6))
+@example(2, 1e-300, 1)
+@example(50, 0.05 / 104, 35)
+@example(50**24, 1.0 - 2.0**-53, 10**6)
+def test_agrawal_floor_lies_below_the_agrawal_radius(d, alpha_a, T):
+    """x - log1p(x) <= x^2/2, so Agrawal's radius is at least
+    (d - 1)(1 + sqrt(2c))/T, c = ln(1/alpha_a)/(d - 1), up to rounding."""
+    floor = kldro.radius._agrawal_floor(T, d, alpha_a)
+    assert 0.0 < floor <= kldro.radius.radius_agrawal(T, d, alpha_a) * (1.0 + 1e-12)
 
 
 @settings(max_examples=100)

@@ -149,7 +149,8 @@ class TestSolveDual:
 
     def test_row_values_do_not_depend_on_memory_layout(self):
         # a dro1-sized batch (27 paths) passed C-ordered, Fortran-ordered,
-        # as a column slice of a wider array and with broadcast values
+        # as a column slice of a wider array, and with one support for all
+        # rows as broadcast values, as copied rows and as one shared row
         rng = np.random.default_rng(16)
         for _ in range(100):
             k = int(rng.integers(2, 12))
@@ -164,8 +165,19 @@ class TestSolveDual:
                 assert np.array_equal(c_order.value, other.value)
                 assert np.array_equal(c_order.beta, other.beta)
             shared = np.broadcast_to(z[0], z.shape)
-            assert np.array_equal(worstcase.solve_dual_batch(shared, q, r, top).value,
-                                  worstcase.solve_dual_batch(shared.copy(), q, r, top).value)
+            want = worstcase.solve_dual_batch(shared, q, r, top)
+            for zs in (shared.copy(), z[:1]):
+                got = worstcase.solve_dual_batch(zs, q, r, top)
+                for name in ("beta", "value", "iterations", "log_offset"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_values_are_one_row_per_weight_row_or_one_shared_row(self):
+        q, r, top = np.full((3, 4), 0.25), np.full(3, 0.5), np.full(3, 4.0)
+        z = np.arange(1.0, 5.0)
+        assert worstcase.solve_dual_batch(z[None], q, r, top).value.shape == (3,)
+        for values in (np.tile(z, (2, 1)), np.tile(z, (4, 1)), np.append(z, 5.0)[None], z):
+            with pytest.raises(ValueError, match="one radius and bound per row"):
+                worstcase.solve_dual_batch(values, q, r, top)
 
     def test_rejects_weights_that_are_not_a_pmf(self):
         z, r, top = [[1.0, 2.0, 3.0]] * 2, [0.5, 0.5], [3.0, 3.0]
